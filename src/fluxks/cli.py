@@ -38,7 +38,7 @@ from .gn import (
     signal_grad_step_set,
     signal_l2_step_set,
 )
-from .grid import Grid, build_grid
+from .grid import Grid, unit_grid
 from .monitors import (
     MIN_DISSIPATION_RECORDS,
     check_dissipation_inequality,
@@ -225,20 +225,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 # -- gn-test -----------------------------------------------------------------
 
 
-def _gn_test_grid(n: int, cells: int) -> Grid:
-    if n == 1:
-        return build_grid("cartesian-1d", extents=(1.0,), cells=(cells,))
-    if n == 2:
-        return build_grid("cartesian-2d", extents=(1.0, 1.0), cells=(cells, cells))
-    return build_grid("radial-n", extents=(1.0,), cells=(cells,), n=n)
-
-
-def _refined(grid: Grid) -> Grid:
-    cells = tuple(2 * c for c in grid.shape)
-    n = grid.n if grid.mode == "radial-n" else None
-    return build_grid(grid.mode, extents=grid.extents, cells=cells, n=n)
-
-
 def _cmd_gn_test(args: argparse.Namespace) -> int:
     try:
         spec = RegimeSpec(n=args.n, theta=args.theta, p=args.p)
@@ -263,40 +249,30 @@ def _cmd_gn_test(args: argparse.Namespace) -> int:
     second = GN2Exponents(p_hat=2.0, q_hat=2.0, r_hat=2.0, s_hat=2.0, n=args.n)
 
     cells = args.cells if args.cells else (256 if args.n != 2 else 64)
-    coarse = _gn_test_grid(args.n, cells)
-    fine = _refined(coarse)
+    coarse = unit_grid(args.n, cells)
+    fine = unit_grid(args.n, 2 * cells)
 
-    all_stable = True
-    set_reports = {}
-    for name, exps in sets.items():
-        c1 = gn_constant_estimate(coarse, exps, size=args.ensemble_size, seed=args.seed)
-        c2 = gn_constant_estimate(fine, exps, size=args.ensemble_size, seed=args.seed)
+    def refinement(estimator, *exps) -> dict:
+        # one estimate on each grid; stable when they agree to GN_STABILITY_RTOL
+        c1, c2 = (
+            estimator(grid, *exps, size=args.ensemble_size, seed=args.seed)
+            for grid in (coarse, fine)
+        )
         stability = abs(c2 - c1) / c1
         stable = bool(math.isfinite(c1) and math.isfinite(c2) and stability <= GN_STABILITY_RTOL)
-        all_stable = all_stable and stable
-        set_reports[name] = {
-            "exponents": exps.to_dict(),
-            "C_est": c1,
-            "C_est_refined": c2,
-            "stability": stability,
-            "stable": stable,
-        }
-    c1 = gn2_constant_estimate(coarse, second, size=args.ensemble_size, seed=args.seed)
-    c2 = gn2_constant_estimate(fine, second, size=args.ensemble_size, seed=args.seed)
-    stability = abs(c2 - c1) / c1
-    stable = bool(math.isfinite(c1) and math.isfinite(c2) and stability <= GN_STABILITY_RTOL)
-    all_stable = all_stable and stable
+        return {"C_est": c1, "C_est_refined": c2, "stability": stability, "stable": stable}
+
+    set_reports = {
+        name: {"exponents": exps.to_dict(), **refinement(gn_constant_estimate, exps)}
+        for name, exps in sets.items()
+    }
     set_reports["second-form-reference"] = {
         "exponents": second.to_dict(),
-        "C_est": c1,
-        "C_est_refined": c2,
-        "stability": stability,
-        "stable": stable,
+        **refinement(gn2_constant_estimate, second),
     }
-    pw1 = poincare_constant_estimate(coarse, size=args.ensemble_size, seed=args.seed)
-    pw2 = poincare_constant_estimate(fine, size=args.ensemble_size, seed=args.seed)
-    pw_stability = abs(pw2 - pw1) / pw1
-    all_stable = all_stable and pw_stability <= GN_STABILITY_RTOL
+    poincare = refinement(poincare_constant_estimate)
+    # the poincare entry reports no verdict of its own, only the overall pass
+    all_stable = poincare.pop("stable") and all(r["stable"] for r in set_reports.values())
 
     payload = {
         "tool": _tool_stamp(),
@@ -316,7 +292,7 @@ def _cmd_gn_test(args: argparse.Namespace) -> int:
         },
         "stability_rtol": GN_STABILITY_RTOL,
         "sets": set_reports,
-        "poincare": {"C_est": pw1, "C_est_refined": pw2, "stability": pw_stability},
+        "poincare": poincare,
         "pass": all_stable,
     }
     _print_json(payload)

@@ -89,9 +89,7 @@ class Grid:
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
     def face_shape(self, axis: int) -> tuple[int, ...]:
-        s = list(self.shape)
-        s[axis] += 1
-        return tuple(s)
+        return _face_shape(self.shape, axis)
 
     def describe(self) -> dict:
         """JSON-ready summary of the geometry."""
@@ -175,6 +173,19 @@ def build_grid(
         cell_weights=np.ascontiguousarray(weights, dtype=np.float64),
         face_areas=tuple(np.ascontiguousarray(a, dtype=np.float64) for a in areas),
     )
+
+
+def unit_grid(n: int, cells: int) -> Grid:
+    """The unit domain of ambient dimension ``n`` with ``cells`` cells per axis.
+
+    ``[0, 1]`` for ``n = 1``, ``[0, 1]^2`` for ``n = 2``, and the radial unit
+    ball for ``n >= 3``.
+    """
+    if n == 1:
+        return build_grid("cartesian-1d", extents=(1.0,), cells=(cells,))
+    if n == 2:
+        return build_grid("cartesian-2d", extents=(1.0, 1.0), cells=(cells, cells))
+    return build_grid("radial-n", extents=(1.0,), cells=(cells,), n=n)
 
 
 def _face_shape(shape: tuple[int, ...], axis: int) -> tuple[int, ...]:

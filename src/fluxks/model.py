@@ -25,7 +25,6 @@ from .grid import (
     _boundary_slice,
     _interior_slice,
     _slice_axis,
-    gradient_faces,
     integrate,
     laplacian_values,
 )
@@ -114,37 +113,42 @@ def face_gradient_magnitude_sq(grid: Grid, grad_faces) -> list[NDArray[np.float6
     return mags
 
 
+def flux_coefficients(grid: Grid, grad_faces, params: ModelParams) -> list[NDArray[np.float64]]:
+    """Face flux coefficient ``chi * (|grad v|^2 + eps)^((p-2)/2) * grad v`` per axis.
+
+    ``grad_faces`` are the face gradients of the signal (as from
+    :func:`fluxks.grid.gradient_faces`); boundary faces come out zero with them.
+    """
+    mags = face_gradient_magnitude_sq(grid, grad_faces)
+    expo = 0.5 * (params.p - 2.0)
+    coeffs = []
+    for g, mag in zip(grad_faces, mags):
+        m = mag + params.eps
+        factor = np.zeros_like(m)
+        nz = m > 0.0
+        factor[nz] = m[nz] ** expo
+        coeffs.append(params.chi * factor * g)
+    return coeffs
+
+
 def regularized_flux(
     u: GridFunction, grad_v: VectorGridFunction, params: ModelParams
 ) -> VectorGridFunction:
     """Upwind chemotactic face flux ``chi * u * (|grad v|^2 + eps)^((p-2)/2) * grad v``.
 
     The face value of ``u`` is the upwind cell selected by the sign of the
-    face flux coefficient, so the flux is exactly linear in both ``chi`` and
-    ``u``.  Boundary faces are exactly zero.
-
-    Raises:
-        ValueError: ``eps = 0`` together with ``p < 1`` (limit undefined).
+    face flux coefficient (:func:`flux_coefficients`), so the flux is exactly
+    linear in both ``chi`` and ``u``.  Boundary faces are exactly zero.
     """
-    if params.eps == 0.0 and params.p < 1.0:
-        raise ValueError("eps = 0 requires p >= 1 for a well-defined limit flux")
     grid = u.grid
-    mags = face_gradient_magnitude_sq(grid, grad_v.faces)
-    expo = 0.5 * (params.p - 2.0)
     nd = grid.n_axes
     fluxes = []
-    for a in range(nd):
-        g = grad_v.faces[a]
-        m = mags[a] + params.eps
-        factor = np.zeros_like(m)
-        nz = m > 0.0
-        factor[nz] = m[nz] ** expo
-        coeff = params.chi * factor * g
+    for a, coeff in enumerate(flux_coefficients(grid, grad_v.faces, params)):
         left = u.values[_slice_axis(nd, a, slice(None, -1))]
         right = u.values[_slice_axis(nd, a, slice(1, None))]
         c_int = coeff[_interior_slice(nd, a)]
         u_face = np.where(c_int > 0.0, left, right)
-        flux = np.zeros_like(g)
+        flux = np.zeros_like(coeff)
         flux[_interior_slice(nd, a)] = c_int * u_face
         fluxes.append(flux)
     return VectorGridFunction(grid, tuple(fluxes))

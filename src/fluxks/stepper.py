@@ -7,19 +7,24 @@ Each step advances the signal first and the density second:
 2. ``(I - dt*L) u_new = u_old - dt * div(flux(u_old, grad v_new))`` --
    explicit upwind chemotaxis, implicit diffusion.
 
-Both solves run through :class:`fluxks.linalg.HelmholtzSolver` (conjugate
-directions, relative residual 1e-10).  The upwind flux with the positivity
-CFL keeps the explicit right-hand side nonnegative, and the implicit operator
-inverse is positivity preserving, so negative cells can only appear at solver
-roundoff scale; they are clamped to zero with the clamped mass logged, and
-anything beyond roundoff is a hard error.  Mass is conserved by construction:
-the flux divergence telescopes to zero and the u-solve preserves cell-weighted
-means to roundoff.
+Both solves run through :class:`fluxks.linalg.HelmholtzSolver`.  Starting
+from the old field, it applies exact-inverse corrections (DCT in 2d,
+tridiagonal on one-axis grids) until the true relative residual is at most
+1e-10; it returns the old field untouched when that already passes, and
+accepts a residual stalled at the floating-point floor only through a normwise
+backward-error test.  The upwind flux with the positivity CFL keeps the
+explicit right-hand side nonnegative, and the implicit operator inverse is
+positivity preserving, so negative cells can only appear at solver roundoff
+scale; they are clamped to zero with the clamped mass logged, and anything
+beyond roundoff is a hard error.  Mass is conserved by construction: the flux
+divergence telescopes to zero and the u-solve preserves cell-weighted means to
+roundoff.
 
 The time step is the smallest of ``dt_max``, the advective positivity bound
-(``cfl_safety`` over the largest per-cell outflow rate of the flux
-coefficients), and an explicit-production proxy ``cfl_safety / (theta *
-max(u)^(theta-1))``.  Diffusion is implicit and imposes no step bound.  A step
+(``cfl_safety`` over the largest per-cell outflow rate of the coefficients
+:func:`fluxks.model.flux_coefficients` gives at the old signal), and an
+explicit-production proxy ``cfl_safety / (theta * max(u)^(theta-1))``.
+Diffusion is implicit and imposes no step bound.  A step
 below ``dt_min`` is treated as suspected blow-up, as is ``||u||_inf`` beyond
 ``blowup_linf_threshold``.
 """
@@ -40,7 +45,7 @@ from .linalg import HelmholtzSolver
 from .model import (
     InitialData,
     ModelParams,
-    face_gradient_magnitude_sq,
+    flux_coefficients,
     mollify_initial_data,
     production,
     regularized_flux,
@@ -111,21 +116,6 @@ class SimResult:
     message: str = ""
 
 
-def _flux_coefficients(grid, u_values, v_values, params: ModelParams):
-    # face flux coefficient chi * (|grad v|^2 + eps)^((p-2)/2) * grad_v per axis
-    grads = gradient_faces(grid, v_values)
-    mags = face_gradient_magnitude_sq(grid, grads)
-    expo = 0.5 * (params.p - 2.0)
-    coeffs = []
-    for a in range(grid.n_axes):
-        m = mags[a] + params.eps
-        factor = np.zeros_like(m)
-        nz = m > 0.0
-        factor[nz] = m[nz] ** expo
-        coeffs.append(params.chi * factor * grads[a])
-    return coeffs
-
-
 def choose_dt(state: SimState, params: ModelParams, controls: StepControls) -> float:
     """Largest admissible step at this state.
 
@@ -133,7 +123,7 @@ def choose_dt(state: SimState, params: ModelParams, controls: StepControls) -> f
         TimeStepCollapse: the bound fell below ``dt_min``.
     """
     grid = state.u.grid
-    coeffs = _flux_coefficients(grid, state.u.values, state.v.values, params)
+    coeffs = flux_coefficients(grid, gradient_faces(grid, state.v.values), params)
     outflow = np.zeros(grid.shape)
     nd = grid.n_axes
     for a in range(nd):

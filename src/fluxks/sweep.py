@@ -32,13 +32,13 @@ from pathlib import Path
 
 from ._version import __version__
 from .errors import ConfigError
-from .grid import Grid, build_grid
+from .grid import unit_grid
 from .model import INITIAL_FAMILIES, ModelParams, build_initial_data
 from .monitors import classify
 from .regimes import RegimeSpec, audit, critical_exponent, relative_p
 from .stepper import StepControls, simulate
 
-SWEEP_VERSION = 1
+SWEEP_VERSION = 2
 
 REGIME_MAP_COLUMNS = (
     "n",
@@ -199,19 +199,9 @@ def point_id(point: dict) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()[:16]
 
 
-def _point_grid(point: dict) -> Grid:
-    n = point["n"]
-    cells = point["cells"]
-    if n == 1:
-        return build_grid("cartesian-1d", extents=(1.0,), cells=(cells,))
-    if n == 2:
-        return build_grid("cartesian-2d", extents=(1.0, 1.0), cells=(cells, cells))
-    return build_grid("radial-n", extents=(1.0,), cells=(cells,), n=n)
-
-
 def run_point(point: dict) -> dict:
     """Simulate one lattice point and summarize it (no file output here)."""
-    grid = _point_grid(point)
+    grid = unit_grid(point["n"], point["cells"])
     initial = build_initial_data(
         grid,
         family=point["family"],

@@ -2,7 +2,8 @@
 
 The operator (a*I - d*L) is assembled column by column through the public
 laplacian and solved with numpy; the matrix-free solver must agree to the
-residual tolerance it certifies.
+residual tolerance it certifies, and the residual it reports must be the true
+residual of the solution it returns.
 """
 
 import math
@@ -12,7 +13,9 @@ import pytest
 
 from fluxks.errors import SolverError
 from fluxks.grid import GridFunction, build_grid, integrate, laplacian_values
-from fluxks.linalg import MAX_ITER, SOLVER_RTOL, HelmholtzSolver, pcg
+from fluxks.linalg import SOLVER_RTOL, HelmholtzSolver
+from fluxks.model import ModelParams, build_initial_data
+from fluxks.stepper import RunStatus, StepControls, simulate
 
 ALL_GRIDS = [
     ("cartesian-1d", dict(extents=(1.0,), cells=(24,))),
@@ -84,61 +87,13 @@ def test_constant_rhs_exact_solution():
 
 @pytest.mark.parametrize("mode,kwargs", ALL_GRIDS)
 def test_preconditioner_keeps_iterations_small(mode, kwargs):
-    # exact spectral/tridiagonal preconditioning: a handful of iterations
+    # exact spectral/tridiagonal inverse: a handful of corrections
     grid = build_grid(mode, **kwargs)
     rng = np.random.default_rng(2)
     rhs = rng.standard_normal(grid.shape)
     solver = HelmholtzSolver(grid)
     _, iters, _ = solver.solve(1.0, 0.5, rhs, np.zeros(grid.shape))
     assert iters <= 5
-
-
-def test_pcg_plain_matches_numpy():
-    # no preconditioner, plain dot: generic SPD system
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((30, 30))
-    mat = m @ m.T + 30.0 * np.eye(30)
-    b = rng.standard_normal(30)
-    x, iters, relres = pcg(
-        lambda v: mat @ v,
-        b,
-        np.zeros(30),
-        dot=lambda f, g: float(f @ g),
-        rtol=1e-12,
-    )
-    assert relres <= 1e-12
-    np.testing.assert_allclose(x, np.linalg.solve(mat, b), rtol=1e-8)
-    assert 0 < iters <= MAX_ITER
-
-
-def test_pcg_zero_rhs_short_circuits():
-    x, iters, relres = pcg(
-        lambda v: v, np.zeros(5), np.ones(5), dot=lambda f, g: float(f @ g)
-    )
-    np.testing.assert_allclose(x, 0.0)
-    assert iters == 0 and relres == 0.0
-
-
-def test_pcg_rejects_indefinite_operator():
-    mat = np.diag([1.0, -1.0, 2.0])
-    b = np.array([1.0, 1.0, 1.0])
-    with pytest.raises(SolverError):
-        pcg(lambda v: mat @ v, b, np.zeros(3), dot=lambda f, g: float(f @ g))
-
-
-def test_pcg_reports_nonconvergence():
-    # ill-conditioned diagonal, starved iteration budget
-    diag = np.logspace(0, 12, 40)
-    b = np.ones(40)
-    with pytest.raises(SolverError):
-        pcg(
-            lambda v: diag * v,
-            b,
-            np.zeros(40),
-            dot=lambda f, g: float(f @ g),
-            rtol=1e-14,
-            max_iter=3,
-        )
 
 
 def test_radial_solver_large_diffusion():
@@ -153,3 +108,56 @@ def test_radial_solver_large_diffusion():
     num = math.sqrt(float(np.sum((op - rhs) ** 2 * grid.cell_weights)))
     den = math.sqrt(float(np.sum(rhs**2 * grid.cell_weights)))
     assert num / den <= 10.0 * SOLVER_RTOL
+    assert relres == pytest.approx(num / den, rel=1e-9)
+
+
+@pytest.mark.parametrize("mode,kwargs", ALL_GRIDS)
+def test_zero_rhs_short_circuits(mode, kwargs):
+    grid = build_grid(mode, **kwargs)
+    solver = HelmholtzSolver(grid)
+    x, corrections, relres = solver.solve(1.0, 0.5, np.zeros(grid.shape), np.ones(grid.shape))
+    np.testing.assert_array_equal(x, 0.0)
+    assert corrections == 0 and relres == 0.0
+
+
+@pytest.mark.parametrize("mode,kwargs", ALL_GRIDS)
+def test_corrupted_inverse_raises(mode, kwargs):
+    # a wrong inverse still contracts the residual, but not to the certificate
+    grid = build_grid(mode, **kwargs)
+    solver = HelmholtzSolver(grid)
+    if solver._symbol is not None:
+        solver._symbol = 3.0 * solver._symbol
+    else:
+        solver._bands = tuple(3.0 * b for b in solver._bands)
+    rhs = np.random.default_rng(4).standard_normal(grid.shape)
+    with pytest.raises(SolverError):
+        solver.solve(1.0, 0.5, rhs, np.zeros(grid.shape))
+
+
+@pytest.mark.parametrize("mode,kwargs", ALL_GRIDS)
+def test_converged_guess_returned_unchanged(mode, kwargs):
+    grid = build_grid(mode, **kwargs)
+    solver = HelmholtzSolver(grid)
+    rhs = np.random.default_rng(5).uniform(0.5, 1.5, size=grid.shape)
+    x, _, _ = solver.solve(1.0, 0.07, rhs, np.zeros(grid.shape))
+    x_again, corrections, relres = solver.solve(1.0, 0.07, rhs, x)
+    assert corrections == 0
+    assert relres <= SOLVER_RTOL
+    np.testing.assert_array_equal(x_again, x)
+
+
+@pytest.mark.parametrize(
+    "mode,kwargs,n",
+    [
+        ("cartesian-1d", dict(extents=(1.0,), cells=(1024,)), 1),
+        ("radial-n", dict(extents=(1.0,), cells=(1024,), n=3), 3),
+    ],
+)
+def test_stiff_heat_run_completes(mode, kwargs, n):
+    # dt = 1 on 1024 cells puts the residual at its floating-point floor,
+    # above SOLVER_RTOL; the backward-error floor must accept it
+    grid = build_grid(mode, **kwargs)
+    initial = build_initial_data(grid, base=0.1, amplitude=0.05, v0_kind="u0_squared")
+    params = ModelParams(chi=0.0, p=1.5, theta=2.0, eps=1e-3, n=n)
+    result = simulate(initial, params, StepControls(t_end=3.0, dt_max=1.0))
+    assert result.status == RunStatus.COMPLETED, result.message

@@ -6,7 +6,6 @@ with the analytic per-pass damping 1 - eps*scale*(1 - cos(k pi h)).
 """
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -205,16 +204,6 @@ def test_flux_eps_limit_consistency_degenerate_point(grid1d):
         errs.append(np.abs(fl - limit).max())
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 2.0 * (1e-6) ** 0.25
-
-
-def test_flux_rejects_zero_eps_below_p_one(grid1d):
-    # defensive guard below the ModelParams floor, reachable via duck typing
-    g = grid1d(8)
-    u = GridFunction.constant(g, 1.0)
-    gv = gradient(GridFunction.from_callable(g, lambda x: x))
-    fake = SimpleNamespace(chi=1.0, p=0.5, theta=1.0, eps=0.0, n=1)
-    with pytest.raises(ValueError, match="eps = 0"):
-        regularized_flux(u, gv, fake)
 
 
 def test_face_gradient_magnitude_1d_is_square(grid1d):
