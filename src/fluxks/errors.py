@@ -18,4 +18,10 @@ class TimeStepCollapse(FluxksError, RuntimeError):
 
 
 class PositivityError(FluxksError, RuntimeError):
-    """Negative cell values beyond roundoff: signals CFL misconfiguration."""
+    """Negative cell values beyond roundoff: signals CFL misconfiguration.
+
+    ``outflow_rate`` is the largest outflow rate of the flux that moved them, or 0."""
+
+    def __init__(self, message: str, outflow_rate: float = 0.0):
+        super().__init__(message)
+        self.outflow_rate = outflow_rate

@@ -131,27 +131,38 @@ def flux_coefficients(grid: Grid, grad_faces, params: ModelParams) -> list[NDArr
     return coeffs
 
 
+def upwind_flux(grid: Grid, u_values, coeffs) -> tuple[list[NDArray[np.float64]], float]:
+    """Upwind face flux ``coeff * u`` per axis (boundary faces zero), and the
+    largest per-cell outflow rate ``sum_faces max(+-coeff * area, 0) / weight``:
+    an explicit step ``dt`` keeps ``u >= 0`` while ``dt * rate <= 1``.
+    """
+    nd = grid.n_axes
+    fluxes = []
+    outflow = np.zeros(grid.shape)
+    for a, coeff in enumerate(coeffs):
+        lo, hi = _slice_axis(nd, a, slice(None, -1)), _slice_axis(nd, a, slice(1, None))
+        inner = _interior_slice(nd, a)
+        c_int = coeff[inner]
+        flux = np.zeros_like(coeff)
+        flux[inner] = c_int * np.where(c_int > 0.0, u_values[lo], u_values[hi])
+        fluxes.append(flux)
+        rate = c_int * grid.face_areas[a][inner]
+        outflow[lo] += np.maximum(rate, 0.0) / grid.cell_weights[lo]
+        outflow[hi] += np.maximum(-rate, 0.0) / grid.cell_weights[hi]
+    return fluxes, float(outflow.max())
+
+
 def regularized_flux(
     u: GridFunction, grad_v: VectorGridFunction, params: ModelParams
 ) -> VectorGridFunction:
     """Upwind chemotactic face flux ``chi * u * (|grad v|^2 + eps)^((p-2)/2) * grad v``.
 
-    The face value of ``u`` is the upwind cell selected by the sign of the
-    face flux coefficient (:func:`flux_coefficients`), so the flux is exactly
-    linear in both ``chi`` and ``u``.  Boundary faces are exactly zero.
+    :func:`flux_coefficients` of ``grad_v`` upwinded by :func:`upwind_flux`,
+    so the flux is exactly linear in both ``chi`` and ``u``.  Boundary faces
+    are exactly zero.
     """
-    grid = u.grid
-    nd = grid.n_axes
-    fluxes = []
-    for a, coeff in enumerate(flux_coefficients(grid, grad_v.faces, params)):
-        left = u.values[_slice_axis(nd, a, slice(None, -1))]
-        right = u.values[_slice_axis(nd, a, slice(1, None))]
-        c_int = coeff[_interior_slice(nd, a)]
-        u_face = np.where(c_int > 0.0, left, right)
-        flux = np.zeros_like(coeff)
-        flux[_interior_slice(nd, a)] = c_int * u_face
-        fluxes.append(flux)
-    return VectorGridFunction(grid, tuple(fluxes))
+    fluxes, _ = upwind_flux(u.grid, u.values, flux_coefficients(u.grid, grad_v.faces, params))
+    return VectorGridFunction(u.grid, tuple(fluxes))
 
 
 def production(u: GridFunction, params: ModelParams) -> GridFunction:

@@ -5,7 +5,8 @@ Each step advances the signal first and the density second:
 1. ``((1 + dt)*I - dt*L) v_new = v_old + dt * u_old^theta`` -- implicit
    diffusion and damping, explicit production;
 2. ``(I - dt*L) u_new = u_old - dt * div(flux(u_old, grad v_new))`` --
-   explicit upwind chemotaxis, implicit diffusion.
+   explicit upwind chemotaxis, implicit diffusion, with the flux coefficients
+   evaluated once, on ``v_new`` (:func:`fluxks.model.upwind_flux`).
 
 Both solves run through :class:`fluxks.linalg.HelmholtzSolver`.  Starting
 from the old field, it applies exact-inverse corrections (DCT in 2d,
@@ -21,12 +22,14 @@ divergence telescopes to zero and the u-solve preserves cell-weighted means to
 roundoff.
 
 The time step is the smallest of ``dt_max``, the advective positivity bound
-(``cfl_safety`` over the largest per-cell outflow rate of the coefficients
-:func:`fluxks.model.flux_coefficients` gives at the old signal), and an
-explicit-production proxy ``cfl_safety / (theta * max(u)^(theta-1))``.
-Diffusion is implicit and imposes no step bound.  A step
-below ``dt_min`` is treated as suspected blow-up, as is ``||u||_inf`` beyond
-``blowup_linf_threshold``.
+(``cfl_safety`` over the largest outflow rate of the flux along the current
+signal, handed forward by the step that produced it), and an explicit-production
+proxy ``cfl_safety / (theta * max(u)^(theta-1))``.  Diffusion is implicit and
+imposes no step bound.  The flux that moves ``u`` is that of ``v_new``, unknown
+when ``dt`` is chosen: when ``u`` goes negative because ``dt`` broke its bound,
+:func:`simulate` redoes the step from the old state with ``cfl_safety`` over
+that rate, below ``cfl_safety * dt``, so retries end.  A step below ``dt_min``
+is treated as suspected blow-up, as is ``||u||_inf`` beyond ``blowup_linf_threshold``.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import numpy as np
 
 from . import functionals
 from .errors import FluxksError, PositivityError, TimeStepCollapse
-from .grid import GridFunction, _interior_slice, _slice_axis, gradient, gradient_faces, integrate
+from .grid import GridFunction, divergence_values, gradient_faces, integrate
 from .linalg import HelmholtzSolver
 from .model import (
     InitialData,
@@ -48,7 +51,7 @@ from .model import (
     flux_coefficients,
     mollify_initial_data,
     production,
-    regularized_flux,
+    upwind_flux,
 )
 from .regimes import RegimeSpec, audit, s_rule
 
@@ -93,14 +96,15 @@ class StepControls:
 
 @dataclass(frozen=True)
 class SimState:
-    """One trajectory point; ``clamped_mass`` is the mass added by clamping
-    at the step that produced this state."""
+    """One trajectory point; ``clamped_mass`` and ``outflow_rate`` (of the
+    flux along ``v``) come from the step that produced this state."""
 
     u: GridFunction
     v: GridFunction
     t: float
     step_index: int
     clamped_mass: float = 0.0
+    outflow_rate: float | None = None
 
 
 @dataclass
@@ -116,28 +120,16 @@ class SimResult:
     message: str = ""
 
 
-def choose_dt(state: SimState, params: ModelParams, controls: StepControls) -> float:
-    """Largest admissible step at this state.
+def choose_dt(u: GridFunction, rate: float, params: ModelParams, controls: StepControls) -> float:
+    """Largest admissible step for ``u`` moved by a flux whose largest
+    per-cell outflow rate is ``rate`` (:func:`fluxks.model.upwind_flux`).
 
     Raises:
         TimeStepCollapse: the bound fell below ``dt_min``.
     """
-    grid = state.u.grid
-    coeffs = flux_coefficients(grid, gradient_faces(grid, state.v.values), params)
-    outflow = np.zeros(grid.shape)
-    nd = grid.n_axes
-    for a in range(nd):
-        c = coeffs[a][_interior_slice(nd, a)]
-        area = grid.face_areas[a][_interior_slice(nd, a)]
-        w_left = grid.cell_weights[_slice_axis(nd, a, slice(None, -1))]
-        w_right = grid.cell_weights[_slice_axis(nd, a, slice(1, None))]
-        rate = c * area
-        outflow[_slice_axis(nd, a, slice(None, -1))] += np.maximum(rate, 0.0) / w_left
-        outflow[_slice_axis(nd, a, slice(1, None))] += np.maximum(-rate, 0.0) / w_right
-    max_rate = float(outflow.max())
-    dt_adv = controls.cfl_safety / max_rate if max_rate > 0.0 else math.inf
+    dt_adv = controls.cfl_safety / rate if rate > 0.0 else math.inf
 
-    u_max = float(state.u.values.max())
+    u_max = float(u.values.max())
     prod_rate = params.theta * u_max ** (params.theta - 1.0) if u_max > 0.0 else 0.0
     dt_prod = controls.cfl_safety / prod_rate if prod_rate > 0.0 else math.inf
 
@@ -150,14 +142,17 @@ def choose_dt(state: SimState, params: ModelParams, controls: StepControls) -> f
     return dt
 
 
-def _clamp_negative(values: np.ndarray, weights: np.ndarray, label: str) -> tuple[np.ndarray, float]:
+def _clamp_negative(
+    values: np.ndarray, weights: np.ndarray, label: str, outflow_rate: float = 0.0
+) -> tuple[np.ndarray, float]:
     vmin = float(values.min())
     if vmin >= 0.0:
         return values, 0.0
     if vmin < -POSITIVITY_HARD_TOL:
         raise PositivityError(
             f"{label} dropped to {vmin:.3e}, beyond roundoff {POSITIVITY_HARD_TOL:.1e}: "
-            "CFL misconfiguration suspected"
+            "CFL misconfiguration suspected",
+            outflow_rate,
         )
     neg = values < 0.0
     clamped = -float(np.sum(values[neg] * weights[neg]))
@@ -175,10 +170,11 @@ def step(
     dt: float,
     solver: HelmholtzSolver | None = None,
 ) -> SimState:
-    """Advance one step of size ``dt``; see the module docstring for the scheme.
+    """Advance one step of exactly ``dt``; see the module docstring for the scheme.
 
     Raises:
-        PositivityError: negative cells beyond roundoff.
+        PositivityError: negative cells beyond roundoff (for ``u``, with the
+            outflow rate of the flux along ``v_new``).
         SolverError: linear solve failure or non-finite values.
     """
     grid = state.u.grid
@@ -190,14 +186,11 @@ def step(
     v_new, _, _ = solver.solve(1.0 + dt, dt, rhs_v, x0=state.v.values)
     v_new, _ = _clamp_negative(v_new, weights, "v")
 
-    grad_v = gradient(GridFunction(grid, v_new))
-    flux = regularized_flux(state.u, grad_v, params)
-    div_flux = np.zeros(grid.shape)
-    for a in range(grid.n_axes):
-        div_flux += np.diff(grid.face_areas[a] * flux.faces[a], axis=a)
-    rhs_u = state.u.values - dt * (div_flux / weights)
+    coeffs = flux_coefficients(grid, gradient_faces(grid, v_new), params)
+    fluxes, rate = upwind_flux(grid, state.u.values, coeffs)
+    rhs_u = state.u.values - dt * divergence_values(grid, fluxes)
     u_new, _, _ = solver.solve(1.0, dt, rhs_u, x0=state.u.values)
-    u_new, clamped = _clamp_negative(u_new, weights, "u")
+    u_new, clamped = _clamp_negative(u_new, weights, "u", rate)
 
     return SimState(
         u=GridFunction(grid, u_new),
@@ -205,6 +198,7 @@ def step(
         t=state.t + dt,
         step_index=state.step_index + 1,
         clamped_mass=clamped,
+        outflow_rate=rate,
     )
 
 
@@ -227,7 +221,8 @@ def simulate(
     to the s-rule value (the max-norm proxy when infinite).  ``mollify``
     applies the eps-scaled initial smoothing (the signal is left raw on the
     max-norm branch).  ``keep_states`` is ``"sampled"`` (states at the record
-    cadence), ``"ends"`` (initial and final only), or ``"all"``.
+    cadence), ``"ends"`` (initial and final only), or ``"all"``.  A step that
+    breaks the advective bound of its ``v_new`` is redone under that bound.
 
     Raises:
         ValueError: grid/params dimension mismatch or bad arguments.
@@ -262,17 +257,20 @@ def simulate(
         data = initial
 
     state = SimState(u=data.u0, v=data.v0, t=0.0, step_index=0)
+    coeffs = flux_coefficients(grid, gradient_faces(grid, data.v0.values), params)
+    rate = upwind_flux(grid, data.u0.values, coeffs)[1]
     solver = HelmholtzSolver(grid)
     initial_mass = integrate(data.u0)
     clamped_cum = 0.0
-    records = [
-        functionals.record(
-            state, params, q_set, s, q_f1=q_f1, q_f2=q_f2, c_f1=c_f1, clamped_mass_cumulative=0.0
-        )
-    ]
+    records: list[functionals.FunctionalRecord] = []
     states = [state]
     status = RunStatus.COMPLETED
     message = ""
+
+    def record(st: SimState) -> None:
+        rec = functionals.record(st, params, q_set, s, q_f1=q_f1, q_f2=q_f2, c_f1=c_f1,
+                                 clamped_mass_cumulative=clamped_cum)
+        records.append(rec)
 
     def keep(st: SimState) -> None:
         if keep_states == "all":
@@ -280,9 +278,10 @@ def simulate(
         elif keep_states == "sampled" and st.step_index % record_every == 0:
             states.append(st)
 
+    record(state)
     while controls.t_end - state.t > _T_END_SLACK * max(1.0, controls.t_end):
         try:
-            dt = choose_dt(state, params, controls)
+            dt = choose_dt(state.u, rate, params, controls)
         except TimeStepCollapse as exc:
             status = RunStatus.BLOWUP_SUSPECTED
             message = str(exc)
@@ -292,9 +291,15 @@ def simulate(
             # ValueError covers non-finite values rejected by GridFunction
             state = step(state, params, controls, dt, solver=solver)
         except (FluxksError, ValueError) as exc:
+            rejected = exc.outflow_rate if isinstance(exc, PositivityError) else 0.0
+            if rejected * dt > controls.cfl_safety:
+                # dt broke the bound of the signal it produced: redo the step under it
+                rate = rejected
+                continue
             status = RunStatus.NUMERICAL_FAILURE
             message = str(exc)
             break
+        rate = state.outflow_rate
         clamped_cum += state.clamped_mass
         if clamped_cum > CLAMPED_MASS_MAX_FRACTION * initial_mass:
             status = RunStatus.NUMERICAL_FAILURE
@@ -305,18 +310,7 @@ def simulate(
             break
         keep(state)
         if state.step_index % record_every == 0:
-            records.append(
-                functionals.record(
-                    state,
-                    params,
-                    q_set,
-                    s,
-                    q_f1=q_f1,
-                    q_f2=q_f2,
-                    c_f1=c_f1,
-                    clamped_mass_cumulative=clamped_cum,
-                )
-            )
+            record(state)
         linf = float(np.max(np.abs(state.u.values)))
         if linf > controls.blowup_linf_threshold:
             status = RunStatus.BLOWUP_SUSPECTED
@@ -324,18 +318,7 @@ def simulate(
             break
 
     if records[-1].t != state.t:
-        records.append(
-            functionals.record(
-                state,
-                params,
-                q_set,
-                s,
-                q_f1=q_f1,
-                q_f2=q_f2,
-                c_f1=c_f1,
-                clamped_mass_cumulative=clamped_cum,
-            )
-        )
+        record(state)
     if states[-1] is not state:
         states.append(state)
 

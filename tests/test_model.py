@@ -13,9 +13,12 @@ import pytest
 from fluxks.grid import (
     GridFunction,
     build_grid,
+    divergence_values,
     gradient,
+    gradient_faces,
     integrate,
     lp_norm,
+    unit_grid,
 )
 from fluxks.model import (
     MOLLIFIER_KERNEL_SCALE,
@@ -24,9 +27,11 @@ from fluxks.model import (
     ModelParams,
     build_initial_data,
     face_gradient_magnitude_sq,
+    flux_coefficients,
     mollify_initial_data,
     production,
     regularized_flux,
+    upwind_flux,
 )
 
 
@@ -118,6 +123,25 @@ def test_flux_p2_is_classical_and_eps_free(grid1d):
     coeff = gv.faces[0][1:-1]
     up = np.where(coeff > 0.0, u.values[:-1], u.values[1:])
     np.testing.assert_allclose(f0.faces[0][1:-1], coeff * up, rtol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_upwind_outflow_rate_is_the_positivity_bound(n):
+    # the explicit update u - dt * div(flux) stays >= 0 up to dt = 1 / rate,
+    # and a unit mass in the cell of largest outflow empties exactly there
+    g = unit_grid(n, 8)
+    rng = np.random.default_rng(n)
+    coeffs = flux_coefficients(g, gradient_faces(g, 4.0 * rng.random(g.shape)), params_with(n=n))
+    u = rng.random(g.shape)
+    fluxes, rate = upwind_flux(g, u, coeffs)
+    assert rate > 0.0
+    assert (u - divergence_values(g, fluxes) / rate).min() >= -1e-12
+    left = []
+    for idx in np.ndindex(g.shape):
+        unit = np.zeros(g.shape)
+        unit[idx] = 1.0
+        left.append(1.0 - divergence_values(g, upwind_flux(g, unit, coeffs)[0])[idx] / rate)
+    assert min(left) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_flux_hand_oracle_plane_signal():

@@ -1,4 +1,4 @@
-"""Time stepping: CFL selection, positivity, terminal statuses, exact modes.
+"""Time stepping: CFL selection, retries, positivity, terminal statuses, exact modes.
 
 Constant equilibria are exact fixed points of the splitting (both solves see
 a zero residual at the old state), and single Fourier modes pass through the
@@ -10,11 +10,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
+import fluxks.stepper as stepper_mod
 from fluxks.errors import PositivityError, TimeStepCollapse
-from fluxks.grid import GridFunction, build_grid, integrate
+from fluxks.grid import GridFunction, build_grid, gradient_faces, integrate
 from fluxks.linalg import HelmholtzSolver
-from fluxks.model import InitialData, ModelParams, build_initial_data
+from fluxks.model import (
+    InitialData,
+    ModelParams,
+    build_initial_data,
+    flux_coefficients,
+    upwind_flux,
+)
 from fluxks.stepper import (
     RunStatus,
     SimState,
@@ -32,6 +41,14 @@ def make_state(grid, u_vals, v_vals):
         t=0.0,
         step_index=0,
     )
+
+
+def signal_rate(state, params):
+    # largest upwind outflow rate of the flux along the state's signal: the
+    # advective rate simulate hands to choose_dt
+    g = state.u.grid
+    coeffs = flux_coefficients(g, gradient_faces(g, state.v.values), params)
+    return upwind_flux(g, state.u.values, coeffs)[1]
 
 
 REF_PARAMS = ModelParams(chi=1.0, p=1.5, theta=2.0, eps=1e-3, n=1)
@@ -64,9 +81,10 @@ def test_choose_dt_production_bound(grid1d):
     g = grid1d(32)
     st = make_state(g, 2.0, 4.0)
     controls = StepControls(t_end=1.0, dt_max=1.0, cfl_safety=0.4)
-    assert choose_dt(st, REF_PARAMS, controls) == pytest.approx(0.1, abs=1e-15)
+    rate = signal_rate(st, REF_PARAMS)
+    assert choose_dt(st.u, rate, REF_PARAMS, controls) == pytest.approx(0.1, abs=1e-15)
     tight = StepControls(t_end=1.0, dt_max=0.05)
-    assert choose_dt(st, REF_PARAMS, tight) == 0.05
+    assert choose_dt(st.u, rate, REF_PARAMS, tight) == 0.05
 
 
 def test_choose_dt_advective_bound_linear_in_chi(grid1d):
@@ -84,7 +102,7 @@ def test_choose_dt_advective_bound_linear_in_chi(grid1d):
     dts = {}
     for chi in (1.0, 2.0):
         params = ModelParams(chi=chi, p=2.0, theta=2.0, eps=0.0, n=1)
-        dts[chi] = choose_dt(st, params, controls)
+        dts[chi] = choose_dt(st.u, signal_rate(st, params), params, controls)
     assert dts[1.0] == pytest.approx(0.4 * h, rel=1e-14)
     assert dts[2.0] == pytest.approx(dts[1.0] / 2.0, rel=1e-14)
 
@@ -96,7 +114,7 @@ def test_choose_dt_collapse_raises(grid1d):
     # production rate 3 * 100^2 = 3e4 forces dt ~ 1.3e-5 < dt_min
     controls = StepControls(t_end=1.0, dt_min=1e-4)
     with pytest.raises(TimeStepCollapse, match="dt_min"):
-        choose_dt(st, params, controls)
+        choose_dt(st.u, signal_rate(st, params), params, controls)
 
 
 # -------------------------------------------------------------------- step
@@ -115,9 +133,12 @@ def test_step_positivity_hard_error(grid1d):
     )
     params = ModelParams(chi=1.0, p=2.0, theta=2.0, eps=0.0, n=1)
     controls = StepControls(t_end=1.0)
-    admissible = choose_dt(st, params, controls)
-    with pytest.raises(PositivityError, match="CFL"):
+    admissible = choose_dt(st.u, signal_rate(st, params), params, controls)
+    with pytest.raises(PositivityError, match="CFL") as failed:
         step(st, params, controls, dt=10.0 * admissible)
+    # the error carries the bound of the signal the step produced, and the
+    # step broke it: simulate retries under it
+    assert failed.value.outflow_rate * 10.0 * admissible > controls.cfl_safety
 
 
 def test_step_conserves_mass_single_step(grid1d):
@@ -258,6 +279,120 @@ def test_simulate_linf_threshold_trips_post_step(grid1d):
     assert res.status == RunStatus.BLOWUP_SUSPECTED
     assert "threshold" in res.message
     assert res.n_steps == 1  # the check runs after the first completed step
+
+
+def stale_cfl_case(dt_min=1e-10):
+    # v0 = 0 gives no advective bound at t = 0, but the first v_new is steep:
+    # a step sized from the old signal drains the gaussian's centre negative
+    g = build_grid("cartesian-1d", extents=(1.0,), cells=(512,))
+    init = build_initial_data(g, family="gaussian", base=0.1, amplitude=20.0, width=0.05,
+                              v0_kind="zero")
+    params = ModelParams(chi=10.0, p=1.9, theta=2.0, eps=1e-3, n=1)
+    return init, params, StepControls(t_end=0.003, dt_min=dt_min)
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(stepper_mod, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(stepper_mod, name, counted)
+    return calls
+
+
+def test_stale_cfl_signal_is_retried_and_completes(monkeypatch):
+    init, params, controls = stale_cfl_case()
+    steps = count_calls(monkeypatch, "step")
+    res = simulate(init, params, controls, keep_states="ends")
+    assert res.status == RunStatus.COMPLETED, res.message
+    assert len(steps) > res.n_steps  # at least one rejected attempt was redone
+    m0 = res.records[0].mass
+    assert all(abs(rec.mass - m0) / m0 <= 1e-10 for rec in res.records)
+    for state in res.states:
+        assert state.u.values.min() >= 0.0 and state.v.values.min() >= 0.0
+
+
+def test_retry_below_dt_min_reports_blowup_suspected():
+    # the stale case's first retry needs dt ~ 1.6e-5, below this dt_min
+    init, params, controls = stale_cfl_case(dt_min=1e-4)
+    res = simulate(init, params, controls, keep_states="ends")
+    assert res.status == RunStatus.BLOWUP_SUSPECTED
+    assert res.n_steps == 0 and "dt_min" in res.message
+
+
+def test_positivity_failure_within_the_bound_is_not_retried(grid1d, monkeypatch):
+    # negativity that the advective bound does not explain ends the run (a
+    # retry would succeed here, so a wrong retry shows as Completed)
+    calls = []
+    original = stepper_mod.step
+
+    def failing_once(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise PositivityError("u dropped to -1", outflow_rate=1e-12)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(stepper_mod, "step", failing_once)
+    init = build_initial_data(grid1d(16), family="cosine", base=1.0, amplitude=0.5)
+    res = simulate(init, REF_PARAMS, StepControls(t_end=1.0))
+    assert res.status == RunStatus.NUMERICAL_FAILURE and len(calls) == 1
+
+
+def test_flux_coefficients_evaluated_once_per_step(grid1d, monkeypatch):
+    # one evaluation per accepted step, on v_new, plus one of v0 per run
+    steps = count_calls(monkeypatch, "step")
+    evaluations = count_calls(monkeypatch, "flux_coefficients")
+    init = build_initial_data(grid1d(64), family="cosine", base=1.0, amplitude=0.5,
+                              v0_kind="u0_squared")
+    res = simulate(init, REF_PARAMS, StepControls(t_end=0.2))
+    assert res.status == RunStatus.COMPLETED and res.n_steps > 10
+    assert len(steps) == res.n_steps  # no retries
+    assert len(evaluations) == res.n_steps + 1
+
+
+# Short 1d and radial runs, with dt_min = 1e-5 capping a run at t_end / dt_min
+# = 1000 steps (a run that needs a smaller step ends BlowUpSuspected): without
+# the cap an aggregating radial n = 4 draw took 447k advective-limited steps to
+# t = 0.0073.  2d grids are left out for the same cost.
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(
+    n=hs.integers(1, 4),
+    cells=hs.integers(8, 64),
+    chi=hs.floats(0.0, 10.0),
+    p=hs.floats(1.05, 3.0),
+    theta=hs.floats(1.1, 3.0),
+    eps=hs.floats(1e-3, 0.5),
+    family=hs.sampled_from(["cosine", "gaussian", "constant"]),
+    base=hs.floats(0.1, 2.0),
+    amplitude=hs.floats(0.0, 20.0),
+    width=hs.floats(0.02, 0.3),
+    v0_kind=hs.sampled_from(["zero", "u0_squared", "constant"]),
+    t_end=hs.floats(1e-3, 0.01),
+    dt_max=hs.floats(1e-4, 0.1),
+)
+def test_small_runs_complete_or_blow_up_conserving_mass(
+    n, cells, chi, p, theta, eps, family, base, amplitude, width, v0_kind, t_end, dt_max
+):
+    # n = 1 is cartesian-1d, n >= 2 the radial grid of that dimension
+    if n == 1:
+        g = build_grid("cartesian-1d", extents=(1.0,), cells=(cells,))
+    else:
+        g = build_grid("radial-n", extents=(1.0,), cells=(cells,), n=n)
+    if family == "cosine":
+        amplitude = min(amplitude, base)
+    init = build_initial_data(g, family=family, base=base, amplitude=amplitude, width=width,
+                              v0_kind=v0_kind, v0_value=base)
+    params = ModelParams(chi=chi, p=p, theta=theta, eps=eps, n=n)
+    controls = StepControls(t_end=t_end, dt_max=dt_max, dt_min=1e-5)
+    res = simulate(init, params, controls, keep_states="all")
+    assert res.status in (RunStatus.COMPLETED, RunStatus.BLOWUP_SUSPECTED), res.message
+    m0 = integrate(res.states[0].u)
+    for state in res.states:
+        assert abs(integrate(state.u) - m0) <= 1e-10 * m0
+        assert state.u.values.min() >= 0.0 and state.v.values.min() >= 0.0
 
 
 def test_simulate_numerical_failure_on_overflow(grid1d):
