@@ -31,7 +31,7 @@ def main() -> None:
     controls = StepControls(t_end=20.0)
 
     t0 = time.perf_counter()
-    result = simulate(initial, params, controls, record_every=50, keep_states="sampled")
+    result = simulate(initial, params, controls, keep_states="sampled")
     wall = time.perf_counter() - t0
     print(
         f"status {result.status.value}, {result.n_steps} steps to "

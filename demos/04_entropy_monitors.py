@@ -33,7 +33,7 @@ def main() -> None:
     initial = build_initial_data(
         grid, family="cosine", base=1.0, amplitude=0.5, v0_kind="u0_squared"
     )
-    result = simulate(initial, params, StepControls(t_end=20.0), record_every=50)
+    result = simulate(initial, params, StepControls(t_end=20.0))
     print(f"run: {result.status.value} after {result.n_steps} steps")
     print()
 

@@ -314,7 +314,7 @@ def parse_config_dict(data: dict) -> RunConfig:
     if c_f1 < 0.0:
         raise ConfigError(f"monitors.c_f1 must be >= 0, got {c_f1}")
 
-    record_every = _get_int(data, "record_every", "config", default=50)
+    record_every = _get_int(data, "record_every", "config", default=5)
     if record_every < 1:
         raise ConfigError(f"record_every must be >= 1, got {record_every}")
     mollify = _get_bool(data, "mollify", "config", default=True)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -90,6 +91,23 @@ class Grid:
 
     def face_shape(self, axis: int) -> tuple[int, ...]:
         return _face_shape(self.shape, axis)
+
+    @cached_property
+    def _face_quadrature(self) -> tuple[NDArray[np.float64], ...]:
+        # per axis, the weights of face_quadrature_weights
+        w = self.cell_weights
+        nd = self.n_axes
+        out = []
+        for axis in range(nd):
+            fw = np.zeros(self.face_shape(axis))
+            left = w[_slice_axis(nd, axis, slice(None, -1))]
+            right = w[_slice_axis(nd, axis, slice(1, None))]
+            fw[_interior_slice(nd, axis)] = 0.5 * (left + right)
+            fw[_boundary_slice(nd, axis, 0)] = 0.5 * w[_boundary_slice(nd, axis, 0)]
+            fw[_boundary_slice(nd, axis, -1)] = 0.5 * w[_boundary_slice(nd, axis, -1)]
+            fw.flags.writeable = False
+            out.append(fw)
+        return tuple(out)
 
     def describe(self) -> dict:
         """JSON-ready summary of the geometry."""
@@ -338,20 +356,12 @@ def lp_norm(f: GridFunction, p: float) -> float:
 
 
 def face_quadrature_weights(grid: Grid, axis: int) -> NDArray[np.float64]:
-    """Quadrature weight of each face of one axis.
+    """Quadrature weight of each face of one axis (read-only, cached on the grid).
 
     Interior faces get the mean of the two adjacent cell weights, boundary
     faces half the adjacent cell weight, so each axis's faces tile the domain.
     """
-    w = grid.cell_weights
-    fw = np.zeros(grid.face_shape(axis))
-    nd = grid.n_axes
-    left = w[_slice_axis(nd, axis, slice(None, -1))]
-    right = w[_slice_axis(nd, axis, slice(1, None))]
-    fw[_interior_slice(nd, axis)] = 0.5 * (left + right)
-    fw[_boundary_slice(nd, axis, 0)] = 0.5 * w[_boundary_slice(nd, axis, 0)]
-    fw[_boundary_slice(nd, axis, -1)] = 0.5 * w[_boundary_slice(nd, axis, -1)]
-    return fw
+    return grid._face_quadrature[axis]
 
 
 def _slice_axis(ndim: int, axis: int, s: slice) -> tuple:

@@ -1,11 +1,16 @@
-"""Exact Helmholtz solves for the implicit diffusion steps.
+"""Exact implicit solves: Helmholtz diffusion, and upwind transport on one-axis grids.
 
-Each implicit update solves ``(a*I - d*L) x = b`` where ``L`` is the discrete
-Laplacian of :mod:`fluxks.grid`, ``a >= 1`` and ``d > 0``.  Every grid mode has
-an exact inverse of this operator: a DCT-II spectral solve on the uniform 2d
-grid (the cell-centered no-flux Laplacian diagonalizes in that basis) and a
-tridiagonal ``solve_banded`` on the one-axis grids (``cartesian-1d`` and
-``radial-n``).
+Each implicit update solves ``(a*I - d*L + d*A) x = b`` where ``L`` is the
+discrete Laplacian of :mod:`fluxks.grid`, ``a >= 1``, ``d > 0``, and ``A`` is
+either absent or, on the one-axis grids, the upwind transport operator
+``x -> div(upwind_flux(x, coeffs))`` of :func:`fluxks.model.upwind_flux` for
+given face coefficients.  Every case has an exact inverse: a DCT-II spectral
+solve on the uniform 2d grid (the cell-centered no-flux Laplacian diagonalizes
+in that basis) and a tridiagonal ``solve_banded`` on the one-axis grids
+(``cartesian-1d`` and ``radial-n``).  Upwinding puts each face's transport into
+one direction only, so the tridiagonal matrix is an M-matrix (positive
+diagonal, nonpositive off-diagonals) whose cell-weighted column sums all equal
+``a``: its inverse keeps ``x >= 0`` and, with ``a = 1``, the mass of ``b``.
 
 The solve starts from the caller's guess ``x0`` and certifies the true
 residual ``r = b - A x`` of the ``x`` it returns, in the cell-weighted norm.
@@ -14,10 +19,12 @@ unchanged with zero corrections; this exit keeps a converged field frozen to
 the last bit.  Otherwise the solve applies up to ``CORRECTIONS`` corrections
 ``x += inverse(r)``, returning as soon as the relative residual passes.  On
 stiff solves the residual can stall at the floating-point floor, about
-``eps * d * lambda_max * ||x||``; the last iterate is then accepted when its
-normwise backward error passes, ``||r|| <= SOLVER_RTOL * (||A|| ||x|| +
-||b||)`` with ``||A|| <= a + d * rho`` and ``rho`` a bound on the spectral
-radius of ``-L``.  Anything else raises :class:`SolverError`.
+``eps * ||A|| * ||x||``; the last iterate is then accepted when its normwise
+backward error passes, ``||r|| <= SOLVER_RTOL * (||A|| ||x|| + ||b||)``, with
+``||A||`` bounded by ``a + d * rho`` (``rho`` the largest DCT eigenvalue of
+``-L``) in 2d and by the largest absolute row sum of the assembled bands, which
+includes the transport, on one-axis grids.  Anything else raises
+:class:`SolverError`.
 
 The constant mode has operator eigenvalue exactly ``a``: with ``a = 1`` the
 solve preserves cell-weighted means to roundoff, which is what makes the mass
@@ -35,7 +42,8 @@ from numpy.typing import NDArray
 from scipy.linalg import solve_banded
 
 from .errors import SolverError
-from .grid import Grid, laplacian_values
+from .grid import Grid, divergence_values, laplacian_values
+from .model import upwind_flux
 
 SOLVER_RTOL = 1e-10
 # exact-inverse corrections after the check of x0; one normally suffices
@@ -43,7 +51,7 @@ CORRECTIONS = 3
 
 
 class HelmholtzSolver:
-    """Solves ``(a*I - d*L) x = b`` on one grid, reusing precomputed spectra."""
+    """Solves ``(a*I - d*L + d*A) x = b`` on one grid, reusing precomputed spectra."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
@@ -55,9 +63,6 @@ class HelmholtzSolver:
         else:
             self._symbol = None
             self._bands = self._band_parts(grid)
-            # Gershgorin: each row of -L has diagonal lo + hi and off-diagonal
-            # magnitudes summing to lo + hi
-            self._rho = 2.0 * float((self._bands[0] + self._bands[1]).max())
 
     @staticmethod
     def _dct_symbol(grid: Grid) -> NDArray[np.float64]:
@@ -70,22 +75,52 @@ class HelmholtzSolver:
 
     @staticmethod
     def _band_parts(grid: Grid):
-        # transfer rates A_face / (W_cell * h) of a one-axis grid with boundary
-        # faces suppressed, exactly mirroring gradient_faces' zero boundary
-        h = grid.spacing[0]
+        # diffusive transfer rates A_face / h of a one-axis grid, from the lower
+        # to the upper cell of each face and back (equal: diffusion is
+        # symmetric), with boundary faces suppressed, exactly mirroring
+        # gradient_faces' zero boundary
         area = grid.face_areas[0].copy()
         area[0] = 0.0
         area[-1] = 0.0
-        w = grid.cell_weights
-        lo_rate = area[:-1] / (w * h)  # coupling of cell i to cell i-1
-        hi_rate = area[1:] / (w * h)  # coupling of cell i to cell i+1
-        return lo_rate, hi_rate
+        rate = area / grid.spacing[0]
+        return rate, rate
+
+    def _banded(self, a_coef: float, d_coef: float, coeffs=None) -> NDArray[np.float64]:
+        """``a*I - d*L + d*A`` in ``solve_banded``'s ``(1, 1)`` layout.
+
+        Face ``j`` moves mass from cell ``j - 1`` up at rate ``up[j]`` and from
+        cell ``j`` down at rate ``down[j]`` (per unit of the source cell's
+        value); the upwind transport adds ``max(+-coeff * area, 0)``, i.e. the
+        flux ``coeff * x_upwind`` of :func:`fluxks.model.upwind_flux`.
+        """
+        up, down = self._bands
+        if coeffs is not None:
+            flow = coeffs[0] * self.grid.face_areas[0]
+            up = up + np.maximum(flow, 0.0)
+            down = down + np.maximum(-flow, 0.0)
+        w = self._weights
+        ab = np.zeros((3, w.shape[0]))
+        ab[1, :] = a_coef + d_coef * (up[1:] + down[:-1]) / w
+        ab[0, 1:] = -d_coef * down[1:-1] / w[:-1]  # row i, column i+1
+        ab[2, :-1] = -d_coef * up[1:-1] / w[1:]  # row i+1, column i
+        return ab
+
+    def apply(self, a_coef: float, d_coef: float, x: NDArray, coeffs=None) -> NDArray:
+        """The operator ``a*x - d*L(x) + d*div(upwind_flux(x, coeffs))`` from the
+        grid kernels, independent of any inverse (no transport term without
+        ``coeffs``)."""
+        out = a_coef * x - d_coef * laplacian_values(self.grid, x)
+        if coeffs is not None:
+            out += d_coef * divergence_values(self.grid, upwind_flux(self.grid, x, coeffs)[0])
+        return out
 
     def _norm(self, f: NDArray) -> float:
         return math.sqrt(float(np.sum(f * f * self._weights)))
 
-    def _inverse(self, a_coef: float, d_coef: float) -> Callable[[NDArray], NDArray]:
+    def _inverse(self, a_coef: float, d_coef: float, coeffs) -> Callable[[NDArray], NDArray]:
         if self._symbol is not None:
+            if coeffs is not None:
+                raise ValueError("implicit transport needs a one-axis grid")
             denom = a_coef + d_coef * self._symbol
 
             def inverse(r: NDArray) -> NDArray:
@@ -93,38 +128,48 @@ class HelmholtzSolver:
                 return scipy.fft.idctn(rh / denom, type=2, norm="ortho")
 
             return inverse
-        lo_rate, hi_rate = self._bands
-        ab = np.zeros((3, lo_rate.shape[0]))
-        ab[1, :] = a_coef + d_coef * (lo_rate + hi_rate)
-        ab[0, 1:] = -d_coef * hi_rate[:-1]  # row i, column i+1
-        ab[2, :-1] = -d_coef * lo_rate[1:]  # row i+1, column i
+        ab = self._banded(a_coef, d_coef, coeffs)
         return lambda r: solve_banded((1, 1), ab, r)
 
+    def _norm_bound(self, a_coef: float, d_coef: float, coeffs) -> float:
+        # bound on ||a*I - d*L + d*A||: a + d * rho in 2d, and the largest
+        # absolute row sum of the bands (Gershgorin) on one-axis grids
+        if self._symbol is not None:
+            return a_coef + d_coef * self._rho
+        ab = self._banded(a_coef, d_coef, coeffs)
+        rows = ab[1].copy()
+        rows[:-1] += np.abs(ab[0, 1:])
+        rows[1:] += np.abs(ab[2, :-1])
+        return float(rows.max())
+
     def solve(
-        self, a_coef: float, d_coef: float, rhs: NDArray, x0: NDArray
+        self, a_coef: float, d_coef: float, rhs: NDArray, x0: NDArray, coeffs=None
     ) -> tuple[NDArray, int, float]:
         """Solve from ``x0``; returns ``(x, corrections, relres)``.
 
+        ``coeffs`` (one-axis grids only) are the face coefficients of the
+        upwind transport term, as from :func:`fluxks.model.flux_coefficients`.
         ``relres`` is the weighted true residual of the returned ``x``
         relative to ``||rhs||``.
 
         Raises:
             SolverError: neither the residual nor the backward-error floor is
                 met after ``CORRECTIONS`` corrections.
+            ValueError: ``coeffs`` on the 2d grid.
         """
         norm_b = self._norm(rhs)
         if norm_b == 0.0:
             return np.zeros_like(rhs), 0, 0.0
-        inverse = self._inverse(a_coef, d_coef)
+        inverse = self._inverse(a_coef, d_coef, coeffs)
         x = x0.copy()
         for k in range(CORRECTIONS + 1):
             if k > 0:
                 x += inverse(r)
-            r = rhs - (a_coef * x - d_coef * laplacian_values(self.grid, x))
+            r = rhs - self.apply(a_coef, d_coef, x, coeffs)
             norm_r = self._norm(r)
             if norm_r <= SOLVER_RTOL * norm_b:
                 return x, k, norm_r / norm_b
-        norm_a = a_coef + d_coef * self._rho
+        norm_a = self._norm_bound(a_coef, d_coef, coeffs)
         if norm_r <= SOLVER_RTOL * (norm_a * self._norm(x) + norm_b):
             return x, CORRECTIONS, norm_r / norm_b
         raise SolverError(

@@ -4,29 +4,38 @@ Each step advances the signal first and the density second:
 
 1. ``((1 + dt)*I - dt*L) v_new = v_old + dt * u_old^theta`` -- implicit
    diffusion and damping, explicit production;
-2. ``(I - dt*L) u_new = u_old - dt * div(flux(u_old, grad v_new))`` --
-   explicit upwind chemotaxis, implicit diffusion, with the flux coefficients
-   evaluated once, on ``v_new`` (:func:`fluxks.model.upwind_flux`).
+2. the density, with the flux coefficients evaluated once, on ``v_new``
+   (:func:`fluxks.model.flux_coefficients`):
 
-Both solves run through :class:`fluxks.linalg.HelmholtzSolver`.  Starting
+   * on one-axis grids (``cartesian-1d``, ``radial-n``), linearly implicit
+     upwind chemotaxis, ``(I - dt*L + dt*A(v_new)) u_new = u_old`` with ``A``
+     the upwind transport operator ``div(upwind_flux(., coeffs))``: a
+     tridiagonal M-matrix whose weighted column sums are 1, so ``u_new`` keeps
+     the mass and the sign of ``u_old`` for any ``dt`` (the scheme of Zhou &
+     Saito, Numer. Math. 135, 2017, in the line of Filbet, Numer. Math. 104,
+     2006);
+   * in 2d, ``(I - dt*L) u_new = u_old - dt * div(upwind_flux(u_old))`` --
+     explicit upwind chemotaxis under the positivity CFL, implicit diffusion.
+
+All solves run through :class:`fluxks.linalg.HelmholtzSolver`.  Starting
 from the old field, it applies exact-inverse corrections (DCT in 2d,
 tridiagonal on one-axis grids) until the true relative residual is at most
 1e-10; it returns the old field untouched when that already passes, and
 accepts a residual stalled at the floating-point floor only through a normwise
-backward-error test.  The upwind flux with the positivity CFL keeps the
-explicit right-hand side nonnegative, and the implicit operator inverse is
-positivity preserving, so negative cells can only appear at solver roundoff
-scale; they are clamped to zero with the clamped mass logged, and anything
-beyond roundoff is a hard error.  Mass is conserved by construction: the flux
-divergence telescopes to zero and the u-solve preserves cell-weighted means to
-roundoff.
+backward-error test.  The implicit operators are inverse-positive, and in 2d
+the positivity CFL keeps the explicit right-hand side nonnegative, so negative
+cells can only appear at solver roundoff scale; they are clamped to zero with
+the clamped mass logged, and anything beyond roundoff is a hard error.  Mass
+is conserved by construction: the flux divergence telescopes to zero and the
+u-solve preserves cell-weighted means to roundoff.
 
-The time step is the smallest of ``dt_max``, the advective positivity bound
-(``cfl_safety`` over the largest outflow rate of the flux along the current
-signal, handed forward by the step that produced it), and an explicit-production
-proxy ``cfl_safety / (theta * max(u)^(theta-1))``.  Diffusion is implicit and
-imposes no step bound.  The flux that moves ``u`` is that of ``v_new``, unknown
-when ``dt`` is chosen: when ``u`` goes negative because ``dt`` broke its bound,
+The time step is the smallest of ``dt_max``, an explicit-production proxy
+``cfl_safety / (theta * max(u)^(theta-1))`` and, in 2d only, the advective
+positivity bound (``cfl_safety`` over the largest outflow rate of the flux
+along the current signal, handed forward by the step that produced it; a
+one-axis step hands forward 0).  Diffusion is implicit and imposes no step
+bound.  In 2d the flux that moves ``u`` is that of ``v_new``, unknown when
+``dt`` is chosen: when ``u`` goes negative because ``dt`` broke its bound,
 :func:`simulate` redoes the step from the old state with ``cfl_safety`` over
 that rate, below ``cfl_safety * dt``, so retries end.  A step below ``dt_min``
 is treated as suspected blow-up, as is ``||u||_inf`` beyond ``blowup_linf_threshold``.
@@ -97,7 +106,8 @@ class StepControls:
 @dataclass(frozen=True)
 class SimState:
     """One trajectory point; ``clamped_mass`` and ``outflow_rate`` (of the
-    flux along ``v``) come from the step that produced this state."""
+    explicit flux along ``v``, 0 on one-axis grids) come from the step that
+    produced this state."""
 
     u: GridFunction
     v: GridFunction
@@ -123,6 +133,9 @@ class SimResult:
 def choose_dt(u: GridFunction, rate: float, params: ModelParams, controls: StepControls) -> float:
     """Largest admissible step for ``u`` moved by a flux whose largest
     per-cell outflow rate is ``rate`` (:func:`fluxks.model.upwind_flux`).
+
+    ``rate`` is 0 on one-axis grids, whose implicit transport has no
+    advective bound; ``dt_max`` and the production proxy remain.
 
     Raises:
         TimeStepCollapse: the bound fell below ``dt_min``.
@@ -172,9 +185,13 @@ def step(
 ) -> SimState:
     """Advance one step of exactly ``dt``; see the module docstring for the scheme.
 
+    The density transport is implicit on one-axis grids (the new state's
+    ``outflow_rate`` is 0) and explicit under the advective bound in 2d (the
+    rate is that of the flux along ``v_new``).
+
     Raises:
-        PositivityError: negative cells beyond roundoff (for ``u``, with the
-            outflow rate of the flux along ``v_new``).
+        PositivityError: negative cells beyond roundoff (for ``u``, with that
+            outflow rate).
         SolverError: linear solve failure or non-finite values.
     """
     grid = state.u.grid
@@ -187,9 +204,13 @@ def step(
     v_new, _ = _clamp_negative(v_new, weights, "v")
 
     coeffs = flux_coefficients(grid, gradient_faces(grid, v_new), params)
-    fluxes, rate = upwind_flux(grid, state.u.values, coeffs)
-    rhs_u = state.u.values - dt * divergence_values(grid, fluxes)
-    u_new, _, _ = solver.solve(1.0, dt, rhs_u, x0=state.u.values)
+    if grid.n_axes == 1:
+        u_new, _, _ = solver.solve(1.0, dt, state.u.values, x0=state.u.values, coeffs=coeffs)
+        rate = 0.0
+    else:
+        fluxes, rate = upwind_flux(grid, state.u.values, coeffs)
+        rhs_u = state.u.values - dt * divergence_values(grid, fluxes)
+        u_new, _, _ = solver.solve(1.0, dt, rhs_u, x0=state.u.values)
     u_new, clamped = _clamp_negative(u_new, weights, "u", rate)
 
     return SimState(
@@ -206,7 +227,7 @@ def simulate(
     initial: InitialData,
     params: ModelParams,
     controls: StepControls,
-    record_every: int = 50,
+    record_every: int = 5,
     q_set: tuple[float, ...] | None = None,
     s: float | None = None,
     q_f1: float | None = None,
@@ -222,7 +243,8 @@ def simulate(
     applies the eps-scaled initial smoothing (the signal is left raw on the
     max-norm branch).  ``keep_states`` is ``"sampled"`` (states at the record
     cadence), ``"ends"`` (initial and final only), or ``"all"``.  A step that
-    breaks the advective bound of its ``v_new`` is redone under that bound.
+    breaks the advective bound of its ``v_new`` (2d only) is redone under
+    that bound.
 
     Raises:
         ValueError: grid/params dimension mismatch or bad arguments.
@@ -257,8 +279,11 @@ def simulate(
         data = initial
 
     state = SimState(u=data.u0, v=data.v0, t=0.0, step_index=0)
-    coeffs = flux_coefficients(grid, gradient_faces(grid, data.v0.values), params)
-    rate = upwind_flux(grid, data.u0.values, coeffs)[1]
+    if grid.n_axes == 1:
+        rate = 0.0
+    else:
+        coeffs = flux_coefficients(grid, gradient_faces(grid, data.v0.values), params)
+        rate = upwind_flux(grid, data.u0.values, coeffs)[1]
     solver = HelmholtzSolver(grid)
     initial_mass = integrate(data.u0)
     clamped_cum = 0.0

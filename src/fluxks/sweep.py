@@ -38,7 +38,7 @@ from .monitors import classify
 from .regimes import RegimeSpec, audit, critical_exponent, relative_p
 from .stepper import StepControls, simulate
 
-SWEEP_VERSION = 3
+SWEEP_VERSION = 4
 
 REGIME_MAP_COLUMNS = (
     "n",

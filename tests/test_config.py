@@ -38,7 +38,7 @@ def test_minimal_config_defaults():
     assert cfg.q_set is None and cfg.s is None
     assert cfg.q_f1 is None and cfg.q_f2 is None
     assert cfg.c_f1 == 1.0
-    assert cfg.record_every == 50 and cfg.mollify is True
+    assert cfg.record_every == 5 and cfg.mollify is True
 
 
 def test_config_error_is_value_error_and_fluxks_error():

@@ -1,9 +1,11 @@
-"""Helmholtz solves checked against dense linear algebra.
+"""Helmholtz and transport-diffusion solves checked against dense linear algebra.
 
 The operator (a*I - d*L) is assembled column by column through the public
 laplacian and solved with numpy; the matrix-free solver must agree to the
 residual tolerance it certifies, and the residual it reports must be the true
-residual of the solution it returns.
+residual of the solution it returns.  On one-axis grids the upwind transport
+term's bands are checked the same way against the matvec, and for the
+M-matrix sign pattern and weighted column sums that give positivity and mass.
 """
 
 import math
@@ -22,6 +24,23 @@ ALL_GRIDS = [
     ("cartesian-2d", dict(extents=(1.0, 1.0), cells=(8, 8))),
     ("radial-n", dict(extents=(1.0,), cells=(24,), n=3)),
 ]
+
+
+ONE_AXIS_GRIDS = [
+    ("cartesian-1d", dict(extents=(1.0,), cells=(16,))),
+    ("radial-n", dict(extents=(1.0,), cells=(16,), n=3)),
+]
+
+
+def random_coeffs(grid, seed):
+    # face coefficients of both signs, zero on the boundary faces
+    c = np.random.default_rng(seed).uniform(-3.0, 3.0, size=grid.face_shape(0))
+    c[0] = c[-1] = 0.0
+    return [c]
+
+
+def dense_from_bands(ab):
+    return np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
 
 
 def dense_operator(grid, a_coef, d_coef):
@@ -49,6 +68,42 @@ def test_solve_matches_dense(mode, kwargs, a_coef, d_coef):
     x_dense = np.linalg.solve(mat, rhs.ravel()).reshape(grid.shape)
     assert relres <= SOLVER_RTOL
     np.testing.assert_allclose(x, x_dense, rtol=1e-8, atol=1e-10)
+
+
+@pytest.mark.parametrize("mode,kwargs", ONE_AXIS_GRIDS)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_transport_bands_match_apply_and_form_an_m_matrix(mode, kwargs, seed):
+    grid = build_grid(mode, **kwargs)
+    solver = HelmholtzSolver(grid)
+    coeffs = random_coeffs(grid, seed)
+    a_coef, d_coef = 1.0, 0.01
+    size = grid.shape[0]
+    applied = np.zeros((size, size))
+    for j in range(size):
+        e = np.zeros(size)
+        e[j] = 1.0
+        applied[:, j] = solver.apply(a_coef, d_coef, e, coeffs)
+    banded = dense_from_bands(solver._banded(a_coef, d_coef, coeffs))
+    np.testing.assert_allclose(banded, applied, rtol=0.0, atol=1e-12 * np.abs(applied).max())
+    # M-matrix: positive diagonal, nonpositive off-diagonals; weighted column
+    # sums equal a, i.e. the solve conserves mass
+    off = banded - np.diag(np.diag(banded))
+    assert np.all(np.diag(banded) > 0.0) and np.all(off <= 0.0)
+    w = grid.cell_weights
+    np.testing.assert_allclose(w @ banded / w, 1.0, rtol=0.0, atol=1e-14)
+    # and its inverse is the exact solve
+    rhs = np.random.default_rng(seed + 20).uniform(0.5, 1.5, size)
+    x, _, relres = solver.solve(a_coef, d_coef, rhs, rhs, coeffs=coeffs)
+    assert relres <= SOLVER_RTOL
+    np.testing.assert_allclose(x, np.linalg.solve(applied, rhs), rtol=1e-10)
+    assert x.min() >= 0.0
+
+
+def test_transport_rejected_on_the_dct_grid():
+    grid = build_grid("cartesian-2d", extents=(1.0, 1.0), cells=(8, 8))
+    coeffs = [np.zeros(grid.face_shape(a)) for a in range(2)]
+    with pytest.raises(ValueError, match="one-axis"):
+        HelmholtzSolver(grid).solve(1.0, 0.1, np.ones(grid.shape), np.ones(grid.shape), coeffs)
 
 
 @pytest.mark.parametrize("mode,kwargs", ALL_GRIDS)
