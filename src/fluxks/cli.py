@@ -32,9 +32,7 @@ from .gn import (
     GN2Exponents,
     ENSEMBLE_VERSION,
     density_step_set,
-    gn2_constant_estimate,
-    gn_constant_estimate,
-    poincare_constant_estimate,
+    estimate_constants,
     signal_grad_step_set,
     signal_l2_step_set,
 )
@@ -248,29 +246,38 @@ def _cmd_gn_test(args: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from exc
     second = GN2Exponents(p_hat=2.0, q_hat=2.0, r_hat=2.0, s_hat=2.0, n=args.n)
 
-    cells = args.cells if args.cells else (256 if args.n != 2 else 64)
-    coarse = unit_grid(args.n, cells)
-    fine = unit_grid(args.n, 2 * cells)
+    if args.ensemble_size < 1:
+        raise ConfigError(f"--ensemble-size must be >= 1, got {args.ensemble_size}")
+    cells = (256 if args.n != 2 else 64) if args.cells is None else args.cells
+    try:
+        coarse = unit_grid(args.n, cells)
+        fine = unit_grid(args.n, 2 * cells)
+    except ValueError as exc:
+        raise ConfigError(f"--cells: {exc}") from exc
 
-    def refinement(estimator, *exps) -> dict:
-        # one estimate on each grid; stable when they agree to GN_STABILITY_RTOL
-        c1, c2 = (
-            estimator(grid, *exps, size=args.ensemble_size, seed=args.seed)
-            for grid in (coarse, fine)
+    # every constant on one grid comes from one pass over its ensemble
+    est, est_refined = (
+        estimate_constants(
+            grid, tuple(sets.values()), (second,), size=args.ensemble_size, seed=args.seed
         )
+        for grid in (coarse, fine)
+    )
+
+    def refinement(c1: float, c2: float) -> dict:
+        # stable when the two grids agree to GN_STABILITY_RTOL
         stability = abs(c2 - c1) / c1
         stable = bool(math.isfinite(c1) and math.isfinite(c2) and stability <= GN_STABILITY_RTOL)
         return {"C_est": c1, "C_est_refined": c2, "stability": stability, "stable": stable}
 
     set_reports = {
-        name: {"exponents": exps.to_dict(), **refinement(gn_constant_estimate, exps)}
-        for name, exps in sets.items()
+        name: {"exponents": exps.to_dict(), **refinement(c1, c2)}
+        for (name, exps), c1, c2 in zip(sets.items(), est.gn, est_refined.gn)
     }
     set_reports["second-form-reference"] = {
         "exponents": second.to_dict(),
-        **refinement(gn2_constant_estimate, second),
+        **refinement(est.gn2[0], est_refined.gn2[0]),
     }
-    poincare = refinement(poincare_constant_estimate)
+    poincare = refinement(est.poincare, est_refined.poincare)
     # the poincare entry reports no verdict of its own, only the overall pass
     all_stable = poincare.pop("stable") and all(r["stable"] for r in set_reports.values())
 

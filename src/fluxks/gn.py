@@ -16,6 +16,12 @@ finer grid evaluates the *same* functions: the constant estimate is
 grid-convergent, not resolution-chasing.  Indices below 1 appear legitimately
 (the density functionals use ``L^{2/q}`` with ``q > 2``), so norm evaluation
 here extends to quasi-norm indices in ``(0, 1)``.
+
+:func:`estimate_constants` computes every requested supremum, first-form,
+second-form and Poincare, in one streamed pass over a grid's ensemble: each
+member is sampled, its norms are computed once and shared by all of its
+ratios, and it is dropped before the next is drawn, so memory does not grow
+with the ensemble size.  The single-inequality estimators are calls into it.
 """
 
 from __future__ import annotations
@@ -25,7 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, GridFunction, gradient_lp_norm, laplacian_values, lp_norm
+from .grid import (
+    Grid,
+    GridFunction,
+    faces_lp_norm,
+    laplacian_values,
+    lp_norm,
+    measured_gradient_faces,
+)
 
 ENSEMBLE_VERSION = 1
 EXPONENT_TOL = 1e-12
@@ -149,32 +162,82 @@ def quasi_lp(f: GridFunction, p: float) -> float:
     return float(np.sum(np.abs(f.values) ** p * f.grid.cell_weights) ** (1.0 / p))
 
 
+class _Norms:
+    """The norms of one field, each computed at most once.
+
+    The ratios of one ensemble member share most of their norms; the ratio
+    formulas read them from here instead of recomputing them.
+    """
+
+    def __init__(self, f: GridFunction):
+        self.f = f
+        self._lp: dict[float, float] = {}
+        self._grad_lp: dict[float, float] = {}
+        self._faces = None
+
+    def lp(self, p: float) -> float:
+        if p not in self._lp:
+            self._lp[p] = quasi_lp(self.f, p)
+        return self._lp[p]
+
+    def grad_lp(self, p: float) -> float:
+        if p not in self._grad_lp:
+            if self._faces is None:
+                self._faces = measured_gradient_faces(self.f.grid, self.f.values)
+            self._grad_lp[p] = faces_lp_norm(self.f.grid, self._faces, p)
+        return self._grad_lp[p]
+
+
+def _gn_ratio(norms: _Norms, exps: GNExponents) -> float:
+    lhs = norms.lp(exps.p_hat)
+    a = exps.a
+    rhs = norms.grad_lp(exps.r_hat) ** a * norms.lp(exps.q_hat) ** (1.0 - a)
+    rhs += norms.lp(exps.s_hat)
+    if rhs == 0.0:
+        raise ValueError("gn_ratio: zero right-hand side (f vanishes identically)")
+    return lhs / rhs
+
+
+def _gn2_ratio(norms: _Norms, exps: GN2Exponents) -> float:
+    f, grid = norms.f, norms.f.grid
+    lhs = norms.grad_lp(exps.p_hat)
+    b = exps.b
+    lap_l2 = float(np.sqrt(np.sum(laplacian_values(grid, f.values) ** 2 * grid.cell_weights)))
+    rhs = (lap_l2**b + norms.lp(exps.r_hat) ** b) * norms.lp(exps.q_hat) ** (1.0 - b)
+    rhs += norms.lp(exps.s_hat)
+    if rhs == 0.0:
+        raise ValueError("gn2_ratio: zero right-hand side (f vanishes identically)")
+    return lhs / rhs
+
+
+def _poincare_ratio(norms: _Norms) -> float:
+    f, grid = norms.f, norms.f.grid
+    mean = float(np.sum(f.values * grid.cell_weights)) / grid.measure
+    dev = f.values - mean
+    num = math.sqrt(float(np.sum(dev**2 * grid.cell_weights)))
+    den = norms.grad_lp(2.0)
+    if den == 0.0:
+        raise ValueError("poincare_ratio: constant function has zero gradient")
+    return num / den
+
+
 def gn_ratio(f: GridFunction, exps: GNExponents) -> float:
     """Left/right ratio of the first form with ``C = 1``.
 
     Raises:
         ValueError: identically zero ``f`` (zero right-hand side).
     """
-    lhs = quasi_lp(f, exps.p_hat)
-    a = exps.a
-    grad = gradient_lp_norm(f, exps.r_hat)
-    rhs = grad**a * quasi_lp(f, exps.q_hat) ** (1.0 - a) + quasi_lp(f, exps.s_hat)
-    if rhs == 0.0:
-        raise ValueError("gn_ratio: zero right-hand side (f vanishes identically)")
-    return lhs / rhs
+    return _gn_ratio(_Norms(f), exps)
 
 
 def gn2_ratio(f: GridFunction, exps: GN2Exponents) -> float:
     """Left/right ratio of the second form with ``C = 1``."""
-    grid = f.grid
-    lhs = gradient_lp_norm(f, exps.p_hat)
-    b = exps.b
-    lap_l2 = float(np.sqrt(np.sum(laplacian_values(grid, f.values) ** 2 * grid.cell_weights)))
-    rhs = (lap_l2**b + quasi_lp(f, exps.r_hat) ** b) * quasi_lp(f, exps.q_hat) ** (1.0 - b)
-    rhs += quasi_lp(f, exps.s_hat)
-    if rhs == 0.0:
-        raise ValueError("gn2_ratio: zero right-hand side (f vanishes identically)")
-    return lhs / rhs
+    return _gn2_ratio(_Norms(f), exps)
+
+
+def poincare_ratio(f: GridFunction) -> float:
+    """``||f - mean||_2 / ||grad f||_2`` (mean-zero Poincare quotient)."""
+    return _poincare_ratio(_Norms(f))
 
 
 # -- seeded adversarial ensemble -------------------------------------------
@@ -237,6 +300,23 @@ def _spike_member(rng: np.random.Generator):
 _FAMILIES = (_fourier_member, _polynomial_member, _near_constant_member, _spike_member)
 
 
+def _members(grid: Grid, size: int, seed: int):
+    # the members of ensemble(), one at a time
+    if size < 1:
+        raise ValueError(f"ensemble size must be >= 1, got {size}")
+    rng = np.random.default_rng(seed)
+    # a sparse mesh: the recipes broadcast it to the field shape, and each
+    # axis factor is evaluated once per axis instead of once per cell
+    axes = [grid.axis_centers(a) / e for a, e in enumerate(grid.extents)]
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+    for i in range(size):
+        fn = _FAMILIES[i % len(_FAMILIES)](rng)
+        values = np.asarray(fn(*mesh), dtype=np.float64) * np.ones(grid.shape)
+        if float(np.max(np.abs(values))) == 0.0:
+            values = values + 1.0
+        yield GridFunction(grid, values)
+
+
 def ensemble(grid: Grid, size: int, seed: int) -> list[GridFunction]:
     """Seeded test functions: analytic recipes sampled on the grid.
 
@@ -244,55 +324,69 @@ def ensemble(grid: Grid, size: int, seed: int) -> list[GridFunction]:
     the grid, so the same seed on a refined grid yields the same functions.
     Coordinates are rescaled to the unit box for sampling.
     """
-    if size < 1:
-        raise ValueError(f"ensemble size must be >= 1, got {size}")
-    rng = np.random.default_rng(seed)
-    members = []
-    scale = [e for e in grid.extents]
-    mesh = tuple(m / s for m, s in zip(grid.center_mesh(), scale))
-    for i in range(size):
-        fn = _FAMILIES[i % len(_FAMILIES)](rng)
-        values = np.asarray(fn(*mesh), dtype=np.float64) * np.ones(grid.shape)
-        if float(np.max(np.abs(values))) == 0.0:
-            values = values + 1.0
-        members.append(GridFunction(grid, values))
-    return members
+    return list(_members(grid, size, seed))
+
+
+@dataclass(frozen=True)
+class ConstantEstimates:
+    """Ensemble suprema of one grid, in the order the index sets were given."""
+
+    gn: tuple[float, ...]
+    gn2: tuple[float, ...]
+    poincare: float
+
+
+def _sup(best: list[float] | None, ratios: list[float]) -> list[float]:
+    # the running max, with the same comparisons as max() over the members
+    return ratios if best is None else [max(b, r) for b, r in zip(best, ratios)]
+
+
+def estimate_constants(
+    grid: Grid,
+    gn_sets: tuple[GNExponents, ...] = (),
+    gn2_sets: tuple[GN2Exponents, ...] = (),
+    size: int = 200,
+    seed: int = 0,
+) -> ConstantEstimates:
+    """Suprema of every ratio over the seeded ensemble, in one pass.
+
+    ``gn`` and ``gn2`` hold the supremum of :func:`gn_ratio` for each of
+    ``gn_sets`` and of :func:`gn2_ratio` for each of ``gn2_sets``.
+    ``poincare`` is the supremum of :func:`poincare_ratio` over the
+    non-constant members, starting from 0.  Each member is sampled once and
+    dropped after its ratios are folded in.
+
+    Raises:
+        ValueError: ``size < 1``, or a member with a zero right-hand side.
+    """
+    gn = gn2 = None
+    poincare = 0.0
+    for f in _members(grid, size, seed):
+        norms = _Norms(f)
+        gn = _sup(gn, [_gn_ratio(norms, exps) for exps in gn_sets])
+        gn2 = _sup(gn2, [_gn2_ratio(norms, exps) for exps in gn2_sets])
+        if norms.grad_lp(2.0) != 0.0:
+            poincare = max(poincare, _poincare_ratio(norms))
+    return ConstantEstimates(gn=tuple(gn), gn2=tuple(gn2), poincare=poincare)
 
 
 def gn_constant_estimate(
     grid: Grid, exps: GNExponents, size: int = 200, seed: int = 0
 ) -> float:
     """Supremum of :func:`gn_ratio` over the seeded ensemble (one-sided C)."""
-    return max(gn_ratio(f, exps) for f in ensemble(grid, size, seed))
+    return estimate_constants(grid, gn_sets=(exps,), size=size, seed=seed).gn[0]
 
 
 def gn2_constant_estimate(
     grid: Grid, exps: GN2Exponents, size: int = 200, seed: int = 0
 ) -> float:
     """Supremum of :func:`gn2_ratio` over the seeded ensemble."""
-    return max(gn2_ratio(f, exps) for f in ensemble(grid, size, seed))
-
-
-def poincare_ratio(f: GridFunction) -> float:
-    """``||f - mean||_2 / ||grad f||_2`` (mean-zero Poincare quotient)."""
-    grid = f.grid
-    mean = float(np.sum(f.values * grid.cell_weights)) / grid.measure
-    dev = f.values - mean
-    num = math.sqrt(float(np.sum(dev**2 * grid.cell_weights)))
-    den = gradient_lp_norm(f, 2.0)
-    if den == 0.0:
-        raise ValueError("poincare_ratio: constant function has zero gradient")
-    return num / den
+    return estimate_constants(grid, gn2_sets=(exps,), size=size, seed=seed).gn2[0]
 
 
 def poincare_constant_estimate(grid: Grid, size: int = 200, seed: int = 0) -> float:
     """Supremum of the Poincare quotient over the non-constant ensemble members."""
-    best = 0.0
-    for f in ensemble(grid, size, seed):
-        if gradient_lp_norm(f, 2.0) == 0.0:
-            continue
-        best = max(best, poincare_ratio(f))
-    return best
+    return estimate_constants(grid, size=size, seed=seed).poincare
 
 
 # -- exponent sets used by the a priori estimates ---------------------------

@@ -398,13 +398,24 @@ def gradient_lp_norm(f: GridFunction, p: float) -> float:
     quadrature of :func:`face_quadrature_weights`.  ``p = inf`` gives the
     largest face-gradient magnitude.
     """
+    return faces_lp_norm(f.grid, measured_gradient_faces(f.grid, f.values), p)
+
+
+def faces_lp_norm(grid: Grid, grads, p: float) -> float:
+    """The norm of :func:`gradient_lp_norm` over given per-axis face arrays.
+
+    Lets a caller that needs several indices of one field compute the
+    measurement gradient once.
+
+    Raises:
+        ValueError: for ``p < 1``.
+    """
     if p != math.inf and p < 1.0:
         raise ValueError(f"gradient_lp_norm requires p >= 1 or inf, got {p}")
-    grads = measured_gradient_faces(f.grid, f.values)
     if p == math.inf:
         return max(float(np.max(np.abs(g))) for g in grads)
     total = 0.0
     for a, g in enumerate(grads):
-        fw = face_quadrature_weights(f.grid, a)
+        fw = face_quadrature_weights(grid, a)
         total += float(np.sum(np.abs(g) ** p * fw))
     return total ** (1.0 / p)

@@ -292,6 +292,25 @@ def test_gn_test_small_ensemble(capsys):
     assert payload["poincare"]["stability"] <= payload["stability_rtol"]
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--cells", "0"], "cells"),
+        (["--cells", "2"], "cells"),
+        (["--ensemble-size", "0"], "ensemble-size"),
+    ],
+)
+def test_gn_test_bad_sizes_are_config_errors(capsys, flags, message):
+    # a zero cell count must not fall back to the default grid, and no bad
+    # size may surface as a traceback with the failed-verdict exit code
+    argv = ["gn-test", "--n", "1", "--theta", "2.0", "--p", "1.3",
+            "--cells", "16", "--ensemble-size", "4", *flags]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_gn_test_needs_entropy_witnesses(capsys):
     # semigroup-route points carry no entropy witnesses to test against
     argv = ["gn-test", "--n", "1", "--theta", "2.0", "--p", "1.8",

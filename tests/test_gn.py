@@ -2,7 +2,8 @@
 
 Exponents are pinned against Fraction arithmetic; ratios against continuum
 closed forms (constant fields, cos(pi x)); the ensemble against its seeding
-contract (determinism, prefix stability, grid-independent recipes).
+contract (determinism, prefix stability, grid-independent recipes); the
+one-pass estimator against the per-ratio definitions it replaces.
 """
 
 import math
@@ -11,11 +12,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import fluxks.gn as gn
 from fluxks.gn import (
     GN2Exponents,
     GNExponents,
     density_step_set,
     ensemble,
+    estimate_constants,
     gn2_constant_estimate,
     gn2_exponent,
     gn2_ratio,
@@ -28,7 +31,13 @@ from fluxks.gn import (
     signal_grad_step_set,
     signal_l2_step_set,
 )
-from fluxks.grid import GridFunction, build_grid
+from fluxks.grid import (
+    GridFunction,
+    build_grid,
+    gradient_lp_norm,
+    laplacian_values,
+    unit_grid,
+)
 
 
 def frac_a(p, q, r, n):
@@ -161,6 +170,27 @@ def test_ensemble_seeding_contract(grid1d):
     assert all(np.all(np.isfinite(m.values)) for m in big)
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        unit_grid(1, 64),
+        unit_grid(2, 16),
+        unit_grid(3, 32),
+        build_grid("cartesian-2d", extents=(2.0, 0.5), cells=(12, 8)),
+    ],
+    ids=["1d", "2d", "radial-3", "2d-rectangle"],
+)
+def test_ensemble_matches_dense_mesh_sampling(grid):
+    # the members are sampled on a sparse mesh; each must equal its recipe,
+    # drawn from the same rng, evaluated on the dense cell-center mesh
+    rng = np.random.default_rng(5)
+    mesh = [m / e for m, e in zip(grid.center_mesh(), grid.extents)]
+    for i, f in enumerate(ensemble(grid, 24, seed=5)):
+        fn = gn._FAMILIES[i % len(gn._FAMILIES)](rng)
+        dense = np.asarray(fn(*mesh), dtype=np.float64) * np.ones(grid.shape)
+        assert np.array_equal(f.values, dense)
+
+
 def test_ensemble_recipes_are_grid_independent(grid1d):
     # same seed on a finer grid samples the same analytic functions, so
     # their integrals converge instead of chasing resolution
@@ -183,6 +213,77 @@ def test_constant_estimates_finite_and_refinement_stable(grid1d):
     d2 = gn2_constant_estimate(grid1d(256), ex2, size=40, seed=7)
     assert math.isfinite(d1) and d1 > 0.0
     assert abs(d2 - d1) <= 0.15 * d1
+
+
+# --------------------------------------------------------- one-pass estimate
+
+
+def reference_gn_ratio(f, exps):
+    # the first-form ratio written directly on the grid norms
+    a = exps.a
+    grad = gradient_lp_norm(f, exps.r_hat)
+    rhs = grad**a * quasi_lp(f, exps.q_hat) ** (1.0 - a) + quasi_lp(f, exps.s_hat)
+    return quasi_lp(f, exps.p_hat) / rhs
+
+
+def reference_gn2_ratio(f, exps):
+    g = f.grid
+    b = exps.b
+    lap_l2 = float(np.sqrt(np.sum(laplacian_values(g, f.values) ** 2 * g.cell_weights)))
+    rhs = (lap_l2**b + quasi_lp(f, exps.r_hat) ** b) * quasi_lp(f, exps.q_hat) ** (1.0 - b)
+    rhs += quasi_lp(f, exps.s_hat)
+    return gradient_lp_norm(f, exps.p_hat) / rhs
+
+
+@pytest.mark.parametrize("n,cells", [(1, 64), (2, 16), (3, 32)])
+def test_one_pass_equals_per_ratio_definitions(n, cells):
+    grid = unit_grid(n, cells)
+    theta, p, q1, q2 = 1.5, 1.2, 2.5, 3.0
+    gn_sets = (
+        density_step_set(n, p, q1),
+        signal_l2_step_set(n, theta, q1),
+        signal_grad_step_set(n, theta, q2),
+    )
+    gn2_sets = (
+        GN2Exponents(p_hat=2.0, q_hat=2.0, r_hat=2.0, s_hat=2.0, n=n),
+        GN2Exponents(p_hat=3.0, q_hat=3.0, r_hat=2.5, s_hat=1.0, n=n),
+    )
+    size, seed = 30, 4
+    members = ensemble(grid, size, seed)
+    est = estimate_constants(grid, gn_sets, gn2_sets, size=size, seed=seed)
+
+    for exps, got in zip(gn_sets, est.gn, strict=True):
+        assert got == max(gn_ratio(f, exps) for f in members)
+        assert got == max(reference_gn_ratio(f, exps) for f in members)
+        assert got == gn_constant_estimate(grid, exps, size=size, seed=seed)
+    for exps, got in zip(gn2_sets, est.gn2, strict=True):
+        assert got == max(gn2_ratio(f, exps) for f in members)
+        assert got == max(reference_gn2_ratio(f, exps) for f in members)
+        assert got == gn2_constant_estimate(grid, exps, size=size, seed=seed)
+
+    best = 0.0
+    for f in members:
+        if gradient_lp_norm(f, 2.0) == 0.0:
+            continue
+        best = max(best, poincare_ratio(f))
+    assert est.poincare == best > 0.0
+    assert est.poincare == poincare_constant_estimate(grid, size=size, seed=seed)
+
+
+def test_one_pass_rejects_zero_member_and_empty_ensemble(grid1d, monkeypatch):
+    g = grid1d(16)
+    with pytest.raises(ValueError, match="size"):
+        estimate_constants(g, size=0)
+    zero = GridFunction(g, np.zeros(16))
+    monkeypatch.setattr(gn, "_members", lambda grid, size, seed: iter([zero]))
+    ex = GNExponents(p_hat=4.0, q_hat=2.0, r_hat=2.0, s_hat=2.0, n=1)
+    ex2 = GN2Exponents(p_hat=2.0, q_hat=2.0, r_hat=2.0, s_hat=2.0, n=1)
+    with pytest.raises(ValueError, match="gn_ratio: zero right-hand side"):
+        estimate_constants(g, gn_sets=(ex,))
+    with pytest.raises(ValueError, match="gn2_ratio: zero right-hand side"):
+        estimate_constants(g, gn2_sets=(ex2,))
+    # the zero member has no gradient, so the poincare sup skips it
+    assert estimate_constants(g).poincare == 0.0
 
 
 # ----------------------------------------------------------------- poincare
