@@ -21,11 +21,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 from ._version import __version__
-from .config import RunConfig, parse_config
+from .config import RunConfig, load_json, parse_config, parse_sweep_config
 from .errors import ConfigError, FluxksError
 from .functionals import write_records_csv
 from .gn import (
@@ -47,8 +46,9 @@ from .monitors import (
 from .regimes import RegimeSpec, audit, relative_p
 from .stepper import RunStatus, SimResult, simulate
 from .sweep import (
-    SweepSpec,
+    _load_existing,
     canonical_json,
+    regime_map_csv,
     regime_map_summary,
     run_sweep,
     write_atomic,
@@ -168,31 +168,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 # -- sweep -------------------------------------------------------------------
 
 
-def _parse_sweep_config(path: str) -> SweepSpec:
-    p = Path(path)
-    try:
-        data = json.loads(p.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read sweep config {p}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"sweep config {p} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("sweep config root must be an object")
-    allowed = {f.name for f in dataclass_fields(SweepSpec)}
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in sweep config; allowed: {sorted(allowed)}")
-    for key in ("n_values", "theta_values", "p_values"):
-        if key not in data:
-            raise ConfigError(f"missing required sweep key {key!r}")
-        if not isinstance(data[key], list):
-            raise ConfigError(f"sweep {key} must be an array")
-        data[key] = tuple(data[key])
-    return SweepSpec(**data)
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = _parse_sweep_config(args.config)
+    spec = parse_sweep_config(args.config)
     out = _resolve_out(args.out, default="fluxks-sweep")
     result = run_sweep(spec, out, parallelism=args.parallelism, resume=not args.no_resume)
     print(regime_map_summary(result.results), end="")
@@ -314,28 +291,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
     manifest_path = sweep_dir / "sweep.json"
     if not manifest_path.is_file():
         raise ConfigError(f"no sweep manifest at {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid sweep manifest: {exc}") from exc
-    results = []
-    missing = []
-    for entry in manifest.get("points", []):
-        pid = entry["point_id"]
-        path = sweep_dir / f"{pid}.json"
-        if not path.is_file():
-            missing.append(pid)
-            continue
-        results.append(json.loads(path.read_text(encoding="utf-8")))
+    manifest = load_json(manifest_path, "sweep manifest")
+    # a missing, truncated or stale point file counts as not yet completed
+    loaded = [_load_existing(sweep_dir, entry["point_id"]) for entry in manifest.get("points", [])]
+    results = [res for res in loaded if res is not None]
     if not results:
         raise ConfigError(f"sweep at {sweep_dir} has no completed points")
 
-    from .sweep import regime_map_csv
-
     write_atomic(sweep_dir / "regime_map.csv", regime_map_csv(results))
     print(regime_map_summary(results), end="")
-    if missing:
-        print(f"NOTE: {len(missing)} point(s) not yet completed (sweep resumable)")
+    if len(results) < len(loaded):
+        print(f"NOTE: {len(loaded) - len(results)} point(s) not yet completed (sweep resumable)")
     n_flags = sum(1 for r in results if r["mismatch"])
     print(f"regime map written to {sweep_dir / 'regime_map.csv'}")
     return 0 if n_flags == 0 else 1

@@ -1,10 +1,14 @@
-"""Declarative run configuration: strict parsing, defaults, lossless echo.
+"""Declarative run and sweep configuration: strict parsing, defaults, lossless echo.
 
 A run config is a JSON object with sections ``grid``, ``model``, ``initial``,
 ``controls``, ``monitors`` plus the top-level knobs ``record_every`` and
-``mollify``.  Parsing is strict: unknown keys anywhere raise
-:class:`~fluxks.errors.ConfigError` with a message pointing at the offending
-path.  ``effective()`` echoes the config with every default made explicit;
+``mollify``.  A sweep config is a flat JSON object whose keys are the fields
+of :class:`~fluxks.sweep.SweepSpec`.  Parsing is strict: unknown keys and
+values of the wrong JSON type raise :class:`~fluxks.errors.ConfigError` with a
+message pointing at the offending path.  The ``model`` and ``controls``
+sections and the sweep config take their keys, types and defaults from the
+fields of the dataclass they build, so each of those settings is declared
+once.  ``effective()`` echoes a run config with every default made explicit;
 parsing that echo reproduces the identical :class:`RunConfig` (lossless
 round-trip).  The monitor index ``s`` may be a number, the string ``"inf"``,
 or ``null`` (pick by rule).
@@ -14,22 +18,40 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
 from .grid import MODES, Grid, build_grid
 from .model import INITIAL_FAMILIES, V0_KINDS, InitialData, ModelParams, build_initial_data
 from .stepper import StepControls
+from .sweep import SweepSpec
 
 _TOP_KEYS = frozenset({"grid", "model", "initial", "controls", "monitors", "record_every", "mollify"})
 _GRID_KEYS = frozenset({"mode", "extents", "cells", "n"})
-_MODEL_KEYS = frozenset({"chi", "p", "theta", "eps", "n"})
 _INITIAL_KEYS = frozenset({"family", "base", "amplitude", "width", "v0", "v0_value"})
-_CONTROLS_KEYS = frozenset({"t_end", "dt_max", "dt_min", "cfl_safety", "blowup_linf_threshold"})
 _MONITORS_KEYS = frozenset({"q_set", "s", "q_f1", "q_f2", "c_f1"})
 
-_MISSING = object()
+_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
+def load_json(path: str | Path, what: str):
+    """The JSON value in file ``path``; ``what`` names the file in errors."""
+    p = Path(path)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {p}: {exc}") from exc
+    try:
+        return json.loads(text, parse_constant=_reject_constant)
+    except ValueError as exc:
+        raise ConfigError(f"{what} {p} is not valid JSON: {exc}") from exc
+
+
+def _reject_constant(name: str):
+    # Python's json reads NaN and Infinity, which JSON does not define
+    raise ValueError(f"{name} is not a JSON number")
 
 
 def _check_keys(section: dict, allowed: frozenset, where: str) -> None:
@@ -51,60 +73,69 @@ def _get_section(data: dict, key: str, required: bool) -> dict:
     return sec
 
 
-def _get_num(sec: dict, key: str, where: str, default=_MISSING) -> float:
+def _is_kind(val, kind: type) -> bool:
+    # a JSON boolean is no number, and a number field accepts a JSON integer
+    if isinstance(val, bool):
+        return kind is bool
+    return isinstance(val, (int, float) if kind is float else kind)
+
+
+def _get(sec: dict, key: str, where: str, kind, default=MISSING):
+    """``sec[key]`` checked against ``kind``, or ``default`` when absent.
+
+    ``kind`` is ``bool``, ``int``, ``float`` (any JSON number), ``str``, or
+    ``tuple[<one of these>, ...]`` for a JSON array, returned as a tuple.  The
+    value is validated, never coerced.
+    """
     if key not in sec:
-        if default is _MISSING:
+        if default is MISSING:
             raise ConfigError(f"missing required key {where}.{key}")
         return default
     val = sec[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {val!r}")
-    return float(val)
-
-
-def _get_int(sec: dict, key: str, where: str, default=_MISSING) -> int:
-    if key not in sec:
-        if default is _MISSING:
-            raise ConfigError(f"missing required key {where}.{key}")
-        return default
-    val = sec[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"{where}.{key} must be an integer, got {val!r}")
+    if get_origin(kind) is tuple:
+        if not isinstance(val, list):
+            raise ConfigError(f"{where}.{key} must be an array, got {val!r}")
+        item_kind = get_args(kind)[0]
+        for i, item in enumerate(val):
+            if not _is_kind(item, item_kind):
+                raise ConfigError(
+                    f"{where}.{key}[{i}] must be {_KIND_NAMES[item_kind]}, got {item!r}"
+                )
+        return tuple(val)
+    if not _is_kind(val, kind):
+        raise ConfigError(f"{where}.{key} must be {_KIND_NAMES[kind]}, got {val!r}")
     return val
 
 
-def _get_bool(sec: dict, key: str, where: str, default=_MISSING) -> bool:
-    if key not in sec:
-        if default is _MISSING:
-            raise ConfigError(f"missing required key {where}.{key}")
-        return default
-    val = sec[key]
-    if not isinstance(val, bool):
-        raise ConfigError(f"{where}.{key} must be a boolean, got {val!r}")
-    return val
-
-
-def _get_str(sec: dict, key: str, where: str, default=_MISSING) -> str:
-    if key not in sec:
-        if default is _MISSING:
-            raise ConfigError(f"missing required key {where}.{key}")
-        return default
-    val = sec[key]
-    if not isinstance(val, str):
-        raise ConfigError(f"{where}.{key} must be a string, got {val!r}")
-    return val
-
-
-def _get_num_list(sec: dict, key: str, where: str) -> tuple[float, ...]:
-    val = sec.get(key)
-    if not isinstance(val, list) or not val:
+def _get_floats(sec: dict, key: str, where: str) -> tuple[float, ...]:
+    vals = _get(sec, key, where, tuple[float, ...], default=())
+    if not vals:
         raise ConfigError(f"{where}.{key} must be a nonempty array of numbers")
-    out = []
-    for i, item in enumerate(val):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigError(f"{where}.{key}[{i}] must be a number, got {item!r}")
-        out.append(float(item))
-    return tuple(out)
+    return tuple(float(v) for v in vals)
+
+
+def _read_fields(cls, sec: dict, where: str, **defaults) -> dict:
+    """The fields of dataclass ``cls`` read from ``sec``.
+
+    Its field names are the allowed keys and its annotations the checked
+    types; absent keys take ``defaults``, else the declared field defaults.
+    """
+    _check_keys(sec, frozenset(f.name for f in fields(cls)), where)
+    hints = get_type_hints(cls)
+    return {
+        f.name: _get(sec, f.name, where, hints[f.name], defaults.get(f.name, f.default))
+        for f in fields(cls)
+    }
+
+
+def _build_section(cls, sec: dict, where: str, **defaults):
+    # a run config holds every number field as a float
+    hints = get_type_hints(cls)
+    vals = _read_fields(cls, sec, where, **defaults)
+    try:
+        return cls(**{k: float(v) if hints[k] is float else v for k, v in vals.items()})
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -170,13 +201,7 @@ class RunConfig:
                 "cells": list(self.cells),
                 "n": self.grid_n,
             },
-            "model": {
-                "chi": self.model.chi,
-                "p": self.model.p,
-                "theta": self.model.theta,
-                "eps": self.model.eps,
-                "n": self.model.n,
-            },
+            "model": asdict(self.model),
             "initial": {
                 "family": self.family,
                 "base": self.base,
@@ -185,13 +210,7 @@ class RunConfig:
                 "v0": self.v0_kind,
                 "v0_value": self.v0_value,
             },
-            "controls": {
-                "t_end": self.controls.t_end,
-                "dt_max": self.controls.dt_max,
-                "dt_min": self.controls.dt_min,
-                "cfl_safety": self.controls.cfl_safety,
-                "blowup_linf_threshold": self.controls.blowup_linf_threshold,
-            },
+            "controls": asdict(self.controls),
             "monitors": {
                 "q_set": list(self.q_set) if self.q_set is not None else None,
                 "s": s_echo,
@@ -212,17 +231,17 @@ def parse_config_dict(data: dict) -> RunConfig:
 
     gsec = _get_section(data, "grid", required=True)
     _check_keys(gsec, _GRID_KEYS, "grid")
-    mode = _get_str(gsec, "mode", "grid")
+    mode = _get(gsec, "mode", "grid", str)
     if mode not in MODES:
         raise ConfigError(f"grid.mode must be one of {MODES}, got {mode!r}")
-    extents = _get_num_list(gsec, "extents", "grid")
-    cells_f = _get_num_list(gsec, "cells", "grid")
+    extents = _get_floats(gsec, "extents", "grid")
+    cells_f = _get_floats(gsec, "cells", "grid")
     if any(int(c) != c for c in cells_f):
         raise ConfigError(f"grid.cells must be integers, got {list(cells_f)}")
     cells = tuple(int(c) for c in cells_f)
     n_axes = 2 if mode == "cartesian-2d" else 1
     dim_default = {"cartesian-1d": 1, "cartesian-2d": 2}.get(mode)
-    grid_n = _get_int(gsec, "n", "grid", default=dim_default)
+    grid_n = _get(gsec, "n", "grid", int, default=dim_default)
     if grid_n is None:
         raise ConfigError("grid.n is required for mode 'radial-n'")
     if mode != "radial-n" and grid_n != dim_default:
@@ -234,56 +253,33 @@ def parse_config_dict(data: dict) -> RunConfig:
         )
 
     msec = _get_section(data, "model", required=True)
-    _check_keys(msec, _MODEL_KEYS, "model")
-    model_n = _get_int(msec, "n", "model", default=grid_n)
-    if model_n != grid_n:
-        raise ConfigError(f"model.n = {model_n} does not match the grid dimension {grid_n}")
-    try:
-        model = ModelParams(
-            chi=_get_num(msec, "chi", "model"),
-            p=_get_num(msec, "p", "model"),
-            theta=_get_num(msec, "theta", "model"),
-            eps=_get_num(msec, "eps", "model"),
-            n=model_n,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
+    model = _build_section(ModelParams, msec, "model", n=grid_n)
+    if model.n != grid_n:
+        raise ConfigError(f"model.n = {model.n} does not match the grid dimension {grid_n}")
 
     isec = _get_section(data, "initial", required=False)
     _check_keys(isec, _INITIAL_KEYS, "initial")
-    family = _get_str(isec, "family", "initial", default="cosine")
+    family = _get(isec, "family", "initial", str, default="cosine")
     if family not in INITIAL_FAMILIES:
         raise ConfigError(
             f"initial.family must be one of {INITIAL_FAMILIES}, got {family!r}"
         )
-    v0_kind = _get_str(isec, "v0", "initial", default="u0_squared")
+    v0_kind = _get(isec, "v0", "initial", str, default="u0_squared")
     if v0_kind not in V0_KINDS:
         raise ConfigError(f"initial.v0 must be one of {V0_KINDS}, got {v0_kind!r}")
-    base = _get_num(isec, "base", "initial", default=1.0)
-    amplitude = _get_num(isec, "amplitude", "initial", default=0.5)
-    width = _get_num(isec, "width", "initial", default=0.1)
-    v0_value = _get_num(isec, "v0_value", "initial", default=0.0)
+    base = float(_get(isec, "base", "initial", float, default=1.0))
+    amplitude = float(_get(isec, "amplitude", "initial", float, default=0.5))
+    width = float(_get(isec, "width", "initial", float, default=0.1))
+    v0_value = float(_get(isec, "v0_value", "initial", float, default=0.0))
 
     csec = _get_section(data, "controls", required=True)
-    _check_keys(csec, _CONTROLS_KEYS, "controls")
-    try:
-        controls = StepControls(
-            t_end=_get_num(csec, "t_end", "controls"),
-            dt_max=_get_num(csec, "dt_max", "controls", default=0.1),
-            dt_min=_get_num(csec, "dt_min", "controls", default=1e-10),
-            cfl_safety=_get_num(csec, "cfl_safety", "controls", default=0.4),
-            blowup_linf_threshold=_get_num(
-                csec, "blowup_linf_threshold", "controls", default=1e6
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"controls: {exc}") from exc
+    controls = _build_section(StepControls, csec, "controls")
 
     osec = _get_section(data, "monitors", required=False)
     _check_keys(osec, _MONITORS_KEYS, "monitors")
     q_set: tuple[float, ...] | None = None
     if osec.get("q_set") is not None:
-        q_set = _get_num_list(osec, "q_set", "monitors")
+        q_set = _get_floats(osec, "q_set", "monitors")
         if any(q <= 0.0 for q in q_set):
             raise ConfigError(f"monitors.q_set entries must be positive, got {list(q_set)}")
         q_set = tuple(sorted(set(q_set)))
@@ -301,23 +297,21 @@ def parse_config_dict(data: dict) -> RunConfig:
         s = float(s_raw)
         if s < 1.0:
             raise ConfigError(f"monitors.s must be >= 1, got {s}")
-    q_f1 = osec.get("q_f1")
-    q_f2 = osec.get("q_f2")
-    for name, val in (("q_f1", q_f1), ("q_f2", q_f2)):
-        if val is not None:
-            got = _get_num(osec, name, "monitors")
-            if got <= 1.0:
-                raise ConfigError(f"monitors.{name} must exceed 1, got {got}")
-    q_f1 = None if q_f1 is None else float(q_f1)
-    q_f2 = None if q_f2 is None else float(q_f2)
-    c_f1 = _get_num(osec, "c_f1", "monitors", default=1.0)
+    q_fs = []
+    for name in ("q_f1", "q_f2"):
+        q = None if osec.get(name) is None else float(_get(osec, name, "monitors", float))
+        if q is not None and q <= 1.0:
+            raise ConfigError(f"monitors.{name} must exceed 1, got {q}")
+        q_fs.append(q)
+    q_f1, q_f2 = q_fs
+    c_f1 = float(_get(osec, "c_f1", "monitors", float, default=1.0))
     if c_f1 < 0.0:
         raise ConfigError(f"monitors.c_f1 must be >= 0, got {c_f1}")
 
-    record_every = _get_int(data, "record_every", "config", default=5)
+    record_every = _get(data, "record_every", "config", int, default=5)
     if record_every < 1:
         raise ConfigError(f"record_every must be >= 1, got {record_every}")
-    mollify = _get_bool(data, "mollify", "config", default=True)
+    mollify = _get(data, "mollify", "config", bool, default=True)
 
     cfg = RunConfig(
         grid_mode=mode,
@@ -355,13 +349,19 @@ def parse_config(path: str | Path) -> RunConfig:
     Raises:
         ConfigError: unreadable file, invalid JSON, or any schema violation.
     """
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {p}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {p} is not valid JSON: {exc}") from exc
-    return parse_config_dict(data)
+    return parse_config_dict(load_json(path, "config"))
+
+
+def parse_sweep_config_dict(data: dict) -> SweepSpec:
+    """Validate a sweep config object; every violation raises :class:`ConfigError`.
+
+    Numbers keep their JSON type: the point ids hash them as given.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"sweep config root must be an object, got {type(data).__name__}")
+    return SweepSpec(**_read_fields(SweepSpec, data, "sweep"))
+
+
+def parse_sweep_config(path: str | Path) -> SweepSpec:
+    """Parse a JSON sweep config file; errors as in :func:`parse_config`."""
+    return parse_sweep_config_dict(load_json(path, "sweep config"))

@@ -25,6 +25,7 @@ import numpy as np
 from .grid import (
     GridFunction,
     face_quadrature_weights,
+    faces_lp_norm,
     gradient_lp_norm,
     integrate,
     laplacian_values,
@@ -152,8 +153,12 @@ def dissipation_u(u: GridFunction, q: float) -> float:
     """
     if q <= 0.0:
         raise ValueError(f"dissipation requires q > 0, got {q}")
+    return _dissipation_faces(u, measured_gradient_faces(u.grid, u.values), q)
+
+
+def _dissipation_faces(u: GridFunction, grads, q: float) -> float:
+    # dissipation_u over given measurement face gradients of u
     grid = u.grid
-    grads = measured_gradient_faces(grid, u.values)
     nd = grid.n_axes
     total = 0.0
     for a in range(nd):
@@ -193,14 +198,17 @@ def record(
     if q_f1 is None:
         q_f1 = q_f2
 
+    # one measurement gradient per field serves every index
+    grads_u = measured_gradient_faces(u.grid, u.values)
+    grads_v = measured_gradient_faces(v.grid, v.values)
     uq = {q: density_integral(u, q) for q in qs}
-    dissip = {q: dissipation_u(u, q) for q in qs}
-    gradv_l2 = gradient_lp_norm(v, 2.0) ** 2
+    dissip = {q: _dissipation_faces(u, grads_u, q) for q in qs}
+    gradv_l2 = faces_lp_norm(v.grid, grads_v, 2.0) ** 2
     if math.isinf(s):
-        gradv_ls = gradient_lp_norm(v, math.inf)
+        gradv_ls = faces_lp_norm(v.grid, grads_v, math.inf)
         v_w1s = max(lp_norm(v, math.inf), gradv_ls)
     else:
-        gradv_ls = gradient_lp_norm(v, s) ** s
+        gradv_ls = faces_lp_norm(v.grid, grads_v, s) ** s
         v_w1s = (lp_norm(v, s) ** s + gradv_ls) ** (1.0 / s)
 
     uq_f2 = uq[q_f2] if q_f2 in uq else density_integral(u, q_f2)

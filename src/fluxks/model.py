@@ -266,12 +266,9 @@ def build_initial_data(
                 f"cosine family needs |amplitude| <= base for u0 >= 0, "
                 f"got amplitude={amplitude}, base={base}"
             )
-        if grid.mode == "radial-n":
-            bump = np.cos(np.pi * grid.axis_centers(0) / grid.extents[0])
-        else:
-            bump = np.ones(grid.shape)
-            for coord, length in zip(grid.center_mesh(), grid.extents):
-                bump = bump * np.cos(np.pi * coord / length)
+        bump = np.ones(grid.shape)
+        for coord, length in zip(grid.center_mesh(), grid.extents):
+            bump = bump * np.cos(np.pi * coord / length)
         u0 = base + amplitude * bump
     elif family == "gaussian":
         if base + min(amplitude, 0.0) < 0.0:

@@ -369,43 +369,18 @@ def audit(spec: RegimeSpec) -> ExponentAudit:
             cond1d = value
             cond1d_witness = (q_1d, r_1d)
 
+    # the starred quantities belong to the entropy route alone
+    stars = {}
+    q = r = None
     if route == "entropy":
-        q2, r = grad_witness
-        return ExponentAudit(
-            spec=spec,
-            p_critical=pc,
-            subcritical=subcritical,
-            critical_boundary=boundary,
-            s_rule=rule,
-            q_ranges=ranges,
-            route=route,
-            feasible=True,
-            chosen_q=q2,
-            chosen_r=r,
-            chosen_q_f1=q1,
-            a_star=a_star(n, p, q2, r),
-            b_star=b_star(n, r),
-            condition_2ab=condition_2ab(n, p, q2, r),
-            condition_1d=None,
-            notes=tuple(notes),
-        )
-    if route == "semigroup-1d":
-        q_1d, r_1d = cond1d_witness
-        return ExponentAudit(
-            spec=spec,
-            p_critical=pc,
-            subcritical=subcritical,
-            critical_boundary=boundary,
-            s_rule=rule,
-            q_ranges=ranges,
-            route=route,
-            feasible=True,
-            chosen_q=q_1d,
-            chosen_r=r_1d,
-            chosen_q_f1=q1,
-            condition_1d=cond1d,
-            notes=tuple(notes),
-        )
+        q, r = grad_witness
+        stars = {
+            "a_star": a_star(n, p, q, r),
+            "b_star": b_star(n, r),
+            "condition_2ab": condition_2ab(n, p, q, r),
+        }
+    elif route == "semigroup-1d":
+        q, r = cond1d_witness
     return ExponentAudit(
         spec=spec,
         p_critical=pc,
@@ -413,9 +388,12 @@ def audit(spec: RegimeSpec) -> ExponentAudit:
         critical_boundary=boundary,
         s_rule=rule,
         q_ranges=ranges,
-        route=None,
-        feasible=False,
+        route=route,
+        feasible=route is not None,
+        chosen_q=q,
+        chosen_r=r,
         chosen_q_f1=q1,
         condition_1d=cond1d,
         notes=tuple(notes),
+        **stars,
     )

@@ -27,12 +27,12 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from ._version import __version__
 from .errors import ConfigError
-from .grid import unit_grid
+from .grid import MIN_CELLS_PER_AXIS, unit_grid
 from .model import INITIAL_FAMILIES, ModelParams, build_initial_data
 from .monitors import classify
 from .regimes import RegimeSpec, audit, critical_exponent, relative_p
@@ -86,10 +86,10 @@ class SweepSpec:
     family: str = "cosine"
     amplitude: float = 0.1
     t_end: float = 5.0
-    dt_max: float = 0.1
-    dt_min: float = 1e-10
-    cfl_safety: float = 0.4
-    blowup_linf_threshold: float = 1e6
+    dt_max: float = StepControls.dt_max
+    dt_min: float = StepControls.dt_min
+    cfl_safety: float = StepControls.cfl_safety
+    blowup_linf_threshold: float = StepControls.blowup_linf_threshold
     cells_1d: int = 256
     cells_2d: int = 128
     cells_radial: int = 256
@@ -107,14 +107,15 @@ class SweepSpec:
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         if self.p_mode not in ("relative", "absolute"):
             raise ConfigError(f"p_mode must be 'relative' or 'absolute', got {self.p_mode!r}")
-        if any(th <= 0.0 for th in self.theta_values):
+        # the comparisons are written so that NaN fails them
+        if not all(th > 0.0 for th in self.theta_values):
             raise ConfigError(f"theta_values must be positive, got {self.theta_values}")
         p_floor = 0.0 if self.p_mode == "relative" else 1.0
-        if any(v <= p_floor for v in self.p_values):
+        if not all(v > p_floor for v in self.p_values):
             raise ConfigError(
                 f"{self.p_mode} p_values must exceed {p_floor}, got {self.p_values}"
             )
-        if self.chi < 0.0:
+        if not self.chi >= 0.0:
             raise ConfigError(f"chi must be >= 0, got {self.chi}")
         if not (0.0 <= self.eps < 1.0):
             raise ConfigError(f"eps must lie in [0, 1), got {self.eps}")
@@ -126,21 +127,29 @@ class SweepSpec:
             # amplitude < 1 keeps the unit-base initial density strictly positive
             raise ConfigError(f"amplitude must lie in [0, 1), got {self.amplitude}")
         try:
-            StepControls(
-                t_end=self.t_end,
-                dt_max=self.dt_max,
-                dt_min=self.dt_min,
-                cfl_safety=self.cfl_safety,
-                blowup_linf_threshold=self.blowup_linf_threshold,
-            )
+            _pick(StepControls, vars(self))
         except ValueError as exc:
             raise ConfigError(f"sweep controls: {exc}") from exc
-        for name in ("cells_1d", "cells_2d", "cells_radial", "record_every"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"sweep {name} must be >= 1")
+        for name in ("cells_1d", "cells_2d", "cells_radial"):
+            if getattr(self, name) < MIN_CELLS_PER_AXIS:
+                raise ConfigError(f"sweep {name} must be >= {MIN_CELLS_PER_AXIS}")
+        if self.record_every < 1:
+            raise ConfigError("sweep record_every must be >= 1")
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+# the SweepSpec fields that span the lattice; every other field is a run
+# setting that each point carries, and so enters its id
+_LATTICE_FIELDS = frozenset(
+    {"n_values", "theta_values", "p_values", "p_mode", "cells_1d", "cells_2d", "cells_radial"}
+)
+
+
+def _pick(cls, values: dict):
+    """``cls`` built from the entries of ``values`` that its fields name."""
+    return cls(**{f.name: values[f.name] for f in fields(cls)})
 
 
 def _point_cells(spec: SweepSpec, n: int) -> int:
@@ -153,6 +162,7 @@ def _point_cells(spec: SweepSpec, n: int) -> int:
 
 def sweep_points(spec: SweepSpec) -> list[dict]:
     """Expanded lattice, sorted by ``(n, theta, p)``, with content ids."""
+    shared = {k: v for k, v in asdict(spec).items() if k not in _LATTICE_FIELDS}
     points = []
     for n in spec.n_values:
         for theta in spec.theta_values:
@@ -170,22 +180,12 @@ def sweep_points(spec: SweepSpec) -> list[dict]:
                     p = float(val)
                     frac = (p - 1.0) / (p_c - 1.0)
                 point = {
+                    **shared,
                     "n": n,
                     "theta": float(theta),
                     "p_fraction": frac,
                     "p": p,
-                    "chi": spec.chi,
-                    "eps": spec.eps,
-                    "family": spec.family,
-                    "amplitude": spec.amplitude,
-                    "t_end": spec.t_end,
-                    "dt_max": spec.dt_max,
-                    "dt_min": spec.dt_min,
-                    "cfl_safety": spec.cfl_safety,
-                    "blowup_linf_threshold": spec.blowup_linf_threshold,
                     "cells": _point_cells(spec, n),
-                    "record_every": spec.record_every,
-                    "seed": spec.seed,
                     "version": SWEEP_VERSION,
                 }
                 point["point_id"] = point_id(point)
@@ -210,27 +210,11 @@ def run_point(point: dict) -> dict:
         v0_kind="u0_pow_theta",
         theta=point["theta"],
     )
-    params = ModelParams(
-        chi=point["chi"],
-        p=point["p"],
-        theta=point["theta"],
-        eps=point["eps"],
-        n=point["n"],
-    )
-    controls = StepControls(
-        t_end=point["t_end"],
-        dt_max=point["dt_max"],
-        dt_min=point["dt_min"],
-        cfl_safety=point["cfl_safety"],
-        blowup_linf_threshold=point["blowup_linf_threshold"],
-    )
-    spec = RegimeSpec(n=point["n"], theta=point["theta"], p=point["p"])
-    regime = audit(spec)
-
+    regime = audit(RegimeSpec(n=point["n"], theta=point["theta"], p=point["p"]))
     result = simulate(
         initial,
-        params,
-        controls,
+        _pick(ModelParams, point),
+        _pick(StepControls, point),
         record_every=point["record_every"],
         keep_states="ends",
     )
@@ -283,21 +267,19 @@ def _run_point_timed(point: dict) -> tuple[dict, float]:
     return res, time.perf_counter() - t0
 
 
-def _load_existing(path: Path, point: dict) -> dict | None:
-    # a resumable point must parse, match the id, and carry this version
-    if not path.is_file():
-        return None
+def _load_existing(out_dir: Path, pid: str) -> dict | None:
+    """The completed result of point ``pid`` in ``out_dir``, else ``None``.
+
+    A completed point file parses, names ``pid`` and carries this
+    ``SWEEP_VERSION``; a missing, truncated or stale file does not count.
+    """
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads((out_dir / f"{pid}.json").read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError):
         return None
     if not isinstance(data, dict):
         return None
-    if data.get("point_id") != point["point_id"]:
-        return None
-    if data.get("version") != SWEEP_VERSION:
-        return None
-    return data
+    return data if data.get("point_id") == pid and data.get("version") == SWEEP_VERSION else None
 
 
 @dataclass(frozen=True)
@@ -366,7 +348,7 @@ def run_sweep(
     n_skipped = 0
     for point in points:
         if resume:
-            existing = _load_existing(out / f"{point['point_id']}.json", point)
+            existing = _load_existing(out, point["point_id"])
             if existing is not None:
                 by_id[point["point_id"]] = existing
                 n_skipped += 1

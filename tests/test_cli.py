@@ -11,7 +11,7 @@ import pytest
 import fluxks.cli as cli
 from fluxks.cli import main
 from fluxks.monitors import RegimeVerdict
-from fluxks.sweep import REGIME_MAP_COLUMNS
+from fluxks.sweep import REGIME_MAP_COLUMNS, SWEEP_VERSION
 
 
 def write_json(path, obj):
@@ -199,6 +199,9 @@ def test_simulate_growing_classification_exits_1(tmp_path, monkeypatch):
         lambda tmp: str(tmp / "absent.json"),
         lambda tmp: write_json(tmp / "bad.json", {"grid": {}}),
         lambda tmp: (lambda p: (p.write_text("{oops"), str(p))[1])(tmp / "nj.json"),
+        lambda tmp: write_json(
+            tmp / "inf.json", run_cfg(controls={"blowup_linf_threshold": float("inf")})
+        ),
     ],
 )
 def test_simulate_config_errors_exit_3(tmp_path, breakage, capsys):
@@ -243,6 +246,19 @@ def test_report_with_missing_points(tmp_path, capsys):
     (out / f"{pids[1]}.json").unlink()
     assert main(["report", "--sweep-dir", str(out)]) == 3  # nothing to render
 
+    # a truncated point file, or one of another SWEEP_VERSION, is not completed
+    assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    first, second = (out / f"{pid}.json" for pid in pids)
+    text = first.read_text(encoding="utf-8")
+    first.write_text(text[: len(text) // 2], encoding="utf-8")
+    assert main(["report", "--sweep-dir", str(out)]) == 0
+    assert "NOTE: 1 point(s) not yet completed" in capsys.readouterr().out
+    stale = json.loads(second.read_text(encoding="utf-8"))
+    second.write_text(json.dumps({**stale, "version": SWEEP_VERSION - 1}), encoding="utf-8")
+    assert main(["report", "--sweep-dir", str(out)]) == 3
+    assert "no completed points" in capsys.readouterr().err
+
 
 def test_report_requires_manifest(tmp_path, capsys):
     assert main(["report", "--sweep-dir", str(tmp_path)]) == 3
@@ -255,6 +271,11 @@ def test_report_requires_manifest(tmp_path, capsys):
         ({**SWEEP_CFG, "bogus": 1}, "unknown key"),
         ({k: v for k, v in SWEEP_CFG.items() if k != "p_values"}, "missing required"),
         ({**SWEEP_CFG, "n_values": 1}, "must be an array"),
+        ({**SWEEP_CFG, "chi": "a"}, "chi"),
+        ({**SWEEP_CFG, "cells_1d": 2}, "cells_1d"),
+        ({**SWEEP_CFG, "cells_1d": 8.5}, "cells_1d"),
+        ({**SWEEP_CFG, "record_every": True}, "record_every"),
+        ({**SWEEP_CFG, "chi": float("nan")}, "NaN is not a JSON number"),
     ],
 )
 def test_sweep_config_errors_exit_3(tmp_path, cfg, match, capsys):

@@ -3,11 +3,20 @@
 import copy
 import json
 import math
+from dataclasses import MISSING, fields
 
 import pytest
 
-from fluxks.config import RunConfig, parse_config, parse_config_dict
+from fluxks.config import (
+    RunConfig,
+    parse_config,
+    parse_config_dict,
+    parse_sweep_config,
+    parse_sweep_config_dict,
+)
 from fluxks.errors import ConfigError, FluxksError
+from fluxks.stepper import StepControls
+from fluxks.sweep import SweepSpec, sweep_points
 
 
 def base_cfg(**sections):
@@ -214,3 +223,56 @@ def test_parse_config_file_round_trip(tmp_path):
         parse_config(bad)
     with pytest.raises(ConfigError, match="cannot read"):
         parse_config(tmp_path / "absent.json")
+
+
+# ------------------------------------------------------------------ sweeps
+
+SWEEP = {"n_values": [1], "theta_values": [2.0], "p_values": [0.5]}
+
+
+def test_step_control_defaults_are_declared_once():
+    spec = parse_sweep_config_dict(SWEEP)
+    cfg = parse_config_dict(base_cfg())
+    for f in fields(StepControls):
+        if f.default is not MISSING:
+            assert getattr(spec, f.name) == getattr(cfg.controls, f.name) == f.default
+
+
+def test_sweep_config_keeps_json_numbers_as_given():
+    # no coercion: a point id hashes the numbers as the config spells them
+    spec = parse_sweep_config_dict({**SWEEP, "theta_values": [2], "t_end": 1})
+    assert spec == SweepSpec(n_values=(1,), theta_values=(2,), p_values=(0.5,), t_end=1)
+    (pt,) = sweep_points(spec)
+    assert type(pt["t_end"]) is int and type(spec.theta_values[0]) is int
+
+
+@pytest.mark.parametrize(
+    "over,match",
+    [
+        ({"theta_values": ["x"]}, r"sweep\.theta_values\[0\] must be a number"),
+        ({"n_values": [1.0]}, r"sweep\.n_values\[0\] must be an integer"),
+        ({"p_values": 0.5}, r"sweep\.p_values must be an array"),
+        ({"seed": 1.5}, r"sweep\.seed must be an integer"),
+        ({"p_mode": 3}, r"sweep\.p_mode must be a string"),
+        ({"dt_max": "0.1"}, r"sweep\.dt_max must be a number"),
+        ({"amplitude": True}, r"sweep\.amplitude must be a number"),
+        ({"cells_2d": 3}, "sweep cells_2d must be >= 4"),
+        ({"extra": 1}, r"unknown key\(s\) \['extra'\] in sweep"),
+    ],
+)
+def test_sweep_config_errors(over, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_sweep_config_dict({**SWEEP, **over})
+
+
+def test_sweep_config_file_errors(tmp_path):
+    with pytest.raises(ConfigError, match="sweep config root must be an object"):
+        parse_sweep_config_dict([SWEEP])
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(SWEEP), encoding="utf-8")
+    assert parse_sweep_config(path) == parse_sweep_config_dict(SWEEP)
+    path.write_text("{not json", encoding="utf-8")
+    with pytest.raises(ConfigError, match="sweep config .* is not valid JSON"):
+        parse_sweep_config(path)
+    with pytest.raises(ConfigError, match="cannot read sweep config"):
+        parse_sweep_config(tmp_path / "absent.json")

@@ -218,6 +218,48 @@ def test_record_brute_force_cross_check(grid1d):
     assert rec.clamped_mass_cumulative == 1e-13
 
 
+@pytest.mark.parametrize("mode,cells,s", [
+    ("cartesian-1d", (24,), 3.0),
+    ("cartesian-2d", (6, 5), math.inf),
+    ("radial-n", (12,), 2.5),
+])
+def test_record_builds_one_gradient_per_field(monkeypatch, mode, cells, s):
+    # one measurement gradient of u serves every q, one of v both indices;
+    # the values equal (==) those of the public per-call functions
+    import fluxks.functionals as functionals
+    import fluxks.grid as grid_mod
+
+    g = build_grid(mode, extents=(1.0,) * len(cells), cells=cells,
+                   n=3 if mode == "radial-n" else None)
+    rng = np.random.default_rng(5)
+    u = GridFunction(g, rng.uniform(0.2, 2.0, size=g.shape))
+    v = GridFunction(g, rng.uniform(0.0, 1.5, size=g.shape))
+    st = SimState(u=u, v=v, t=0.1, step_index=1)
+    params = ModelParams(chi=1.0, p=1.5, theta=2.0, eps=1e-3, n=g.n)
+    q_set = (1.5, 2.0, 3.0)
+
+    calls = []
+    original = grid_mod.measured_gradient_faces
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(grid_mod, "measured_gradient_faces", counted)
+    monkeypatch.setattr(functionals, "measured_gradient_faces", counted)
+    rec = record(st, params, q_set=q_set, s=s)
+    assert len(calls) == 2
+    monkeypatch.undo()
+
+    for q in q_set:
+        assert rec.dissip_u[q] == dissipation_u(u, q)
+    assert rec.gradv_l2 == gradient_lp_norm(v, 2.0) ** 2
+    if math.isinf(s):
+        assert rec.gradv_ls == gradient_lp_norm(v, math.inf)
+    else:
+        assert rec.gradv_ls == gradient_lp_norm(v, s) ** s
+
+
 def test_record_defaults_q_from_set(grid1d):
     g = grid1d(8)
     st = const_state(g, 1.0, 0.0)

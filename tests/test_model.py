@@ -347,6 +347,13 @@ def test_cosine_family_radial(grid1d):
     np.testing.assert_allclose(init.u0.values, 1.0 + 0.25 * np.cos(math.pi * r / 2.0), rtol=1e-15)
 
 
+def test_cosine_family_radial_is_exact():
+    # the product formula over the one radial axis gives cos(pi r / R) bit for bit
+    g = build_grid("radial-n", extents=(1.0,), cells=(256,), n=3)
+    init = build_initial_data(g, family="cosine", base=1.0, amplitude=0.1, v0_kind="zero")
+    assert np.array_equal(init.u0.values, 1.0 + 0.1 * np.cos(np.pi * g.axis_centers(0)))
+
+
 def test_cosine_2d_separable():
     g = build_grid("cartesian-2d", extents=(1.0, 2.0), cells=(8, 8))
     init = build_initial_data(g, family="cosine", base=1.0, amplitude=0.5, v0_kind="zero")

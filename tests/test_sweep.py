@@ -59,6 +59,9 @@ def tiny_spec(**over):
         ({"t_end": -1.0}, "sweep controls"),
         ({"cells_1d": 0}, "cells_1d"),
         ({"record_every": 0}, "record_every"),
+        ({"chi": float("nan")}, "chi"),
+        ({"theta_values": (float("nan"),)}, "positive"),
+        ({"p_values": (float("nan"),)}, "relative p_values must exceed 0"),
     ],
 )
 def test_spec_validation(over, match):
