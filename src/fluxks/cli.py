@@ -292,8 +292,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not manifest_path.is_file():
         raise ConfigError(f"no sweep manifest at {manifest_path}")
     manifest = load_json(manifest_path, "sweep manifest")
+    entries = manifest.get("points", []) if isinstance(manifest, dict) else None
+    if not (
+        isinstance(entries, list)
+        and all(isinstance(e, dict) and isinstance(e.get("point_id"), str) for e in entries)
+    ):
+        raise ConfigError(
+            f"sweep manifest {manifest_path} must be an object whose points each carry a point_id"
+        )
     # a missing, truncated or stale point file counts as not yet completed
-    loaded = [_load_existing(sweep_dir, entry["point_id"]) for entry in manifest.get("points", [])]
+    loaded = [_load_existing(sweep_dir, entry["point_id"]) for entry in entries]
     results = [res for res in loaded if res is not None]
     if not results:
         raise ConfigError(f"sweep at {sweep_dir} has no completed points")

@@ -286,20 +286,30 @@ def _interior_slice(ndim: int, axis: int) -> tuple:
 
 def gradient_faces(grid: Grid, values: NDArray[np.float64]) -> list[NDArray[np.float64]]:
     """Per-axis face-normal differences with zero boundary faces."""
+    nd = grid.n_axes
     out = []
-    for a in range(grid.n_axes):
+    for a in range(nd):
         g = np.zeros(grid.face_shape(a))
-        g[_interior_slice(grid.n_axes, a)] = np.diff(values, axis=a) / grid.spacing[a]
+        inner = g[_interior_slice(nd, a)]
+        np.subtract(
+            values[_slice_axis(nd, a, slice(1, None))],
+            values[_slice_axis(nd, a, slice(None, -1))],
+            out=inner,
+        )
+        inner /= grid.spacing[a]
         out.append(g)
     return out
 
 
 def divergence_values(grid: Grid, faces) -> NDArray[np.float64]:
     """Net face flow per unit cell weight."""
+    nd = grid.n_axes
     acc = np.zeros(grid.shape)
-    for a in range(grid.n_axes):
-        acc += np.diff(grid.face_areas[a] * faces[a], axis=a)
-    return acc / grid.cell_weights
+    for a in range(nd):
+        flow = grid.face_areas[a] * faces[a]
+        acc += flow[_slice_axis(nd, a, slice(1, None))] - flow[_slice_axis(nd, a, slice(None, -1))]
+    acc /= grid.cell_weights
+    return acc
 
 
 def laplacian_values(grid: Grid, values: NDArray[np.float64]) -> NDArray[np.float64]:

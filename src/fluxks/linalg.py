@@ -29,6 +29,17 @@ includes the transport, on one-axis grids.  Anything else raises
 The constant mode has operator eigenvalue exactly ``a``: with ``a = 1`` the
 solve preserves cell-weighted means to roundoff, which is what makes the mass
 budget of long runs exact rather than solver-tolerance limited.
+
+Certifying a returned ``x`` computes its Laplacian, and a time step starts its
+next solve of the same field from that very array.  The solver therefore keeps
+the ``(x, L(x))`` pairs of the last two arrays it returned (a step returns
+``v`` and then ``u``) and, when ``x0`` is one of them by identity, takes
+``L(x0)`` from there instead of recomputing it; the numbers are the same, so
+every result is bit for bit what a fresh solve would give.  Returned arrays
+are read-only, so a cached pair cannot go stale through them: a caller that
+needs to change one works on a copy (as the stepper's clamp does), and a copy
+misses the cache and has its Laplacian computed.  The exact inverse (DCT
+denominator or band matrix) is built only when a correction runs.
 """
 
 from __future__ import annotations
@@ -63,6 +74,8 @@ class HelmholtzSolver:
         else:
             self._symbol = None
             self._bands = self._band_parts(grid)
+        # (array, Laplacian) of the last two arrays solve returned: u's and v's
+        self._certified: tuple = ()
 
     @staticmethod
     def _dct_symbol(grid: Grid) -> NDArray[np.float64]:
@@ -105,31 +118,50 @@ class HelmholtzSolver:
         ab[2, :-1] = -d_coef * up[1:-1] / w[1:]  # row i+1, column i
         return ab
 
-    def apply(self, a_coef: float, d_coef: float, x: NDArray, coeffs=None) -> NDArray:
+    def apply(
+        self, a_coef: float, d_coef: float, x: NDArray, coeffs=None, lap: NDArray | None = None
+    ) -> NDArray:
         """The operator ``a*x - d*L(x) + d*div(upwind_flux(x, coeffs))`` from the
         grid kernels, independent of any inverse (no transport term without
-        ``coeffs``)."""
-        out = a_coef * x - d_coef * laplacian_values(self.grid, x)
+        ``coeffs``); ``lap`` is ``L(x)`` when the caller already has it."""
+        if lap is None:
+            lap = laplacian_values(self.grid, x)
+        out = a_coef * x
+        out -= d_coef * lap
         if coeffs is not None:
-            out += d_coef * divergence_values(self.grid, upwind_flux(self.grid, x, coeffs)[0])
+            out += d_coef * divergence_values(self.grid, upwind_flux(self.grid, x, coeffs))
         return out
 
     def _norm(self, f: NDArray) -> float:
-        return math.sqrt(float(np.sum(f * f * self._weights)))
+        sq = f * f
+        sq *= self._weights
+        return math.sqrt(float(np.sum(sq)))
 
     def _inverse(self, a_coef: float, d_coef: float, coeffs) -> Callable[[NDArray], NDArray]:
         if self._symbol is not None:
-            if coeffs is not None:
-                raise ValueError("implicit transport needs a one-axis grid")
             denom = a_coef + d_coef * self._symbol
 
             def inverse(r: NDArray) -> NDArray:
                 rh = scipy.fft.dctn(r, type=2, norm="ortho")
-                return scipy.fft.idctn(rh / denom, type=2, norm="ortho")
+                rh /= denom
+                return scipy.fft.idctn(rh, type=2, norm="ortho", overwrite_x=True)
 
             return inverse
         ab = self._banded(a_coef, d_coef, coeffs)
         return lambda r: solve_banded((1, 1), ab, r)
+
+    def _laplacian(self, x: NDArray) -> NDArray:
+        """``L(x)``, looked up when ``x`` is an array :meth:`solve` returned."""
+        for arr, lap in self._certified:
+            if arr is x:
+                return lap
+        return laplacian_values(self.grid, x)
+
+    def _certify(self, x: NDArray, lap: NDArray) -> NDArray:
+        """Freeze a returned ``x`` and keep its Laplacian for the next solve from it."""
+        x.flags.writeable = False
+        self._certified = (*self._certified[-1:], (x, lap))
+        return x
 
     def _norm_bound(self, a_coef: float, d_coef: float, coeffs) -> float:
         # bound on ||a*I - d*L + d*A||: a + d * rho in 2d, and the largest
@@ -157,21 +189,27 @@ class HelmholtzSolver:
                 met after ``CORRECTIONS`` corrections.
             ValueError: ``coeffs`` on the 2d grid.
         """
+        if self._symbol is not None and coeffs is not None:
+            raise ValueError("implicit transport needs a one-axis grid")
         norm_b = self._norm(rhs)
         if norm_b == 0.0:
-            return np.zeros_like(rhs), 0, 0.0
-        inverse = self._inverse(a_coef, d_coef, coeffs)
+            return self._certify(np.zeros_like(rhs), np.zeros_like(rhs)), 0, 0.0  # L(0) = 0
         x = x0.copy()
+        lap = self._laplacian(x0)
         for k in range(CORRECTIONS + 1):
+            if k == 1:  # built only when x0 fails the check
+                inverse = self._inverse(a_coef, d_coef, coeffs)
             if k > 0:
                 x += inverse(r)
-            r = rhs - self.apply(a_coef, d_coef, x, coeffs)
+                lap = laplacian_values(self.grid, x)
+            r = self.apply(a_coef, d_coef, x, coeffs, lap)
+            np.subtract(rhs, r, out=r)
             norm_r = self._norm(r)
             if norm_r <= SOLVER_RTOL * norm_b:
-                return x, k, norm_r / norm_b
+                return self._certify(x, lap), k, norm_r / norm_b
         norm_a = self._norm_bound(a_coef, d_coef, coeffs)
         if norm_r <= SOLVER_RTOL * (norm_a * self._norm(x) + norm_b):
-            return x, CORRECTIONS, norm_r / norm_b
+            return self._certify(x, lap), CORRECTIONS, norm_r / norm_b
         raise SolverError(
             f"residual {norm_r / norm_b:.3e} above the backward-error floor "
             f"after {CORRECTIONS} corrections"

@@ -98,17 +98,18 @@ def face_gradient_magnitude_sq(grid: Grid, grad_faces) -> list[NDArray[np.float6
             other = grad_faces[b]
             # mean over the transverse axis pair, then over the two cell columns
             # adjacent to this face; boundary faces keep only the normal part
-            # (they are zeroed downstream anyway).
-            tang_cell = 0.5 * (
-                other[_slice_axis(2, b, slice(None, -1))]
-                + other[_slice_axis(2, b, slice(1, None))]
-            )  # cell-centered transverse component
-            t = np.zeros_like(g)
-            t[_interior_slice(2, a)] = 0.5 * (
+            # (they are zeroed downstream anyway, and m + 0 * 0 is m).
+            tang_cell = (
+                other[_slice_axis(2, b, slice(None, -1))] + other[_slice_axis(2, b, slice(1, None))]
+            )
+            tang_cell *= 0.5  # cell-centered transverse component
+            t = (
                 tang_cell[_slice_axis(2, a, slice(None, -1))]
                 + tang_cell[_slice_axis(2, a, slice(1, None))]
             )
-            m = m + t * t
+            t *= 0.5
+            t *= t
+            m[_interior_slice(2, a)] += t
         mags.append(m)
     return mags
 
@@ -118,38 +119,53 @@ def flux_coefficients(grid: Grid, grad_faces, params: ModelParams) -> list[NDArr
 
     ``grad_faces`` are the face gradients of the signal (as from
     :func:`fluxks.grid.gradient_faces`); boundary faces come out zero with them.
+    Where ``|grad v|^2 + eps`` is 0 the factor is 0.
     """
-    mags = face_gradient_magnitude_sq(grid, grad_faces)
     expo = 0.5 * (params.p - 2.0)
     coeffs = []
-    for g, mag in zip(grad_faces, mags):
-        m = mag + params.eps
-        factor = np.zeros_like(m)
-        nz = m > 0.0
-        factor[nz] = m[nz] ** expo
-        coeffs.append(params.chi * factor * g)
+    for g, m in zip(grad_faces, face_gradient_magnitude_sq(grid, grad_faces)):
+        m += params.eps
+        coeff = np.power(m, expo, out=np.zeros_like(m), where=m > 0.0)
+        coeff *= params.chi
+        coeff *= g
+        coeffs.append(coeff)
     return coeffs
 
 
-def upwind_flux(grid: Grid, u_values, coeffs) -> tuple[list[NDArray[np.float64]], float]:
-    """Upwind face flux ``coeff * u`` per axis (boundary faces zero), and the
-    largest per-cell outflow rate ``sum_faces max(+-coeff * area, 0) / weight``:
-    an explicit step ``dt`` keeps ``u >= 0`` while ``dt * rate <= 1``.
-    """
+def upwind_flux(grid: Grid, u_values, coeffs) -> list[NDArray[np.float64]]:
+    """Upwind face flux ``coeff * u`` per axis (boundary faces zero): ``u`` is
+    taken from the lower cell of a face where ``coeff > 0``, else from the upper."""
     nd = grid.n_axes
     fluxes = []
+    for a, coeff in enumerate(coeffs):
+        c_int = coeff[_interior_slice(nd, a)]
+        flux = np.zeros_like(coeff)
+        inner = flux[_interior_slice(nd, a)]
+        np.copyto(inner, u_values[_slice_axis(nd, a, slice(1, None))])
+        np.copyto(inner, u_values[_slice_axis(nd, a, slice(None, -1))], where=c_int > 0.0)
+        inner *= c_int
+        fluxes.append(flux)
+    return fluxes
+
+
+def outflow_rate(grid: Grid, coeffs) -> float:
+    """Largest per-cell outflow rate ``sum_faces max(+-coeff * area, 0) / weight``
+    of the :func:`upwind_flux` of ``coeffs``: an explicit step ``dt`` keeps
+    ``u >= 0`` while ``dt * rate <= 1``."""
+    nd = grid.n_axes
     outflow = np.zeros(grid.shape)
     for a, coeff in enumerate(coeffs):
         lo, hi = _slice_axis(nd, a, slice(None, -1)), _slice_axis(nd, a, slice(1, None))
         inner = _interior_slice(nd, a)
-        c_int = coeff[inner]
-        flux = np.zeros_like(coeff)
-        flux[inner] = c_int * np.where(c_int > 0.0, u_values[lo], u_values[hi])
-        fluxes.append(flux)
-        rate = c_int * grid.face_areas[a][inner]
-        outflow[lo] += np.maximum(rate, 0.0) / grid.cell_weights[lo]
-        outflow[hi] += np.maximum(-rate, 0.0) / grid.cell_weights[hi]
-    return fluxes, float(outflow.max())
+        rate = coeff[inner] * grid.face_areas[a][inner]
+        out_lo = np.maximum(rate, 0.0)
+        out_lo /= grid.cell_weights[lo]
+        outflow[lo] += out_lo
+        np.negative(rate, out=rate)
+        np.maximum(rate, 0.0, out=rate)
+        rate /= grid.cell_weights[hi]
+        outflow[hi] += rate
+    return float(outflow.max())
 
 
 def regularized_flux(
@@ -161,7 +177,7 @@ def regularized_flux(
     so the flux is exactly linear in both ``chi`` and ``u``.  Boundary faces
     are exactly zero.
     """
-    fluxes, _ = upwind_flux(u.grid, u.values, flux_coefficients(u.grid, grad_v.faces, params))
+    fluxes = upwind_flux(u.grid, u.values, flux_coefficients(u.grid, grad_v.faces, params))
     return VectorGridFunction(u.grid, tuple(fluxes))
 
 

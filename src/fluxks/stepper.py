@@ -29,6 +29,11 @@ the clamped mass logged, and anything beyond roundoff is a hard error.  Mass
 is conserved by construction: the flux divergence telescopes to zero and the
 u-solve preserves cell-weighted means to roundoff.
 
+One solver serves a whole run.  It returns read-only arrays and remembers the
+Laplacian of the last ``u`` and ``v`` it returned, so the residual check that
+opens the next step's solve of each field costs no stencil pass.  The state's
+fields are those arrays; a clamped field is a fresh copy and misses.
+
 The time step is the smallest of ``dt_max``, an explicit-production proxy
 ``cfl_safety / (theta * max(u)^(theta-1))`` and, in 2d only, the advective
 positivity bound (``cfl_safety`` over the largest outflow rate of the flux
@@ -59,6 +64,7 @@ from .model import (
     ModelParams,
     flux_coefficients,
     mollify_initial_data,
+    outflow_rate,
     production,
     upwind_flux,
 )
@@ -132,7 +138,7 @@ class SimResult:
 
 def choose_dt(u: GridFunction, rate: float, params: ModelParams, controls: StepControls) -> float:
     """Largest admissible step for ``u`` moved by a flux whose largest
-    per-cell outflow rate is ``rate`` (:func:`fluxks.model.upwind_flux`).
+    per-cell outflow rate is ``rate`` (:func:`fluxks.model.outflow_rate`).
 
     ``rate`` is 0 on one-axis grids, whose implicit transport has no
     advective bound; ``dt_max`` and the production proxy remain.
@@ -208,7 +214,8 @@ def step(
         u_new, _, _ = solver.solve(1.0, dt, state.u.values, x0=state.u.values, coeffs=coeffs)
         rate = 0.0
     else:
-        fluxes, rate = upwind_flux(grid, state.u.values, coeffs)
+        rate = outflow_rate(grid, coeffs)
+        fluxes = upwind_flux(grid, state.u.values, coeffs)
         rhs_u = state.u.values - dt * divergence_values(grid, fluxes)
         u_new, _, _ = solver.solve(1.0, dt, rhs_u, x0=state.u.values)
     u_new, clamped = _clamp_negative(u_new, weights, "u", rate)
@@ -283,7 +290,7 @@ def simulate(
         rate = 0.0
     else:
         coeffs = flux_coefficients(grid, gradient_faces(grid, data.v0.values), params)
-        rate = upwind_flux(grid, data.u0.values, coeffs)[1]
+        rate = outflow_rate(grid, coeffs)
     solver = HelmholtzSolver(grid)
     initial_mass = integrate(data.u0)
     clamped_cum = 0.0

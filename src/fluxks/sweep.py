@@ -24,6 +24,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -135,6 +136,12 @@ class SweepSpec:
                 raise ConfigError(f"sweep {name} must be >= {MIN_CELLS_PER_AXIS}")
         if self.record_every < 1:
             raise ConfigError("sweep record_every must be >= 1")
+        # NaN fails the range checks above; an infinity passes some of them
+        for f in fields(self):
+            val = getattr(self, f.name)
+            vals = val if isinstance(val, tuple) else (val,)
+            if any(isinstance(x, float) and not math.isfinite(x) for x in vals):
+                raise ConfigError(f"sweep {f.name} must be finite, got {val}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -266,6 +266,22 @@ def test_report_requires_manifest(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "manifest",
+    [
+        [1],
+        {"points": 5},
+        {"points": [[1]]},
+        {"points": [{"index": 0}]},
+        {"points": [{"point_id": 7}]},
+    ],
+)
+def test_report_rejects_malformed_manifest(tmp_path, manifest, capsys):
+    write_json(tmp_path / "sweep.json", manifest)
+    assert main(["report", "--sweep-dir", str(tmp_path)]) == 3
+    assert "sweep manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "cfg,match",
     [
         ({**SWEEP_CFG, "bogus": 1}, "unknown key"),

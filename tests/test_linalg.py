@@ -13,11 +13,12 @@ import math
 import numpy as np
 import pytest
 
+from fluxks import linalg
 from fluxks.errors import SolverError
 from fluxks.grid import GridFunction, build_grid, integrate, laplacian_values
 from fluxks.linalg import SOLVER_RTOL, HelmholtzSolver
 from fluxks.model import ModelParams, build_initial_data
-from fluxks.stepper import RunStatus, StepControls, simulate
+from fluxks.stepper import RunStatus, StepControls, _clamp_negative, simulate
 
 ALL_GRIDS = [
     ("cartesian-1d", dict(extents=(1.0,), cells=(24,))),
@@ -216,3 +217,71 @@ def test_stiff_heat_run_completes(mode, kwargs, n):
     params = ModelParams(chi=0.0, p=1.5, theta=2.0, eps=1e-3, n=n)
     result = simulate(initial, params, StepControls(t_end=3.0, dt_max=1.0))
     assert result.status == RunStatus.COMPLETED, result.message
+
+
+# -- the Laplacian cache: a solve from an array it returned reuses L(x0)
+
+
+def same_solve(first, second):
+    (x1, k1, r1), (x2, k2, r2) = first, second
+    assert k1 == k2 and r1 == r2
+    assert np.array_equal(x1.view(np.uint64), x2.view(np.uint64))
+
+
+@pytest.mark.parametrize("mode,kwargs", ALL_GRIDS)
+def test_solve_from_returned_array_matches_fresh_copy(mode, kwargs):
+    grid = build_grid(mode, **kwargs)
+    rng = np.random.default_rng(9)
+    coeffs = random_coeffs(grid, 9) if grid.n_axes == 1 else None
+    # one step's v-solve and u-solve, each repeated from what it returned:
+    # with a new right-hand side (corrections run) and with the same (k = 0)
+    solves = [(1.1, None, rng.uniform(0.5, 1.5, grid.shape)),
+              (1.0, coeffs, rng.uniform(0.5, 1.5, grid.shape))]
+    noise = 0.01 * rng.standard_normal(grid.shape)
+    for which, (a_coef, k, rhs) in enumerate(solves):
+        for next_rhs in (rhs + noise, rhs):
+            solver = HelmholtzSolver(grid)
+            returned = [solver.solve(a, 0.05, b, np.ones(grid.shape), coeffs=c)[0]
+                        for a, c, b in solves]
+            x0 = returned[which]
+            cached = solver.solve(a_coef, 0.05, next_rhs, x0, coeffs=k)
+            fresh = HelmholtzSolver(grid).solve(a_coef, 0.05, next_rhs, np.array(x0), coeffs=k)
+            same_solve(cached, fresh)
+            assert cached[1] == (1 if next_rhs is not rhs else 0)
+
+
+@pytest.mark.parametrize("mode,kwargs", ALL_GRIDS)
+def test_returned_arrays_are_read_only(mode, kwargs):
+    grid = build_grid(mode, **kwargs)
+    solver = HelmholtzSolver(grid)
+    rhs = np.random.default_rng(10).uniform(0.5, 1.5, size=grid.shape)
+    x0 = np.zeros(grid.shape)
+    for x, _, _ in (solver.solve(1.0, 0.1, rhs, x0), solver.solve(1.0, 0.1, 0.0 * rhs, x0)):
+        with pytest.raises(ValueError, match="read-only"):
+            x += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            x[(0,) * grid.n_axes] = 2.0
+    assert x0.flags.writeable  # the caller's guess is left alone
+
+
+def test_clamped_copy_recomputes_the_laplacian(monkeypatch):
+    # a solution with one slightly negative cell, clamped as the stepper does
+    grid = build_grid("cartesian-2d", extents=(1.0, 1.0), cells=(8, 8))
+    solver = HelmholtzSolver(grid)
+    rhs = np.full(grid.shape, 1e-12)
+    rhs[3, 4] = -3e-11
+    x, _, _ = solver.solve(1.0, 1e-3, rhs, np.zeros(grid.shape))
+    clamped, mass = _clamp_negative(x, grid.cell_weights, "u")
+    assert mass > 0.0 and clamped is not x
+
+    seen = []
+
+    def recording(g, values):
+        seen.append(values)
+        return laplacian_values(g, values)
+
+    monkeypatch.setattr(linalg, "laplacian_values", recording)
+    _, corrections, _ = solver.solve(1.0, 1e-3, rhs, x)
+    assert corrections == 0 and seen == []  # L(x) came from the cache
+    solver.solve(1.0, 1e-3, clamped, clamped)
+    assert seen and seen[0] is clamped

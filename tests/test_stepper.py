@@ -23,7 +23,7 @@ from fluxks.model import (
     ModelParams,
     build_initial_data,
     flux_coefficients,
-    upwind_flux,
+    outflow_rate,
 )
 from fluxks.stepper import (
     RunStatus,
@@ -49,7 +49,7 @@ def signal_rate(state, params):
     # advective rate simulate hands to choose_dt
     g = state.u.grid
     coeffs = flux_coefficients(g, gradient_faces(g, state.v.values), params)
-    return upwind_flux(g, state.u.values, coeffs)[1]
+    return outflow_rate(g, coeffs)
 
 
 REF_PARAMS = ModelParams(chi=1.0, p=1.5, theta=2.0, eps=1e-3, n=1)

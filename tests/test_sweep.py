@@ -62,6 +62,15 @@ def tiny_spec(**over):
         ({"chi": float("nan")}, "chi"),
         ({"theta_values": (float("nan"),)}, "positive"),
         ({"p_values": (float("nan"),)}, "relative p_values must exceed 0"),
+        ({"chi": float("inf")}, "chi must be finite"),
+        ({"theta_values": (float("inf"),)}, "theta_values must be finite"),
+        ({"theta_values": (2.0, float("-inf"))}, "positive"),
+        ({"p_values": (0.5, float("inf"))}, "p_values must be finite"),
+        ({"p_values": (float("inf"),), "p_mode": "absolute"}, "p_values must be finite"),
+        ({"dt_max": float("inf")}, "dt_max must be finite"),
+        ({"blowup_linf_threshold": float("inf")}, "blowup_linf_threshold must be finite"),
+        ({"dt_max": float("nan")}, "sweep controls"),
+        ({"eps": float("nan")}, "eps"),
     ],
 )
 def test_spec_validation(over, match):
