@@ -30,8 +30,10 @@ from .functionals import write_records_csv
 from .gn import (
     GN2Exponents,
     ENSEMBLE_VERSION,
+    ConstantEstimates,
     density_step_set,
-    estimate_constants,
+    estimate_share,
+    merge_estimates,
     signal_grad_step_set,
     signal_l2_step_set,
 )
@@ -47,7 +49,9 @@ from .regimes import RegimeSpec, audit, relative_p
 from .stepper import RunStatus, SimResult, simulate
 from .sweep import (
     _load_existing,
+    available_cpus,
     canonical_json,
+    map_in_pool,
     regime_map_csv,
     regime_map_summary,
     run_sweep,
@@ -200,6 +204,11 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 # -- gn-test -----------------------------------------------------------------
 
 
+def _estimate_share(job: tuple) -> ConstantEstimates | None:
+    # one pool job, the arguments of gn.estimate_share
+    return estimate_share(*job)
+
+
 def _cmd_gn_test(args: argparse.Namespace) -> int:
     try:
         spec = RegimeSpec(n=args.n, theta=args.theta, p=args.p)
@@ -225,6 +234,8 @@ def _cmd_gn_test(args: argparse.Namespace) -> int:
 
     if args.ensemble_size < 1:
         raise ConfigError(f"--ensemble-size must be >= 1, got {args.ensemble_size}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     cells = (256 if args.n != 2 else 64) if args.cells is None else args.cells
     try:
         coarse = unit_grid(args.n, cells)
@@ -232,13 +243,16 @@ def _cmd_gn_test(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(f"--cells: {exc}") from exc
 
-    # every constant on one grid comes from one pass over its ensemble
-    est, est_refined = (
-        estimate_constants(
-            grid, tuple(sets.values()), (second,), size=args.ensemble_size, seed=args.seed
-        )
-        for grid in (coarse, fine)
-    )
+    # every constant on one grid comes from one pass over its ensemble, split
+    # into one interleaved share per CPU; the slower fine-grid shares go first
+    k = available_cpus()
+    jobs = [
+        (grid, tuple(sets.values()), (second,), args.ensemble_size, args.seed, (j, k))
+        for grid in (fine, coarse)
+        for j in range(k)
+    ]
+    parts = map_in_pool(_estimate_share, jobs, k)
+    est_refined, est = merge_estimates(parts[:k]), merge_estimates(parts[k:])
 
     def refinement(c1: float, c2: float) -> dict:
         # stable when the two grids agree to GN_STABILITY_RTOL

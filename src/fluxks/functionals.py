@@ -183,12 +183,15 @@ def record(
     q_f2: float | None = None,
     c_f1: float = 1.0,
     clamped_mass_cumulative: float = 0.0,
+    lap_v: np.ndarray | None = None,
 ) -> FunctionalRecord:
     """Evaluate every tracked functional at one state.
 
     ``s`` may be ``inf``: then ``gradv_ls`` is the max face-gradient magnitude
     and ``v_w1s`` the max of it and ``||v||_inf`` (the max-norm proxy).
     ``q_f1``/``q_f2`` default to the largest entry of ``q_set`` above 1, or 2.
+    ``lap_v`` is the Laplacian of ``v`` when the caller already has it (the
+    stepper's solver certified it); it is computed otherwise.
     """
     u, v = state.u, state.v
     qs = tuple(sorted(set(float(q) for q in q_set)))
@@ -212,6 +215,8 @@ def record(
         v_w1s = (lp_norm(v, s) ** s + gradv_ls) ** (1.0 / s)
 
     uq_f2 = uq[q_f2] if q_f2 in uq else density_integral(u, q_f2)
+    if lap_v is None:
+        lap_v = laplacian_values(v.grid, v.values)
     return FunctionalRecord(
         t=state.t,
         mass=integrate(u),
@@ -221,7 +226,7 @@ def record(
         gradv_l2=gradv_l2,
         gradv_ls=gradv_ls,
         v_w1s=v_w1s,
-        lap_v_l2=float(np.sum(laplacian_values(v.grid, v.values) ** 2 * v.grid.cell_weights)),
+        lap_v_l2=float(np.sum(lap_v**2 * v.grid.cell_weights)),
         dissip_u=dissip,
         F1=entropy_F1(u, v, q_f1, c_f1),
         F2=uq_f2 + gradv_l2,

@@ -22,6 +22,17 @@ second-form and Poincare, in one streamed pass over a grid's ensemble: each
 member is sampled, its norms are computed once and shared by all of its
 ratios, and it is dropped before the next is drawn, so memory does not grow
 with the ensemble size.  The single-inequality estimators are calls into it.
+
+A supremum is a max, so the pass also splits across processes.
+:func:`estimate_share` runs it over one interleaved share of the ensemble:
+share ``(j, k)`` holds the members ``i`` with ``i % k == j``.  Each share
+replays the cheap scalar recipe draws of every member but samples and takes
+norms only of its own, so its members are exactly those of the whole
+ensemble.  :func:`merge_estimates` takes the max of each entry over the
+shares, which is the serial result bit for bit.  ``fluxks gn-test`` runs
+``k`` shares of each grid on a pool of ``k`` processes, ``k`` being the CPUs
+it may run on, so its output is byte-identical for any CPU count, and memory
+per process still does not grow with the ensemble size.
 """
 
 from __future__ import annotations
@@ -300,10 +311,13 @@ def _spike_member(rng: np.random.Generator):
 _FAMILIES = (_fourier_member, _polynomial_member, _near_constant_member, _spike_member)
 
 
-def _members(grid: Grid, size: int, seed: int):
-    # the members of ensemble(), one at a time
+def _members(grid: Grid, size: int, seed: int, share: tuple[int, int] = (0, 1)):
+    # the members of ensemble(), one at a time; with share (j, k) only the
+    # members i with i % k == j, the recipes of the others drawn and dropped so
+    # that every member comes from the same draws as in the whole ensemble
     if size < 1:
         raise ValueError(f"ensemble size must be >= 1, got {size}")
+    index, count = share
     rng = np.random.default_rng(seed)
     # a sparse mesh: the recipes broadcast it to the field shape, and each
     # axis factor is evaluated once per axis instead of once per cell
@@ -311,6 +325,8 @@ def _members(grid: Grid, size: int, seed: int):
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
     for i in range(size):
         fn = _FAMILIES[i % len(_FAMILIES)](rng)
+        if i % count != index:
+            continue
         values = np.asarray(fn(*mesh), dtype=np.float64) * np.ones(grid.shape)
         if float(np.max(np.abs(values))) == 0.0:
             values = values + 1.0
@@ -341,6 +357,51 @@ def _sup(best: list[float] | None, ratios: list[float]) -> list[float]:
     return ratios if best is None else [max(b, r) for b, r in zip(best, ratios)]
 
 
+def estimate_share(
+    grid: Grid,
+    gn_sets: tuple[GNExponents, ...],
+    gn2_sets: tuple[GN2Exponents, ...],
+    size: int,
+    seed: int,
+    share: tuple[int, int],
+) -> ConstantEstimates | None:
+    """The suprema of :func:`estimate_constants` over the members ``i`` of
+    share ``(j, k)``, those with ``i % k == j``; ``None`` when it has none
+    (``j >= size``).
+
+    Raises:
+        ValueError: ``size < 1``, or a member with a zero right-hand side.
+    """
+    gn = gn2 = None
+    poincare = 0.0
+    for f in _members(grid, size, seed, share):
+        norms = _Norms(f)
+        gn = _sup(gn, [_gn_ratio(norms, exps) for exps in gn_sets])
+        gn2 = _sup(gn2, [_gn2_ratio(norms, exps) for exps in gn2_sets])
+        if norms.grad_lp(2.0) != 0.0:
+            poincare = max(poincare, _poincare_ratio(norms))
+    if gn is None:
+        return None
+    return ConstantEstimates(gn=tuple(gn), gn2=tuple(gn2), poincare=poincare)
+
+
+def merge_estimates(parts: list[ConstantEstimates | None]) -> ConstantEstimates:
+    """The whole ensemble's estimates from those of its shares (``None`` skipped).
+
+    Each entry is the max over the shares.  Every ratio is finite, and the max
+    of finite floats does not depend on how they are grouped, so the result is
+    bit for bit that of the serial pass.
+    """
+    found = [p for p in parts if p is not None]
+    if not found:
+        raise ValueError("merge_estimates: every share is empty")
+    return ConstantEstimates(
+        gn=tuple(map(max, zip(*(p.gn for p in found)))),
+        gn2=tuple(map(max, zip(*(p.gn2 for p in found)))),
+        poincare=max(p.poincare for p in found),
+    )
+
+
 def estimate_constants(
     grid: Grid,
     gn_sets: tuple[GNExponents, ...] = (),
@@ -359,15 +420,7 @@ def estimate_constants(
     Raises:
         ValueError: ``size < 1``, or a member with a zero right-hand side.
     """
-    gn = gn2 = None
-    poincare = 0.0
-    for f in _members(grid, size, seed):
-        norms = _Norms(f)
-        gn = _sup(gn, [_gn_ratio(norms, exps) for exps in gn_sets])
-        gn2 = _sup(gn2, [_gn2_ratio(norms, exps) for exps in gn2_sets])
-        if norms.grad_lp(2.0) != 0.0:
-            poincare = max(poincare, _poincare_ratio(norms))
-    return ConstantEstimates(gn=tuple(gn), gn2=tuple(gn2), poincare=poincare)
+    return estimate_share(grid, gn_sets, gn2_sets, size, seed, (0, 1))
 
 
 def gn_constant_estimate(

@@ -35,11 +35,13 @@ next solve of the same field from that very array.  The solver therefore keeps
 the ``(x, L(x))`` pairs of the last two arrays it returned (a step returns
 ``v`` and then ``u``) and, when ``x0`` is one of them by identity, takes
 ``L(x0)`` from there instead of recomputing it; the numbers are the same, so
-every result is bit for bit what a fresh solve would give.  Returned arrays
-are read-only, so a cached pair cannot go stale through them: a caller that
-needs to change one works on a copy (as the stepper's clamp does), and a copy
-misses the cache and has its Laplacian computed.  The exact inverse (DCT
-denominator or band matrix) is built only when a correction runs.
+every result is bit for bit what a fresh solve would give.  The lookup is
+public as :meth:`HelmholtzSolver.laplacian`, for callers that need ``L`` of a
+state the solver returned.  Returned arrays are read-only, so a cached pair
+cannot go stale through them: a caller that needs to change one works on a
+copy (as the stepper's clamp does), and a copy misses the cache and has its
+Laplacian computed.  The exact inverse (DCT denominator or band matrix) is
+built only when a correction runs.
 """
 
 from __future__ import annotations
@@ -150,8 +152,9 @@ class HelmholtzSolver:
         ab = self._banded(a_coef, d_coef, coeffs)
         return lambda r: solve_banded((1, 1), ab, r)
 
-    def _laplacian(self, x: NDArray) -> NDArray:
-        """``L(x)``, looked up when ``x`` is an array :meth:`solve` returned."""
+    def laplacian(self, x: NDArray) -> NDArray:
+        """``L(x)``, looked up when ``x`` is one of the last two arrays
+        :meth:`solve` returned, computed otherwise; do not write to it."""
         for arr, lap in self._certified:
             if arr is x:
                 return lap
@@ -195,7 +198,7 @@ class HelmholtzSolver:
         if norm_b == 0.0:
             return self._certify(np.zeros_like(rhs), np.zeros_like(rhs)), 0, 0.0  # L(0) = 0
         x = x0.copy()
-        lap = self._laplacian(x0)
+        lap = self.laplacian(x0)
         for k in range(CORRECTIONS + 1):
             if k == 1:  # built only when x0 fails the check
                 inverse = self._inverse(a_coef, d_coef, coeffs)

@@ -31,8 +31,9 @@ u-solve preserves cell-weighted means to roundoff.
 
 One solver serves a whole run.  It returns read-only arrays and remembers the
 Laplacian of the last ``u`` and ``v`` it returned, so the residual check that
-opens the next step's solve of each field costs no stencil pass.  The state's
-fields are those arrays; a clamped field is a fresh copy and misses.
+opens the next step's solve of each field costs no stencil pass, nor does the
+``lap_v_l2`` of a record.  The state's fields are those arrays; a clamped
+field is a fresh copy and misses, as does the initial state.
 
 The time step is the smallest of ``dt_max``, an explicit-production proxy
 ``cfl_safety / (theta * max(u)^(theta-1))`` and, in 2d only, the advective
@@ -300,8 +301,10 @@ def simulate(
     message = ""
 
     def record(st: SimState) -> None:
+        # v's Laplacian comes from the solver's cache when the step certified it
         rec = functionals.record(st, params, q_set, s, q_f1=q_f1, q_f2=q_f2, c_f1=c_f1,
-                                 clamped_mass_cumulative=clamped_cum)
+                                 clamped_mass_cumulative=clamped_cum,
+                                 lap_v=solver.laplacian(st.v.values))
         records.append(rec)
 
     def keep(st: SimState) -> None:

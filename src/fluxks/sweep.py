@@ -67,6 +67,26 @@ def write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def available_cpus() -> int:
+    """The CPUs this process may run on (its affinity set where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def map_in_pool(fn, items: list, workers: int) -> list:
+    """``[fn(x) for x in items]``, in that order, on a pool of ``workers`` processes.
+
+    With one worker or at most one item it runs in this process.  ``fn`` must
+    be a module-level function and ``items`` picklable, so that the pool
+    works under any start method.
+    """
+    if workers == 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Lattice definition plus the shared per-point run settings.
@@ -364,11 +384,7 @@ def run_sweep(
 
     timings: dict[str, float] = {}
     total0 = time.perf_counter()
-    if parallelism == 1 or len(todo) <= 1:
-        fresh = [_run_point_timed(pt) for pt in todo]
-    else:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            fresh = list(pool.map(_run_point_timed, todo))
+    fresh = map_in_pool(_run_point_timed, todo, parallelism)
     for res, elapsed in fresh:
         pid = res["point_id"]
         by_id[pid] = res

@@ -348,6 +348,46 @@ def test_gn_test_bad_sizes_are_config_errors(capsys, flags, message):
     assert message in captured.err
 
 
+def test_gn_test_negative_seed_is_config_error(capsys):
+    # numpy rejects a negative seed with a ValueError traceback (exit 1)
+    argv = ["gn-test", "--n", "1", "--theta", "2.0", "--p", "1.3",
+            "--cells", "16", "--ensemble-size", "4", "--seed", "-1"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed must be >= 0" in captured.err
+
+
+@pytest.mark.parametrize("n,cells", [(2, 8), (3, 16)])
+def test_gn_test_output_does_not_depend_on_cpu_count(monkeypatch, capsys, n, cells):
+    # one CPU runs in-process; two run a pool of interleaved ensemble shares
+    argv = ["gn-test", "--n", str(n), "--theta", "1.5", "--p", "1.1",
+            "--cells", str(cells), "--ensemble-size", "9", "--seed", "2"]
+    outputs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "available_cpus", lambda: cpus)
+        code = main(argv)
+        outputs.append((code, capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1])["ensemble"]["size"] == 9
+
+
+def test_gn_test_share_job_runs_in_a_spawned_process():
+    # the job function pickles by import path and its arguments by value, so
+    # the pool works under start methods that do not fork
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    from fluxks.gn import GN2Exponents, density_step_set, estimate_share
+    from fluxks.grid import unit_grid
+
+    second = GN2Exponents(p_hat=2.0, q_hat=2.0, r_hat=2.0, s_hat=2.0, n=2)
+    job = (unit_grid(2, 8), (density_step_set(2, 1.2, 2.5),), (second,), 7, 3, (1, 2))
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+        assert pool.submit(cli._estimate_share, job).result(timeout=120) == estimate_share(*job)
+
+
 def test_gn_test_needs_entropy_witnesses(capsys):
     # semigroup-route points carry no entropy witnesses to test against
     argv = ["gn-test", "--n", "1", "--theta", "2.0", "--p", "1.8",

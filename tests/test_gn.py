@@ -3,7 +3,8 @@
 Exponents are pinned against Fraction arithmetic; ratios against continuum
 closed forms (constant fields, cos(pi x)); the ensemble against its seeding
 contract (determinism, prefix stability, grid-independent recipes); the
-one-pass estimator against the per-ratio definitions it replaces.
+one-pass estimator against the per-ratio definitions it replaces, and its
+merged interleaved shares against the one pass, bit for bit.
 """
 
 import math
@@ -19,12 +20,14 @@ from fluxks.gn import (
     density_step_set,
     ensemble,
     estimate_constants,
+    estimate_share,
     gn2_constant_estimate,
     gn2_exponent,
     gn2_ratio,
     gn_constant_estimate,
     gn_exponent,
     gn_ratio,
+    merge_estimates,
     poincare_constant_estimate,
     poincare_ratio,
     quasi_lp,
@@ -275,7 +278,7 @@ def test_one_pass_rejects_zero_member_and_empty_ensemble(grid1d, monkeypatch):
     with pytest.raises(ValueError, match="size"):
         estimate_constants(g, size=0)
     zero = GridFunction(g, np.zeros(16))
-    monkeypatch.setattr(gn, "_members", lambda grid, size, seed: iter([zero]))
+    monkeypatch.setattr(gn, "_members", lambda grid, size, seed, share: iter([zero]))
     ex = GNExponents(p_hat=4.0, q_hat=2.0, r_hat=2.0, s_hat=2.0, n=1)
     ex2 = GN2Exponents(p_hat=2.0, q_hat=2.0, r_hat=2.0, s_hat=2.0, n=1)
     with pytest.raises(ValueError, match="gn_ratio: zero right-hand side"):
@@ -284,6 +287,32 @@ def test_one_pass_rejects_zero_member_and_empty_ensemble(grid1d, monkeypatch):
         estimate_constants(g, gn2_sets=(ex2,))
     # the zero member has no gradient, so the poincare sup skips it
     assert estimate_constants(g).poincare == 0.0
+
+
+@pytest.mark.parametrize("n,cells", [(1, 32), (2, 8), (3, 16)])
+def test_merged_shares_equal_the_one_pass(n, cells):
+    grid = unit_grid(n, cells)
+    gn_sets = (density_step_set(n, 1.2, 2.5), signal_grad_step_set(n, 1.5, 3.0))
+    gn2_sets = (GN2Exponents(p_hat=2.0, q_hat=2.0, r_hat=2.0, s_hat=2.0, n=n),)
+    for size in (1, 3, 7, 200):
+        whole = estimate_constants(grid, gn_sets, gn2_sets, size=size, seed=5)
+        for k in (1, 2, 3, 4):
+            parts = [estimate_share(grid, gn_sets, gn2_sets, size, 5, (j, k)) for j in range(k)]
+            # shares past the last member are empty
+            assert [p is None for p in parts] == [j >= size for j in range(k)]
+            assert merge_estimates(parts) == whole, (size, k)
+
+
+def test_shares_hold_the_serial_members(grid2d):
+    grid = grid2d(8)
+    members = ensemble(grid, 11, 3)
+    for j in range(3):
+        share = list(gn._members(grid, 11, 3, (j, 3)))
+        assert len(share) == len(members[j::3])
+        for f, g in zip(share, members[j::3]):
+            assert np.array_equal(f.values, g.values)
+    with pytest.raises(ValueError, match="every share is empty"):
+        merge_estimates([None, None])
 
 
 # ----------------------------------------------------------------- poincare

@@ -393,6 +393,50 @@ def test_flux_coefficients_evaluated_once_per_step(grid2d, monkeypatch):
     assert len(evaluations) == res.n_steps + 1
 
 
+def test_records_reuse_the_certified_laplacian_of_v(grid2d, monkeypatch):
+    # a record takes lap(v) from the solver that certified v; the reference
+    # solver answers no lookup outside a solve, so every record recomputes it
+    import fluxks.functionals as functionals_mod
+    import fluxks.linalg as linalg_mod
+    import fluxks.model as model_mod
+
+    class Recomputing(HelmholtzSolver):
+        in_solve = False
+
+        def laplacian(self, x):
+            return super().laplacian(x) if self.in_solve else None
+
+        def solve(self, *args, **kwargs):
+            self.in_solve = True
+            try:
+                return super().solve(*args, **kwargs)
+            finally:
+                self.in_solve = False
+
+    calls = []
+    for mod in (functionals_mod, linalg_mod, model_mod):
+        def counted(grid, values, _original=mod.laplacian_values):
+            calls.append(None)
+            return _original(grid, values)
+
+        monkeypatch.setattr(mod, "laplacian_values", counted)
+    init = build_initial_data(grid2d(16), family="cosine", base=1.0, amplitude=0.5,
+                              v0_kind="u0_squared")
+    params = ModelParams(chi=1.0, p=1.5, theta=2.0, eps=1e-3, n=2)
+    runs = []
+    for solver_cls in (HelmholtzSolver, Recomputing):
+        monkeypatch.setattr(stepper_mod, "HelmholtzSolver", solver_cls)
+        calls.clear()
+        res = simulate(init, params, StepControls(t_end=0.5), record_every=2)
+        runs.append((res, len(calls)))
+    (cached, n_cached), (reference, n_reference) = runs
+    assert cached.status == RunStatus.COMPLETED and cached.clamped_mass_cumulative == 0.0
+    assert cached.records == reference.records
+    # every record but the initial state's finds v's Laplacian in the cache
+    assert len(cached.records) > 5
+    assert n_reference - n_cached == len(cached.records) - 1
+
+
 def test_large_steps_agree_under_refinement():
     # the implicit scheme is first order: an aggregating radial run at t =
     # 0.005 overshoots at dt_max = 1e-3 (max u ~ 7e5) but is converged in dt
