@@ -55,6 +55,7 @@ from .sweep import (
     regime_map_csv,
     regime_map_summary,
     run_sweep,
+    tool_stamp,
     write_atomic,
 )
 
@@ -78,10 +79,6 @@ def _resolve_out(flag_value: str | None, default: str = DEFAULT_OUT) -> Path:
     return Path(default)
 
 
-def _tool_stamp() -> dict:
-    return {"name": "fluxks", "version": __version__}
-
-
 def _print_json(obj: dict) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
@@ -98,7 +95,7 @@ def _write_snapshots(out: Path, result: SimResult, cfg: RunConfig, grid: Grid) -
         lines.append(" ".join(cells))
     write_atomic(out / "snapshots.txt", "\n".join(lines) + "\n")
     meta = {
-        "tool": _tool_stamp(),
+        "tool": tool_stamp(),
         "config": cfg.effective(),
         "format": "per line: t, then u cell values, then v cell values, "
         "whitespace-separated, C order over the cell index grid",
@@ -146,7 +143,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         code = 0
 
     report = {
-        "tool": _tool_stamp(),
+        "tool": tool_stamp(),
         "config": effective,
         "status": result.status.value,
         "message": result.message,
@@ -196,7 +193,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         report = audit(spec)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    payload = {"tool": _tool_stamp(), **report.to_dict()}
+    payload = {"tool": tool_stamp(), **report.to_dict()}
     _print_json(payload)
     return 0
 
@@ -273,7 +270,7 @@ def _cmd_gn_test(args: argparse.Namespace) -> int:
     all_stable = poincare.pop("stable") and all(r["stable"] for r in set_reports.values())
 
     payload = {
-        "tool": _tool_stamp(),
+        "tool": tool_stamp(),
         "regime": {
             "n": args.n,
             "theta": args.theta,

@@ -3,9 +3,10 @@
 A run config is a JSON object with sections ``grid``, ``model``, ``initial``,
 ``controls``, ``monitors`` plus the top-level knobs ``record_every`` and
 ``mollify``.  A sweep config is a flat JSON object whose keys are the fields
-of :class:`~fluxks.sweep.SweepSpec`.  Parsing is strict: unknown keys and
-values of the wrong JSON type raise :class:`~fluxks.errors.ConfigError` with a
-message pointing at the offending path.  The ``model`` and ``controls``
+of :class:`~fluxks.sweep.SweepSpec`.  Parsing is strict: unknown keys, values
+of the wrong JSON type and numbers no float holds (``1e400``) raise
+:class:`~fluxks.errors.ConfigError` with a message pointing at the offending
+path.  The ``model`` and ``controls``
 sections and the sweep config take their keys, types and defaults from the
 fields of the dataclass they build, so each of those settings is declared
 once.  ``effective()`` echoes a run config with every default made explicit;
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -80,12 +82,21 @@ def _is_kind(val, kind: type) -> bool:
     return isinstance(val, (int, float) if kind is float else kind)
 
 
+def _check(val, kind: type, path: str) -> None:
+    if not _is_kind(val, kind):
+        raise ConfigError(f"{path} must be {_KIND_NAMES[kind]}, got {val!r}")
+    # a JSON number too large for a float reads as inf (1e400), or as an int
+    # that no float holds (1 and 400 zeros); NaN fails the comparison too
+    if kind is float and not abs(val) <= sys.float_info.max:
+        raise ConfigError(f"{path} must be a finite number, got {val!r}")
+
+
 def _get(sec: dict, key: str, where: str, kind, default=MISSING):
     """``sec[key]`` checked against ``kind``, or ``default`` when absent.
 
-    ``kind`` is ``bool``, ``int``, ``float`` (any JSON number), ``str``, or
-    ``tuple[<one of these>, ...]`` for a JSON array, returned as a tuple.  The
-    value is validated, never coerced.
+    ``kind`` is ``bool``, ``int``, ``float`` (any finite JSON number), ``str``,
+    or ``tuple[<one of these>, ...]`` for a JSON array, returned as a tuple.
+    The value is validated, never coerced.
     """
     if key not in sec:
         if default is MISSING:
@@ -95,15 +106,10 @@ def _get(sec: dict, key: str, where: str, kind, default=MISSING):
     if get_origin(kind) is tuple:
         if not isinstance(val, list):
             raise ConfigError(f"{where}.{key} must be an array, got {val!r}")
-        item_kind = get_args(kind)[0]
         for i, item in enumerate(val):
-            if not _is_kind(item, item_kind):
-                raise ConfigError(
-                    f"{where}.{key}[{i}] must be {_KIND_NAMES[item_kind]}, got {item!r}"
-                )
+            _check(item, get_args(kind)[0], f"{where}.{key}[{i}]")
         return tuple(val)
-    if not _is_kind(val, kind):
-        raise ConfigError(f"{where}.{key} must be {_KIND_NAMES[kind]}, got {val!r}")
+    _check(val, kind, f"{where}.{key}")
     return val
 
 
@@ -294,7 +300,7 @@ def parse_config_dict(data: dict) -> RunConfig:
     elif isinstance(s_raw, bool) or not isinstance(s_raw, (int, float)):
         raise ConfigError(f'monitors.s must be a number, "inf", or null, got {s_raw!r}')
     else:
-        s = float(s_raw)
+        s = float(_get(osec, "s", "monitors", float))
         if s < 1.0:
             raise ConfigError(f"monitors.s must be >= 1, got {s}")
     q_fs = []

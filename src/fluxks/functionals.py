@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
@@ -41,75 +41,55 @@ if TYPE_CHECKING:  # pragma: no cover
 # floor for face-averaged density inside negative powers
 FACE_AVERAGE_FLOOR = 1e-12
 
-# fixed column order of the scalar CSV fields; q-indexed columns follow
-CSV_SCALAR_COLUMNS = (
-    "t",
-    "mass",
-    "u_linf",
-    "v_l2",
-    "gradv_l2",
-    "gradv_ls",
-    "v_w1s",
-    "lap_v_l2",
-    "F1",
-    "F2",
-    "clamped_mass_cumulative",
-)
-
 
 @dataclass(frozen=True)
 class FunctionalRecord:
     """Diagnostics at one time.  ``uq`` and ``dissip_u`` map q to the
     corresponding integral; ``v_l2``/``gradv_l2``/``gradv_ls``/``lap_v_l2``
-    are the integrals (not roots); ``v_w1s`` is the Sobolev norm itself."""
+    are the integrals (not roots); ``v_w1s`` is the Sobolev norm itself.
+
+    The scalar fields, in declaration order, are the fixed CSV columns; each
+    q-indexed field follows with one column per q, named by its
+    ``csv_prefix``."""
 
     t: float
     mass: float
-    uq: Mapping[float, float]
+    uq: Mapping[float, float] = field(metadata={"csv_prefix": "uq"})
     u_linf: float
     v_l2: float
     gradv_l2: float
     gradv_ls: float
     v_w1s: float
     lap_v_l2: float
-    dissip_u: Mapping[float, float]
+    dissip_u: Mapping[float, float] = field(metadata={"csv_prefix": "dissip"})
     F1: float
     F2: float
     clamped_mass_cumulative: float
 
-    # fields whose integrand is nonnegative, so the entry must be too
-    _NONNEGATIVE = (
-        "mass",
-        "u_linf",
-        "v_l2",
-        "gradv_l2",
-        "gradv_ls",
-        "v_w1s",
-        "lap_v_l2",
-        "clamped_mass_cumulative",
-    )
-
     def __post_init__(self) -> None:
-        scalars = {name: getattr(self, name) for name in ("t", "F1", "F2")}
-        scalars.update({name: getattr(self, name) for name in self._NONNEGATIVE})
-        for q, val in self.uq.items():
-            scalars[f"uq[{q}]"] = val
-        for q, val in self.dissip_u.items():
-            scalars[f"dissip_u[{q}]"] = val
-        for name, val in scalars.items():
+        entries = [(name, getattr(self, name)) for name in CSV_SCALAR_COLUMNS]
+        for name, _ in _Q_FIELDS:
+            entries += [(f"{name}[{q}]", val) for q, val in getattr(self, name).items()]
+        for label, val in entries:
             if not math.isfinite(val):
-                raise ValueError(f"record at t={self.t}: {name} is not finite ({val})")
-        for name in self._NONNEGATIVE:
-            if getattr(self, name) < 0.0:
-                raise ValueError(
-                    f"record at t={self.t}: {name} must be >= 0, got {getattr(self, name)}"
-                )
-        for label, mapping in (("uq", self.uq), ("dissip_u", self.dissip_u)):
-            for q, val in mapping.items():
-                if val < 0.0:
-                    raise ValueError(
-                        f"record at t={self.t}: {label}[{q}] must be >= 0, got {val}"
-                    )
+                raise ValueError(f"record at t={self.t}: {label} is not finite ({val})")
+        # every entry but t, F1 and F2 integrates a nonnegative integrand
+        for label, val in entries:
+            if val < 0.0 and label not in ("t", "F1", "F2"):
+                raise ValueError(f"record at t={self.t}: {label} must be >= 0, got {val}")
+
+
+# the scalar fields in declaration order: the fixed CSV columns, and the
+# entries that every record checks along with its q-indexed ones
+CSV_SCALAR_COLUMNS = tuple(
+    f.name for f in fields(FunctionalRecord) if "csv_prefix" not in f.metadata
+)
+# (field name, CSV column prefix) of the q-indexed fields, in column order
+_Q_FIELDS = tuple(
+    (f.name, f.metadata["csv_prefix"])
+    for f in fields(FunctionalRecord)
+    if "csv_prefix" in f.metadata
+)
 
 
 def density_integral(u: GridFunction, q: float) -> float:
@@ -125,12 +105,16 @@ def entropy_F1(u: GridFunction, v: GridFunction, q: float, c: float) -> float:
     Raises:
         ValueError: ``q = 1`` (the sign is undefined there) or ``c < 0``.
     """
+    return _f1(density_integral(u, q), float(np.sum(v.values**2 * v.grid.cell_weights)), q, c)
+
+
+def _f1(uq: float, v_l2: float, q: float, c: float) -> float:
+    # entropy_F1 from its integrals int u^q and int v^2
     if q == 1.0:
         raise ValueError("entropy_F1 requires q != 1")
     if c < 0.0:
         raise ValueError(f"entropy_F1 requires c >= 0, got {c}")
-    sign = 1.0 if q > 1.0 else -1.0
-    return sign * density_integral(u, q) + c * float(np.sum(v.values**2 * v.grid.cell_weights))
+    return (1.0 if q > 1.0 else -1.0) * uq + c * v_l2
 
 
 def entropy_F2(u: GridFunction, v: GridFunction, q: float) -> float:
@@ -153,14 +137,15 @@ def dissipation_u(u: GridFunction, q: float) -> float:
     """
     if q <= 0.0:
         raise ValueError(f"dissipation requires q > 0, got {q}")
-    return _dissipation_faces(u, measured_gradient_faces(u.grid, u.values), q)
+    return _dissipation(_dissipation_parts(u, measured_gradient_faces(u.grid, u.values)), q)
 
 
-def _dissipation_faces(u: GridFunction, grads, q: float) -> float:
-    # dissipation_u over given measurement face gradients of u
+def _dissipation_parts(u: GridFunction, grads) -> list:
+    # per axis: the floored face density, the squared face gradient and the
+    # face weights of dissipation_u, given measurement face gradients of u
     grid = u.grid
     nd = grid.n_axes
-    total = 0.0
+    parts = []
     for a in range(nd):
         left = u.values[_slice_axis(nd, a, slice(None, -1))]
         right = u.values[_slice_axis(nd, a, slice(1, None))]
@@ -169,9 +154,13 @@ def _dissipation_faces(u: GridFunction, grads, q: float) -> float:
         u_face[_slice_axis(nd, a, slice(0, 1))] = u.values[_slice_axis(nd, a, slice(0, 1))]
         u_face[_slice_axis(nd, a, slice(-1, None))] = u.values[_slice_axis(nd, a, slice(-1, None))]
         u_face = np.maximum(u_face, FACE_AVERAGE_FLOOR)
-        fw = face_quadrature_weights(grid, a)
-        total += float(np.sum(u_face ** (q - 2.0) * grads[a] ** 2 * fw))
-    return total
+        parts.append((u_face, grads[a] ** 2, face_quadrature_weights(grid, a)))
+    return parts
+
+
+def _dissipation(parts: list, q: float) -> float:
+    # dissipation_u at index q from the axis parts from _dissipation_parts
+    return sum(float(np.sum(u_face ** (q - 2.0) * g2 * fw)) for u_face, g2, fw in parts)
 
 
 def record(
@@ -205,7 +194,8 @@ def record(
     grads_u = measured_gradient_faces(u.grid, u.values)
     grads_v = measured_gradient_faces(v.grid, v.values)
     uq = {q: density_integral(u, q) for q in qs}
-    dissip = {q: _dissipation_faces(u, grads_u, q) for q in qs}
+    dissip_parts = _dissipation_parts(u, grads_u)
+    dissip = {q: _dissipation(dissip_parts, q) for q in qs}
     gradv_l2 = faces_lp_norm(v.grid, grads_v, 2.0) ** 2
     if math.isinf(s):
         gradv_ls = faces_lp_norm(v.grid, grads_v, math.inf)
@@ -214,7 +204,9 @@ def record(
         gradv_ls = faces_lp_norm(v.grid, grads_v, s) ** s
         v_w1s = (lp_norm(v, s) ** s + gradv_ls) ** (1.0 / s)
 
-    uq_f2 = uq[q_f2] if q_f2 in uq else density_integral(u, q_f2)
+    # F1 and F2 reuse the integrals of this record
+    uq_f1, uq_f2 = (uq[q] if q in uq else density_integral(u, q) for q in (q_f1, q_f2))
+    v_l2 = float(np.sum(v.values**2 * v.grid.cell_weights))
     if lap_v is None:
         lap_v = laplacian_values(v.grid, v.values)
     return FunctionalRecord(
@@ -222,13 +214,13 @@ def record(
         mass=integrate(u),
         uq=uq,
         u_linf=lp_norm(u, math.inf),
-        v_l2=float(np.sum(v.values**2 * v.grid.cell_weights)),
+        v_l2=v_l2,
         gradv_l2=gradv_l2,
         gradv_ls=gradv_ls,
         v_w1s=v_w1s,
         lap_v_l2=float(np.sum(lap_v**2 * v.grid.cell_weights)),
         dissip_u=dissip,
-        F1=entropy_F1(u, v, q_f1, c_f1),
+        F1=_f1(uq_f1, v_l2, q_f1, c_f1),
         F2=uq_f2 + gradv_l2,
         clamped_mass_cumulative=clamped_mass_cumulative,
     )
@@ -241,8 +233,8 @@ def _format_q(q: float) -> str:
 def csv_columns(q_set: Iterable[float]) -> list[str]:
     qs = sorted(set(float(q) for q in q_set))
     cols = list(CSV_SCALAR_COLUMNS)
-    cols += [f"uq_{_format_q(q)}" for q in qs]
-    cols += [f"dissip_{_format_q(q)}" for q in qs]
+    for _, prefix in _Q_FIELDS:
+        cols += [f"{prefix}_{_format_q(q)}" for q in qs]
     return cols
 
 
@@ -257,21 +249,9 @@ def records_to_csv(records: list[FunctionalRecord], meta_comment: str | None = N
             out.write(f"# {line}\n")
     out.write(",".join(csv_columns(qs)) + "\n")
     for rec in records:
-        row = [
-            rec.t,
-            rec.mass,
-            rec.u_linf,
-            rec.v_l2,
-            rec.gradv_l2,
-            rec.gradv_ls,
-            rec.v_w1s,
-            rec.lap_v_l2,
-            rec.F1,
-            rec.F2,
-            rec.clamped_mass_cumulative,
-        ]
-        row += [rec.uq[q] for q in qs]
-        row += [rec.dissip_u[q] for q in qs]
+        row = [getattr(rec, name) for name in CSV_SCALAR_COLUMNS]
+        for name, _ in _Q_FIELDS:
+            row += [getattr(rec, name)[q] for q in qs]
         out.write(",".join(repr(float(x)) for x in row) + "\n")
     return out.getvalue()
 

@@ -38,7 +38,7 @@ per process still does not grow with the ensemble size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -97,14 +97,18 @@ def gn2_exponent(p_hat: float, q_hat: float, n: int) -> float:
 
 
 @dataclass(frozen=True)
-class GNExponents:
-    """Index tuple for the first form; ``a`` is derived on construction."""
-
+class _IndexTuple:
+    # the Lebesgue indices of one inequality and the dimension
     p_hat: float
     q_hat: float
     r_hat: float
     s_hat: float
     n: int
+
+
+@dataclass(frozen=True)
+class GNExponents(_IndexTuple):
+    """Index tuple for the first form; ``a`` is derived on construction."""
 
     def __post_init__(self) -> None:
         if self.r_hat != math.inf and self.r_hat < 1.0:
@@ -120,25 +124,12 @@ class GNExponents:
         return gn_exponent(self.p_hat, self.q_hat, self.r_hat, self.n)
 
     def to_dict(self) -> dict:
-        return {
-            "p_hat": self.p_hat,
-            "q_hat": self.q_hat,
-            "r_hat": self.r_hat,
-            "s_hat": self.s_hat,
-            "n": self.n,
-            "a": self.a,
-        }
+        return {**asdict(self), "a": self.a}
 
 
 @dataclass(frozen=True)
-class GN2Exponents:
+class GN2Exponents(_IndexTuple):
     """Index tuple for the second form; ``b`` is derived on construction."""
-
-    p_hat: float
-    q_hat: float
-    r_hat: float
-    s_hat: float
-    n: int
 
     def __post_init__(self) -> None:
         if not (2.0 <= self.r_hat <= self.q_hat):
@@ -152,14 +143,7 @@ class GN2Exponents:
         return gn2_exponent(self.p_hat, self.q_hat, self.n)
 
     def to_dict(self) -> dict:
-        return {
-            "p_hat": self.p_hat,
-            "q_hat": self.q_hat,
-            "r_hat": self.r_hat,
-            "s_hat": self.s_hat,
-            "n": self.n,
-            "b": self.b,
-        }
+        return {**asdict(self), "b": self.b}
 
 
 def quasi_lp(f: GridFunction, p: float) -> float:

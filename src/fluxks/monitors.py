@@ -18,7 +18,7 @@ contract in ``L^2``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -62,13 +62,7 @@ class Verdict:
     details: dict
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "worst_violation": self.worst_violation,
-            "location": self.location,
-            "details": self.details,
-        }
+        return asdict(self)
 
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -98,14 +92,7 @@ class RegimeVerdict:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "classification": self.classification,
-            "sup_u_linf": self.sup_u_linf,
-            "growth_rate_estimate": self.growth_rate_estimate,
-            "terminal_status": self.terminal_status,
-            "reason": self.reason,
-            "stats": self.stats,
-        }
+        return asdict(self)
 
 
 def check_mass(records: Sequence[FunctionalRecord], rtol: float = 1e-10) -> Verdict:

@@ -21,7 +21,7 @@ hand arithmetic can be checked at any point, admissible or not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -96,21 +96,26 @@ class SRule:
         return math.inf if self.infinite else float(self.default)
 
     def to_dict(self) -> dict:
-        return {
-            "infinite": self.infinite,
-            "min_exclusive": self.min_exclusive,
-            "default": self.default,
-        }
+        return asdict(self)
+
+
+def _p_limit_1d(theta: float) -> float:
+    # min(2, (2*theta+1)/(2*theta-1)): the second term falls from +inf at
+    # theta = 1/2, so at and below 1/2 the limit is 2
+    if theta <= 0.5:
+        return 2.0
+    return min(2.0, (2.0 * theta + 1.0) / (2.0 * theta - 1.0))
 
 
 def s_rule(n: int, p: float, theta: float) -> SRule:
     """Select the gradient-integrability order for the given regime.
 
-    ``s = inf`` iff ``n = 1`` and ``p >= min(2, (2*theta+1)/(2*theta-1))``;
+    ``s = inf`` iff ``n = 1`` and ``p >= min(2, (2*theta+1)/(2*theta-1))``
+    (``p >= 2`` for ``theta <= 1/2``, the limit as ``theta`` falls to 1/2);
     otherwise ``s`` is finite with ``s > max(n, (n+2)*(p-1))`` and ``s >= 2``
     (default: that bound, floored at 2, plus one).
     """
-    if n == 1 and p >= min(2.0, (2.0 * theta + 1.0) / (2.0 * theta - 1.0)):
+    if n == 1 and p >= _p_limit_1d(theta):
         return SRule(infinite=True, min_exclusive=None, default=None)
     bound = max(float(n), (n + 2.0) * (p - 1.0))
     return SRule(infinite=False, min_exclusive=bound, default=max(bound, 2.0) + 1.0)
@@ -131,12 +136,7 @@ class QRanges:
     signal_grad_min: float
 
     def to_dict(self) -> dict:
-        return {
-            "density_window": list(self.density_window) if self.density_window else None,
-            "density_window_excludes": 1.0,
-            "signal_l2_min": self.signal_l2_min,
-            "signal_grad_min": self.signal_grad_min,
-        }
+        return {**asdict(self), "density_window_excludes": 1.0}
 
 
 def q_ranges(spec: RegimeSpec) -> QRanges:
@@ -191,7 +191,7 @@ def semigroup_p_window(theta: float) -> tuple[float, float]:
     """``p`` interval where the 1d semigroup route takes over from the entropy route."""
     if theta <= 1.0:
         raise ValueError(f"semigroup window needs theta > 1, got {theta}")
-    return (min(2.0, (2.0 * theta + 1.0) / (2.0 * theta - 1.0)), theta / (theta - 1.0))
+    return (_p_limit_1d(theta), theta / (theta - 1.0))
 
 
 @dataclass(frozen=True)
@@ -222,26 +222,14 @@ class ExponentAudit:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.spec.n,
-            "theta": self.spec.theta,
-            "p": self.spec.p,
-            "p_critical": self.p_critical,
-            "subcritical": self.subcritical,
-            "critical_boundary": self.critical_boundary,
-            "s_rule": self.s_rule.to_dict(),
-            "q_ranges": self.q_ranges.to_dict(),
-            "route": self.route,
-            "feasible": self.feasible,
-            "chosen_q": self.chosen_q,
-            "chosen_r": self.chosen_r,
-            "chosen_q_f1": self.chosen_q_f1,
-            "a_star": self.a_star,
-            "b_star": self.b_star,
-            "condition_2ab": self.condition_2ab,
-            "condition_1d": self.condition_1d,
-            "notes": list(self.notes),
-        }
+        # the spec is flattened to n, theta, p; nested results serialize
+        # through their own to_dict
+        out = asdict(self.spec)
+        for f in fields(self):
+            if f.name != "spec":
+                val = getattr(self, f.name)
+                out[f.name] = val.to_dict() if hasattr(val, "to_dict") else val
+        return out
 
 
 def _density_witness(ranges: QRanges) -> float | None:
@@ -345,7 +333,7 @@ def audit(spec: RegimeSpec) -> ExponentAudit:
     if theta <= 1.0:
         notes.append("theta <= 1: outside the superlinear production regime, no route attempted")
     elif subcritical:
-        entropy_p_ok = p < min(2.0, (2.0 * theta + 1.0) / (2.0 * theta - 1.0)) if n == 1 else True
+        entropy_p_ok = p < _p_limit_1d(theta) if n == 1 else True
         if entropy_p_ok:
             q1 = _density_witness(ranges)
             grad_witness = _gradient_witness(n, p, ranges)

@@ -269,15 +269,15 @@ def simulate(
     if s is None:
         s = rule.value
     if q_f2 is None or q_f1 is None or q_set is None:
-        aud = audit(RegimeSpec(n=params.n, theta=params.theta, p=params.p))
+        # with n*theta <= 1 there is no critical exponent to audit, and no route
+        aud = None
+        if params.n * params.theta > 1.0:
+            aud = audit(RegimeSpec(n=params.n, theta=params.theta, p=params.p))
+        q_entropy = aud.chosen_q if aud is not None and aud.route == "entropy" else None
         if q_f2 is None:
-            q_f2 = (
-                aud.chosen_q
-                if aud.route == "entropy" and aud.chosen_q is not None and aud.chosen_q > 1.0
-                else 2.0
-            )
+            q_f2 = q_entropy if q_entropy is not None and q_entropy > 1.0 else 2.0
         if q_f1 is None:
-            q_f1 = aud.chosen_q_f1 if aud.chosen_q_f1 is not None else q_f2
+            q_f1 = aud.chosen_q_f1 if aud is not None and aud.chosen_q_f1 is not None else q_f2
         if q_set is None:
             q_set = tuple(sorted({q for q in (q_f1, q_f2, 2.0) if q != 1.0}))
 

@@ -61,6 +61,11 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+def tool_stamp() -> dict:
+    """The ``tool`` entry every artifact carries: name and version."""
+    return {"name": "fluxks", "version": __version__}
+
+
 def write_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
@@ -277,11 +282,8 @@ def run_point(point: dict) -> dict:
             "gradv_l2_max": max(r.gradv_l2 for r in recs),
             "clamped_mass": result.clamped_mass_cumulative,
         },
-        "classification": verdict.classification,
-        "reason": verdict.reason,
-        "sup_u_linf": verdict.sup_u_linf,
-        "growth_rate_estimate": verdict.growth_rate_estimate,
-        "stats": verdict.stats,
+        # the verdict's terminal status is run.status
+        **{k: v for k, v in verdict.to_dict().items() if k != "terminal_status"},
         "expected": expected,
         "mismatch": mismatch,
         "version": SWEEP_VERSION,
@@ -396,7 +398,7 @@ def run_sweep(
 
     manifest = {
         "version": SWEEP_VERSION,
-        "tool": {"name": "fluxks", "version": __version__},
+        "tool": tool_stamp(),
         "seed": spec.seed,
         "spec": spec.to_dict(),
         "points": [

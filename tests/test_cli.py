@@ -34,6 +34,13 @@ def run_cfg(**over):
     return cfg
 
 
+def write_overflowing(tmp, **over):
+    # a run config whose "BIG" entry is the JSON number 1e400
+    path = tmp / "big.json"
+    path.write_text(json.dumps(run_cfg(**over)).replace('"BIG"', "1e400"), encoding="utf-8")
+    return str(path)
+
+
 SWEEP_CFG = {
     "n_values": [1],
     "theta_values": [2.0],
@@ -202,6 +209,13 @@ def test_simulate_growing_classification_exits_1(tmp_path, monkeypatch):
         lambda tmp: write_json(
             tmp / "inf.json", run_cfg(controls={"blowup_linf_threshold": float("inf")})
         ),
+        # numbers too large for a float parse to inf: each used to end in a
+        # traceback, or (monitors.s) to pick the max-norm branch silently
+        lambda tmp: write_overflowing(tmp, controls={"dt_max": "BIG"}),
+        lambda tmp: write_overflowing(tmp, controls={"blowup_linf_threshold": "BIG"}),
+        lambda tmp: write_overflowing(tmp, monitors={"c_f1": "BIG"}),
+        lambda tmp: write_overflowing(tmp, monitors={"q_f2": "BIG"}),
+        lambda tmp: write_overflowing(tmp, monitors={"s": "BIG"}),
     ],
 )
 def test_simulate_config_errors_exit_3(tmp_path, breakage, capsys):

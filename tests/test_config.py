@@ -146,6 +146,10 @@ def test_missing_required_pieces(mutate, match):
         (lambda c: c["grid"].update(mode="cartesian-3d"), "grid.mode must be one of"),
         (lambda c: c.update(initial={"family": "ramp"}), "initial.family"),
         (lambda c: c.update(initial={"v0": "cube"}), "initial.v0"),
+        (lambda c: c["grid"].update(extents=[math.inf]),
+         r"grid\.extents\[0\] must be a finite number"),
+        (lambda c: c.update(monitors={"q_set": [2.0, math.nan]}),
+         r"monitors\.q_set\[1\] must be a finite number"),
     ],
 )
 def test_type_and_choice_errors(mutate, match):
@@ -153,6 +157,41 @@ def test_type_and_choice_errors(mutate, match):
     mutate(cfg)
     with pytest.raises(ConfigError, match=match):
         parse_config_dict(cfg)
+
+
+NON_FINITE_KEYS = [
+    "controls.dt_max",
+    "controls.blowup_linf_threshold",
+    "model.chi",
+    "monitors.c_f1",
+    "monitors.q_f1",
+    "monitors.q_f2",
+    "monitors.s",
+    "initial.amplitude",
+]
+
+
+@pytest.mark.parametrize("path", NON_FINITE_KEYS)
+@pytest.mark.parametrize(
+    "literal", ["1e400", "-1e400", "1" + "0" * 400], ids=["1e400", "-1e400", "int-1e400"]
+)
+def test_config_file_rejects_overflowing_numbers(tmp_path, path, literal):
+    # JSON has no infinity, but a number too large for a float reads as one
+    # (or as an int no float holds); the error names the key
+    section, key = path.split(".")
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(base_cfg(**{section: {key: "BIG"}})).replace('"BIG"', literal),
+                 encoding="utf-8")
+    with pytest.raises(ConfigError, match=rf"{path} must be a finite number"):
+        parse_config(p)
+
+
+@pytest.mark.parametrize("path", NON_FINITE_KEYS)
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_config_dict_rejects_non_finite_numbers(path, bad):
+    section, key = path.split(".")
+    with pytest.raises(ConfigError, match=rf"{path} must be a finite number"):
+        parse_config_dict(base_cfg(**{section: {key: bad}}))
 
 
 def test_grid_dimension_consistency():
@@ -258,6 +297,8 @@ def test_sweep_config_keeps_json_numbers_as_given():
         ({"amplitude": True}, r"sweep\.amplitude must be a number"),
         ({"cells_2d": 3}, "sweep cells_2d must be >= 4"),
         ({"extra": 1}, r"unknown key\(s\) \['extra'\] in sweep"),
+        ({"t_end": 10**400}, r"sweep\.t_end must be a finite number"),
+        ({"theta_values": [2.0, math.inf]}, r"sweep\.theta_values\[1\] must be a finite number"),
     ],
 )
 def test_sweep_config_errors(over, match):

@@ -260,6 +260,26 @@ def test_record_builds_one_gradient_per_field(monkeypatch, mode, cells, s):
         assert rec.gradv_ls == gradient_lp_norm(v, s) ** s
 
 
+@pytest.mark.parametrize("q_f1,c_f1", [(1.5, 2.0), (0.5, 0.7), (3.0, 0.0)])
+def test_record_f1_reuses_its_integrals(grid1d, q_f1, c_f1):
+    # F1 is assembled from the record's own uq[q_f1] and v_l2, bit for bit,
+    # and equals entropy_F1 evaluated afresh
+    g = grid1d(24)
+    rng = np.random.default_rng(7)
+    u = GridFunction(g, rng.uniform(0.2, 2.0, size=g.shape))
+    v = GridFunction(g, rng.uniform(0.0, 1.5, size=g.shape))
+    st = SimState(u=u, v=v, t=0.3, step_index=2)
+    params = ModelParams(chi=1.0, p=1.5, theta=2.0, eps=1e-3, n=1)
+    rec = record(st, params, q_set=(0.5, 1.5, 2.0, 3.0), s=2.0, q_f1=q_f1, c_f1=c_f1)
+    sign = 1.0 if q_f1 > 1.0 else -1.0
+    assert rec.F1 == sign * rec.uq[q_f1] + c_f1 * rec.v_l2
+    assert rec.F1 == entropy_F1(u, v, q_f1, c_f1)
+    with pytest.raises(ValueError, match="q != 1"):
+        record(st, params, q_set=(2.0,), s=2.0, q_f1=1.0)
+    with pytest.raises(ValueError, match="c >= 0"):
+        record(st, params, q_set=(2.0,), s=2.0, c_f1=-1.0)
+
+
 def test_record_defaults_q_from_set(grid1d):
     g = grid1d(8)
     st = const_state(g, 1.0, 0.0)
@@ -317,6 +337,14 @@ def test_functional_record_allows_negative_f1():
 
 
 # -------------------------------------------------------------------- CSV
+
+
+def test_csv_scalar_columns_are_the_scalar_fields_in_order():
+    # the serialized shape: a reordered or renamed field changes every CSV
+    assert CSV_SCALAR_COLUMNS == (
+        "t", "mass", "u_linf", "v_l2", "gradv_l2", "gradv_ls", "v_w1s",
+        "lap_v_l2", "F1", "F2", "clamped_mass_cumulative",
+    )
 
 
 def test_csv_columns_order_and_q_formatting():

@@ -122,6 +122,17 @@ def test_s_rule_default_exceeds_bound():
                 assert rule.default >= 2.0
 
 
+def test_s_rule_1d_threshold_is_two_at_and_below_theta_half():
+    # (2 theta + 1)/(2 theta - 1) has its pole at theta = 1/2 and is negative
+    # below it; the threshold there is its limit from above, min(2, +inf) = 2
+    for theta in (0.5, 0.3, 0.1):
+        assert not s_rule(1, 1.5, theta).infinite
+        assert not s_rule(1, 1.99, theta).infinite
+        assert s_rule(1, 2.0, theta).infinite
+        assert s_rule(1, 2.5, theta).infinite
+    assert not s_rule(1, 1.99, 0.5 + 1e-9).infinite
+
+
 # ----------------------------------------------------------------- q ranges
 
 

@@ -573,6 +573,34 @@ def test_simulate_defaults_exponents_from_audit(reference_run):
     assert set(reference_run.records[0].uq.keys()) == {1.5, 2.0, 3.0}
 
 
+@pytest.mark.parametrize(
+    "mode,n,theta",
+    [
+        ("cartesian-1d", 1, 0.5),
+        ("cartesian-1d", 1, 0.8),
+        ("cartesian-1d", 1, 1.0),
+        ("cartesian-2d", 2, 0.5),
+        ("radial-n", 3, 0.3),
+    ],
+)
+def test_simulate_completes_without_a_critical_exponent(mode, n, theta):
+    # n*theta <= 1 has no critical exponent to audit: the functionals fall
+    # back to q_f1 = q_f2 = 2, as when no entropy route exists; theta = 1/2 in
+    # 1d also hits the pole of the s rule's (2 theta + 1)/(2 theta - 1)
+    axes = 2 if mode == "cartesian-2d" else 1
+    g = build_grid(mode, extents=(1.0,) * axes, cells=(16,) * axes,
+                   n=n if mode == "radial-n" else None)
+    init = build_initial_data(g, family="cosine", base=1.0, amplitude=0.5,
+                              v0_kind="u0_squared")
+    params = ModelParams(chi=1.0, p=1.5, theta=theta, eps=1e-3, n=n)
+    res = simulate(init, params, StepControls(t_end=0.2))
+    assert res.status == RunStatus.COMPLETED, res.message
+    rec = res.records[-1]
+    assert set(rec.uq) == {2.0}
+    assert rec.F1 == rec.uq[2.0] + rec.v_l2
+    assert rec.F2 == rec.uq[2.0] + rec.gradv_l2
+
+
 def test_simulate_max_norm_branch_leaves_v_raw(grid1d):
     g = grid1d(64)
     init = build_initial_data(g, family="cosine", base=1.0, amplitude=0.5,
