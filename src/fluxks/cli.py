@@ -238,7 +238,7 @@ def _cmd_gn_test(args: argparse.Namespace) -> int:
         coarse = unit_grid(args.n, cells)
         fine = unit_grid(args.n, 2 * cells)
     except ValueError as exc:
-        raise ConfigError(f"--cells: {exc}") from exc
+        raise ConfigError(f"--n {args.n} --cells {cells}: {exc}") from exc
 
     # every constant on one grid comes from one pass over its ensemble, split
     # into one interleaved share per CPU; the slower fine-grid shares go first

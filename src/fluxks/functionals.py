@@ -40,6 +40,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 # floor for face-averaged density inside negative powers
 FACE_AVERAGE_FLOOR = 1e-12
+# the default weight c of int v^2 in F1 (the run config's monitors.c_f1)
+DEFAULT_C_F1 = 1.0
 
 
 @dataclass(frozen=True)
@@ -170,7 +172,7 @@ def record(
     s: float,
     q_f1: float | None = None,
     q_f2: float | None = None,
-    c_f1: float = 1.0,
+    c_f1: float = DEFAULT_C_F1,
     clamped_mass_cumulative: float = 0.0,
     lap_v: np.ndarray | None = None,
 ) -> FunctionalRecord:

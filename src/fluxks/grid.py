@@ -30,6 +30,7 @@ product with constants in its null space.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -138,41 +139,55 @@ def build_grid(
             checked when given) for the cartesian modes.
 
     Raises:
-        ValueError: unknown mode, non-positive extents, too few cells, or an
-            inconsistent ambient dimension.
+        ValueError: unknown mode, non-positive extents, too few or
+            non-integer cells, an inconsistent ambient dimension, or cell
+            weights outside the normal float range (a radial ``n`` too large
+            for its cells).  The messages name the run-config ``grid`` keys.
     """
     if mode not in MODES:
-        raise ValueError(f"unknown grid mode {mode!r}; expected one of {MODES}")
+        raise ValueError(f"grid.mode must be one of {MODES}, got {mode!r}")
 
     ext = tuple(float(e) for e in np.atleast_1d(extents))
-    res = tuple(int(c) for c in np.atleast_1d(cells))
+    cells_f = tuple(float(c) for c in np.atleast_1d(cells))
     if any(e <= 0 or not math.isfinite(e) for e in ext):
-        raise ValueError(f"extents must be positive and finite, got {ext}")
+        raise ValueError(f"grid.extents must be positive and finite, got {ext}")
+    if not all(c.is_integer() for c in cells_f):
+        raise ValueError(f"grid.cells must be integers, got {list(cells_f)}")
+    res = tuple(int(c) for c in cells_f)
     if any(c < MIN_CELLS_PER_AXIS for c in res):
         raise ValueError(f"need at least {MIN_CELLS_PER_AXIS} cells per axis, got {res}")
 
-    rank = {"cartesian-1d": 1, "cartesian-2d": 2, "radial-n": 1}[mode]
+    rank = 2 if mode == "cartesian-2d" else 1
     if len(ext) != rank or len(res) != rank:
-        raise ValueError(f"mode {mode} expects {rank} axis(es), got extents {ext}, cells {res}")
+        raise ValueError(
+            f"grid.extents and grid.cells must have {rank} entr"
+            f"{'y' if rank == 1 else 'ies'} for mode {mode!r}"
+        )
 
     if mode == "radial-n":
-        if n is None or int(n) < 1:
-            raise ValueError("radial-n requires an ambient dimension n >= 1")
+        if n is None:
+            raise ValueError("grid.n is required for mode 'radial-n'")
+        if int(n) != n or n < 1:
+            raise ValueError(f"grid.n must be an integer >= 1, got {n}")
         ambient = int(n)
     else:
         ambient = rank
-        if n is not None and int(n) != ambient:
-            raise ValueError(f"mode {mode} has ambient dimension {ambient}, got n={n}")
+        if n is not None and n != ambient:
+            raise ValueError(f"grid.n must equal {ambient} for mode {mode!r}, got {n}")
 
     spacing = tuple(e / c for e, c in zip(ext, res))
 
     if mode == "radial-n":
         h = spacing[0]
-        omega = _sphere_surface(ambient)
+        try:
+            omega = _sphere_surface(ambient)
+        except OverflowError:
+            omega = math.inf
         r_faces = np.arange(res[0] + 1) * h
         r_centers = (np.arange(res[0]) + 0.5) * h
-        weights = omega * r_centers ** (ambient - 1) * h
-        areas = (omega * r_faces ** (ambient - 1),)
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = omega * r_centers ** (ambient - 1) * h
+            areas = (omega * r_faces ** (ambient - 1),)
     else:
         vol = float(np.prod(spacing))
         weights = np.full(res, vol)
@@ -181,6 +196,14 @@ def build_grid(
             transverse = vol / spacing[a]
             areas_list.append(np.full(_face_shape(res, a), transverse))
         areas = tuple(areas_list)
+    # the divergence divides by the cell weights: zero, subnormal or infinite
+    # weights (large radial n) would turn the fields into inf and NaN
+    tiny, huge = sys.float_info.min, sys.float_info.max
+    if not (tiny <= weights.min() and weights.max() <= huge and np.isfinite(areas[0]).all()):
+        raise ValueError(
+            f"grid.n = {ambient} with cells {list(res)} and extents {list(ext)} puts "
+            f"cell weights outside the normal float range [{tiny}, {huge}]"
+        )
 
     return Grid(
         mode=mode,

@@ -13,7 +13,7 @@ where ``|grad v|^(p-2) grad v -> 0`` as the gradient vanishes).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
@@ -247,15 +247,30 @@ INITIAL_FAMILIES = ("cosine", "gaussian", "constant")
 V0_KINDS = ("u0_pow_theta", "u0_squared", "zero", "constant")
 
 
+@dataclass(frozen=True)
+class InitialSettings:
+    """The initial-data parameters of :func:`build_initial_data` and their
+    defaults, which the ``initial`` section of a run config declares by these
+    field names (``v0`` is the function's ``v0_kind``).  A ``choices`` entry
+    in a field's metadata lists the values it admits."""
+
+    family: str = field(default="cosine", metadata={"choices": INITIAL_FAMILIES})
+    base: float = 1.0
+    amplitude: float = 0.5
+    width: float = 0.1
+    v0: str = field(default="u0_squared", metadata={"choices": V0_KINDS})
+    v0_value: float = 0.0
+
+
 def build_initial_data(
     grid: Grid,
-    family: str = "cosine",
-    base: float = 1.0,
-    amplitude: float = 0.5,
-    v0_kind: str = "u0_squared",
-    v0_value: float = 0.0,
+    family: str = InitialSettings.family,
+    base: float = InitialSettings.base,
+    amplitude: float = InitialSettings.amplitude,
+    v0_kind: str = InitialSettings.v0,
+    v0_value: float = InitialSettings.v0_value,
     theta: float | None = None,
-    width: float = 0.1,
+    width: float = InitialSettings.width,
 ) -> InitialData:
     """Named initial-data families on any grid mode.
 

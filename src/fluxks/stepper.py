@@ -81,6 +81,10 @@ POSITIVITY_HARD_TOL = 1e-10
 # run: clamping is a roundoff patch, not a scheme feature
 CLAMPED_MASS_MAX_FRACTION = 1e-10
 _T_END_SLACK = 1e-12
+# simulate's default record cadence and initial smoothing: the defaults of the
+# run config's top-level keys record_every and mollify
+DEFAULT_RECORD_EVERY = 5
+DEFAULT_MOLLIFY = True
 
 
 class RunStatus(str, enum.Enum):
@@ -235,13 +239,13 @@ def simulate(
     initial: InitialData,
     params: ModelParams,
     controls: StepControls,
-    record_every: int = 5,
+    record_every: int = DEFAULT_RECORD_EVERY,
     q_set: tuple[float, ...] | None = None,
     s: float | None = None,
     q_f1: float | None = None,
     q_f2: float | None = None,
-    c_f1: float = 1.0,
-    mollify: bool = True,
+    c_f1: float = functionals.DEFAULT_C_F1,
+    mollify: bool = DEFAULT_MOLLIFY,
     keep_states: str = "sampled",
 ) -> SimResult:
     """Run to ``t_end`` or a terminal condition.

@@ -34,10 +34,10 @@ from pathlib import Path
 from ._version import __version__
 from .errors import ConfigError
 from .grid import MIN_CELLS_PER_AXIS, unit_grid
-from .model import INITIAL_FAMILIES, ModelParams, build_initial_data
+from .model import INITIAL_FAMILIES, InitialSettings, ModelParams, build_initial_data
 from .monitors import classify
 from .regimes import RegimeSpec, audit, critical_exponent, relative_p
-from .stepper import StepControls, simulate
+from .stepper import DEFAULT_RECORD_EVERY, StepControls, simulate
 
 SWEEP_VERSION = 4
 
@@ -109,7 +109,7 @@ class SweepSpec:
     p_mode: str = "relative"
     chi: float = 1.0
     eps: float = 1e-3
-    family: str = "cosine"
+    family: str = InitialSettings.family
     amplitude: float = 0.1
     t_end: float = 5.0
     dt_max: float = StepControls.dt_max
@@ -119,7 +119,7 @@ class SweepSpec:
     cells_1d: int = 256
     cells_2d: int = 128
     cells_radial: int = 256
-    record_every: int = 5
+    record_every: int = DEFAULT_RECORD_EVERY
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -167,6 +167,12 @@ class SweepSpec:
             vals = val if isinstance(val, tuple) else (val,)
             if any(isinstance(x, float) and not math.isfinite(x) for x in vals):
                 raise ConfigError(f"sweep {f.name} must be finite, got {val}")
+        # a radial point grid's cell weights leave the float range at large n
+        for n in self.n_values:
+            try:
+                unit_grid(n, _point_cells(self, n))
+            except ValueError as exc:
+                raise ConfigError(f"sweep point grid: {exc}") from exc
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -322,6 +322,25 @@ def test_sweep_rejects_parallelism_zero(tmp_path, capsys):
     assert "parallelism" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [125, 400])
+def test_simulate_degenerate_radial_grid_exits_3(tmp_path, n, capsys):
+    # n = 125 underflows the innermost cell weights, n = 400 overflows the
+    # unit-sphere surface; neither may end in a traceback
+    cfg = run_cfg(grid={"mode": "radial-n", "cells": [256], "n": n})
+    cfg_path = write_json(tmp_path / "run.json", cfg)
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 3
+    assert f"grid.n = {n}" in capsys.readouterr().err
+
+
+def test_sweep_degenerate_radial_grid_exits_3(tmp_path, capsys):
+    cfg = {**SWEEP_CFG, "n_values": [130], "cells_radial": 256}
+    cfg_path = write_json(tmp_path / "sweep.json", cfg)
+    argv = ["sweep", "--config", cfg_path, "--out", str(tmp_path / "x"), "--parallelism", "1"]
+    assert main(argv) == 3
+    assert "grid.n = 130" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 # ------------------------------------------------------------------- gn-test
 
 
@@ -360,6 +379,16 @@ def test_gn_test_bad_sizes_are_config_errors(capsys, flags, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("n", [130, 400])
+def test_gn_test_degenerate_radial_grid_is_config_error(capsys, n):
+    argv = ["gn-test", "--n", str(n), "--theta", "2.0", "--p", "1.001",
+            "--ensemble-size", "4"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--n {n} --cells 256" in captured.err
 
 
 def test_gn_test_negative_seed_is_config_error(capsys):

@@ -6,6 +6,8 @@ import math
 from dataclasses import MISSING, fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from fluxks.config import (
     RunConfig,
@@ -35,18 +37,18 @@ def base_cfg(**sections):
 
 def test_minimal_config_defaults():
     cfg = parse_config_dict(base_cfg())
-    assert cfg.grid_mode == "cartesian-1d"
-    assert cfg.cells == (64,) and cfg.extents == (1.0,)
-    assert cfg.grid_n == 1 and cfg.model.n == 1
-    assert (cfg.family, cfg.base, cfg.amplitude) == ("cosine", 1.0, 0.5)
-    assert cfg.v0_kind == "u0_squared" and cfg.v0_value == 0.0
+    assert cfg.grid.mode == "cartesian-1d"
+    assert cfg.grid.cells == (64,) and cfg.grid.extents == (1.0,)
+    assert cfg.grid.n == 1 and cfg.model.n == 1
+    assert (cfg.initial.family, cfg.initial.base, cfg.initial.amplitude) == ("cosine", 1.0, 0.5)
+    assert cfg.initial.v0 == "u0_squared" and cfg.initial.v0_value == 0.0
     assert cfg.controls.dt_max == 0.1
     assert cfg.controls.dt_min == 1e-10
     assert cfg.controls.cfl_safety == 0.4
     assert cfg.controls.blowup_linf_threshold == 1e6
-    assert cfg.q_set is None and cfg.s is None
-    assert cfg.q_f1 is None and cfg.q_f2 is None
-    assert cfg.c_f1 == 1.0
+    assert cfg.monitors.q_set is None and cfg.monitors.s is None
+    assert cfg.monitors.q_f1 is None and cfg.monitors.q_f2 is None
+    assert cfg.monitors.c_f1 == 1.0
     assert cfg.record_every == 5 and cfg.mollify is True
 
 
@@ -73,10 +75,10 @@ FULL = base_cfg(
 
 def test_full_config_and_q_set_normalization():
     cfg = parse_config_dict(copy.deepcopy(FULL))
-    assert cfg.grid_n == 3 and cfg.model.n == 3
-    assert cfg.q_set == (1.5, 2.0, 3.0)  # deduped, sorted
-    assert cfg.s == math.inf
-    assert cfg.q_f1 == 1.5 and cfg.q_f2 == 3.0
+    assert cfg.grid.n == 3 and cfg.model.n == 3
+    assert cfg.monitors.q_set == (1.5, 2.0, 3.0)  # deduped, sorted
+    assert cfg.monitors.s == math.inf
+    assert cfg.monitors.q_f1 == 1.5 and cfg.monitors.q_f2 == 3.0
     assert cfg.mollify is False
 
 
@@ -86,8 +88,99 @@ def test_effective_round_trip_is_lossless(raw):
     echoed = cfg.effective()
     json.dumps(echoed)  # must be JSON-ready, including s = "inf"
     assert parse_config_dict(echoed) == cfg
-    if cfg.s == math.inf:
+    if cfg.monitors.s == math.inf:
         assert echoed["monitors"]["s"] == "inf"
+
+
+def number(lo, hi, exclude_min=False):
+    """A JSON number in [lo, hi] (or (lo, hi]), spelled as an integer or a float."""
+    floats = hs.floats(lo, hi, exclude_min=exclude_min)
+    i_lo, i_hi = math.floor(lo) + 1 if exclude_min else math.ceil(lo), math.floor(hi)
+    return hs.integers(i_lo, i_hi) | floats if i_lo <= i_hi else floats
+
+
+@hs.composite
+def some_of(draw, **keys):
+    """A dict holding each of ``keys`` one time in two, drawn from its strategy."""
+    return {k: draw(v) for k, v in keys.items() if draw(hs.booleans())}
+
+
+@hs.composite
+def valid_run_configs(draw):
+    """Valid run configs: every optional key and section may be absent."""
+    mode = draw(hs.sampled_from(["cartesian-1d", "cartesian-2d", "radial-n"]))
+    rank = 2 if mode == "cartesian-2d" else 1
+    grid = {
+        "mode": mode,
+        "extents": draw(hs.lists(number(0.5, 3.0), min_size=rank, max_size=rank)),
+        "cells": draw(hs.lists(hs.sampled_from([4, 8, 12.0, 16]), min_size=rank, max_size=rank)),
+    }
+    if mode == "radial-n":
+        grid["n"] = draw(hs.integers(1, 6))
+    else:
+        grid.update(draw(some_of(n=hs.sampled_from([None, rank]))))
+    model = {
+        "chi": draw(number(0.0, 5.0)),
+        "p": draw(number(1.0, 3.0, exclude_min=True)),
+        "theta": draw(number(0.1, 3.0)),
+        "eps": draw(number(0.0, 0.9)),
+        **draw(some_of(n=hs.just(grid.get("n") or rank))),
+    }
+    controls = {
+        "t_end": draw(number(0.1, 10.0)),
+        **draw(some_of(
+            dt_max=number(0.01, 1.0),
+            dt_min=hs.floats(1e-10, 1e-3),
+            cfl_safety=number(0.1, 1.0),
+            blowup_linf_threshold=number(10.0, 1e8),
+        )),
+    }
+    # base >= 1 >= amplitude keeps every family's u0 admissible
+    initial = some_of(
+        family=hs.sampled_from(["cosine", "gaussian", "constant"]),
+        base=number(1.0, 3.0),
+        amplitude=number(0.0, 1.0),
+        width=number(0.05, 1.0),
+        v0=hs.sampled_from(["u0_pow_theta", "u0_squared", "zero", "constant"]),
+        v0_value=number(0.0, 2.0),
+    )
+    monitors = some_of(
+        q_set=hs.lists(hs.sampled_from([0.5, 2, 2.0, 3]), min_size=1, max_size=6) | hs.none(),
+        s=hs.none() | hs.just("inf") | number(1.0, 8.0),
+        q_f1=hs.none() | number(1.0, 4.0, exclude_min=True),
+        q_f2=hs.none() | number(1.0, 4.0, exclude_min=True),
+        c_f1=number(0.0, 3.0),
+    )
+    cfg = {"grid": grid, "model": model, "controls": controls}
+    # each optional section is present three times in four
+    for key, section in (("initial", initial), ("monitors", monitors)):
+        if draw(hs.sampled_from([True, True, True, False])):
+            cfg[key] = draw(section)
+    return {**cfg, **draw(some_of(record_every=hs.integers(1, 50), mollify=hs.booleans()))}
+
+
+def float_spelled(obj, key=None):
+    """``obj`` with every integer spelled as a float, but for the integer keys."""
+    if isinstance(obj, dict):
+        return {k: float_spelled(v, k) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [float_spelled(v, key) for v in obj]
+    if type(obj) is int and key not in ("n", "record_every"):
+        return float(obj)
+    return obj
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(valid_run_configs())
+def test_effective_round_trip_property(raw):
+    cfg = parse_config_dict(raw)
+    echoed = json.loads(json.dumps(cfg.effective(), allow_nan=False))
+    again = parse_config_dict(echoed)
+    assert again == cfg
+    assert again.effective() == echoed
+    # the echo does not depend on how a number is spelled: 2 and 2.0 echo alike
+    respelled = parse_config_dict(float_spelled(raw)).effective()
+    assert json.dumps(respelled, sort_keys=True) == json.dumps(echoed, sort_keys=True)
 
 
 def test_root_and_section_shape_errors():

@@ -115,6 +115,15 @@ def test_build_grid_rejects_bad_geometry(kwargs):
         build_grid(mode, **kwargs)
 
 
+@pytest.mark.parametrize("n", [125, 400])
+def test_build_grid_rejects_radial_weights_outside_the_float_range(n):
+    # at n = 125 the innermost of 256 cell weights underflows to 0; at
+    # n = 400 the unit-sphere surface overflows
+    with pytest.raises(ValueError, match="grid.n = %d" % n):
+        build_grid("radial-n", extents=(1.0,), cells=(256,), n=n)
+    build_grid("radial-n", extents=(1.0,), cells=(256,), n=99)
+
+
 def test_min_cells_constant_is_enforced():
     build_grid("cartesian-1d", extents=(1.0,), cells=(MIN_CELLS_PER_AXIS,))
     with pytest.raises(ValueError):

@@ -78,6 +78,12 @@ def test_spec_validation(over, match):
         tiny_spec(**over)
 
 
+def test_spec_rejects_degenerate_radial_point_grid():
+    # the radial cell weights of n = 130 on 256 cells underflow to 0
+    with pytest.raises(ConfigError, match="grid.n = 130"):
+        tiny_spec(n_values=(1, 130), cells_radial=256)
+
+
 def test_sweep_points_relative_mode():
     spec = tiny_spec(n_values=(2, 1), theta_values=(2.0, 1.5))
     pts = sweep_points(spec)
