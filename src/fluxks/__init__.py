@@ -57,7 +57,6 @@ from .model import (
     build_initial_data,
     mollify_initial_data,
     production,
-    regularized_flux,
 )
 from .monitors import (
     RegimeVerdict,
@@ -116,7 +115,6 @@ __all__ = [
     "InitialData",
     "build_initial_data",
     "mollify_initial_data",
-    "regularized_flux",
     "production",
     "RegimeSpec",
     "ExponentAudit",

@@ -14,14 +14,8 @@ class SolverError(FluxksError, RuntimeError):
 
 
 class TimeStepCollapse(FluxksError, RuntimeError):
-    """CFL-selected time step fell below dt_min; treated as suspected blow-up."""
+    """Selected time step fell below dt_min; treated as suspected blow-up."""
 
 
 class PositivityError(FluxksError, RuntimeError):
-    """Negative cell values beyond roundoff: signals CFL misconfiguration.
-
-    ``outflow_rate`` is the largest outflow rate of the flux that moved them, or 0."""
-
-    def __init__(self, message: str, outflow_rate: float = 0.0):
-        super().__init__(message)
-        self.outflow_rate = outflow_rate
+    """Negative cell values beyond roundoff, which inverse-positive solves rule out."""

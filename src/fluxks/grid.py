@@ -90,6 +90,13 @@ class Grid:
         axes = [self.axis_centers(a) for a in range(self.n_axes)]
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
+    def center_offset_mesh(self) -> tuple[NDArray[np.float64], ...]:
+        """Cell-center offsets from the middle of each axis, broadcast to the
+        field shape.  They are exact half-integer multiples of the spacing,
+        so data built from them keep the grid's reflections bit for bit."""
+        axes = [(np.arange(n) + 0.5 - 0.5 * n) * h for n, h in zip(self.shape, self.spacing)]
+        return tuple(np.meshgrid(*axes, indexing="ij"))
+
     def face_shape(self, axis: int) -> tuple[int, ...]:
         return _face_shape(self.shape, axis)
 

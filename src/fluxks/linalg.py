@@ -1,34 +1,43 @@
-"""Exact implicit solves: Helmholtz diffusion, and upwind transport on one-axis grids.
+"""Implicit solves: Helmholtz diffusion, and upwind transport-diffusion.
 
 Each implicit update solves ``(a*I - d*L + d*A) x = b`` where ``L`` is the
 discrete Laplacian of :mod:`fluxks.grid`, ``a >= 1``, ``d > 0``, and ``A`` is
-either absent or, on the one-axis grids, the upwind transport operator
-``x -> div(upwind_flux(x, coeffs))`` of :func:`fluxks.model.upwind_flux` for
-given face coefficients.  Every case has an exact inverse: a DCT-II spectral
-solve on the uniform 2d grid (the cell-centered no-flux Laplacian diagonalizes
-in that basis) and a tridiagonal ``solve_banded`` on the one-axis grids
-(``cartesian-1d`` and ``radial-n``).  Upwinding puts each face's transport into
-one direction only, so the tridiagonal matrix is an M-matrix (positive
-diagonal, nonpositive off-diagonals) whose cell-weighted column sums all equal
-``a``: its inverse keeps ``x >= 0`` and, with ``a = 1``, the mass of ``b``.
+either absent or the upwind transport operator ``x ->
+div(upwind_flux(x, coeffs))`` of :func:`fluxks.model.upwind_flux` for given
+face coefficients.  Upwinding puts each face's transport into one direction
+only, so the matrix is an M-matrix (positive diagonal, nonpositive
+off-diagonals) whose cell-weighted column sums all equal ``a``: its inverse
+keeps ``x >= 0`` and, with ``a = 1``, the mass of ``b``.
+
+Without transport every grid has an exact inverse: a DCT-II spectral solve on
+the uniform 2d grid (the cell-centered no-flux Laplacian diagonalizes in that
+basis) and a tridiagonal ``solve_banded`` on the one-axis grids
+(``cartesian-1d`` and ``radial-n``), where the transport bands are exact too.
+The 2d transport solve uses right-preconditioned GMRES (Saad & Schultz, SIAM
+J. Sci. Stat. Comput. 7, 1986) in the cell-weighted inner product, with the
+DCT inverse of ``a*I - d*L`` as preconditioner.  With ``a = 1`` that
+preconditioner keeps the mean and the transport moves no mass, so every
+Krylov vector of a residual with zero mean has zero mean: the correction
+keeps the mass to roundoff, not to the solver tolerance.  A GMRES cycle stops
+at ``KRYLOV_RTOL``, below ``SOLVER_RTOL``: the error of a cycle stopped at
+``SOLVER_RTOL`` can leave negatives beyond the stepper's positivity
+tolerance where aggregating ``u`` is near 0.
 
 The solve starts from the caller's guess ``x0`` and certifies the true
 residual ``r = b - A x`` of the ``x`` it returns, in the cell-weighted norm.
-If ``x0`` already meets ``||r|| <= SOLVER_RTOL * ||b||`` it comes back
-unchanged with zero corrections; this exit keeps a converged field frozen to
-the last bit.  Otherwise the solve applies up to ``CORRECTIONS`` corrections
-``x += inverse(r)``, returning as soon as the relative residual passes.  On
+Only an ``x0`` whose residual is exactly zero comes back unchanged; otherwise
+the solve applies at least one and up to ``CORRECTIONS`` corrections ``x +=
+inverse(r)`` (or GMRES cycles), returning once the relative residual is at
+most ``SOLVER_RTOL``.  A correction carries the rounding of its residual,
+about ``eps * ||r||``, into ``x`` and its mass, so one made from a residual
+above ``||b||`` (a large step on spiky data) is followed by another.  On
 stiff solves the residual can stall at the floating-point floor, about
 ``eps * ||A|| * ||x||``; the last iterate is then accepted when its normwise
 backward error passes, ``||r|| <= SOLVER_RTOL * (||A|| ||x|| + ||b||)``, with
 ``||A||`` bounded by ``a + d * rho`` (``rho`` the largest DCT eigenvalue of
-``-L``) in 2d and by the largest absolute row sum of the assembled bands, which
-includes the transport, on one-axis grids.  Anything else raises
-:class:`SolverError`.
-
-The constant mode has operator eigenvalue exactly ``a``: with ``a = 1`` the
-solve preserves cell-weighted means to roundoff, which is what makes the mass
-budget of long runs exact rather than solver-tolerance limited.
+``-L``) plus the transport's Gershgorin bound in 2d, and by the largest
+absolute row sum of the assembled bands on one-axis grids.  Anything else
+raises :class:`SolverError`.
 
 Certifying a returned ``x`` computes its Laplacian, and a time step starts its
 next solve of the same field from that very array.  The solver therefore keeps
@@ -59,8 +68,13 @@ from .grid import Grid, divergence_values, laplacian_values
 from .model import upwind_flux
 
 SOLVER_RTOL = 1e-10
-# exact-inverse corrections after the check of x0; one normally suffices
+# corrections per solve: exact-inverse corrections (one normally suffices), or
+# on the 2d transport solve GMRES cycles of at most KRYLOV_RESTART iterations,
+# which caps that solve at CORRECTIONS * KRYLOV_RESTART iterations
 CORRECTIONS = 3
+KRYLOV_RESTART = 20
+# where a GMRES cycle stops, relative to ||b||
+KRYLOV_RTOL = 1e-12
 
 
 class HelmholtzSolver:
@@ -134,12 +148,19 @@ class HelmholtzSolver:
             out += d_coef * divergence_values(self.grid, upwind_flux(self.grid, x, coeffs))
         return out
 
+    def _dot(self, f: NDArray, g: NDArray) -> float:
+        # the weighted inner product as a numpy reduction, not a BLAS call,
+        # whose threads would make results depend on the thread count
+        prod = f * g
+        prod *= self._weights
+        return float(np.sum(prod))
+
     def _norm(self, f: NDArray) -> float:
-        sq = f * f
-        sq *= self._weights
-        return math.sqrt(float(np.sum(sq)))
+        return math.sqrt(self._dot(f, f))
 
     def _inverse(self, a_coef: float, d_coef: float, coeffs) -> Callable[[NDArray], NDArray]:
+        # the exact inverse; in 2d that of a*I - d*L, which is the GMRES
+        # preconditioner when there is transport
         if self._symbol is not None:
             denom = a_coef + d_coef * self._symbol
 
@@ -167,52 +188,112 @@ class HelmholtzSolver:
         return x
 
     def _norm_bound(self, a_coef: float, d_coef: float, coeffs) -> float:
-        # bound on ||a*I - d*L + d*A||: a + d * rho in 2d, and the largest
-        # absolute row sum of the bands (Gershgorin) on one-axis grids
+        # bound on ||a*I - d*L + d*A||: a + d * rho in 2d, plus d times the
+        # transport's largest absolute row sum (Gershgorin: |coeff| * area /
+        # weight = |coeff| / h per face, two faces per axis); on one-axis
+        # grids the largest absolute row sum of the bands
         if self._symbol is not None:
-            return a_coef + d_coef * self._rho
+            bound = a_coef + d_coef * self._rho
+            if coeffs is not None:
+                bound += d_coef * sum(
+                    2.0 * float(np.abs(c).max()) / h for c, h in zip(coeffs, self.grid.spacing)
+                )
+            return bound
         ab = self._banded(a_coef, d_coef, coeffs)
         rows = ab[1].copy()
         rows[:-1] += np.abs(ab[0, 1:])
         rows[1:] += np.abs(ab[2, :-1])
         return float(rows.max())
 
+    def _gmres(
+        self, a_coef: float, d_coef: float, coeffs, precond, r: NDArray, norm_r: float,
+        target: float,
+    ) -> tuple[NDArray, int]:
+        """One cycle of right-preconditioned GMRES (Saad & Schultz 1986) for
+        ``op(dx) = r`` in the cell-weighted inner product; returns ``(dx,
+        iterations)``.  It stops after ``KRYLOV_RESTART`` iterations or once
+        the least-squares residual, updated by Givens rotations, is at most
+        ``target``.  Only the Arnoldi basis is kept: ``dx = precond(V y)``, as
+        ``precond`` is linear."""
+        basis = [r / norm_r]
+        hess = np.zeros((KRYLOV_RESTART, KRYLOV_RESTART))  # rotated: R of H = QR
+        rotations: list[tuple[float, float]] = []
+        resid = [norm_r]  # the rotated right-hand side beta * e_1
+        for j in range(KRYLOV_RESTART):
+            w = self.apply(a_coef, d_coef, precond(basis[j]), coeffs)
+            for i, v in enumerate(basis):  # modified Gram-Schmidt
+                hess[i, j] = self._dot(w, v)
+                w -= hess[i, j] * v
+            h_next = self._norm(w)
+            for i, (c, s) in enumerate(rotations):
+                hess[i, j], hess[i + 1, j] = (c * hess[i, j] + s * hess[i + 1, j],
+                                              c * hess[i + 1, j] - s * hess[i, j])
+            rho = math.hypot(hess[j, j], h_next)
+            c, s = hess[j, j] / rho, h_next / rho
+            rotations.append((c, s))
+            hess[j, j] = rho
+            resid.append(-s * resid[j])
+            resid[j] *= c
+            if abs(resid[j + 1]) <= target or h_next == 0.0:
+                break
+            basis.append(w / h_next)
+        k = len(rotations)
+        y = np.zeros(k)
+        for i in reversed(range(k)):  # back substitution in the triangle
+            y[i] = (resid[i] - float(np.sum(hess[i, i + 1:k] * y[i + 1:]))) / hess[i, i]
+        combo = y[0] * basis[0]
+        for coef, v in zip(y[1:], basis[1:]):
+            combo += coef * v
+        return precond(combo), k
+
     def solve(
         self, a_coef: float, d_coef: float, rhs: NDArray, x0: NDArray, coeffs=None
     ) -> tuple[NDArray, int, float]:
-        """Solve from ``x0``; returns ``(x, corrections, relres)``.
+        """Solve from ``x0``; returns ``(x, iterations, relres)``.
 
-        ``coeffs`` (one-axis grids only) are the face coefficients of the
-        upwind transport term, as from :func:`fluxks.model.flux_coefficients`.
-        ``relres`` is the weighted true residual of the returned ``x``
-        relative to ``||rhs||``.
+        ``coeffs`` are the face coefficients of the upwind transport term, as
+        from :func:`fluxks.model.flux_coefficients`.  ``iterations`` counts
+        the exact-inverse corrections, or the GMRES iterations of a 2d
+        transport solve; it is 0 only when ``rhs`` or the residual of ``x0``
+        is exactly zero.  ``relres`` is the weighted true residual of the
+        returned ``x`` relative to ``||rhs||``.
 
         Raises:
             SolverError: neither the residual nor the backward-error floor is
                 met after ``CORRECTIONS`` corrections.
-            ValueError: ``coeffs`` on the 2d grid.
         """
-        if self._symbol is not None and coeffs is not None:
-            raise ValueError("implicit transport needs a one-axis grid")
         norm_b = self._norm(rhs)
         if norm_b == 0.0:
             return self._certify(np.zeros_like(rhs), np.zeros_like(rhs)), 0, 0.0  # L(0) = 0
         x = x0.copy()
         lap = self.laplacian(x0)
+        krylov = self._symbol is not None and coeffs is not None
+        target = SOLVER_RTOL * norm_b
+        iterations = 0
+        norm_prev = math.inf
         for k in range(CORRECTIONS + 1):
-            if k == 1:  # built only when x0 fails the check
+            if k == 1:  # built only when x0 is not exact
                 inverse = self._inverse(a_coef, d_coef, coeffs)
             if k > 0:
-                x += inverse(r)
+                if krylov:
+                    dx, used = self._gmres(a_coef, d_coef, coeffs, inverse, r, norm_r,
+                                           KRYLOV_RTOL * norm_b)
+                else:
+                    dx, used = inverse(r), 1
+                x += dx
+                iterations += used
                 lap = laplacian_values(self.grid, x)
+                norm_prev = norm_r
             r = self.apply(a_coef, d_coef, x, coeffs, lap)
             np.subtract(rhs, r, out=r)
             norm_r = self._norm(r)
-            if norm_r <= SOLVER_RTOL * norm_b:
-                return self._certify(x, lap), k, norm_r / norm_b
+            # a correction carries the rounding of its residual, eps * ||r||,
+            # into x and its mass: one from a residual above ||b|| is redone
+            if norm_r == 0.0 or (norm_r <= target and norm_prev <= norm_b):
+                return self._certify(x, lap), iterations, norm_r / norm_b
         norm_a = self._norm_bound(a_coef, d_coef, coeffs)
         if norm_r <= SOLVER_RTOL * (norm_a * self._norm(x) + norm_b):
-            return self._certify(x, lap), CORRECTIONS, norm_r / norm_b
+            return self._certify(x, lap), iterations, norm_r / norm_b
         raise SolverError(
             f"residual {norm_r / norm_b:.3e} above the backward-error floor "
             f"after {CORRECTIONS} corrections"

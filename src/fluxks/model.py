@@ -21,7 +21,6 @@ from numpy.typing import NDArray
 from .grid import (
     Grid,
     GridFunction,
-    VectorGridFunction,
     _boundary_slice,
     _interior_slice,
     _slice_axis,
@@ -148,39 +147,6 @@ def upwind_flux(grid: Grid, u_values, coeffs) -> list[NDArray[np.float64]]:
     return fluxes
 
 
-def outflow_rate(grid: Grid, coeffs) -> float:
-    """Largest per-cell outflow rate ``sum_faces max(+-coeff * area, 0) / weight``
-    of the :func:`upwind_flux` of ``coeffs``: an explicit step ``dt`` keeps
-    ``u >= 0`` while ``dt * rate <= 1``."""
-    nd = grid.n_axes
-    outflow = np.zeros(grid.shape)
-    for a, coeff in enumerate(coeffs):
-        lo, hi = _slice_axis(nd, a, slice(None, -1)), _slice_axis(nd, a, slice(1, None))
-        inner = _interior_slice(nd, a)
-        rate = coeff[inner] * grid.face_areas[a][inner]
-        out_lo = np.maximum(rate, 0.0)
-        out_lo /= grid.cell_weights[lo]
-        outflow[lo] += out_lo
-        np.negative(rate, out=rate)
-        np.maximum(rate, 0.0, out=rate)
-        rate /= grid.cell_weights[hi]
-        outflow[hi] += rate
-    return float(outflow.max())
-
-
-def regularized_flux(
-    u: GridFunction, grad_v: VectorGridFunction, params: ModelParams
-) -> VectorGridFunction:
-    """Upwind chemotactic face flux ``chi * u * (|grad v|^2 + eps)^((p-2)/2) * grad v``.
-
-    :func:`flux_coefficients` of ``grad_v`` upwinded by :func:`upwind_flux`,
-    so the flux is exactly linear in both ``chi`` and ``u``.  Boundary faces
-    are exactly zero.
-    """
-    fluxes = upwind_flux(u.grid, u.values, flux_coefficients(u.grid, grad_v.faces, params))
-    return VectorGridFunction(u.grid, tuple(fluxes))
-
-
 def production(u: GridFunction, params: ModelParams) -> GridFunction:
     """Cell-wise signal production ``u^theta`` (``0^theta = 0`` for theta > 0)."""
     return GridFunction(u.grid, u.values**params.theta)
@@ -297,9 +263,15 @@ def build_initial_data(
                 f"cosine family needs |amplitude| <= base for u0 >= 0, "
                 f"got amplitude={amplitude}, base={base}"
             )
-        bump = np.ones(grid.shape)
-        for coord, length in zip(grid.center_mesh(), grid.extents):
-            bump = bump * np.cos(np.pi * coord / length)
+        if grid.mode == "radial-n":
+            bump = np.cos(np.pi * grid.axis_centers(0) / grid.extents[0])
+        else:
+            # cos(pi x / L) = -sin(pi (x - L/2) / L): a one-ulp asymmetry of
+            # the data would grow in an aggregating run until one aggregate
+            # absorbed its mirror image
+            bump = np.ones(grid.shape)
+            for offset, length in zip(grid.center_offset_mesh(), grid.extents):
+                bump = bump * -np.sin(np.pi * offset / length)
         u0 = base + amplitude * bump
     elif family == "gaussian":
         if base + min(amplitude, 0.0) < 0.0:
@@ -314,8 +286,8 @@ def build_initial_data(
             d2 = grid.axis_centers(0) ** 2
         else:
             d2 = np.zeros(grid.shape)
-            for coord, length in zip(grid.center_mesh(), grid.extents):
-                d2 = d2 + (coord - 0.5 * length) ** 2
+            for offset in grid.center_offset_mesh():
+                d2 = d2 + offset**2
         u0 = base + amplitude * np.exp(-d2 / (2.0 * w * w))
     else:
         if base <= 0.0:

@@ -4,30 +4,25 @@ Each step advances the signal first and the density second:
 
 1. ``((1 + dt)*I - dt*L) v_new = v_old + dt * u_old^theta`` -- implicit
    diffusion and damping, explicit production;
-2. the density, with the flux coefficients evaluated once, on ``v_new``
-   (:func:`fluxks.model.flux_coefficients`):
-
-   * on one-axis grids (``cartesian-1d``, ``radial-n``), linearly implicit
-     upwind chemotaxis, ``(I - dt*L + dt*A(v_new)) u_new = u_old`` with ``A``
-     the upwind transport operator ``div(upwind_flux(., coeffs))``: a
-     tridiagonal M-matrix whose weighted column sums are 1, so ``u_new`` keeps
-     the mass and the sign of ``u_old`` for any ``dt`` (the scheme of Zhou &
-     Saito, Numer. Math. 135, 2017, in the line of Filbet, Numer. Math. 104,
-     2006);
-   * in 2d, ``(I - dt*L) u_new = u_old - dt * div(upwind_flux(u_old))`` --
-     explicit upwind chemotaxis under the positivity CFL, implicit diffusion.
+2. ``(I - dt*L + dt*A(v_new)) u_new = u_old`` -- linearly implicit upwind
+   chemotaxis, with ``A`` the upwind transport operator
+   ``div(upwind_flux(., coeffs))`` and the flux coefficients evaluated once,
+   on ``v_new`` (:func:`fluxks.model.flux_coefficients`).  The matrix is an
+   M-matrix whose weighted column sums are 1, so ``u_new`` keeps the mass and
+   the sign of ``u_old`` for any ``dt`` (the scheme of Zhou & Saito, Numer.
+   Math. 135, 2017, in the line of Filbet, Numer. Math. 104, 2006).
 
 All solves run through :class:`fluxks.linalg.HelmholtzSolver`.  Starting
-from the old field, it applies exact-inverse corrections (DCT in 2d,
-tridiagonal on one-axis grids) until the true relative residual is at most
-1e-10; it returns the old field untouched when that already passes, and
-accepts a residual stalled at the floating-point floor only through a normwise
-backward-error test.  The implicit operators are inverse-positive, and in 2d
-the positivity CFL keeps the explicit right-hand side nonnegative, so negative
-cells can only appear at solver roundoff scale; they are clamped to zero with
-the clamped mass logged, and anything beyond roundoff is a hard error.  Mass
-is conserved by construction: the flux divergence telescopes to zero and the
-u-solve preserves cell-weighted means to roundoff.
+from the old field, it applies at least one correction -- exact-inverse
+(DCT in 2d, tridiagonal on one-axis grids), or DCT-preconditioned GMRES for
+the 2d transport -- until the true relative residual is at most 1e-10, and
+accepts a residual stalled at the floating-point floor only through a
+normwise backward-error test.  The implicit operators are inverse-positive,
+so negative cells can only appear at solver accuracy scale; they are clamped
+to zero with the clamped mass logged, and anything beyond
+``POSITIVITY_HARD_TOL`` is a hard error.  Mass is conserved by construction:
+the flux divergence telescopes to zero and the u-solve preserves
+cell-weighted means to roundoff.
 
 One solver serves a whole run.  It returns read-only arrays and remembers the
 Laplacian of the last ``u`` and ``v`` it returned, so the residual check that
@@ -35,16 +30,10 @@ opens the next step's solve of each field costs no stencil pass, nor does the
 ``lap_v_l2`` of a record.  The state's fields are those arrays; a clamped
 field is a fresh copy and misses, as does the initial state.
 
-The time step is the smallest of ``dt_max``, an explicit-production proxy
-``cfl_safety / (theta * max(u)^(theta-1))`` and, in 2d only, the advective
-positivity bound (``cfl_safety`` over the largest outflow rate of the flux
-along the current signal, handed forward by the step that produced it; a
-one-axis step hands forward 0).  Diffusion is implicit and imposes no step
-bound.  In 2d the flux that moves ``u`` is that of ``v_new``, unknown when
-``dt`` is chosen: when ``u`` goes negative because ``dt`` broke its bound,
-:func:`simulate` redoes the step from the old state with ``cfl_safety`` over
-that rate, below ``cfl_safety * dt``, so retries end.  A step below ``dt_min``
-is treated as suspected blow-up, as is ``||u||_inf`` beyond ``blowup_linf_threshold``.
+The time step is the smaller of ``dt_max`` and an explicit-production proxy
+``cfl_safety / (theta * max(u)^(theta-1))``; diffusion and transport are
+implicit and impose no step bound.  A step below ``dt_min`` is treated as
+suspected blow-up, as is ``||u||_inf`` beyond ``blowup_linf_threshold``.
 """
 
 from __future__ import annotations
@@ -58,24 +47,16 @@ import numpy as np
 
 from . import functionals
 from .errors import FluxksError, PositivityError, TimeStepCollapse
-from .grid import GridFunction, divergence_values, gradient_faces, integrate
+from .grid import GridFunction, gradient_faces, integrate
 from .linalg import HelmholtzSolver
-from .model import (
-    InitialData,
-    ModelParams,
-    flux_coefficients,
-    mollify_initial_data,
-    outflow_rate,
-    production,
-    upwind_flux,
-)
+from .model import InitialData, ModelParams, flux_coefficients, mollify_initial_data, production
 from .regimes import RegimeSpec, audit, s_rule
 
 logger = logging.getLogger(__name__)
 
 # negatives smaller than this are expected solver roundoff and clamped to 0
 POSITIVITY_CLAMP_TOL = 1e-13
-# negatives beyond this signal CFL misconfiguration and abort the run
+# negatives beyond this signal a solve gone wrong and abort the run
 POSITIVITY_HARD_TOL = 1e-10
 # cumulative clamped mass beyond this fraction of the initial mass fails the
 # run: clamping is a roundoff patch, not a scheme feature
@@ -116,8 +97,7 @@ class StepControls:
 
 @dataclass(frozen=True)
 class SimState:
-    """One trajectory point; ``clamped_mass`` and ``outflow_rate`` (of the
-    explicit flux along ``v``, 0 on one-axis grids) come from the step that
+    """One trajectory point; ``clamped_mass`` comes from the step that
     produced this state."""
 
     u: GridFunction
@@ -125,7 +105,6 @@ class SimState:
     t: float
     step_index: int
     clamped_mass: float = 0.0
-    outflow_rate: float | None = None
 
 
 @dataclass
@@ -141,42 +120,32 @@ class SimResult:
     message: str = ""
 
 
-def choose_dt(u: GridFunction, rate: float, params: ModelParams, controls: StepControls) -> float:
-    """Largest admissible step for ``u`` moved by a flux whose largest
-    per-cell outflow rate is ``rate`` (:func:`fluxks.model.outflow_rate`).
-
-    ``rate`` is 0 on one-axis grids, whose implicit transport has no
-    advective bound; ``dt_max`` and the production proxy remain.
+def choose_dt(u: GridFunction, params: ModelParams, controls: StepControls) -> float:
+    """Largest admissible step for ``u``: ``dt_max`` or the production proxy.
 
     Raises:
         TimeStepCollapse: the bound fell below ``dt_min``.
     """
-    dt_adv = controls.cfl_safety / rate if rate > 0.0 else math.inf
-
     u_max = float(u.values.max())
     prod_rate = params.theta * u_max ** (params.theta - 1.0) if u_max > 0.0 else 0.0
     dt_prod = controls.cfl_safety / prod_rate if prod_rate > 0.0 else math.inf
 
-    dt = min(controls.dt_max, dt_adv, dt_prod)
+    dt = min(controls.dt_max, dt_prod)
     if dt < controls.dt_min:
         raise TimeStepCollapse(
             f"time step {dt:.3e} fell below dt_min {controls.dt_min:.3e} "
-            f"(advective {dt_adv:.3e}, production {dt_prod:.3e})"
+            f"(production {dt_prod:.3e})"
         )
     return dt
 
 
-def _clamp_negative(
-    values: np.ndarray, weights: np.ndarray, label: str, outflow_rate: float = 0.0
-) -> tuple[np.ndarray, float]:
+def _clamp_negative(values: np.ndarray, weights: np.ndarray, label: str) -> tuple[np.ndarray, float]:
     vmin = float(values.min())
     if vmin >= 0.0:
         return values, 0.0
     if vmin < -POSITIVITY_HARD_TOL:
         raise PositivityError(
-            f"{label} dropped to {vmin:.3e}, beyond roundoff {POSITIVITY_HARD_TOL:.1e}: "
-            "CFL misconfiguration suspected",
-            outflow_rate,
+            f"{label} dropped to {vmin:.3e}, beyond roundoff {POSITIVITY_HARD_TOL:.1e}"
         )
     neg = values < 0.0
     clamped = -float(np.sum(values[neg] * weights[neg]))
@@ -196,13 +165,8 @@ def step(
 ) -> SimState:
     """Advance one step of exactly ``dt``; see the module docstring for the scheme.
 
-    The density transport is implicit on one-axis grids (the new state's
-    ``outflow_rate`` is 0) and explicit under the advective bound in 2d (the
-    rate is that of the flux along ``v_new``).
-
     Raises:
-        PositivityError: negative cells beyond roundoff (for ``u``, with that
-            outflow rate).
+        PositivityError: negative cells beyond roundoff.
         SolverError: linear solve failure or non-finite values.
     """
     grid = state.u.grid
@@ -215,15 +179,8 @@ def step(
     v_new, _ = _clamp_negative(v_new, weights, "v")
 
     coeffs = flux_coefficients(grid, gradient_faces(grid, v_new), params)
-    if grid.n_axes == 1:
-        u_new, _, _ = solver.solve(1.0, dt, state.u.values, x0=state.u.values, coeffs=coeffs)
-        rate = 0.0
-    else:
-        rate = outflow_rate(grid, coeffs)
-        fluxes = upwind_flux(grid, state.u.values, coeffs)
-        rhs_u = state.u.values - dt * divergence_values(grid, fluxes)
-        u_new, _, _ = solver.solve(1.0, dt, rhs_u, x0=state.u.values)
-    u_new, clamped = _clamp_negative(u_new, weights, "u", rate)
+    u_new, _, _ = solver.solve(1.0, dt, state.u.values, x0=state.u.values, coeffs=coeffs)
+    u_new, clamped = _clamp_negative(u_new, weights, "u")
 
     return SimState(
         u=GridFunction(grid, u_new),
@@ -231,7 +188,6 @@ def step(
         t=state.t + dt,
         step_index=state.step_index + 1,
         clamped_mass=clamped,
-        outflow_rate=rate,
     )
 
 
@@ -254,9 +210,7 @@ def simulate(
     to the s-rule value (the max-norm proxy when infinite).  ``mollify``
     applies the eps-scaled initial smoothing (the signal is left raw on the
     max-norm branch).  ``keep_states`` is ``"sampled"`` (states at the record
-    cadence), ``"ends"`` (initial and final only), or ``"all"``.  A step that
-    breaks the advective bound of its ``v_new`` (2d only) is redone under
-    that bound.
+    cadence), ``"ends"`` (initial and final only), or ``"all"``.
 
     Raises:
         ValueError: grid/params dimension mismatch or bad arguments.
@@ -291,11 +245,6 @@ def simulate(
         data = initial
 
     state = SimState(u=data.u0, v=data.v0, t=0.0, step_index=0)
-    if grid.n_axes == 1:
-        rate = 0.0
-    else:
-        coeffs = flux_coefficients(grid, gradient_faces(grid, data.v0.values), params)
-        rate = outflow_rate(grid, coeffs)
     solver = HelmholtzSolver(grid)
     initial_mass = integrate(data.u0)
     clamped_cum = 0.0
@@ -320,7 +269,7 @@ def simulate(
     record(state)
     while controls.t_end - state.t > _T_END_SLACK * max(1.0, controls.t_end):
         try:
-            dt = choose_dt(state.u, rate, params, controls)
+            dt = choose_dt(state.u, params, controls)
         except TimeStepCollapse as exc:
             status = RunStatus.BLOWUP_SUSPECTED
             message = str(exc)
@@ -330,15 +279,9 @@ def simulate(
             # ValueError covers non-finite values rejected by GridFunction
             state = step(state, params, controls, dt, solver=solver)
         except (FluxksError, ValueError) as exc:
-            rejected = exc.outflow_rate if isinstance(exc, PositivityError) else 0.0
-            if rejected * dt > controls.cfl_safety:
-                # dt broke the bound of the signal it produced: redo the step under it
-                rate = rejected
-                continue
             status = RunStatus.NUMERICAL_FAILURE
             message = str(exc)
             break
-        rate = state.outflow_rate
         clamped_cum += state.clamped_mass
         if clamped_cum > CLAMPED_MASS_MAX_FRACTION * initial_mass:
             status = RunStatus.NUMERICAL_FAILURE

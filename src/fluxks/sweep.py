@@ -39,7 +39,7 @@ from .monitors import classify
 from .regimes import RegimeSpec, audit, critical_exponent, relative_p
 from .stepper import DEFAULT_RECORD_EVERY, StepControls, simulate
 
-SWEEP_VERSION = 4
+SWEEP_VERSION = 5
 
 REGIME_MAP_COLUMNS = (
     "n",

@@ -1,14 +1,16 @@
 """Shared fixtures: the reference 1d run reused across monitor and
-acceptance tests, plus small grid helpers."""
+acceptance tests, small grid helpers, and the discrete linear theory of the
+constant state."""
 
 import math
 
 import numpy as np
 import pytest
 
-from fluxks.grid import GridFunction, build_grid
+from fluxks.grid import GridFunction, build_grid, laplacian_values
+from fluxks.linalg import HelmholtzSolver
 from fluxks.model import InitialData, ModelParams, build_initial_data
-from fluxks.stepper import StepControls, simulate
+from fluxks.stepper import SimState, StepControls, simulate, step
 
 
 def reference_setup():
@@ -57,3 +59,50 @@ def constant_pair(grid, u_val, v_val):
         u0=GridFunction.constant(grid, u_val),
         v0=GridFunction.constant(grid, v_val),
     )
+
+
+def laplacian_mode(grid):
+    """The lowest nonconstant eigenpair ``(e, mu)``, ``-L e = mu e``, with
+    ``max |e| = 1``: the product mode ``prod_a cos(pi x_a / L_a)`` on cartesian
+    grids, and on radial grids the second eigenvector of ``-L`` made
+    symmetric by the cell weights, ``W^(1/2) (-L) W^(-1/2)``."""
+    if grid.mode != "radial-n":
+        e = np.ones(grid.shape)
+        for coord, length in zip(grid.center_mesh(), grid.extents):
+            e = e * np.cos(np.pi * coord / length)
+        mu = sum(2.0 * (1.0 - math.cos(math.pi * h / length)) / (h * h)
+                 for h, length in zip(grid.spacing, grid.extents))
+        return e, mu
+    size = grid.shape[0]
+    neg_lap = np.array([-laplacian_values(grid, unit) for unit in np.eye(size)]).T
+    root = np.sqrt(grid.cell_weights)
+    mus, vecs = np.linalg.eigh(root[:, None] * neg_lap / root[None, :])
+    e = vecs[:, 1] / root
+    return e / np.abs(e).max(), float(mus[1])
+
+
+def mode_dispersion(grid, params, size, steps=100, dt=0.01):
+    """``(relative error, growth)`` of a density mode of size ``size`` on the
+    constant state ``u = v = 1`` after ``steps`` steps of ``dt``.
+
+    To first order in ``size``, ``u = 1 + a*e`` and ``v = 1 + b*e`` follow the
+    per-mode map of the scheme, ``b' = (b + dt*theta*a) / (1 + dt + dt*mu)``
+    and ``a' = (a + dt*c*mu*b') / (1 + dt*mu)`` with ``c = chi *
+    eps^((p-2)/2)``.  The error compares the scheme's ``a``, its weighted
+    projection on ``e``, with the map's; the growth is the map's ``a`` over
+    ``size``.  The signal starts at ``b = theta * size``, i.e. at ``u^theta``.
+    """
+    e, mu = laplacian_mode(grid)
+    c = params.chi * params.eps ** (0.5 * (params.p - 2.0))
+    a_hat, b_hat = size, params.theta * size
+    state = SimState(u=GridFunction(grid, 1.0 + a_hat * e),
+                     v=GridFunction(grid, 1.0 + b_hat * e), t=0.0, step_index=0)
+    solver = HelmholtzSolver(grid)
+    controls = StepControls(t_end=steps * dt)
+    for _ in range(steps):
+        state = step(state, params, controls, dt, solver=solver)
+        b_hat = (b_hat + dt * params.theta * a_hat) / (1.0 + dt + dt * mu)
+        a_hat = (a_hat + dt * c * mu * b_hat) / (1.0 + dt * mu)
+    w = grid.cell_weights
+    measured = float(np.sum((state.u.values - 1.0) * e * w) / np.sum(e * e * w))
+    return abs(measured - a_hat) / abs(a_hat), a_hat / size

@@ -3,7 +3,8 @@
 One criterion per test, one printed pass/fail line per criterion (run with
 ``pytest tests/test_acceptance.py -s`` to watch them stream).  Criteria 1, 2,
 5 and 10 share the reference run; criterion 4 runs the full boundedness
-lattice and dominates the wall time.
+lattice and dominates the wall time.  Criterion 11 is shown to fail on three
+broken schemes.
 """
 
 import math
@@ -13,7 +14,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import reference_setup
+import fluxks.stepper as stepper_mod
+from conftest import mode_dispersion, reference_setup
 from fluxks.functionals import records_to_csv
 from fluxks.gn import (
     density_step_set,
@@ -30,7 +32,7 @@ from fluxks.grid import (
     inner,
     laplacian_values,
 )
-from fluxks.model import ModelParams, build_initial_data
+from fluxks.model import ModelParams, build_initial_data, flux_coefficients
 from fluxks.monitors import (
     check_dissipation_inequality,
     check_positivity,
@@ -348,3 +350,65 @@ def test_criterion_10_determinism(reference_run, timed_reference_run, tmp_path):
     )
     assert csv_ok
     assert sweep_ok
+
+
+# (grid, chi, mode size) of one decaying and one growing mode per grid kind,
+# on u = v = 1 with p = 1.5, theta = 2, eps = 1e-3, over 100 steps of 0.01
+DISPERSION_CASES = (
+    (build_grid("cartesian-1d", extents=(1.0,), cells=(64,)), 0.5, 1e-5),
+    (build_grid("cartesian-1d", extents=(1.0,), cells=(32,)), 2.0, 1e-7),
+    (build_grid("cartesian-2d", extents=(1.0, 1.0), cells=(32, 32)), 1.0, 1e-5),
+    (build_grid("cartesian-2d", extents=(1.0, 1.0), cells=(32, 32)), 2.5, 1e-7),
+    (build_grid("radial-n", extents=(1.0,), cells=(32,), n=3), 1.0, 1e-5),
+    (build_grid("radial-n", extents=(1.0,), cells=(32,), n=3), 2.5, 1e-7),
+)
+DISPERSION_RTOL = 1e-3
+
+
+def dispersion_gate():
+    """``(passed, worst error, details)`` of the modes in ``DISPERSION_CASES``:
+    each must match the per-mode map to ``DISPERSION_RTOL``, and each grid
+    kind must show one decaying and one growing mode."""
+    details = []
+    for grid, chi, size in DISPERSION_CASES:
+        params = ModelParams(chi=chi, p=1.5, theta=2.0, eps=1e-3, n=grid.n)
+        err, growth = mode_dispersion(grid, params, size)
+        details.append((grid.mode, chi, err, growth))
+    worst = max(err for _, _, err, _ in details)
+    kinds = {(mode, growth > 1.0) for mode, _, _, growth in details}
+    passed = worst <= DISPERSION_RTOL and len(kinds) == len(DISPERSION_CASES)
+    return passed, worst, details
+
+
+def test_criterion_11_discrete_dispersion():
+    t0 = time.perf_counter()
+    passed, worst, details = dispersion_gate()
+    elapsed = time.perf_counter() - t0
+    growths = ", ".join(f"{growth:.3g}" for *_, growth in details)
+    announce(
+        11,
+        passed and elapsed <= 5.0,
+        f"6 modes on 1d, 2d, radial n=3 (growth {growths}) match the linear map "
+        f"to {worst:.1e} <= {DISPERSION_RTOL:.0e}, {elapsed:.2f}s <= 5s",
+    )
+    assert passed, details
+    assert elapsed <= 5.0
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [
+        lambda grid, grads, params: [np.zeros_like(g) for g in grads],
+        lambda grid, grads, params: [-c for c in flux_coefficients(grid, grads, params)],
+        "production",
+    ],
+    ids=["no-chemotaxis", "repulsive", "linear-production"],
+)
+def test_criterion_11_fails_on_broken_schemes(monkeypatch, mutant):
+    # chemotaxis deleted or reversed, or production u in place of u^theta
+    if mutant == "production":
+        monkeypatch.setattr(stepper_mod, "production", lambda u, params: u)
+    else:
+        monkeypatch.setattr(stepper_mod, "flux_coefficients", mutant)
+    passed, worst, _ = dispersion_gate()
+    assert not passed and worst > DISPERSION_RTOL

@@ -25,7 +25,6 @@ from fluxks.model import (
     ModelParams,
     face_gradient_magnitude_sq,
     flux_coefficients,
-    outflow_rate,
     upwind_flux,
 )
 
@@ -183,10 +182,9 @@ def test_flux_kernels_match_references(grid, p, eps, seed):
     assert any(np.any(c[_axis(grid.n_axes, a, slice(1, -1))] == 0.0)
                for a, c in enumerate(coeffs))
     u = np.abs(field(grid, seed + 10))  # includes exact zeros
-    ref_fluxes, ref_rate = ref_upwind_flux(grid, u, coeffs)
+    ref_fluxes, _ = ref_upwind_flux(grid, u, coeffs)
     for new, ref in zip(upwind_flux(grid, u, coeffs), ref_fluxes):
         assert_same_bits(new, ref)
-    assert outflow_rate(grid, coeffs) == ref_rate
 
 
 def test_upwind_flux_of_signed_coefficients_with_zeros(grid):
@@ -195,7 +193,6 @@ def test_upwind_flux_of_signed_coefficients_with_zeros(grid):
     coeffs = faces_of(grid, 5)
     u = np.abs(field(grid, 6))
     u[np.random.default_rng(7).random(grid.shape) < 0.2] = 0.0
-    ref_fluxes, ref_rate = ref_upwind_flux(grid, u, coeffs)
+    ref_fluxes, _ = ref_upwind_flux(grid, u, coeffs)
     for new, ref in zip(upwind_flux(grid, u, coeffs), ref_fluxes):
         assert_same_bits(new, ref)
-    assert outflow_rate(grid, coeffs) == ref_rate

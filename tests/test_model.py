@@ -29,11 +29,14 @@ from fluxks.model import (
     face_gradient_magnitude_sq,
     flux_coefficients,
     mollify_initial_data,
-    outflow_rate,
     production,
-    regularized_flux,
     upwind_flux,
 )
+
+
+def flux(u, grad_v, params):
+    # the upwind chemotactic face flux chi * u * (|grad v|^2 + eps)^((p-2)/2) * grad v
+    return upwind_flux(u.grid, u.values, flux_coefficients(u.grid, grad_v.faces, params))
 
 
 def params_with(**kw):
@@ -107,8 +110,8 @@ def test_flux_zero_signal_gradient(grid1d):
     u = GridFunction.constant(g, 5.0)
     v = GridFunction.constant(g, 1.0)
     for eps in (0.0, 1e-3):
-        fl = regularized_flux(u, gradient(v), params_with(eps=eps))
-        np.testing.assert_allclose(fl.faces[0], 0.0)
+        fl = flux(u, gradient(v), params_with(eps=eps))
+        np.testing.assert_allclose(fl[0], 0.0)
 
 
 def test_flux_p2_is_classical_and_eps_free(grid1d):
@@ -117,32 +120,43 @@ def test_flux_p2_is_classical_and_eps_free(grid1d):
     u = GridFunction.from_callable(g, lambda x: 1.0 + x)
     v = GridFunction.from_callable(g, lambda x: x * (1.0 - x))
     gv = gradient(v)
-    f0 = regularized_flux(u, gv, params_with(p=2.0, eps=0.0))
-    f1 = regularized_flux(u, gv, params_with(p=2.0, eps=0.5))
-    np.testing.assert_allclose(f0.faces[0], f1.faces[0], rtol=0.0, atol=0.0)
+    f0 = flux(u, gv, params_with(p=2.0, eps=0.0))
+    f1 = flux(u, gv, params_with(p=2.0, eps=0.5))
+    np.testing.assert_allclose(f0[0], f1[0], rtol=0.0, atol=0.0)
     # against the upwind hand formula
     coeff = gv.faces[0][1:-1]
     up = np.where(coeff > 0.0, u.values[:-1], u.values[1:])
-    np.testing.assert_allclose(f0.faces[0][1:-1], coeff * up, rtol=1e-15)
+    np.testing.assert_allclose(f0[0][1:-1], coeff * up, rtol=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_upwind_outflow_rate_is_the_positivity_bound(n):
-    # the explicit update u - dt * div(flux) stays >= 0 up to dt = 1 / rate,
-    # and a unit mass in the cell of largest outflow empties exactly there
+    # A x = div(upwind_flux(x, coeffs)) has each cell's outflow rate on its
+    # diagonal and nonpositive off-diagonals: the explicit update u - dt * A u
+    # stays >= 0 up to dt = 1 / (largest rate), and the implicit I + dt*A, as
+    # the density solve uses it, is an M-matrix with weighted column sums 1
+    # whose inverse is nonnegative and keeps the mass for every dt
     g = unit_grid(n, 8)
     rng = np.random.default_rng(n)
     coeffs = flux_coefficients(g, gradient_faces(g, 4.0 * rng.random(g.shape)), params_with(n=n))
-    u = rng.random(g.shape)
-    fluxes, rate = upwind_flux(g, u, coeffs), outflow_rate(g, coeffs)
-    assert rate > 0.0
-    assert (u - divergence_values(g, fluxes) / rate).min() >= -1e-12
-    left = []
+    cols = []
     for idx in np.ndindex(g.shape):
         unit = np.zeros(g.shape)
         unit[idx] = 1.0
-        left.append(1.0 - divergence_values(g, upwind_flux(g, unit, coeffs))[idx] / rate)
-    assert min(left) == pytest.approx(0.0, abs=1e-12)
+        cols.append(divergence_values(g, upwind_flux(g, unit, coeffs)).ravel())
+    transport = np.array(cols).T
+    off = transport - np.diag(np.diag(transport))
+    rate = np.diag(transport).max()
+    assert rate > 0.0 and off.min() < 0.0
+    assert np.all(np.diag(transport) >= 0.0) and np.all(off <= 0.0)
+    u = rng.random(g.shape)
+    explicit = u - divergence_values(g, upwind_flux(g, u, coeffs)) / rate
+    assert explicit.min() >= -1e-12
+    w = g.cell_weights.ravel()
+    for dt in (1e-3, 1.0, 1e3):
+        inv = np.linalg.inv(np.eye(w.size) + dt * transport)
+        assert inv.min() >= -1e-12 * inv.max()
+        np.testing.assert_allclose(w @ inv, w, rtol=1e-10)
 
 
 def test_flux_hand_oracle_plane_signal():
@@ -152,14 +166,14 @@ def test_flux_hand_oracle_plane_signal():
     X, Y = g.center_mesh()
     v = GridFunction(g, 3.0 * X + 4.0 * Y)
     u = GridFunction.constant(g, 1.0)
-    fl = regularized_flux(u, gradient(v), params_with(p=1.5, eps=0.0, n=2))
+    fl = flux(u, gradient(v), params_with(p=1.5, eps=0.0, n=2))
     s = 5.0**-0.5
     # away from every wall the tangential average sees the full gradient
-    np.testing.assert_allclose(fl.faces[0][4:-4, 4:-4], 3.0 * s, rtol=1e-12)
-    np.testing.assert_allclose(fl.faces[1][4:-4, 4:-4], 4.0 * s, rtol=1e-12)
+    np.testing.assert_allclose(fl[0][4:-4, 4:-4], 3.0 * s, rtol=1e-12)
+    np.testing.assert_allclose(fl[1][4:-4, 4:-4], 4.0 * s, rtol=1e-12)
     # normal boundary faces carry nothing
-    assert np.all(fl.faces[0][0, :] == 0.0)
-    assert np.all(fl.faces[0][-1, :] == 0.0)
+    assert np.all(fl[0][0, :] == 0.0)
+    assert np.all(fl[0][-1, :] == 0.0)
 
 
 def test_flux_linear_in_chi_and_u(grid1d):
@@ -167,11 +181,11 @@ def test_flux_linear_in_chi_and_u(grid1d):
     u = GridFunction.from_callable(g, lambda x: 1.0 + 0.5 * np.sin(2 * math.pi * x))
     v = GridFunction.from_callable(g, lambda x: np.cos(math.pi * x))
     gv = gradient(v)
-    base = regularized_flux(u, gv, params_with(chi=1.0)).faces[0]
-    twice_chi = regularized_flux(u, gv, params_with(chi=2.0)).faces[0]
+    base = flux(u, gv, params_with(chi=1.0))[0]
+    twice_chi = flux(u, gv, params_with(chi=2.0))[0]
     np.testing.assert_allclose(twice_chi, 2.0 * base, rtol=0.0, atol=0.0)
     u2 = GridFunction(g, 2.0 * u.values)
-    twice_u = regularized_flux(u2, gv, params_with(chi=1.0)).faces[0]
+    twice_u = flux(u2, gv, params_with(chi=1.0))[0]
     np.testing.assert_allclose(twice_u, 2.0 * base, rtol=0.0, atol=0.0)
 
 
@@ -179,12 +193,12 @@ def test_flux_upwind_cell_selection(grid1d):
     g = grid1d(8)
     u = GridFunction(g, np.arange(1.0, 9.0))
     v = GridFunction.from_callable(g, lambda x: x)  # grad v > 0
-    fl = regularized_flux(u, gradient(v), params_with(p=2.0, eps=0.0))
+    fl = flux(u, gradient(v), params_with(p=2.0, eps=0.0))
     # positive coefficient picks the left (upwind) cell
-    np.testing.assert_allclose(fl.faces[0][1:-1], u.values[:-1], rtol=1e-14)
+    np.testing.assert_allclose(fl[0][1:-1], u.values[:-1], rtol=1e-14)
     v_dn = GridFunction.from_callable(g, lambda x: -x)
-    fl_dn = regularized_flux(u, gradient(v_dn), params_with(p=2.0, eps=0.0))
-    np.testing.assert_allclose(fl_dn.faces[0][1:-1], -u.values[1:], rtol=1e-14)
+    fl_dn = flux(u, gradient(v_dn), params_with(p=2.0, eps=0.0))
+    np.testing.assert_allclose(fl_dn[0][1:-1], -u.values[1:], rtol=1e-14)
 
 
 def test_flux_eps_monotone_for_sublinear_p(grid1d):
@@ -195,8 +209,8 @@ def test_flux_eps_monotone_for_sublinear_p(grid1d):
     gv = gradient(v)
     mags = []
     for eps in (0.0, 0.1, 0.5):
-        fl = regularized_flux(u, gv, params_with(p=1.5, eps=eps))
-        mags.append(np.abs(fl.faces[0][1:-1]))
+        fl = flux(u, gv, params_with(p=1.5, eps=eps))
+        mags.append(np.abs(fl[0][1:-1]))
     assert np.all(mags[1] <= mags[0] + 1e-15)
     assert np.all(mags[2] <= mags[1] + 1e-15)
 
@@ -206,10 +220,10 @@ def test_flux_eps_limit_consistency_nondegenerate(grid1d):
     g = grid1d(64)
     u = GridFunction.constant(g, 1.0)
     gv = gradient(GridFunction.from_callable(g, lambda x: x))
-    limit = regularized_flux(u, gv, params_with(p=1.5, eps=0.0)).faces[0]
+    limit = flux(u, gv, params_with(p=1.5, eps=0.0))[0]
     errs = []
     for eps in (1e-2, 1e-4, 1e-6):
-        fl = regularized_flux(u, gv, params_with(p=1.5, eps=eps)).faces[0]
+        fl = flux(u, gv, params_with(p=1.5, eps=eps))[0]
         err = np.abs(fl - limit)[1:-1].max()
         assert err == pytest.approx(1.0 - (1.0 + eps) ** -0.25, rel=1e-10)
         errs.append(err)
@@ -222,10 +236,10 @@ def test_flux_eps_limit_consistency_degenerate_point(grid1d):
     u = GridFunction.from_callable(g, lambda x: 1.0 + 0.3 * np.cos(math.pi * x))
     v = GridFunction.from_callable(g, lambda x: np.sin(math.pi * x) + 0.2 * x)
     gv = gradient(v)
-    limit = regularized_flux(u, gv, params_with(p=1.5, eps=0.0)).faces[0]
+    limit = flux(u, gv, params_with(p=1.5, eps=0.0))[0]
     errs = []
     for eps in (1e-2, 1e-4, 1e-6):
-        fl = regularized_flux(u, gv, params_with(p=1.5, eps=eps)).faces[0]
+        fl = flux(u, gv, params_with(p=1.5, eps=eps))[0]
         errs.append(np.abs(fl - limit).max())
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 2.0 * (1e-6) ** 0.25
@@ -330,6 +344,20 @@ def test_mollifier_rejects_bad_eps(grid1d, eps):
 
 
 # ----------------------------------------------------------- initial data
+
+
+@pytest.mark.parametrize("cells", [(16, 16), (9, 12)])
+def test_initial_data_keep_the_grid_reflections_bit_for_bit(cells):
+    g = build_grid("cartesian-2d", extents=(1.0, 2.0), cells=cells)
+    u0 = build_initial_data(g, family="cosine", amplitude=0.5, v0_kind="zero").u0.values
+    x, y = g.center_mesh()
+    np.testing.assert_allclose(u0, 1.0 + 0.5 * np.cos(np.pi * x) * np.cos(np.pi * y / 2.0),
+                               rtol=0.0, atol=1e-15)
+    # cos(pi x / L) is odd about the center of each axis, so the product is
+    # even under reflecting both
+    assert np.array_equal(u0, u0[::-1, ::-1])
+    bump = build_initial_data(g, family="gaussian", amplitude=2.0, v0_kind="zero").u0.values
+    assert np.array_equal(bump, bump[::-1]) and np.array_equal(bump, bump[:, ::-1])
 
 
 def test_cosine_family_values(grid1d):
