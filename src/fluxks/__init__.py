@@ -22,7 +22,13 @@ from .errors import (
     SolverError,
     TimeStepCollapse,
 )
-from .functionals import FunctionalRecord, record, records_to_csv, write_records_csv
+from .functionals import (
+    FunctionalRecord,
+    MonitorSettings,
+    record,
+    records_to_csv,
+    write_records_csv,
+)
 from .gn import (
     GN2Exponents,
     GNExponents,
@@ -137,6 +143,7 @@ __all__ = [
     "step",
     "simulate",
     "FunctionalRecord",
+    "MonitorSettings",
     "record",
     "records_to_csv",
     "write_records_csv",

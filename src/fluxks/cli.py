@@ -114,7 +114,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     keep = "sampled" if args.snapshots else "ends"
     result = simulate(
-        initial, cfg.model, cfg.controls, keep_states=keep, **cfg.simulate_kwargs()
+        initial, cfg.model, cfg.controls, record_every=cfg.record_every,
+        monitors=cfg.monitors, mollify=cfg.mollify, keep_states=keep,
     )
 
     effective = cfg.effective()

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
-from .functionals import DEFAULT_C_F1
+from .functionals import MonitorSettings
 from .grid import Grid, build_grid
 from .model import InitialData, InitialSettings, ModelParams, build_initial_data
 from .stepper import DEFAULT_MOLLIFY, DEFAULT_RECORD_EVERY, StepControls
@@ -170,33 +170,6 @@ class GridSettings:
     n: int | None = None
 
 
-@dataclass(frozen=True)
-class MonitorSettings:
-    """The ``monitors`` section: the functional indices and the F1 weight of
-    :func:`~fluxks.stepper.simulate`; an index left ``None`` is picked by
-    rule there.  ``q_set`` is kept sorted and free of duplicates."""
-
-    q_set: tuple[float, ...] | None = None
-    s: float | None = None
-    q_f1: float | None = None
-    q_f2: float | None = None
-    c_f1: float = DEFAULT_C_F1
-
-    def __post_init__(self) -> None:
-        if self.q_set is not None:
-            if not all(q > 0.0 for q in self.q_set):
-                raise ValueError(f"q_set entries must be positive, got {list(self.q_set)}")
-            object.__setattr__(self, "q_set", tuple(sorted(set(self.q_set))))
-        if self.s is not None and not self.s >= 1.0:
-            raise ValueError(f"s must be >= 1, got {self.s}")
-        for name in ("q_f1", "q_f2"):
-            q = getattr(self, name)
-            if q is not None and not q > 1.0:
-                raise ValueError(f"{name} must exceed 1, got {q}")
-        if not self.c_f1 >= 0.0:
-            raise ValueError(f"c_f1 must be >= 0, got {self.c_f1}")
-
-
 def _json_lists(items) -> dict:
     # asdict's dict_factory: arrays echo as JSON-ready lists
     return {k: list(v) if isinstance(v, tuple) else v for k, v in items}
@@ -222,13 +195,6 @@ class RunConfig:
         kwargs = asdict(self.initial)
         kwargs["v0_kind"] = kwargs.pop("v0")
         return build_initial_data(grid, theta=self.model.theta, **kwargs)
-
-    def simulate_kwargs(self) -> dict:
-        return {
-            **asdict(self.monitors),
-            "record_every": self.record_every,
-            "mollify": self.mollify,
-        }
 
     def effective(self) -> dict:
         """Echo with every defaulted field explicit; JSON-ready, lossless."""

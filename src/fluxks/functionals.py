@@ -34,6 +34,7 @@ from .grid import (
     _slice_axis,
 )
 from .model import ModelParams
+from .regimes import RegimeSpec, audit, s_rule
 
 if TYPE_CHECKING:  # pragma: no cover
     from .stepper import SimState
@@ -42,6 +43,56 @@ if TYPE_CHECKING:  # pragma: no cover
 FACE_AVERAGE_FLOOR = 1e-12
 # the default weight c of int v^2 in F1 (the run config's monitors.c_f1)
 DEFAULT_C_F1 = 1.0
+
+
+@dataclass(frozen=True)
+class MonitorSettings:
+    """The ``monitors`` section: the functional indices and the F1 weight of
+    :func:`record`; an index left ``None`` is picked by :meth:`indices`.
+    ``q_set`` is kept sorted and free of duplicates."""
+
+    q_set: tuple[float, ...] | None = None
+    s: float | None = None
+    q_f1: float | None = None
+    q_f2: float | None = None
+    c_f1: float = DEFAULT_C_F1
+
+    def __post_init__(self) -> None:
+        if self.q_set is not None:
+            if not all(q > 0.0 for q in self.q_set):
+                raise ValueError(f"q_set entries must be positive, got {list(self.q_set)}")
+            object.__setattr__(self, "q_set", tuple(sorted(set(self.q_set))))
+        if self.s is not None and not self.s >= 1.0:
+            raise ValueError(f"s must be >= 1, got {self.s}")
+        for name in ("q_f1", "q_f2"):
+            q = getattr(self, name)
+            if q is not None and not q > 1.0:
+                raise ValueError(f"{name} must exceed 1, got {q}")
+        if not self.c_f1 >= 0.0:
+            raise ValueError(f"c_f1 must be >= 0, got {self.c_f1}")
+
+    def indices(self, params: ModelParams) -> tuple[tuple[float, ...], float, float, float]:
+        """``(q_set, s, q_f1, q_f2)`` for a run of ``params``, each unset one
+        picked by rule: ``s`` by the s-rule (``inf`` on the max-norm branch),
+        ``q_f2`` and ``q_f1`` by the regime audit's entropy witnesses, else 2
+        and ``q_f2``, and ``q_set`` as ``{q_f1, q_f2, 2}`` without 1.  The F1
+        witness may lie in (0, 1), where F1's sign factor covers it."""
+        q_set, s, q_f1, q_f2 = self.q_set, self.s, self.q_f1, self.q_f2
+        if s is None:
+            s = s_rule(params.n, params.p, params.theta).value
+        if q_f2 is None or q_f1 is None or q_set is None:
+            # with n*theta <= 1 there is no critical exponent to audit, and no route
+            aud = None
+            if params.n * params.theta > 1.0:
+                aud = audit(RegimeSpec(n=params.n, theta=params.theta, p=params.p))
+            q_entropy = aud.chosen_q if aud is not None and aud.route == "entropy" else None
+            if q_f2 is None:
+                q_f2 = q_entropy if q_entropy is not None and q_entropy > 1.0 else 2.0
+            if q_f1 is None:
+                q_f1 = aud.chosen_q_f1 if aud is not None and aud.chosen_q_f1 is not None else q_f2
+            if q_set is None:
+                q_set = tuple(sorted({q for q in (q_f1, q_f2, 2.0) if q != 1.0}))
+        return q_set, s, q_f1, q_f2
 
 
 @dataclass(frozen=True)
@@ -167,30 +218,25 @@ def _dissipation(parts: list, q: float) -> float:
 
 def record(
     state: "SimState",
-    params: ModelParams,
     q_set: Iterable[float],
     s: float,
-    q_f1: float | None = None,
-    q_f2: float | None = None,
-    c_f1: float = DEFAULT_C_F1,
+    q_f1: float,
+    q_f2: float,
+    c_f1: float,
     clamped_mass_cumulative: float = 0.0,
     lap_v: np.ndarray | None = None,
 ) -> FunctionalRecord:
     """Evaluate every tracked functional at one state.
 
-    ``s`` may be ``inf``: then ``gradv_ls`` is the max face-gradient magnitude
-    and ``v_w1s`` the max of it and ``||v||_inf`` (the max-norm proxy).
-    ``q_f1``/``q_f2`` default to the largest entry of ``q_set`` above 1, or 2.
-    ``lap_v`` is the Laplacian of ``v`` when the caller already has it (the
-    stepper's solver certified it); it is computed otherwise.
+    The indices are those of :meth:`MonitorSettings.indices` and ``c_f1`` the
+    weight of ``int v^2`` in F1.  ``s`` may be ``inf``: then ``gradv_ls`` is
+    the max face-gradient magnitude and ``v_w1s`` the max of it and
+    ``||v||_inf`` (the max-norm proxy).  ``lap_v`` is the Laplacian of ``v``
+    when the caller already has it (the stepper's solver certified it); it is
+    computed otherwise.
     """
     u, v = state.u, state.v
     qs = tuple(sorted(set(float(q) for q in q_set)))
-    if q_f2 is None:
-        above = [q for q in qs if q > 1.0]
-        q_f2 = max(above) if above else 2.0
-    if q_f1 is None:
-        q_f1 = q_f2
 
     # one measurement gradient per field serves every index
     grads_u = measured_gradient_faces(u.grid, u.values)

@@ -110,9 +110,9 @@ class Grid:
             fw = np.zeros(self.face_shape(axis))
             left = w[_slice_axis(nd, axis, slice(None, -1))]
             right = w[_slice_axis(nd, axis, slice(1, None))]
-            fw[_interior_slice(nd, axis)] = 0.5 * (left + right)
-            fw[_boundary_slice(nd, axis, 0)] = 0.5 * w[_boundary_slice(nd, axis, 0)]
-            fw[_boundary_slice(nd, axis, -1)] = 0.5 * w[_boundary_slice(nd, axis, -1)]
+            fw[_slice_axis(nd, axis, slice(1, -1))] = 0.5 * (left + right)
+            fw[_slice_axis(nd, axis, 0)] = 0.5 * w[_slice_axis(nd, axis, 0)]
+            fw[_slice_axis(nd, axis, -1)] = 0.5 * w[_slice_axis(nd, axis, -1)]
             fw.flags.writeable = False
             out.append(fw)
         return tuple(out)
@@ -287,11 +287,8 @@ class VectorGridFunction:
                 )
             if not np.all(np.isfinite(arr)):
                 raise ValueError("face values must be finite (NaN/Inf rejected)")
-            lo = arr[_boundary_slice(grid.n_axes, a, 0)]
-            hi = arr[_boundary_slice(grid.n_axes, a, -1)]
-            if np.any(lo != 0.0) or np.any(hi != 0.0):
-                raise ValueError("boundary faces must be exactly zero (no-flux encoding)")
             checked.append(arr)
+        _check_no_flux(grid, checked)
         self.grid = grid
         self.faces = tuple(checked)
 
@@ -299,15 +296,19 @@ class VectorGridFunction:
         return VectorGridFunction(self.grid, tuple(f.copy() for f in self.faces))
 
 
-def _boundary_slice(ndim: int, axis: int, which: int) -> tuple:
-    idx: list = [slice(None)] * ndim
-    idx[axis] = which
-    return tuple(idx)
+def _check_no_flux(grid: Grid, faces) -> None:
+    # the no-flux encoding: every boundary face value is exactly zero
+    for a, arr in enumerate(faces):
+        lo = arr[_slice_axis(grid.n_axes, a, 0)]
+        hi = arr[_slice_axis(grid.n_axes, a, -1)]
+        if np.any(lo != 0.0) or np.any(hi != 0.0):
+            raise ValueError("boundary faces must be exactly zero (no-flux encoding)")
 
 
-def _interior_slice(ndim: int, axis: int) -> tuple:
+def _slice_axis(ndim: int, axis: int, s: int | slice) -> tuple:
+    # the index that applies s along axis and takes every other axis whole
     idx: list = [slice(None)] * ndim
-    idx[axis] = slice(1, -1)
+    idx[axis] = s
     return tuple(idx)
 
 
@@ -320,7 +321,7 @@ def gradient_faces(grid: Grid, values: NDArray[np.float64]) -> list[NDArray[np.f
     out = []
     for a in range(nd):
         g = np.zeros(grid.face_shape(a))
-        inner = g[_interior_slice(nd, a)]
+        inner = g[_slice_axis(nd, a, slice(1, -1))]
         np.subtract(
             values[_slice_axis(nd, a, slice(1, None))],
             values[_slice_axis(nd, a, slice(None, -1))],
@@ -356,11 +357,7 @@ def gradient(f: GridFunction) -> VectorGridFunction:
 
 def divergence(vf: VectorGridFunction) -> GridFunction:
     """Conservative divergence; cell sums telescope to zero exactly."""
-    for a, arr in enumerate(vf.faces):
-        lo = arr[_boundary_slice(vf.grid.n_axes, a, 0)]
-        hi = arr[_boundary_slice(vf.grid.n_axes, a, -1)]
-        if np.any(lo != 0.0) or np.any(hi != 0.0):
-            raise ValueError("divergence requires exactly zero boundary faces")
+    _check_no_flux(vf.grid, vf.faces)
     return GridFunction(vf.grid, divergence_values(vf.grid, vf.faces))
 
 
@@ -404,12 +401,6 @@ def face_quadrature_weights(grid: Grid, axis: int) -> NDArray[np.float64]:
     return grid._face_quadrature[axis]
 
 
-def _slice_axis(ndim: int, axis: int, s: slice) -> tuple:
-    idx: list = [slice(None)] * ndim
-    idx[axis] = s
-    return tuple(idx)
-
-
 def measured_gradient_faces(grid: Grid, values: NDArray[np.float64]) -> list[NDArray[np.float64]]:
     """Face gradients for measurement: boundary faces copy the nearest interior value.
 
@@ -421,13 +412,8 @@ def measured_gradient_faces(grid: Grid, values: NDArray[np.float64]) -> list[NDA
     out = gradient_faces(grid, values)
     nd = grid.n_axes
     for a, g in enumerate(out):
-        if grid.shape[a] >= 2:
-            g[_boundary_slice(nd, a, 0)] = g[_slice_axis(nd, a, slice(1, 2))].reshape(
-                g[_boundary_slice(nd, a, 0)].shape
-            )
-            g[_boundary_slice(nd, a, -1)] = g[_slice_axis(nd, a, slice(-2, -1))].reshape(
-                g[_boundary_slice(nd, a, -1)].shape
-            )
+        g[_slice_axis(nd, a, 0)] = g[_slice_axis(nd, a, 1)]
+        g[_slice_axis(nd, a, -1)] = g[_slice_axis(nd, a, -2)]
     return out
 
 

@@ -21,8 +21,6 @@ from numpy.typing import NDArray
 from .grid import (
     Grid,
     GridFunction,
-    _boundary_slice,
-    _interior_slice,
     _slice_axis,
     integrate,
     laplacian_values,
@@ -108,7 +106,7 @@ def face_gradient_magnitude_sq(grid: Grid, grad_faces) -> list[NDArray[np.float6
             )
             t *= 0.5
             t *= t
-            m[_interior_slice(2, a)] += t
+            m[_slice_axis(2, a, slice(1, -1))] += t
         mags.append(m)
     return mags
 
@@ -137,9 +135,9 @@ def upwind_flux(grid: Grid, u_values, coeffs) -> list[NDArray[np.float64]]:
     nd = grid.n_axes
     fluxes = []
     for a, coeff in enumerate(coeffs):
-        c_int = coeff[_interior_slice(nd, a)]
+        c_int = coeff[_slice_axis(nd, a, slice(1, -1))]
         flux = np.zeros_like(coeff)
-        inner = flux[_interior_slice(nd, a)]
+        inner = flux[_slice_axis(nd, a, slice(1, -1))]
         np.copyto(inner, u_values[_slice_axis(nd, a, slice(1, None))])
         np.copyto(inner, u_values[_slice_axis(nd, a, slice(None, -1))], where=c_int > 0.0)
         inner *= c_int
@@ -159,8 +157,8 @@ def _max_row_rate(grid: Grid) -> float:
     nd = grid.n_axes
     for a in range(nd):
         area = grid.face_areas[a].copy()
-        area[_boundary_slice(nd, a, 0)] = 0.0
-        area[_boundary_slice(nd, a, -1)] = 0.0
+        area[_slice_axis(nd, a, 0)] = 0.0
+        area[_slice_axis(nd, a, -1)] = 0.0
         lo = area[_slice_axis(nd, a, slice(None, -1))]
         hi = area[_slice_axis(nd, a, slice(1, None))]
         rate += (lo + hi) / (grid.cell_weights * grid.spacing[a])

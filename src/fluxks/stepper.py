@@ -50,11 +50,12 @@ from .errors import FluxksError, PositivityError, TimeStepCollapse
 from .grid import GridFunction, gradient_faces, integrate
 from .linalg import HelmholtzSolver
 from .model import InitialData, ModelParams, flux_coefficients, mollify_initial_data, production
-from .regimes import RegimeSpec, audit, s_rule
+from .regimes import s_rule
 
 logger = logging.getLogger(__name__)
 
-# negatives smaller than this are expected solver roundoff and clamped to 0
+# every negative down to -POSITIVITY_HARD_TOL is clamped to 0; one beyond
+# this size is logged at debug level as more than the expected solver roundoff
 POSITIVITY_CLAMP_TOL = 1e-13
 # negatives beyond this signal a solve gone wrong and abort the run
 POSITIVITY_HARD_TOL = 1e-10
@@ -196,18 +197,13 @@ def simulate(
     params: ModelParams,
     controls: StepControls,
     record_every: int = DEFAULT_RECORD_EVERY,
-    q_set: tuple[float, ...] | None = None,
-    s: float | None = None,
-    q_f1: float | None = None,
-    q_f2: float | None = None,
-    c_f1: float = functionals.DEFAULT_C_F1,
+    monitors: functionals.MonitorSettings = functionals.MonitorSettings(),
     mollify: bool = DEFAULT_MOLLIFY,
     keep_states: str = "sampled",
 ) -> SimResult:
     """Run to ``t_end`` or a terminal condition.
 
-    Functional exponents default to the regime-audit witnesses; ``s`` defaults
-    to the s-rule value (the max-norm proxy when infinite).  ``mollify``
+    Records take their indices from ``monitors.indices(params)``.  ``mollify``
     applies the eps-scaled initial smoothing (the signal is left raw on the
     max-norm branch).  ``keep_states`` is ``"sampled"`` (states at the record
     cadence), ``"ends"`` (initial and final only), or ``"all"``.
@@ -223,24 +219,10 @@ def simulate(
     if keep_states not in ("sampled", "ends", "all"):
         raise ValueError(f"unknown keep_states {keep_states!r}")
 
-    rule = s_rule(params.n, params.p, params.theta)
-    if s is None:
-        s = rule.value
-    if q_f2 is None or q_f1 is None or q_set is None:
-        # with n*theta <= 1 there is no critical exponent to audit, and no route
-        aud = None
-        if params.n * params.theta > 1.0:
-            aud = audit(RegimeSpec(n=params.n, theta=params.theta, p=params.p))
-        q_entropy = aud.chosen_q if aud is not None and aud.route == "entropy" else None
-        if q_f2 is None:
-            q_f2 = q_entropy if q_entropy is not None and q_entropy > 1.0 else 2.0
-        if q_f1 is None:
-            q_f1 = aud.chosen_q_f1 if aud is not None and aud.chosen_q_f1 is not None else q_f2
-        if q_set is None:
-            q_set = tuple(sorted({q for q in (q_f1, q_f2, 2.0) if q != 1.0}))
-
+    q_set, s, q_f1, q_f2 = monitors.indices(params)
     if mollify and params.eps > 0.0:
-        data = mollify_initial_data(initial, params.eps, include_v=not rule.infinite)
+        infinite = s_rule(params.n, params.p, params.theta).infinite
+        data = mollify_initial_data(initial, params.eps, include_v=not infinite)
     else:
         data = initial
 
@@ -255,7 +237,7 @@ def simulate(
 
     def record(st: SimState) -> None:
         # v's Laplacian comes from the solver's cache when the step certified it
-        rec = functionals.record(st, params, q_set, s, q_f1=q_f1, q_f2=q_f2, c_f1=c_f1,
+        rec = functionals.record(st, q_set, s, q_f1, q_f2, monitors.c_f1,
                                  clamped_mass_cumulative=clamped_cum,
                                  lap_v=solver.laplacian(st.v.values))
         records.append(rec)

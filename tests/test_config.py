@@ -17,7 +17,7 @@ from fluxks.config import (
     parse_sweep_config_dict,
 )
 from fluxks.errors import ConfigError, FluxksError
-from fluxks.stepper import StepControls
+from fluxks.stepper import StepControls, simulate
 from fluxks.sweep import SweepSpec, sweep_points
 
 
@@ -332,17 +332,29 @@ def test_parse_time_grid_and_initial_screening():
         parse_config_dict(base_cfg(initial={"amplitude": 1.5}))
 
 
-def test_builders_and_simulate_kwargs():
+def test_builders_and_simulate_kwargs(tmp_path, monkeypatch):
     cfg = parse_config_dict(base_cfg(monitors={"q_set": [2.0], "s": 3.0}))
     grid = cfg.build_grid()
     assert grid.mode == "cartesian-1d" and grid.shape == (64,)
     initial = cfg.build_initial(grid)
     assert initial.u0.values.min() > 0.0
-    kwargs = cfg.simulate_kwargs()
-    assert set(kwargs) == {
-        "record_every", "q_set", "s", "q_f1", "q_f2", "c_f1", "mollify",
-    }
-    assert kwargs["q_set"] == (2.0,) and kwargs["s"] == 3.0
+    # `fluxks simulate` hands the config's monitors, cadence and smoothing on
+    import fluxks.cli as cli
+
+    seen = {}
+
+    def spy(*args, **kwargs):
+        seen.update(kwargs)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate", spy)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(base_cfg(monitors={"q_set": [2.0], "s": 3.0},
+                                        controls={"t_end": 0.01})), encoding="utf-8")
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert seen["monitors"] == cfg.monitors
+    assert seen["monitors"].q_set == (2.0,) and seen["monitors"].s == 3.0
+    assert seen["record_every"] == cfg.record_every and seen["mollify"] == cfg.mollify
 
 
 def test_parse_config_file_round_trip(tmp_path):

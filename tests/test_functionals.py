@@ -10,10 +10,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import reference_setup
 
 from fluxks.functionals import (
     CSV_SCALAR_COLUMNS,
     FunctionalRecord,
+    MonitorSettings,
     csv_columns,
     density_integral,
     dissipation_u,
@@ -34,6 +36,7 @@ from fluxks.grid import (
     measured_gradient_faces,
 )
 from fluxks.model import ModelParams
+from fluxks.regimes import relative_p, s_rule
 from fluxks.stepper import SimState
 
 
@@ -150,8 +153,7 @@ def test_dissipation_floor_keeps_negative_powers_finite(grid1d):
 def test_record_equilibrium_hand_values(grid1d):
     g = grid1d(32)
     st = const_state(g, 2.0, 4.0)
-    params = ModelParams(chi=1.0, p=1.5, theta=2.0, eps=1e-3, n=1)
-    rec = record(st, params, q_set=(2.0, 3.0), s=4.0, q_f1=2.0, q_f2=2.0, c_f1=1.0)
+    rec = record(st, q_set=(2.0, 3.0), s=4.0, q_f1=2.0, q_f2=2.0, c_f1=1.0)
     assert rec.mass == pytest.approx(2.0, abs=1e-13)
     assert rec.u_linf == 2.0
     assert rec.uq[2.0] == pytest.approx(4.0, abs=1e-12)
@@ -169,16 +171,16 @@ def test_record_equilibrium_hand_values(grid1d):
 def test_record_max_norm_branch(grid1d):
     g = grid1d(16)
     st = const_state(g, 1.0, 3.0)
-    params = ModelParams(chi=1.0, p=2.0, theta=2.0, eps=1e-3, n=1)
-    rec = record(st, params, q_set=(2.0,), s=math.inf)
+    rec = record(st, q_set=(2.0,), s=math.inf, q_f1=2.0, q_f2=2.0, c_f1=1.0)
     assert rec.gradv_ls == 0.0
     assert rec.v_w1s == 3.0  # max(||v||_inf, max |grad v|)
 
 
 def test_record_f2_additivity_is_exact(grid1d, reference_run):
     # F2 must equal uq[q_f2] + gradv_l2 as floats, not just approximately
+    _, _, params, _ = reference_setup()
+    _, _, _, q_f2 = MonitorSettings().indices(params)
     for rec in reference_run.records[:: max(1, len(reference_run.records) // 7)]:
-        q_f2 = max(q for q in rec.uq if q > 1.0)
         assert rec.F2 == rec.uq[q_f2] + rec.gradv_l2
 
 
@@ -196,9 +198,8 @@ def test_record_brute_force_cross_check(grid1d):
     u = GridFunction(g, rng.uniform(0.2, 2.0, size=20))
     v = GridFunction(g, rng.uniform(0.0, 1.5, size=20))
     st = SimState(u=u, v=v, t=0.3, step_index=7, clamped_mass=0.0)
-    params = ModelParams(chi=1.0, p=1.5, theta=2.0, eps=1e-3, n=1)
     s = 3.0
-    rec = record(st, params, q_set=(1.5, 2.0), s=s, q_f1=2.0, q_f2=2.0,
+    rec = record(st, q_set=(1.5, 2.0), s=s, q_f1=2.0, q_f2=2.0,
                  c_f1=0.5, clamped_mass_cumulative=1e-13)
     w = g.cell_weights
     assert rec.t == 0.3
@@ -235,7 +236,6 @@ def test_record_builds_one_gradient_per_field(monkeypatch, mode, cells, s):
     u = GridFunction(g, rng.uniform(0.2, 2.0, size=g.shape))
     v = GridFunction(g, rng.uniform(0.0, 1.5, size=g.shape))
     st = SimState(u=u, v=v, t=0.1, step_index=1)
-    params = ModelParams(chi=1.0, p=1.5, theta=2.0, eps=1e-3, n=g.n)
     q_set = (1.5, 2.0, 3.0)
 
     calls = []
@@ -247,7 +247,7 @@ def test_record_builds_one_gradient_per_field(monkeypatch, mode, cells, s):
 
     monkeypatch.setattr(grid_mod, "measured_gradient_faces", counted)
     monkeypatch.setattr(functionals, "measured_gradient_faces", counted)
-    rec = record(st, params, q_set=q_set, s=s)
+    rec = record(st, q_set=q_set, s=s, q_f1=3.0, q_f2=3.0, c_f1=1.0)
     assert len(calls) == 2
     monkeypatch.undo()
 
@@ -269,24 +269,29 @@ def test_record_f1_reuses_its_integrals(grid1d, q_f1, c_f1):
     u = GridFunction(g, rng.uniform(0.2, 2.0, size=g.shape))
     v = GridFunction(g, rng.uniform(0.0, 1.5, size=g.shape))
     st = SimState(u=u, v=v, t=0.3, step_index=2)
-    params = ModelParams(chi=1.0, p=1.5, theta=2.0, eps=1e-3, n=1)
-    rec = record(st, params, q_set=(0.5, 1.5, 2.0, 3.0), s=2.0, q_f1=q_f1, c_f1=c_f1)
+    rec = record(st, q_set=(0.5, 1.5, 2.0, 3.0), s=2.0, q_f1=q_f1, q_f2=3.0, c_f1=c_f1)
     sign = 1.0 if q_f1 > 1.0 else -1.0
     assert rec.F1 == sign * rec.uq[q_f1] + c_f1 * rec.v_l2
     assert rec.F1 == entropy_F1(u, v, q_f1, c_f1)
     with pytest.raises(ValueError, match="q != 1"):
-        record(st, params, q_set=(2.0,), s=2.0, q_f1=1.0)
+        record(st, q_set=(2.0,), s=2.0, q_f1=1.0, q_f2=2.0, c_f1=1.0)
     with pytest.raises(ValueError, match="c >= 0"):
-        record(st, params, q_set=(2.0,), s=2.0, c_f1=-1.0)
+        record(st, q_set=(2.0,), s=2.0, q_f1=2.0, q_f2=2.0, c_f1=-1.0)
 
 
-def test_record_defaults_q_from_set(grid1d):
-    g = grid1d(8)
-    st = const_state(g, 1.0, 0.0)
-    params = ModelParams(chi=1.0, p=1.5, theta=2.0, eps=1e-3, n=1)
-    rec = record(st, params, q_set=(1.5, 2.5), s=2.0)
-    # q_f2 defaults to the largest entry above 1
-    assert rec.F2 == rec.uq[2.5] + rec.gradv_l2
+def test_monitor_settings_indices_fill_only_unset_fields():
+    # n=2, theta=1.2 at p fraction 0.8: the audit's F1 witness lies in (0, 1)
+    params = ModelParams(chi=1.0, p=relative_p(2, 1.2, 0.8), theta=1.2, eps=1e-3, n=2)
+    q_set, s, q_f1, q_f2 = MonitorSettings().indices(params)
+    assert q_f1 == pytest.approx(0.575, abs=1e-12)
+    assert q_f2 == pytest.approx(1.65, abs=1e-12)
+    assert q_set == (q_f1, q_f2, 2.0)
+    assert s == s_rule(2, params.p, 1.2).value
+    # explicit fields pass through; the unset ones keep their rule values
+    explicit = MonitorSettings(q_set=(3.0, 1.5), s=math.inf, q_f1=1.5, q_f2=3.0)
+    assert explicit.indices(params) == ((1.5, 3.0), math.inf, 1.5, 3.0)
+    assert MonitorSettings(q_f2=3.0).indices(params) == ((q_f1, 2.0, 3.0), s, q_f1, 3.0)
+    assert MonitorSettings(s=4.0, q_set=(2.0,)).indices(params) == ((2.0,), 4.0, q_f1, q_f2)
 
 
 # ------------------------------------------------------------- validation
@@ -355,14 +360,13 @@ def test_csv_columns_order_and_q_formatting():
 
 def test_csv_roundtrip_and_determinism(grid1d):
     g = grid1d(16)
-    params = ModelParams(chi=1.0, p=1.5, theta=2.0, eps=1e-3, n=1)
     recs = []
     rng = np.random.default_rng(2)
     for i in range(3):
         u = GridFunction(g, rng.uniform(0.5, 1.5, size=16))
         v = GridFunction(g, rng.uniform(0.0, 1.0, size=16))
         st = SimState(u=u, v=v, t=0.1 * i, step_index=i)
-        recs.append(record(st, params, q_set=(2.0,), s=2.0))
+        recs.append(record(st, q_set=(2.0,), s=2.0, q_f1=2.0, q_f2=2.0, c_f1=1.0))
     text1 = records_to_csv(recs, meta_comment="alpha\nbeta")
     text2 = records_to_csv(recs, meta_comment="alpha\nbeta")
     assert text1 == text2
@@ -385,8 +389,7 @@ def test_csv_rejects_empty():
 def test_write_records_csv_file(tmp_path, grid1d):
     g = grid1d(8)
     st = const_state(g, 1.0, 0.0)
-    params = ModelParams(chi=1.0, p=1.5, theta=2.0, eps=1e-3, n=1)
-    rec = record(st, params, q_set=(2.0,), s=2.0)
+    rec = record(st, q_set=(2.0,), s=2.0, q_f1=2.0, q_f2=2.0, c_f1=1.0)
     path = tmp_path / "out.csv"
     write_records_csv([rec], path, meta_comment="meta")
     body = path.read_text()

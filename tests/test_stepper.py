@@ -16,6 +16,7 @@ from hypothesis import strategies as hs
 
 import fluxks.stepper as stepper_mod
 from fluxks.errors import PositivityError, TimeStepCollapse
+from fluxks.functionals import MonitorSettings, record
 from fluxks.grid import GridFunction, build_grid, divergence_values, gradient_faces, integrate
 from fluxks.linalg import HelmholtzSolver
 from fluxks.model import (
@@ -25,6 +26,7 @@ from fluxks.model import (
     flux_coefficients,
     upwind_flux,
 )
+from fluxks.regimes import relative_p
 from fluxks.stepper import (
     POSITIVITY_CLAMP_TOL,
     POSITIVITY_HARD_TOL,
@@ -546,8 +548,9 @@ def test_simulate_numerical_failure_on_overflow(grid1d):
     )
     controls = StepControls(t_end=1.0, dt_min=1e-300)
     with np.errstate(over="ignore"):
-        res = simulate(init, REF_PARAMS, controls, q_set=(1.5,), q_f1=1.5,
-                       q_f2=1.5, mollify=False)
+        res = simulate(init, REF_PARAMS, controls,
+                       monitors=MonitorSettings(q_set=(1.5,), q_f1=1.5, q_f2=1.5),
+                       mollify=False)
     assert res.status == RunStatus.NUMERICAL_FAILURE
     assert "finite" in res.message
     assert len(res.records) == 1
@@ -640,6 +643,25 @@ def test_simulate_completes_without_a_critical_exponent(mode, n, theta):
     assert set(rec.uq) == {2.0}
     assert rec.F1 == rec.uq[2.0] + rec.v_l2
     assert rec.F2 == rec.uq[2.0] + rec.gradv_l2
+
+
+def test_simulate_records_the_indices_of_its_monitor_settings(grid2d):
+    # n=2, theta=1.2 at p fraction 0.8, where the audit's F1 witness lies in
+    # (0, 1): every record's F1 and F2 are those that record gives with the
+    # indices of MonitorSettings, bit for bit
+    params = ModelParams(chi=1.0, p=relative_p(2, 1.2, 0.8), theta=1.2, eps=1e-3, n=2)
+    init = build_initial_data(grid2d(8), family="cosine", base=1.0, amplitude=0.5,
+                              v0_kind="u0_pow_theta", theta=1.2)
+    res = simulate(init, params, StepControls(t_end=0.5), record_every=1, keep_states="all")
+    assert res.status == RunStatus.COMPLETED, res.message
+    q_set, s, q_f1, q_f2 = MonitorSettings().indices(params)
+    assert 0.0 < q_f1 < 1.0
+    assert len(res.records) == len(res.states) > 2
+    for rec, st in zip(res.records, res.states):
+        assert rec.t == st.t
+        assert set(rec.uq) == set(q_set)
+        again = record(st, q_set, s, q_f1, q_f2, MonitorSettings().c_f1)
+        assert (rec.F1, rec.F2) == (again.F1, again.F2)
 
 
 def test_simulate_max_norm_branch_leaves_v_raw(grid1d):
