@@ -64,10 +64,11 @@ class MonitorSettings:
             object.__setattr__(self, "q_set", tuple(sorted(set(self.q_set))))
         if self.s is not None and not self.s >= 1.0:
             raise ValueError(f"s must be >= 1, got {self.s}")
-        for name in ("q_f1", "q_f2"):
-            q = getattr(self, name)
-            if q is not None and not q > 1.0:
-                raise ValueError(f"{name} must exceed 1, got {q}")
+        # F1's sign factor covers q_f1 in (0, 1), where the audit's witness may lie
+        if self.q_f1 is not None and not (self.q_f1 > 0.0 and self.q_f1 != 1.0):
+            raise ValueError(f"q_f1 must be > 0 and != 1, got {self.q_f1}")
+        if self.q_f2 is not None and not self.q_f2 > 1.0:
+            raise ValueError(f"q_f2 must exceed 1, got {self.q_f2}")
         if not self.c_f1 >= 0.0:
             raise ValueError(f"c_f1 must be >= 0, got {self.c_f1}")
 

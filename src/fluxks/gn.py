@@ -45,10 +45,10 @@ import numpy as np
 from .grid import (
     Grid,
     GridFunction,
+    divergence_values,
     faces_lp_norm,
-    laplacian_values,
-    lp_norm,
-    measured_gradient_faces,
+    gradient_faces,
+    measure_boundary_faces,
 )
 
 ENSEMBLE_VERSION = 1
@@ -148,39 +148,75 @@ class GN2Exponents(_IndexTuple):
 
 def quasi_lp(f: GridFunction, p: float) -> float:
     """Lebesgue functional extended to quasi-norm indices ``p in (0, 1)``."""
-    if p == math.inf:
-        return lp_norm(f, math.inf)
-    if p <= 0.0:
-        raise ValueError(f"index must be positive, got {p}")
-    if p >= 1.0:
-        return lp_norm(f, p)
-    return float(np.sum(np.abs(f.values) ** p * f.grid.cell_weights) ** (1.0 / p))
+    return _Norms(f).lp(p)
 
 
 class _Norms:
     """The norms of one field, each computed at most once.
 
     The ratios of one ensemble member share most of their norms; the ratio
-    formulas read them from here instead of recomputing them.
+    formulas read them from here instead of recomputing them.  The norms
+    share their intermediates too: ``log |f|`` is taken once, and every
+    finite index but 2 is ``(sum exp(p log |f|) w)^(1/p)``, which costs an
+    ``exp`` per index where ``|f|^p`` would cost a fractional power (a zero
+    cell gives ``exp(-inf) = 0``); ``f`` is differenced once, for both the
+    measurement gradient and the Laplacian.
     """
 
     def __init__(self, f: GridFunction):
         self.f = f
         self._lp: dict[float, float] = {}
         self._grad_lp: dict[float, float] = {}
+        self._log_abs = None
+        self._diffs = None
         self._faces = None
+        self._lap_l2 = None
 
     def lp(self, p: float) -> float:
         if p not in self._lp:
-            self._lp[p] = quasi_lp(self.f, p)
+            self._lp[p] = self._lebesgue(p)
         return self._lp[p]
+
+    def _lebesgue(self, p: float) -> float:
+        if p <= 0.0:
+            raise ValueError(f"index must be positive, got {p}")
+        if p == math.inf:
+            return float(np.max(np.abs(self.f.values)))
+        if p == 2.0:
+            terms = self.f.values * self.f.values
+        else:
+            if self._log_abs is None:
+                self._log_abs = np.abs(self.f.values)
+                with np.errstate(divide="ignore"):
+                    np.log(self._log_abs, out=self._log_abs)
+            terms = p * self._log_abs
+            np.exp(terms, out=terms)
+        terms *= self.f.grid.cell_weights
+        return float(np.sum(terms) ** (1.0 / p))
+
+    def _differences(self) -> list[np.ndarray]:
+        # the face differences with zero boundary faces, as gradient_faces
+        if self._diffs is None:
+            self._diffs = gradient_faces(self.f.grid, self.f.values)
+        return self._diffs
 
     def grad_lp(self, p: float) -> float:
         if p not in self._grad_lp:
             if self._faces is None:
-                self._faces = measured_gradient_faces(self.f.grid, self.f.values)
+                # copies: lap_l2 reads the differences with zero boundary faces
+                copies = [d.copy() for d in self._differences()]
+                self._faces = measure_boundary_faces(self.f.grid, copies)
             self._grad_lp[p] = faces_lp_norm(self.f.grid, self._faces, p)
         return self._grad_lp[p]
+
+    def lap_l2(self) -> float:
+        """The L2 norm of ``laplacian_values(f)``, to the bit."""
+        if self._lap_l2 is None:
+            lap = divergence_values(self.f.grid, self._differences())
+            lap *= lap
+            lap *= self.f.grid.cell_weights
+            self._lap_l2 = float(np.sqrt(np.sum(lap)))
+        return self._lap_l2
 
 
 def _gn_ratio(norms: _Norms, exps: GNExponents) -> float:
@@ -194,11 +230,9 @@ def _gn_ratio(norms: _Norms, exps: GNExponents) -> float:
 
 
 def _gn2_ratio(norms: _Norms, exps: GN2Exponents) -> float:
-    f, grid = norms.f, norms.f.grid
     lhs = norms.grad_lp(exps.p_hat)
     b = exps.b
-    lap_l2 = float(np.sqrt(np.sum(laplacian_values(grid, f.values) ** 2 * grid.cell_weights)))
-    rhs = (lap_l2**b + norms.lp(exps.r_hat) ** b) * norms.lp(exps.q_hat) ** (1.0 - b)
+    rhs = (norms.lap_l2() ** b + norms.lp(exps.r_hat) ** b) * norms.lp(exps.q_hat) ** (1.0 - b)
     rhs += norms.lp(exps.s_hat)
     if rhs == 0.0:
         raise ValueError("gn2_ratio: zero right-hand side (f vanishes identically)")
@@ -311,9 +345,10 @@ def _members(grid: Grid, size: int, seed: int, share: tuple[int, int] = (0, 1)):
         fn = _FAMILIES[i % len(_FAMILIES)](rng)
         if i % count != index:
             continue
-        values = np.asarray(fn(*mesh), dtype=np.float64) * np.ones(grid.shape)
-        if float(np.max(np.abs(values))) == 0.0:
-            values = values + 1.0
+        values = np.empty(grid.shape)
+        values[...] = fn(*mesh)
+        if not np.any(values):
+            values += 1.0
         yield GridFunction(grid, values)
 
 

@@ -5,6 +5,7 @@ import json
 import math
 from dataclasses import MISSING, fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
@@ -17,6 +18,8 @@ from fluxks.config import (
     parse_sweep_config_dict,
 )
 from fluxks.errors import ConfigError, FluxksError
+from fluxks.model import mollify_initial_data
+from fluxks.regimes import relative_p
 from fluxks.stepper import StepControls, simulate
 from fluxks.sweep import SweepSpec, sweep_points
 
@@ -314,14 +317,58 @@ def test_monitor_knob_validation():
         parse_config_dict(base_cfg(monitors={"s": 0.5}))
     with pytest.raises(ConfigError, match='"inf" only'):
         parse_config_dict(base_cfg(monitors={"s": "sup"}))
-    with pytest.raises(ConfigError, match="q_f1 must exceed 1"):
+    with pytest.raises(ConfigError, match="q_f1 must be > 0 and != 1"):
         parse_config_dict(base_cfg(monitors={"q_f1": 1.0}))
+    with pytest.raises(ConfigError, match="q_f1 must be > 0 and != 1"):
+        parse_config_dict(base_cfg(monitors={"q_f1": -0.5}))
     with pytest.raises(ConfigError, match="q_f2 must exceed 1"):
         parse_config_dict(base_cfg(monitors={"q_f2": 0.5}))
     with pytest.raises(ConfigError, match="c_f1 must be >= 0"):
         parse_config_dict(base_cfg(monitors={"c_f1": -1.0}))
     with pytest.raises(ConfigError, match="record_every must be >= 1"):
         parse_config_dict(base_cfg(record_every=0))
+
+
+def run_config(cfg: RunConfig):
+    # the run of `fluxks simulate`, keeping every state
+    return simulate(cfg.build_initial(cfg.build_grid()), cfg.model, cfg.controls,
+                    record_every=cfg.record_every, monitors=cfg.monitors,
+                    mollify=cfg.mollify, keep_states="all")
+
+
+def test_monitors_accept_the_q_f1_the_rule_picks_below_one():
+    # n=2, theta=1.2 at p fraction 0.8: the rule picks q_f1 = 0.575, up to
+    # rounding (0.5749999999999997); set explicitly, that index parses, and a
+    # run with the rule's own double records the rule-picked run's F1
+    section = {
+        "grid": {"mode": "cartesian-2d", "extents": [1.0, 1.0], "cells": [8, 8]},
+        "model": {"p": relative_p(2, 1.2, 0.8), "theta": 1.2},
+        "initial": {"v0": "u0_pow_theta"},
+        "controls": {"t_end": 0.05, "dt_max": 0.01},
+        "record_every": 1,
+    }
+    assert parse_config_dict(base_cfg(**section, monitors={"q_f1": 0.575})).monitors.q_f1 == 0.575
+    rule = parse_config_dict(base_cfg(**section))
+    _, _, q_f1, _ = rule.monitors.indices(rule.model)
+    assert q_f1 == pytest.approx(0.575, abs=1e-12)
+    pinned = parse_config_dict(base_cfg(**section, monitors={"q_f1": q_f1}))
+    by_rule, by_key = run_config(rule), run_config(pinned)
+    assert len(by_rule.records) > 2
+    assert [r.F1 for r in by_key.records] == [r.F1 for r in by_rule.records]
+
+
+def test_mollify_follows_the_s_rule_whatever_monitors_s_says():
+    # p = 1.5 in 1d puts the s-rule on its finite branch, so the signal is
+    # mollified too; monitors.s = "inf" sets the recorded index, not the data
+    unset = parse_config_dict(base_cfg(model={"eps": 0.5}, controls={"t_end": 1e-9}))
+    max_norm = parse_config_dict(base_cfg(model={"eps": 0.5}, controls={"t_end": 1e-9},
+                                          monitors={"s": "inf"}))
+    assert max_norm.monitors.s == math.inf
+    raw = unset.build_initial(unset.build_grid())
+    mollified = mollify_initial_data(raw, 0.5, include_v=True).v0.values
+    assert not np.array_equal(mollified, raw.v0.values)
+    for cfg in (unset, max_norm):
+        assert np.array_equal(run_config(cfg).states[0].v.values, mollified)
 
 
 def test_parse_time_grid_and_initial_screening():

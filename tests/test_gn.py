@@ -8,6 +8,7 @@ merged interleaved shares against the one pass, bit for bit.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -39,6 +40,7 @@ from fluxks.grid import (
     build_grid,
     gradient_lp_norm,
     laplacian_values,
+    lp_norm,
     unit_grid,
 )
 
@@ -112,6 +114,33 @@ def test_quasi_lp_extends_lp(grid1d):
     assert quasi_lp(f, 0.5) == pytest.approx(4.0, rel=1e-14)
     with pytest.raises(ValueError, match="positive"):
         quasi_lp(f, 0.0)
+
+
+def pow_form(f, p):
+    # the Lebesgue functional written with a fractional power per cell
+    return float(np.sum(np.abs(f.values) ** p * f.grid.cell_weights) ** (1.0 / p))
+
+
+@pytest.mark.parametrize("n,cells", [(1, 64), (2, 16), (3, 32)])
+def test_quasi_lp_matches_the_pow_form(n, cells):
+    # quasi_lp takes exp(p log |f|) in place of |f| ** p; 2 and inf stay exact
+    for f in ensemble(unit_grid(n, cells), 64, seed=2):
+        for p in (0.5, 2.0 / 3.0, 0.8, 2.5, 3.0):
+            assert quasi_lp(f, p) == pytest.approx(pow_form(f, p), rel=1e-13, abs=0.0)
+        assert quasi_lp(f, 2.0) == lp_norm(f, 2.0)
+        assert quasi_lp(f, math.inf) == lp_norm(f, math.inf)
+
+
+def test_quasi_lp_of_a_spike_with_exact_zeros():
+    # log 0 = -inf and exp(-inf) = 0: the zero cells drop out with no warning
+    g = unit_grid(1, 256)
+    x = g.axis_centers(0)
+    f = GridFunction(g, np.exp(-((x - 0.5) ** 2) / (2.0 * 0.005**2)))
+    assert np.count_nonzero(f.values == 0.0) > 100
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (0.5, 2.0 / 3.0, 0.8, 2.5, 3.0):
+            assert quasi_lp(f, p) == pytest.approx(pow_form(f, p), rel=1e-13, abs=0.0)
 
 
 # ------------------------------------------------------------------- ratios

@@ -21,6 +21,7 @@ from fluxks.grid import (
     divergence,
     divergence_values,
     face_quadrature_weights,
+    faces_lp_norm,
     gradient,
     gradient_faces,
     gradient_lp_norm,
@@ -263,6 +264,25 @@ def test_gradient_lp_norm_converges_quadratically():
         errs.append(abs(gradient_lp_norm(f, 2.0) - exact))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.15)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        build_grid("cartesian-1d", extents=(1.0,), cells=(37,)),
+        build_grid("cartesian-2d", extents=(2.0, 0.5), cells=(12, 9)),
+        build_grid("radial-n", extents=(1.0,), cells=(41,), n=3),
+    ],
+    ids=["1d", "2d", "radial-3"],
+)
+def test_faces_lp_norm_l2_path_is_the_abs_power_sum_bit_for_bit(grid):
+    # p = 2 squares with g * g; |g| ** 2 is the same double
+    values = np.random.default_rng(8).normal(size=grid.shape)
+    faces = measured_gradient_faces(grid, values)
+    total = 0.0
+    for a, g in enumerate(faces):
+        total += float(np.sum(np.abs(g) ** 2 * face_quadrature_weights(grid, a)))
+    assert faces_lp_norm(grid, faces, 2.0) == total ** 0.5
 
 
 def test_laplacian_eigenvector_exact_1d():
