@@ -11,8 +11,8 @@ keeps ``x >= 0`` and, with ``a = 1``, the mass of ``b``.
 
 Without transport every grid has an exact inverse: a DCT-II spectral solve on
 the uniform 2d grid (the cell-centered no-flux Laplacian diagonalizes in that
-basis) and a tridiagonal ``solve_banded`` on the one-axis grids
-(``cartesian-1d`` and ``radial-n``), where the transport bands are exact too.
+basis) and LAPACK ``gtsv`` on the diagonals of the tridiagonal matrix of the
+one-axis grids (``cartesian-1d`` and ``radial-n``), exact with transport too.
 The 2d transport solve uses right-preconditioned GMRES (Saad & Schultz, SIAM
 J. Sci. Stat. Comput. 7, 1986) in the cell-weighted inner product, with the
 DCT inverse of ``a*I - d*L`` as preconditioner.  With ``a = 1`` that
@@ -36,8 +36,8 @@ stiff solves the residual can stall at the floating-point floor, about
 backward error passes, ``||r|| <= SOLVER_RTOL * (||A|| ||x|| + ||b||)``, with
 ``||A||`` bounded by ``a + d * rho`` (``rho`` the largest DCT eigenvalue of
 ``-L``) plus the transport's Gershgorin bound in 2d, and by the largest
-absolute row sum of the assembled bands on one-axis grids.  Anything else
-raises :class:`SolverError`.
+absolute row sum of the tridiagonal matrix on one-axis grids.  Anything else,
+and a right-hand side whose norm is not finite, raises :class:`SolverError`.
 
 Certifying a returned ``x`` computes its Laplacian, and a time step starts its
 next solve of the same field from that very array.  The solver therefore keeps
@@ -49,7 +49,7 @@ public as :meth:`HelmholtzSolver.laplacian`, for callers that need ``L`` of a
 state the solver returned.  Returned arrays are read-only, so a cached pair
 cannot go stale through them: a caller that needs to change one works on a
 copy (as the stepper's clamp does), and a copy misses the cache and has its
-Laplacian computed.  The exact inverse (DCT denominator or band matrix) is
+Laplacian computed.  The exact inverse (DCT denominator or diagonals) is
 built only when a correction runs.
 """
 
@@ -60,8 +60,8 @@ from typing import Callable
 
 import numpy as np
 import scipy.fft
+import scipy.linalg
 from numpy.typing import NDArray
-from scipy.linalg import solve_banded
 
 from .errors import SolverError
 from .grid import Grid, divergence_values, laplacian_values
@@ -76,6 +76,8 @@ KRYLOV_RESTART = 20
 # where a GMRES cycle stops, relative to ||b||
 KRYLOV_RTOL = 1e-12
 
+(_gtsv,) = scipy.linalg.get_lapack_funcs(("gtsv",), dtype=np.float64)
+
 
 class HelmholtzSolver:
     """Solves ``(a*I - d*L + d*A) x = b`` on one grid, reusing precomputed spectra."""
@@ -85,11 +87,15 @@ class HelmholtzSolver:
         self._weights = grid.cell_weights
         if grid.mode == "cartesian-2d":
             self._symbol = self._dct_symbol(grid)
-            self._bands = None
+            self._rates = None
             self._rho = float(self._symbol.max())
         else:
             self._symbol = None
-            self._bands = self._band_parts(grid)
+            # face rates area / h, zero on the boundary as in gradient_faces
+            area = grid.face_areas[0].copy()
+            area[0] = 0.0
+            area[-1] = 0.0
+            self._rates = area / grid.spacing[0]
         # (array, Laplacian) of the last two arrays solve returned: u's and v's
         self._certified: tuple = ()
 
@@ -102,37 +108,22 @@ class HelmholtzSolver:
         )
         return kx[:, None] + ky[None, :]
 
-    @staticmethod
-    def _band_parts(grid: Grid):
-        # diffusive transfer rates A_face / h of a one-axis grid, from the lower
-        # to the upper cell of each face and back (equal: diffusion is
-        # symmetric), with boundary faces suppressed, exactly mirroring
-        # gradient_faces' zero boundary
-        area = grid.face_areas[0].copy()
-        area[0] = 0.0
-        area[-1] = 0.0
-        rate = area / grid.spacing[0]
-        return rate, rate
-
-    def _banded(self, a_coef: float, d_coef: float, coeffs=None) -> NDArray[np.float64]:
-        """``a*I - d*L + d*A`` in ``solve_banded``'s ``(1, 1)`` layout.
+    def _tridiagonal(self, a_coef: float, d_coef: float, coeffs=None) -> tuple[NDArray, ...]:
+        """``a*I - d*L + d*A`` as its ``(lower, diagonal, upper)`` diagonals.
 
         Face ``j`` moves mass from cell ``j - 1`` up at rate ``up[j]`` and from
         cell ``j`` down at rate ``down[j]`` (per unit of the source cell's
         value); the upwind transport adds ``max(+-coeff * area, 0)``, i.e. the
         flux ``coeff * x_upwind`` of :func:`fluxks.model.upwind_flux`.
         """
-        up, down = self._bands
+        up = down = self._rates
         if coeffs is not None:
             flow = coeffs[0] * self.grid.face_areas[0]
             up = up + np.maximum(flow, 0.0)
             down = down + np.maximum(-flow, 0.0)
         w = self._weights
-        ab = np.zeros((3, w.shape[0]))
-        ab[1, :] = a_coef + d_coef * (up[1:] + down[:-1]) / w
-        ab[0, 1:] = -d_coef * down[1:-1] / w[:-1]  # row i, column i+1
-        ab[2, :-1] = -d_coef * up[1:-1] / w[1:]  # row i+1, column i
-        return ab
+        diagonal = a_coef + d_coef * (up[1:] + down[:-1]) / w
+        return -d_coef * up[1:-1] / w[1:], diagonal, -d_coef * down[1:-1] / w[:-1]
 
     def apply(
         self, a_coef: float, d_coef: float, x: NDArray, coeffs=None, lap: NDArray | None = None
@@ -170,8 +161,16 @@ class HelmholtzSolver:
                 return scipy.fft.idctn(rh, type=2, norm="ortho", overwrite_x=True)
 
             return inverse
-        ab = self._banded(a_coef, d_coef, coeffs)
-        return lambda r: solve_banded((1, 1), ab, r)
+        lower, diagonal, upper = self._tridiagonal(a_coef, d_coef, coeffs)
+
+        def inverse(r: NDArray) -> NDArray:
+            # overwrite flags off (gtsv's default): the diagonals serve every correction
+            *_, x, info = _gtsv(lower, diagonal, upper, r)
+            if info != 0:
+                raise SolverError(f"gtsv: zero pivot in row {info} of the tridiagonal solve")
+            return x
+
+        return inverse
 
     def laplacian(self, x: NDArray) -> NDArray:
         """``L(x)``, looked up when ``x`` is one of the last two arrays
@@ -191,7 +190,7 @@ class HelmholtzSolver:
         # bound on ||a*I - d*L + d*A||: a + d * rho in 2d, plus d times the
         # transport's largest absolute row sum (Gershgorin: |coeff| * area /
         # weight = |coeff| / h per face, two faces per axis); on one-axis
-        # grids the largest absolute row sum of the bands
+        # grids the largest absolute row sum of the tridiagonal matrix
         if self._symbol is not None:
             bound = a_coef + d_coef * self._rho
             if coeffs is not None:
@@ -199,10 +198,9 @@ class HelmholtzSolver:
                     2.0 * float(np.abs(c).max()) / h for c, h in zip(coeffs, self.grid.spacing)
                 )
             return bound
-        ab = self._banded(a_coef, d_coef, coeffs)
-        rows = ab[1].copy()
-        rows[:-1] += np.abs(ab[0, 1:])
-        rows[1:] += np.abs(ab[2, :-1])
+        lower, rows, upper = self._tridiagonal(a_coef, d_coef, coeffs)
+        rows[:-1] += np.abs(upper)
+        rows[1:] += np.abs(lower)
         return float(rows.max())
 
     def _gmres(
@@ -259,10 +257,12 @@ class HelmholtzSolver:
         returned ``x`` relative to ``||rhs||``.
 
         Raises:
-            SolverError: neither the residual nor the backward-error floor is
-                met after ``CORRECTIONS`` corrections.
+            SolverError: ``||rhs||`` is not finite, or neither the residual nor
+                the backward-error floor is met after ``CORRECTIONS`` corrections.
         """
         norm_b = self._norm(rhs)
+        if not math.isfinite(norm_b):
+            raise SolverError(f"the right-hand side's norm {norm_b} is not finite")
         if norm_b == 0.0:
             return self._certify(np.zeros_like(rhs), np.zeros_like(rhs)), 0, 0.0  # L(0) = 0
         x = x0.copy()

@@ -162,7 +162,7 @@ def step(
     params: ModelParams,
     controls: StepControls,
     dt: float,
-    solver: HelmholtzSolver | None = None,
+    solver: HelmholtzSolver,
 ) -> SimState:
     """Advance one step of exactly ``dt``; see the module docstring for the scheme.
 
@@ -171,8 +171,6 @@ def step(
         SolverError: linear solve failure or non-finite values.
     """
     grid = state.u.grid
-    if solver is None:
-        solver = HelmholtzSolver(grid)
     weights = grid.cell_weights
 
     rhs_v = state.v.values + dt * production(state.u, params).values

@@ -4,8 +4,9 @@ The operator (a*I - d*L) is assembled column by column through the public
 laplacian and solved with numpy; the matrix-free solver must agree to the
 residual tolerance it certifies, and the residual it reports must be the true
 residual of the solution it returns.  On one-axis grids the upwind transport
-term's bands are checked the same way against the matvec, and for the
-M-matrix sign pattern and weighted column sums that give positivity and mass;
+term's diagonals are checked the same way against the matvec, and for the
+M-matrix sign pattern and weighted column sums that give positivity and mass,
+and the LAPACK ``gtsv`` inverse against scipy's ``solve_banded`` bit for bit;
 on the 2d grid the GMRES transport solve is checked against the dense matvec.
 A solve always corrects its guess unless the guess is exact, so modes below
 the solver tolerance still follow the discrete linear theory.
@@ -15,6 +16,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from fluxks import linalg
 from fluxks.errors import SolverError
@@ -49,8 +51,26 @@ def random_coeffs(grid, seed, scale=3.0):
     return coeffs
 
 
-def dense_from_bands(ab):
-    return np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+def dense_from_diagonals(lower, diagonal, upper):
+    return np.diag(diagonal) + np.diag(upper, 1) + np.diag(lower, -1)
+
+
+def band_matrix(grid, a_coef, d_coef, coeffs=None):
+    # a*I - d*L + d*A in solve_banded's (1, 1) layout, assembled from the
+    # grid's face rates: the reference the gtsv inverse must match bit for bit
+    area = grid.face_areas[0].copy()
+    area[0] = area[-1] = 0.0
+    up = down = area / grid.spacing[0]
+    if coeffs is not None:
+        flow = coeffs[0] * grid.face_areas[0]
+        up = up + np.maximum(flow, 0.0)
+        down = down + np.maximum(-flow, 0.0)
+    w = grid.cell_weights
+    ab = np.zeros((3, w.shape[0]))
+    ab[1, :] = a_coef + d_coef * (up[1:] + down[:-1]) / w
+    ab[0, 1:] = -d_coef * down[1:-1] / w[:-1]  # row i, column i+1
+    ab[2, :-1] = -d_coef * up[1:-1] / w[1:]  # row i+1, column i
+    return ab
 
 
 def dense_operator(grid, a_coef, d_coef):
@@ -93,7 +113,7 @@ def test_transport_bands_match_apply_and_form_an_m_matrix(mode, kwargs, seed):
         e = np.zeros(size)
         e[j] = 1.0
         applied[:, j] = solver.apply(a_coef, d_coef, e, coeffs)
-    banded = dense_from_bands(solver._banded(a_coef, d_coef, coeffs))
+    banded = dense_from_diagonals(*solver._tridiagonal(a_coef, d_coef, coeffs))
     np.testing.assert_allclose(banded, applied, rtol=0.0, atol=1e-12 * np.abs(applied).max())
     # M-matrix: positive diagonal, nonpositive off-diagonals; weighted column
     # sums equal a, i.e. the solve conserves mass
@@ -107,6 +127,28 @@ def test_transport_bands_match_apply_and_form_an_m_matrix(mode, kwargs, seed):
     assert relres <= SOLVER_RTOL
     np.testing.assert_allclose(x, np.linalg.solve(applied, rhs), rtol=1e-10)
     assert x.min() >= 0.0
+
+
+@pytest.mark.parametrize("mode,kwargs", ONE_AXIS_GRIDS)
+@pytest.mark.parametrize("transport", [False, True])
+@pytest.mark.parametrize("a_coef", [1.0, 1.1])
+def test_tridiagonal_inverse_matches_solve_banded_bit_for_bit(mode, kwargs, transport, a_coef):
+    grid = build_grid(mode, **kwargs)
+    coeffs = random_coeffs(grid, 11) if transport else None
+    r = np.random.default_rng(12).standard_normal(grid.shape)
+    x = HelmholtzSolver(grid)._inverse(a_coef, 0.03, coeffs)(r)
+    assert np.array_equal(x, solve_banded((1, 1), band_matrix(grid, a_coef, 0.03, coeffs), r))
+
+
+@pytest.mark.parametrize("mode,kwargs", ONE_AXIS_GRIDS)
+def test_tridiagonal_zero_pivot_raises(mode, kwargs):
+    # no face rates and a = 0 leave a zero diagonal: gtsv reports the pivot
+    grid = build_grid(mode, **kwargs)
+    solver = HelmholtzSolver(grid)
+    solver._rates = np.zeros_like(solver._rates)
+    inverse = solver._inverse(0.0, 0.5, None)
+    with pytest.raises(SolverError, match="zero pivot"):
+        inverse(np.ones(grid.shape))
 
 
 def test_dct_inverse_commutes_with_reflections_bit_for_bit():
@@ -248,10 +290,22 @@ def test_corrupted_inverse_raises(mode, kwargs):
     if solver._symbol is not None:
         solver._symbol = 3.0 * solver._symbol
     else:
-        solver._bands = tuple(3.0 * b for b in solver._bands)
+        solver._rates = 3.0 * solver._rates
     rhs = np.random.default_rng(4).standard_normal(grid.shape)
     with pytest.raises(SolverError):
         solver.solve(1.0, 0.5, rhs, np.zeros(grid.shape))
+
+
+@pytest.mark.parametrize("mode,kwargs", ALL_GRIDS)
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_rhs_with_a_nonfinite_norm_raises(mode, kwargs, bad):
+    # with ||b|| = inf the target SOLVER_RTOL * ||b|| is inf too, and x0 came
+    # back certified and unchanged
+    grid = build_grid(mode, **kwargs)
+    rhs = np.ones(grid.shape)
+    rhs.flat[3] = bad
+    with pytest.raises(SolverError, match="not finite"):
+        HelmholtzSolver(grid).solve(1.0, 0.5, rhs, np.zeros(grid.shape))
 
 
 @pytest.mark.parametrize(

@@ -147,7 +147,7 @@ def test_step_positivity_hard_error(grid2d):
     controls = StepControls(t_end=1.0)
     m0 = integrate(st.u)
     for factor in (10.0, 1000.0):
-        out = step(st, params, controls, dt=factor / signal_rate(st, params))
+        out = step(st, params, controls, factor / signal_rate(st, params), HelmholtzSolver(g))
         assert out.u.values.min() >= 0.0 and out.v.values.min() >= 0.0
         assert out.clamped_mass == 0.0
         assert abs(integrate(out.u) - m0) <= 1e-10 * m0
@@ -169,7 +169,7 @@ def test_implicit_transport_step_beyond_the_advective_bound(mode, factor):
     params = ModelParams(chi=1.0, p=2.0, theta=2.0, eps=0.0, n=g.n)
     controls = StepControls(t_end=1.0)
     dt = factor * controls.cfl_safety / signal_rate(st, params)
-    out = step(st, params, controls, dt=dt)
+    out = step(st, params, controls, dt, HelmholtzSolver(g))
     assert out.u.values.min() >= 0.0 and out.v.values.min() >= 0.0
     assert out.clamped_mass == 0.0
     m0 = integrate(st.u)
@@ -182,7 +182,7 @@ def test_step_conserves_mass_single_step(grid1d):
                               v0_kind="u0_squared")
     st = SimState(u=init.u0, v=init.v0, t=0.0, step_index=0)
     controls = StepControls(t_end=1.0)
-    out = step(st, REF_PARAMS, controls, dt=0.01)
+    out = step(st, REF_PARAMS, controls, 0.01, HelmholtzSolver(g))
     m0, m1 = integrate(st.u), integrate(out.u)
     assert abs(m1 - m0) / m0 < 1e-13
     assert out.t == 0.01 and out.step_index == 1
@@ -555,6 +555,24 @@ def test_simulate_numerical_failure_on_overflow(grid1d):
     assert "finite" in res.message
     assert len(res.records) == 1
     assert math.isfinite(res.records[0].mass)
+
+
+def test_simulate_numerical_failure_on_rhs_norm_overflow(grid1d):
+    # every value stays finite but ||v + dt u^theta|| overflows; a solve that
+    # certified such a right-hand side returned v = 0 and the run "completed"
+    # with v = 0 where v is about 0.39e160
+    g = grid1d(16)
+    init = InitialData(
+        u0=GridFunction.constant(g, 1e160), v0=GridFunction.constant(g, 0.0)
+    )
+    params = ModelParams(chi=1.0, p=1.5, theta=1.0, eps=1e-3, n=1)
+    controls = StepControls(t_end=0.5, blowup_linf_threshold=1e300)
+    with np.errstate(over="ignore"):
+        res = simulate(init, params, controls,
+                       monitors=MonitorSettings(q_set=(1.5,), q_f1=1.5, q_f2=1.5),
+                       mollify=False)
+    assert res.status == RunStatus.NUMERICAL_FAILURE
+    assert "not finite" in res.message
 
 
 def test_simulate_clamp_budget_wiring(grid1d, monkeypatch):
