@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
@@ -48,8 +48,8 @@ DEFAULT_C_F1 = 1.0
 @dataclass(frozen=True)
 class MonitorSettings:
     """The ``monitors`` section: the functional indices and the F1 weight of
-    :func:`record`; an index left ``None`` is picked by :meth:`indices`.
-    ``q_set`` is kept sorted and free of duplicates."""
+    :func:`record`.  An index left ``None`` is picked by :meth:`resolve`, whose
+    result :func:`record` reads.  ``q_set`` is kept as sorted, distinct floats."""
 
     q_set: tuple[float, ...] | None = None
     s: float | None = None
@@ -61,7 +61,7 @@ class MonitorSettings:
         if self.q_set is not None:
             if not all(q > 0.0 for q in self.q_set):
                 raise ValueError(f"q_set entries must be positive, got {list(self.q_set)}")
-            object.__setattr__(self, "q_set", tuple(sorted(set(self.q_set))))
+            object.__setattr__(self, "q_set", tuple(sorted(set(float(q) for q in self.q_set))))
         if self.s is not None and not self.s >= 1.0:
             raise ValueError(f"s must be >= 1, got {self.s}")
         # F1's sign factor covers q_f1 in (0, 1), where the audit's witness may lie
@@ -72,12 +72,13 @@ class MonitorSettings:
         if not self.c_f1 >= 0.0:
             raise ValueError(f"c_f1 must be >= 0, got {self.c_f1}")
 
-    def indices(self, params: ModelParams) -> tuple[tuple[float, ...], float, float, float]:
-        """``(q_set, s, q_f1, q_f2)`` for a run of ``params``, each unset one
-        picked by rule: ``s`` by the s-rule (``inf`` on the max-norm branch),
+    def resolve(self, params: ModelParams) -> "MonitorSettings":
+        """These settings with each unset index picked by rule for a run of
+        ``params``: ``s`` by the s-rule (``inf`` on the max-norm branch),
         ``q_f2`` and ``q_f1`` by the regime audit's entropy witnesses, else 2
         and ``q_f2``, and ``q_set`` as ``{q_f1, q_f2, 2}`` without 1.  The F1
-        witness may lie in (0, 1), where F1's sign factor covers it."""
+        witness may lie in (0, 1), where F1's sign factor covers it; the picks
+        pass the checks of values set by hand."""
         q_set, s, q_f1, q_f2 = self.q_set, self.s, self.q_f1, self.q_f2
         if s is None:
             s = s_rule(params.n, params.p, params.theta).value
@@ -92,8 +93,8 @@ class MonitorSettings:
             if q_f1 is None:
                 q_f1 = aud.chosen_q_f1 if aud is not None and aud.chosen_q_f1 is not None else q_f2
             if q_set is None:
-                q_set = tuple(sorted({q for q in (q_f1, q_f2, 2.0) if q != 1.0}))
-        return q_set, s, q_f1, q_f2
+                q_set = tuple(q for q in (q_f1, q_f2, 2.0) if q != 1.0)
+        return replace(self, q_set=q_set, s=s, q_f1=q_f1, q_f2=q_f2)
 
 
 @dataclass(frozen=True)
@@ -218,26 +219,23 @@ def _dissipation(parts: list, q: float) -> float:
 
 
 def record(
-    state: "SimState",
-    q_set: Iterable[float],
-    s: float,
-    q_f1: float,
-    q_f2: float,
-    c_f1: float,
-    clamped_mass_cumulative: float = 0.0,
-    lap_v: np.ndarray | None = None,
+    state: "SimState", monitors: MonitorSettings, lap_v: np.ndarray | None = None
 ) -> FunctionalRecord:
-    """Evaluate every tracked functional at one state.
+    """Evaluate every tracked functional at one state, with the indices and
+    the F1 weight ``c_f1`` of ``monitors`` as :meth:`MonitorSettings.resolve`
+    leaves them; the clamped mass is the state's.  ``s`` may be ``inf``: then
+    ``gradv_ls`` is the max face-gradient magnitude and ``v_w1s`` the max of
+    it and ``||v||_inf`` (the max-norm proxy).  ``lap_v`` is the Laplacian of
+    ``v`` when the caller already has it (the stepper's solver certified it);
+    it is computed otherwise.
 
-    The indices are those of :meth:`MonitorSettings.indices` and ``c_f1`` the
-    weight of ``int v^2`` in F1.  ``s`` may be ``inf``: then ``gradv_ls`` is
-    the max face-gradient magnitude and ``v_w1s`` the max of it and
-    ``||v||_inf`` (the max-norm proxy).  ``lap_v`` is the Laplacian of ``v``
-    when the caller already has it (the stepper's solver certified it); it is
-    computed otherwise.
+    Raises:
+        ValueError: an index of ``monitors`` is ``None``.
     """
+    qs, s, q_f1, q_f2 = monitors.q_set, monitors.s, monitors.q_f1, monitors.q_f2
+    if None in (qs, s, q_f1, q_f2):
+        raise ValueError(f"unset index in {monitors}: use MonitorSettings.resolve first")
     u, v = state.u, state.v
-    qs = tuple(sorted(set(float(q) for q in q_set)))
 
     # one measurement gradient per field serves every index
     grads_u = measured_gradient_faces(u.grid, u.values)
@@ -269,9 +267,9 @@ def record(
         v_w1s=v_w1s,
         lap_v_l2=float(np.sum(lap_v**2 * v.grid.cell_weights)),
         dissip_u=dissip,
-        F1=_f1(uq_f1, v_l2, q_f1, c_f1),
+        F1=_f1(uq_f1, v_l2, q_f1, monitors.c_f1),
         F2=uq_f2 + gradv_l2,
-        clamped_mass_cumulative=clamped_mass_cumulative,
+        clamped_mass_cumulative=state.clamped_mass_cumulative,
     )
 
 

@@ -60,6 +60,7 @@ class Grid:
     spacing: cell width per stored axis.
     cell_weights: measure of each cell, shaped like a scalar field.
     face_areas: per axis, the area factor of every face (boundary included).
+    The two arrays are read-only and, as functions of the rest, not compared.
     """
 
     mode: str
@@ -67,8 +68,8 @@ class Grid:
     shape: tuple[int, ...]
     extents: tuple[float, ...]
     spacing: tuple[float, ...]
-    cell_weights: NDArray[np.float64] = field(repr=False)
-    face_areas: tuple[NDArray[np.float64], ...] = field(repr=False)
+    cell_weights: NDArray[np.float64] = field(repr=False, compare=False)
+    face_areas: tuple[NDArray[np.float64], ...] = field(repr=False, compare=False)
 
     @property
     def n_axes(self) -> int:
@@ -212,14 +213,16 @@ def build_grid(
             f"cell weights outside the normal float range [{tiny}, {huge}]"
         )
 
+    for arr in (weights, *areas):
+        arr.flags.writeable = False
     return Grid(
         mode=mode,
         n=ambient,
         shape=res,
         extents=ext,
         spacing=spacing,
-        cell_weights=np.ascontiguousarray(weights, dtype=np.float64),
-        face_areas=tuple(np.ascontiguousarray(a, dtype=np.float64) for a in areas),
+        cell_weights=weights,
+        face_areas=areas,
     )
 
 

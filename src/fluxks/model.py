@@ -69,7 +69,7 @@ class InitialData:
     v0: GridFunction
 
     def __post_init__(self) -> None:
-        if self.u0.grid is not self.v0.grid and self.u0.grid != self.v0.grid:
+        if self.u0.grid != self.v0.grid:
             raise ValueError("u0 and v0 must share one grid")
         if np.any(self.u0.values < 0.0):
             raise ValueError("u0 must be nonnegative")

@@ -19,8 +19,8 @@ the 2d transport -- until the true relative residual is at most 1e-10, and
 accepts a residual stalled at the floating-point floor only through a
 normwise backward-error test.  The implicit operators are inverse-positive,
 so negative cells can only appear at solver accuracy scale; they are clamped
-to zero with the clamped mass logged, and anything beyond
-``POSITIVITY_HARD_TOL`` is a hard error.  Mass is conserved by construction:
+to zero, the clamped mass is added to the state's running total, and anything
+beyond ``POSITIVITY_HARD_TOL`` is a hard error.  Mass is conserved by construction:
 the flux divergence telescopes to zero and the u-solve preserves
 cell-weighted means to roundoff.
 
@@ -98,19 +98,19 @@ class StepControls:
 
 @dataclass(frozen=True)
 class SimState:
-    """One trajectory point; ``clamped_mass`` comes from the step that
-    produced this state."""
+    """One trajectory point; ``t``, ``step_index`` and ``clamped_mass_cumulative``
+    (the mass clamped by every step up to it) are running totals, 0 initially."""
 
     u: GridFunction
     v: GridFunction
     t: float
     step_index: int
-    clamped_mass: float = 0.0
+    clamped_mass_cumulative: float = 0.0
 
 
 @dataclass
 class SimResult:
-    """Outcome of :func:`simulate`."""
+    """Outcome of :func:`simulate`; ``clamped_mass_cumulative`` is the final state's."""
 
     status: RunStatus
     states: list[SimState]
@@ -186,7 +186,7 @@ def step(
         v=GridFunction(grid, v_new),
         t=state.t + dt,
         step_index=state.step_index + 1,
-        clamped_mass=clamped,
+        clamped_mass_cumulative=state.clamped_mass_cumulative + clamped,
     )
 
 
@@ -201,10 +201,10 @@ def simulate(
 ) -> SimResult:
     """Run to ``t_end`` or a terminal condition.
 
-    Records take their indices from ``monitors.indices(params)``.  ``mollify``
-    applies the eps-scaled initial smoothing (the signal is left raw on the
-    max-norm branch).  ``keep_states`` is ``"sampled"`` (states at the record
-    cadence), ``"ends"`` (initial and final only), or ``"all"``.
+    Records read ``monitors.resolve(params)``.  ``mollify`` applies the
+    eps-scaled initial smoothing, to ``v`` only off the s-rule's max-norm
+    branch, whatever ``monitors.s`` says.  ``keep_states`` is ``"sampled"``
+    (states at the record cadence), ``"ends"`` (initial and final only), or ``"all"``.
 
     Raises:
         ValueError: grid/params dimension mismatch or bad arguments.
@@ -217,7 +217,7 @@ def simulate(
     if keep_states not in ("sampled", "ends", "all"):
         raise ValueError(f"unknown keep_states {keep_states!r}")
 
-    q_set, s, q_f1, q_f2 = monitors.indices(params)
+    monitors = monitors.resolve(params)
     if mollify and params.eps > 0.0:
         infinite = s_rule(params.n, params.p, params.theta).infinite
         data = mollify_initial_data(initial, params.eps, include_v=not infinite)
@@ -227,7 +227,6 @@ def simulate(
     state = SimState(u=data.u0, v=data.v0, t=0.0, step_index=0)
     solver = HelmholtzSolver(grid)
     initial_mass = integrate(data.u0)
-    clamped_cum = 0.0
     records: list[functionals.FunctionalRecord] = []
     states = [state]
     status = RunStatus.COMPLETED
@@ -235,10 +234,7 @@ def simulate(
 
     def record(st: SimState) -> None:
         # v's Laplacian comes from the solver's cache when the step certified it
-        rec = functionals.record(st, q_set, s, q_f1, q_f2, monitors.c_f1,
-                                 clamped_mass_cumulative=clamped_cum,
-                                 lap_v=solver.laplacian(st.v.values))
-        records.append(rec)
+        records.append(functionals.record(st, monitors, lap_v=solver.laplacian(st.v.values)))
 
     def keep(st: SimState) -> None:
         if keep_states == "all":
@@ -262,11 +258,10 @@ def simulate(
             status = RunStatus.NUMERICAL_FAILURE
             message = str(exc)
             break
-        clamped_cum += state.clamped_mass
-        if clamped_cum > CLAMPED_MASS_MAX_FRACTION * initial_mass:
+        if state.clamped_mass_cumulative > CLAMPED_MASS_MAX_FRACTION * initial_mass:
             status = RunStatus.NUMERICAL_FAILURE
             message = (
-                f"cumulative clamped mass {clamped_cum:.3e} exceeded "
+                f"cumulative clamped mass {state.clamped_mass_cumulative:.3e} exceeded "
                 f"{CLAMPED_MASS_MAX_FRACTION:.0e} of the initial mass {initial_mass:.3e}"
             )
             break
@@ -289,7 +284,7 @@ def simulate(
         states=states,
         records=records,
         final_state=state,
-        clamped_mass_cumulative=clamped_cum,
+        clamped_mass_cumulative=state.clamped_mass_cumulative,
         n_steps=state.step_index,
         message=message,
     )

@@ -5,6 +5,10 @@ constants, 2 abnormal run termination, 3 configuration errors.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -437,3 +441,22 @@ def test_gn_test_needs_entropy_witnesses(capsys):
             "--cells", "64", "--ensemble-size", "4"]
     assert main(argv) == 3
     assert "entropy witnesses" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy_sparse():
+    # scipy.sparse costs import time and resident memory that no code path
+    # needs; a fresh interpreter shows what importing the package pulls in
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [env.get("PYTHONPATH")])])
+    probe = (
+        "import sys, fluxks, fluxks.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
+        "print('scipy.linalg' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    sparse, loaded_linalg = proc.stdout.splitlines()
+    assert loaded_linalg == "True"  # the probe sees the package's real imports
+    assert sparse == "[]"

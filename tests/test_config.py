@@ -349,7 +349,7 @@ def test_monitors_accept_the_q_f1_the_rule_picks_below_one():
     }
     assert parse_config_dict(base_cfg(**section, monitors={"q_f1": 0.575})).monitors.q_f1 == 0.575
     rule = parse_config_dict(base_cfg(**section))
-    _, _, q_f1, _ = rule.monitors.indices(rule.model)
+    q_f1 = rule.monitors.resolve(rule.model).q_f1
     assert q_f1 == pytest.approx(0.575, abs=1e-12)
     pinned = parse_config_dict(base_cfg(**section, monitors={"q_f1": q_f1}))
     by_rule, by_key = run_config(rule), run_config(pinned)

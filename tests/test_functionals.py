@@ -11,6 +11,8 @@ import math
 import numpy as np
 import pytest
 from conftest import reference_setup
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 from fluxks.functionals import (
     CSV_SCALAR_COLUMNS,
@@ -34,10 +36,11 @@ from fluxks.grid import (
     laplacian_values,
     lp_norm,
     measured_gradient_faces,
+    unit_grid,
 )
-from fluxks.model import ModelParams
+from fluxks.model import ModelParams, build_initial_data
 from fluxks.regimes import relative_p, s_rule
-from fluxks.stepper import SimState
+from fluxks.stepper import SimState, StepControls, simulate
 
 
 def const_state(grid, u_val, v_val, t=0.0):
@@ -153,7 +156,7 @@ def test_dissipation_floor_keeps_negative_powers_finite(grid1d):
 def test_record_equilibrium_hand_values(grid1d):
     g = grid1d(32)
     st = const_state(g, 2.0, 4.0)
-    rec = record(st, q_set=(2.0, 3.0), s=4.0, q_f1=2.0, q_f2=2.0, c_f1=1.0)
+    rec = record(st, MonitorSettings(q_set=(2.0, 3.0), s=4.0, q_f1=2.0, q_f2=2.0, c_f1=1.0))
     assert rec.mass == pytest.approx(2.0, abs=1e-13)
     assert rec.u_linf == 2.0
     assert rec.uq[2.0] == pytest.approx(4.0, abs=1e-12)
@@ -171,7 +174,7 @@ def test_record_equilibrium_hand_values(grid1d):
 def test_record_max_norm_branch(grid1d):
     g = grid1d(16)
     st = const_state(g, 1.0, 3.0)
-    rec = record(st, q_set=(2.0,), s=math.inf, q_f1=2.0, q_f2=2.0, c_f1=1.0)
+    rec = record(st, MonitorSettings(q_set=(2.0,), s=math.inf, q_f1=2.0, q_f2=2.0, c_f1=1.0))
     assert rec.gradv_ls == 0.0
     assert rec.v_w1s == 3.0  # max(||v||_inf, max |grad v|)
 
@@ -179,7 +182,7 @@ def test_record_max_norm_branch(grid1d):
 def test_record_f2_additivity_is_exact(grid1d, reference_run):
     # F2 must equal uq[q_f2] + gradv_l2 as floats, not just approximately
     _, _, params, _ = reference_setup()
-    _, _, _, q_f2 = MonitorSettings().indices(params)
+    q_f2 = MonitorSettings().resolve(params).q_f2
     for rec in reference_run.records[:: max(1, len(reference_run.records) // 7)]:
         assert rec.F2 == rec.uq[q_f2] + rec.gradv_l2
 
@@ -197,10 +200,9 @@ def test_record_brute_force_cross_check(grid1d):
     rng = np.random.default_rng(12)
     u = GridFunction(g, rng.uniform(0.2, 2.0, size=20))
     v = GridFunction(g, rng.uniform(0.0, 1.5, size=20))
-    st = SimState(u=u, v=v, t=0.3, step_index=7, clamped_mass=0.0)
+    st = SimState(u=u, v=v, t=0.3, step_index=7, clamped_mass_cumulative=1e-13)
     s = 3.0
-    rec = record(st, q_set=(1.5, 2.0), s=s, q_f1=2.0, q_f2=2.0,
-                 c_f1=0.5, clamped_mass_cumulative=1e-13)
+    rec = record(st, MonitorSettings(q_set=(1.5, 2.0), s=s, q_f1=2.0, q_f2=2.0, c_f1=0.5))
     w = g.cell_weights
     assert rec.t == 0.3
     assert rec.mass == pytest.approx(float(np.sum(u.values * w)), rel=1e-15)
@@ -247,7 +249,7 @@ def test_record_builds_one_gradient_per_field(monkeypatch, mode, cells, s):
 
     monkeypatch.setattr(grid_mod, "measured_gradient_faces", counted)
     monkeypatch.setattr(functionals, "measured_gradient_faces", counted)
-    rec = record(st, q_set=q_set, s=s, q_f1=3.0, q_f2=3.0, c_f1=1.0)
+    rec = record(st, MonitorSettings(q_set=q_set, s=s, q_f1=3.0, q_f2=3.0, c_f1=1.0))
     assert len(calls) == 2
     monkeypatch.undo()
 
@@ -269,29 +271,85 @@ def test_record_f1_reuses_its_integrals(grid1d, q_f1, c_f1):
     u = GridFunction(g, rng.uniform(0.2, 2.0, size=g.shape))
     v = GridFunction(g, rng.uniform(0.0, 1.5, size=g.shape))
     st = SimState(u=u, v=v, t=0.3, step_index=2)
-    rec = record(st, q_set=(0.5, 1.5, 2.0, 3.0), s=2.0, q_f1=q_f1, q_f2=3.0, c_f1=c_f1)
+    monitors = MonitorSettings(q_set=(0.5, 1.5, 2.0, 3.0), s=2.0, q_f1=q_f1, q_f2=3.0, c_f1=c_f1)
+    rec = record(st, monitors)
     sign = 1.0 if q_f1 > 1.0 else -1.0
     assert rec.F1 == sign * rec.uq[q_f1] + c_f1 * rec.v_l2
     assert rec.F1 == entropy_F1(u, v, q_f1, c_f1)
-    with pytest.raises(ValueError, match="q != 1"):
-        record(st, q_set=(2.0,), s=2.0, q_f1=1.0, q_f2=2.0, c_f1=1.0)
-    with pytest.raises(ValueError, match="c >= 0"):
-        record(st, q_set=(2.0,), s=2.0, q_f1=2.0, q_f2=2.0, c_f1=-1.0)
+    # the settings record reads reject what entropy_F1 rejects
+    with pytest.raises(ValueError, match="!= 1"):
+        record(st, MonitorSettings(q_set=(2.0,), s=2.0, q_f1=1.0, q_f2=2.0, c_f1=1.0))
+    with pytest.raises(ValueError, match=">= 0"):
+        record(st, MonitorSettings(q_set=(2.0,), s=2.0, q_f1=2.0, q_f2=2.0, c_f1=-1.0))
+
+
+@pytest.mark.parametrize("unset", ["q_set", "s", "q_f1", "q_f2"])
+def test_record_requires_resolved_settings(grid1d, unset):
+    st = const_state(grid1d(8), 1.0, 1.0)
+    full = dict(q_set=(2.0,), s=2.0, q_f1=2.0, q_f2=2.0)
+    monitors = MonitorSettings(**{**full, unset: None})
+    with pytest.raises(ValueError, match=r"MonitorSettings\.resolve"):
+        record(st, monitors)
 
 
 def test_monitor_settings_indices_fill_only_unset_fields():
     # n=2, theta=1.2 at p fraction 0.8: the audit's F1 witness lies in (0, 1)
     params = ModelParams(chi=1.0, p=relative_p(2, 1.2, 0.8), theta=1.2, eps=1e-3, n=2)
-    q_set, s, q_f1, q_f2 = MonitorSettings().indices(params)
+    rule = MonitorSettings().resolve(params)
+    q_set, s, q_f1, q_f2 = rule.q_set, rule.s, rule.q_f1, rule.q_f2
     assert q_f1 == pytest.approx(0.575, abs=1e-12)
     assert q_f2 == pytest.approx(1.65, abs=1e-12)
     assert q_set == (q_f1, q_f2, 2.0)
     assert s == s_rule(2, params.p, 1.2).value
     # explicit fields pass through; the unset ones keep their rule values
     explicit = MonitorSettings(q_set=(3.0, 1.5), s=math.inf, q_f1=1.5, q_f2=3.0)
-    assert explicit.indices(params) == ((1.5, 3.0), math.inf, 1.5, 3.0)
-    assert MonitorSettings(q_f2=3.0).indices(params) == ((q_f1, 2.0, 3.0), s, q_f1, 3.0)
-    assert MonitorSettings(s=4.0, q_set=(2.0,)).indices(params) == ((2.0,), 4.0, q_f1, q_f2)
+    assert explicit.q_set == (1.5, 3.0)
+    assert explicit.resolve(params) == MonitorSettings((1.5, 3.0), math.inf, 1.5, 3.0)
+    assert MonitorSettings(q_f2=3.0).resolve(params) == MonitorSettings((q_f1, 2.0, 3.0), s, q_f1, 3.0)
+    assert MonitorSettings(s=4.0, q_set=(2.0,)).resolve(params) == MonitorSettings((2.0,), 4.0, q_f1, q_f2)
+
+
+# user-set monitor fields, each drawn within what MonitorSettings accepts
+_USER_MONITORS = hs.fixed_dictionaries({}, optional={
+    "q_set": hs.lists(hs.floats(0.1, 5.0), min_size=1, max_size=4).map(tuple),
+    "s": hs.one_of(hs.floats(1.0, 10.0), hs.just(math.inf)),
+    "q_f1": hs.floats(0.1, 5.0).filter(lambda q: q != 1.0),
+    "q_f2": hs.floats(1.0, 5.0, exclude_min=True),
+    "c_f1": hs.floats(0.0, 3.0),
+})
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    n=hs.integers(1, 6),
+    theta=hs.floats(0.0, 4.0, exclude_min=True),
+    p=hs.floats(1.0, 4.0, exclude_min=True),
+    user=_USER_MONITORS,
+)
+@example(n=1, theta=1.0, p=1.5, user={})  # n*theta = 1: no critical exponent
+@example(n=2, theta=0.3, p=2.0, user={})
+@example(n=6, theta=0.05, p=1.0001, user={"q_f2": 3.0})
+@example(n=2, theta=1.2, p=relative_p(2, 1.2, 0.8), user={})  # q_f1 in (0, 1)
+def test_resolve_sets_every_index_keeps_user_fields_and_is_idempotent(n, theta, p, user):
+    params = ModelParams(chi=1.0, p=p, theta=theta, eps=1e-3, n=n)
+    given_settings = MonitorSettings(**user)
+    resolved = given_settings.resolve(params)
+    assert None not in (resolved.q_set, resolved.s, resolved.q_f1, resolved.q_f2)
+    assert resolved.resolve(params) == resolved
+    for name in user:
+        assert getattr(resolved, name) == getattr(given_settings, name)
+    # a short run records exactly the resolved q_set.  Near p = 1 the rule's
+    # F1 index grows like 1/(p - 1), and from about 1750 on int u^q of this
+    # data overflows: the first record then raises (a defect of the rule
+    # named in CHANGES.md), so the run is made only for indices up to 100
+    if max(*resolved.q_set, resolved.q_f1, resolved.q_f2) > 100.0:
+        return
+    init = build_initial_data(unit_grid(n, 8), family="cosine", base=1.0, amplitude=0.5,
+                              v0_kind="u0_pow_theta", theta=theta)
+    res = simulate(init, params, StepControls(t_end=1e-3, dt_max=1e-3), monitors=given_settings)
+    assert len(res.records) == 2
+    for rec in res.records:
+        assert tuple(rec.uq) == tuple(rec.dissip_u) == resolved.q_set
 
 
 # ------------------------------------------------------------- validation
@@ -366,7 +424,7 @@ def test_csv_roundtrip_and_determinism(grid1d):
         u = GridFunction(g, rng.uniform(0.5, 1.5, size=16))
         v = GridFunction(g, rng.uniform(0.0, 1.0, size=16))
         st = SimState(u=u, v=v, t=0.1 * i, step_index=i)
-        recs.append(record(st, q_set=(2.0,), s=2.0, q_f1=2.0, q_f2=2.0, c_f1=1.0))
+        recs.append(record(st, MonitorSettings(q_set=(2.0,), s=2.0, q_f1=2.0, q_f2=2.0, c_f1=1.0)))
     text1 = records_to_csv(recs, meta_comment="alpha\nbeta")
     text2 = records_to_csv(recs, meta_comment="alpha\nbeta")
     assert text1 == text2
@@ -389,7 +447,7 @@ def test_csv_rejects_empty():
 def test_write_records_csv_file(tmp_path, grid1d):
     g = grid1d(8)
     st = const_state(g, 1.0, 0.0)
-    rec = record(st, q_set=(2.0,), s=2.0, q_f1=2.0, q_f2=2.0, c_f1=1.0)
+    rec = record(st, MonitorSettings(q_set=(2.0,), s=2.0, q_f1=2.0, q_f2=2.0, c_f1=1.0))
     path = tmp_path / "out.csv"
     write_records_csv([rec], path, meta_comment="meta")
     body = path.read_text()

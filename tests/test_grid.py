@@ -125,6 +125,48 @@ def test_build_grid_rejects_radial_weights_outside_the_float_range(n):
     build_grid("radial-n", extents=(1.0,), cells=(256,), n=99)
 
 
+@pytest.mark.parametrize("mode,extents,cells,n", [
+    ("cartesian-1d", (1.0,), (8,), None),
+    ("cartesian-2d", (1.0, 2.0), (8, 6), None),
+    ("radial-n", (1.0,), (8,), 3),
+])
+def test_equal_grids_compare_and_hash_equal(mode, extents, cells, n):
+    g1 = build_grid(mode, extents=extents, cells=cells, n=n)
+    g2 = build_grid(mode, extents=extents, cells=cells, n=n)
+    assert g1 is not g2
+    assert g1 == g2 and not g1 != g2
+    assert hash(g1) == hash(g2)
+    assert len({g1, g2}) == 1
+    finer = build_grid(mode, extents=extents, cells=tuple(2 * c for c in cells), n=n)
+    assert g1 != finer
+
+
+def test_initial_data_on_equal_grids_is_accepted():
+    from fluxks.model import InitialData
+
+    g1 = build_grid("cartesian-1d", extents=(1.0,), cells=(8,))
+    g2 = build_grid("cartesian-1d", extents=(1.0,), cells=(8,))
+    data = InitialData(GridFunction.constant(g1, 1.0), GridFunction.constant(g2, 2.0))
+    assert data.u0.grid == data.v0.grid
+    g16 = build_grid("cartesian-1d", extents=(1.0,), cells=(16,))
+    with pytest.raises(ValueError, match="must share one grid"):
+        InitialData(GridFunction.constant(g1, 1.0), GridFunction.constant(g16, 2.0))
+
+
+@pytest.mark.parametrize("mode,extents,cells,n", [
+    ("cartesian-1d", (1.0,), (8,), None),
+    ("cartesian-2d", (1.0, 1.0), (8, 8), None),
+    ("radial-n", (1.0,), (8,), 3),
+])
+def test_grid_arrays_are_read_only(mode, extents, cells, n):
+    g = build_grid(mode, extents=extents, cells=cells, n=n)
+    with pytest.raises(ValueError, match="read-only"):
+        g.cell_weights[0] = 0.0
+    for areas in g.face_areas:
+        with pytest.raises(ValueError, match="read-only"):
+            areas[0] = 1.0
+
+
 def test_min_cells_constant_is_enforced():
     build_grid("cartesian-1d", extents=(1.0,), cells=(MIN_CELLS_PER_AXIS,))
     with pytest.raises(ValueError):

@@ -13,6 +13,10 @@ the solver tolerance still follow the discrete linear theory.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -455,3 +459,42 @@ def test_clamped_copy_recomputes_the_laplacian(monkeypatch):
     seen.clear()
     solver.solve(1.0, 1e-3, clamped, clamped)
     assert seen and seen[0] is clamped
+
+
+# a 2d run whose transport goes through GMRES and a radial run through gtsv;
+# prints one digest per run of its records CSV and final u and v bytes
+_THREAD_PROBE = """
+import hashlib
+from fluxks.functionals import records_to_csv
+from fluxks.grid import unit_grid
+from fluxks.model import ModelParams, build_initial_data
+from fluxks.stepper import StepControls, simulate
+
+for n, cells, chi in ((2, 32, 5.0), (3, 64, 2.0)):
+    init = build_initial_data(unit_grid(n, cells), family="gaussian", base=1.0, amplitude=2.0,
+                              v0_kind="u0_pow_theta", theta=2.0)
+    res = simulate(init, ModelParams(chi=chi, p=1.5, theta=2.0, eps=1e-3, n=n),
+                   StepControls(t_end=0.2, dt_max=0.01), record_every=1)
+    assert res.status.value == "Completed", res.message
+    digest = hashlib.sha256(records_to_csv(res.records).encode())
+    digest.update(res.final_state.u.values.tobytes())
+    digest.update(res.final_state.v.values.tobytes())
+    print(n, res.n_steps, digest.hexdigest())
+"""
+
+
+def test_results_do_not_depend_on_the_thread_count():
+    # the invariant of HelmholtzSolver._dot, checked end to end: each run
+    # gives the same bytes with one and with two BLAS/OpenMP threads
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ)
+        env.update(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [env.get("PYTHONPATH")])])
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 2
+    assert outputs[0] == outputs[1]

@@ -149,7 +149,7 @@ def test_step_positivity_hard_error(grid2d):
     for factor in (10.0, 1000.0):
         out = step(st, params, controls, factor / signal_rate(st, params), HelmholtzSolver(g))
         assert out.u.values.min() >= 0.0 and out.v.values.min() >= 0.0
-        assert out.clamped_mass == 0.0
+        assert out.clamped_mass_cumulative == 0.0
         assert abs(integrate(out.u) - m0) <= 1e-10 * m0
     values = np.array([1.0, -0.5 * POSITIVITY_CLAMP_TOL, 2.0])
     clamped, mass = _clamp_negative(values, np.ones(3), "u")
@@ -171,7 +171,7 @@ def test_implicit_transport_step_beyond_the_advective_bound(mode, factor):
     dt = factor * controls.cfl_safety / signal_rate(st, params)
     out = step(st, params, controls, dt, HelmholtzSolver(g))
     assert out.u.values.min() >= 0.0 and out.v.values.min() >= 0.0
-    assert out.clamped_mass == 0.0
+    assert out.clamped_mass_cumulative == 0.0
     m0 = integrate(st.u)
     assert abs(integrate(out.u) - m0) <= 1e-13 * m0
 
@@ -672,13 +672,13 @@ def test_simulate_records_the_indices_of_its_monitor_settings(grid2d):
                               v0_kind="u0_pow_theta", theta=1.2)
     res = simulate(init, params, StepControls(t_end=0.5), record_every=1, keep_states="all")
     assert res.status == RunStatus.COMPLETED, res.message
-    q_set, s, q_f1, q_f2 = MonitorSettings().indices(params)
-    assert 0.0 < q_f1 < 1.0
+    monitors = MonitorSettings().resolve(params)
+    assert 0.0 < monitors.q_f1 < 1.0
     assert len(res.records) == len(res.states) > 2
     for rec, st in zip(res.records, res.states):
         assert rec.t == st.t
-        assert set(rec.uq) == set(q_set)
-        again = record(st, q_set, s, q_f1, q_f2, MonitorSettings().c_f1)
+        assert set(rec.uq) == set(monitors.q_set)
+        again = record(st, monitors)
         assert (rec.F1, rec.F2) == (again.F1, again.F2)
 
 
