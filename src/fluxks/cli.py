@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .config import RunConfig, load_json, parse_config, parse_sweep_config
+from .config import RunConfig, load_json, parse_config
 from .errors import ConfigError, FluxksError
 from .functionals import write_records_csv
 from .gn import (
@@ -37,7 +37,7 @@ from .gn import (
     signal_grad_step_set,
     signal_l2_step_set,
 )
-from .grid import Grid, unit_grid
+from .grid import unit_grid
 from .monitors import (
     MIN_DISSIPATION_RECORDS,
     check_dissipation_inequality,
@@ -46,12 +46,13 @@ from .monitors import (
     classify,
 )
 from .regimes import RegimeSpec, audit, relative_p
-from .stepper import RunStatus, SimResult, simulate
+from .stepper import RunStatus, SimResult
 from .sweep import (
     _load_existing,
     available_cpus,
     canonical_json,
     map_in_pool,
+    parse_sweep_config,
     regime_map_csv,
     regime_map_summary,
     run_sweep,
@@ -86,7 +87,7 @@ def _print_json(obj: dict) -> None:
 # -- simulate ----------------------------------------------------------------
 
 
-def _write_snapshots(out: Path, result: SimResult, cfg: RunConfig, grid: Grid) -> None:
+def _write_snapshots(out: Path, result: SimResult, cfg: RunConfig) -> None:
     lines = []
     for state in result.states:
         cells = [repr(float(state.t))]
@@ -99,7 +100,7 @@ def _write_snapshots(out: Path, result: SimResult, cfg: RunConfig, grid: Grid) -
         "config": cfg.effective(),
         "format": "per line: t, then u cell values, then v cell values, "
         "whitespace-separated, C order over the cell index grid",
-        "grid": grid.describe(),
+        "grid": result.final_state.u.grid.describe(),
         "n_snapshots": len(result.states),
     }
     write_atomic(out / "snapshots.meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
@@ -107,16 +108,9 @@ def _write_snapshots(out: Path, result: SimResult, cfg: RunConfig, grid: Grid) -
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config)
-    grid = cfg.build_grid()
-    initial = cfg.build_initial(grid)
     out = _resolve_out(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    keep = "sampled" if args.snapshots else "ends"
-    result = simulate(
-        initial, cfg.model, cfg.controls, record_every=cfg.record_every,
-        monitors=cfg.monitors, mollify=cfg.mollify, keep_states=keep,
-    )
+    result = cfg.run(keep_states="sampled" if args.snapshots else "ends")
 
     effective = cfg.effective()
     meta = f"fluxks {__version__}\nconfig {canonical_json(effective)}"
@@ -158,7 +152,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     }
     write_atomic(out / "run.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
     if args.snapshots:
-        _write_snapshots(out, result, cfg, grid)
+        _write_snapshots(out, result, cfg)
 
     for name, v in verdicts.items():
         print(v.summary())

@@ -1,21 +1,24 @@
-"""Declarative run and sweep configuration: strict parsing, defaults, lossless echo.
+"""Declarative run configuration: strict parsing, defaults, lossless echo.
 
 A run config is a JSON object with sections ``grid``, ``model``, ``initial``,
 ``controls``, ``monitors`` plus the top-level knobs ``record_every`` and
-``mollify``: the fields of :class:`RunConfig`.  A sweep config is a flat JSON
-object whose keys are the fields of :class:`~fluxks.sweep.SweepSpec`.  Parsing
-is strict: unknown keys, values of the wrong JSON type and numbers no float
-holds (``1e400``) raise :class:`~fluxks.errors.ConfigError` with a message
-pointing at the offending path.  Each section, and the sweep config, takes its
-keys, types, defaults and choices from the fields of the dataclass it builds,
-so each setting is declared once.  ``effective()`` echoes a run config with
-every default made explicit; parsing that echo reproduces the identical
-:class:`RunConfig` (lossless round-trip).  The monitor index ``s`` may be a
-number, the string ``"inf"``, or ``null`` (pick by rule).
+``mollify``: the fields of :class:`RunConfig`.  :func:`parse_config_dict` is
+the one validator of run settings: ``fluxks simulate`` reads a config file
+through it, and a sweep builds each lattice point's config through it (see
+:func:`fluxks.sweep.point_config`).  Parsing is strict: unknown keys, values
+of the wrong JSON type and numbers no float holds (``1e400``) raise
+:class:`~fluxks.errors.ConfigError` with a message pointing at the offending
+path.  Each section takes its keys, types, defaults and choices from the
+fields of the dataclass it builds (:func:`read_fields`), so each setting is
+declared once.  ``effective()`` echoes a run config with every default made
+explicit; parsing that echo reproduces the identical :class:`RunConfig`
+(lossless round-trip).  The monitor index ``s`` may be a number, the string
+``"inf"``, or ``null`` (pick by rule).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -27,8 +30,7 @@ from .errors import ConfigError
 from .functionals import MonitorSettings
 from .grid import Grid, build_grid
 from .model import InitialData, InitialSettings, ModelParams, build_initial_data
-from .stepper import DEFAULT_MOLLIFY, DEFAULT_RECORD_EVERY, StepControls
-from .sweep import SweepSpec
+from .stepper import DEFAULT_MOLLIFY, DEFAULT_RECORD_EVERY, SimResult, StepControls, simulate
 
 _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
@@ -124,7 +126,11 @@ def _get(sec: dict, key: str, where: str, kind, default=MISSING, choices=None):
     return val
 
 
-def _read_fields(cls, sec: dict, where: str, **defaults) -> dict:
+# the resolved annotations of a dataclass, looked up once per class
+_field_types = functools.cache(get_type_hints)
+
+
+def read_fields(cls, sec: dict, where: str, **defaults) -> dict:
     """The fields of dataclass ``cls`` read from ``sec``.
 
     Its field names are the allowed keys, its annotations the checked types
@@ -132,7 +138,7 @@ def _read_fields(cls, sec: dict, where: str, **defaults) -> dict:
     ``defaults``, else the declared field defaults.
     """
     _check_keys(sec, cls, where)
-    hints = get_type_hints(cls)
+    hints = _field_types(cls)
     return {
         f.name: _get(sec, f.name, where, hints[f.name], defaults.get(f.name, f.default),
                      f.metadata.get("choices"))
@@ -149,8 +155,8 @@ def _as_float(val, kind):
 
 
 def _build_section(cls, sec: dict, where: str, **defaults):
-    hints = get_type_hints(cls)
-    vals = _read_fields(cls, sec, where, **defaults)
+    hints = _field_types(cls)
+    vals = read_fields(cls, sec, where, **defaults)
     try:
         return cls(**{k: _as_float(v, hints[k]) for k, v in vals.items()})
     except ValueError as exc:
@@ -196,6 +202,14 @@ class RunConfig:
         kwargs["v0_kind"] = kwargs.pop("v0")
         return build_initial_data(grid, theta=self.model.theta, **kwargs)
 
+    def run(self, keep_states: str) -> SimResult:
+        """Simulate this config; ``keep_states`` as in :func:`~fluxks.stepper.simulate`."""
+        return simulate(
+            self.build_initial(self.build_grid()), self.model, self.controls,
+            record_every=self.record_every, monitors=self.monitors,
+            mollify=self.mollify, keep_states=keep_states,
+        )
+
     def effective(self) -> dict:
         """Echo with every defaulted field explicit; JSON-ready, lossless."""
         echo = asdict(self, dict_factory=_json_lists)
@@ -222,7 +236,7 @@ def parse_config_dict(data: dict) -> RunConfig:
         raise ConfigError(f"config root must be an object, got {type(data).__name__}")
     _check_keys(data, RunConfig, "config")
 
-    grid_args = _read_fields(GridSettings, _get_section(data, "grid", True), "grid")
+    grid_args = read_fields(GridSettings, _get_section(data, "grid", True), "grid")
     try:
         grid = build_grid(**grid_args)
     except ValueError as exc:
@@ -263,17 +277,3 @@ def parse_config(path: str | Path) -> RunConfig:
     """
     return parse_config_dict(load_json(path, "config"))
 
-
-def parse_sweep_config_dict(data: dict) -> SweepSpec:
-    """Validate a sweep config object; every violation raises :class:`ConfigError`.
-
-    Numbers keep their JSON type: the point ids hash them as given.
-    """
-    if not isinstance(data, dict):
-        raise ConfigError(f"sweep config root must be an object, got {type(data).__name__}")
-    return SweepSpec(**_read_fields(SweepSpec, data, "sweep"))
-
-
-def parse_sweep_config(path: str | Path) -> SweepSpec:
-    """Parse a JSON sweep config file; errors as in :func:`parse_config`."""
-    return parse_sweep_config_dict(load_json(path, "sweep config"))

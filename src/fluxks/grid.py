@@ -226,17 +226,21 @@ def build_grid(
     )
 
 
-def unit_grid(n: int, cells: int) -> Grid:
-    """The unit domain of ambient dimension ``n`` with ``cells`` cells per axis.
+def unit_grid_section(n: int, cells: int) -> dict:
+    """The run-config ``grid`` section (the :func:`build_grid` arguments) of
+    the unit domain of ambient dimension ``n`` with ``cells`` cells per axis.
 
     ``[0, 1]`` for ``n = 1``, ``[0, 1]^2`` for ``n = 2``, and the radial unit
     ball for ``n >= 3``.
     """
-    if n == 1:
-        return build_grid("cartesian-1d", extents=(1.0,), cells=(cells,))
-    if n == 2:
-        return build_grid("cartesian-2d", extents=(1.0, 1.0), cells=(cells, cells))
-    return build_grid("radial-n", extents=(1.0,), cells=(cells,), n=n)
+    rank = 2 if n == 2 else 1
+    mode = {1: "cartesian-1d", 2: "cartesian-2d"}.get(n, "radial-n")
+    return {"mode": mode, "extents": [1.0] * rank, "cells": [cells] * rank, "n": n}
+
+
+def unit_grid(n: int, cells: int) -> Grid:
+    """The grid of :func:`unit_grid_section`."""
+    return build_grid(**unit_grid_section(n, cells))
 
 
 def _face_shape(shape: tuple[int, ...], axis: int) -> tuple[int, ...]:

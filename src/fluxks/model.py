@@ -25,6 +25,7 @@ from .grid import (
     integrate,
     laplacian_values,
 )
+from .regimes import RegimeSpec
 
 # Mollifier: fixed number of conservative averaging passes; the kernel weight
 # is scaled by eps (see mollify_initial_data).
@@ -51,14 +52,9 @@ class ModelParams:
     def __post_init__(self) -> None:
         if not (self.chi >= 0.0 and math.isfinite(self.chi)):
             raise ValueError(f"chi must be finite and >= 0, got {self.chi}")
-        if not (self.p > 1.0 and math.isfinite(self.p)):
-            raise ValueError(f"p > 1 required, got {self.p}")
-        if not (self.theta > 0.0 and math.isfinite(self.theta)):
-            raise ValueError(f"theta > 0 required, got {self.theta}")
+        RegimeSpec(n=self.n, theta=self.theta, p=self.p)  # checks n, theta and p
         if not (0.0 <= self.eps < 1.0):
             raise ValueError(f"eps must lie in [0, 1), got {self.eps}")
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {self.n}")
 
 
 @dataclass(frozen=True)

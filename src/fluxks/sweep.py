@@ -12,10 +12,14 @@ parameters.  Artifact rules:
   across repeats and across ``parallelism`` settings.  Wall-clock times go
   to a ``timings.json`` sidecar which is exempt from that guarantee.
 
-Each 1d point runs on ``[0, 1]``, 2d on the unit square, and ``n >= 3`` on
-the radial ball of radius 1.  Initial density is a modest cosine bump
-``1 + amplitude * prod_a cos(pi x_a)`` (radial: ``1 + amplitude * cos(pi r)``)
-with ``v0 = u0 ** theta``.
+A sweep config (:func:`parse_sweep_config`) is a flat JSON object whose keys
+are the fields of :class:`SweepSpec`.  Each point runs the
+:class:`~fluxks.config.RunConfig` that :func:`point_config` builds through
+the run-config parser, so a point a run config would reject fails the spec,
+before any point runs.  Each 1d point runs on ``[0, 1]``, 2d on the unit
+square, and ``n >= 3`` on the radial ball of radius 1.  Initial density is a
+modest cosine bump ``1 + amplitude * prod_a cos(pi x_a)`` (radial:
+``1 + amplitude * cos(pi r)``), or another ``family``, with ``v0 = u0 ** theta``.
 """
 
 from __future__ import annotations
@@ -33,11 +37,12 @@ from pathlib import Path
 
 from ._version import __version__
 from .errors import ConfigError
-from .grid import MIN_CELLS_PER_AXIS, unit_grid
-from .model import INITIAL_FAMILIES, InitialSettings, ModelParams, build_initial_data
+from .config import RunConfig, load_json, parse_config_dict, read_fields
+from .grid import MIN_CELLS_PER_AXIS, unit_grid_section
+from .model import InitialSettings, ModelParams
 from .monitors import classify
 from .regimes import RegimeSpec, audit, critical_exponent, relative_p
-from .stepper import DEFAULT_RECORD_EVERY, StepControls, simulate
+from .stepper import DEFAULT_RECORD_EVERY, StepControls
 
 SWEEP_VERSION = 5
 
@@ -88,7 +93,8 @@ def map_in_pool(fn, items: list, workers: int) -> list:
     """
     if workers == 1 or len(items) <= 1:
         return [fn(x) for x in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # a fork-started pool forks all its workers at the first submit
+    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(fn, items))
 
 
@@ -100,7 +106,8 @@ class SweepSpec:
     axis) each entry of ``p_values`` is an affine fraction of the admissible
     flux-exponent interval (see :func:`fluxks.regimes.relative_p`); entries
     >= 1 give supercritical exploratory points.  With ``p_mode="absolute"``
-    the entries are flux exponents directly (must exceed 1).
+    the entries are flux exponents directly (must exceed 1).  Every point's
+    settings must pass the run-config checks (:func:`point_config`).
     """
 
     n_values: tuple[int, ...]
@@ -141,38 +148,22 @@ class SweepSpec:
             raise ConfigError(
                 f"{self.p_mode} p_values must exceed {p_floor}, got {self.p_values}"
             )
-        if not self.chi >= 0.0:
-            raise ConfigError(f"chi must be >= 0, got {self.chi}")
-        if not (0.0 <= self.eps < 1.0):
-            raise ConfigError(f"eps must lie in [0, 1), got {self.eps}")
-        if self.family not in INITIAL_FAMILIES:
-            raise ConfigError(
-                f"unknown initial family {self.family!r}; choose from {INITIAL_FAMILIES}"
-            )
         if not (0.0 <= self.amplitude < 1.0):
             # amplitude < 1 keeps the unit-base initial density strictly positive
             raise ConfigError(f"amplitude must lie in [0, 1), got {self.amplitude}")
-        try:
-            _pick(StepControls, vars(self))
-        except ValueError as exc:
-            raise ConfigError(f"sweep controls: {exc}") from exc
+        # a cells field no lattice dimension uses is still a setting of the sweep
         for name in ("cells_1d", "cells_2d", "cells_radial"):
-            if getattr(self, name) < MIN_CELLS_PER_AXIS:
+            if not getattr(self, name) >= MIN_CELLS_PER_AXIS:
                 raise ConfigError(f"sweep {name} must be >= {MIN_CELLS_PER_AXIS}")
-        if self.record_every < 1:
-            raise ConfigError("sweep record_every must be >= 1")
-        # NaN fails the range checks above; an infinity passes some of them
+        # NaN fails the range checks above or the run-config checks below; an
+        # infinity passes some of them.  Either would fail to hash as a point id
         for f in fields(self):
             val = getattr(self, f.name)
             vals = val if isinstance(val, tuple) else (val,)
-            if any(isinstance(x, float) and not math.isfinite(x) for x in vals):
+            if any(isinstance(x, float) and math.isinf(x) for x in vals):
                 raise ConfigError(f"sweep {f.name} must be finite, got {val}")
-        # a radial point grid's cell weights leave the float range at large n
-        for n in self.n_values:
-            try:
-                unit_grid(n, _point_cells(self, n))
-            except ValueError as exc:
-                raise ConfigError(f"sweep point grid: {exc}") from exc
+        for point in _lattice(self):
+            point_config(point)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -185,21 +176,8 @@ _LATTICE_FIELDS = frozenset(
 )
 
 
-def _pick(cls, values: dict):
-    """``cls`` built from the entries of ``values`` that its fields name."""
-    return cls(**{f.name: values[f.name] for f in fields(cls)})
-
-
-def _point_cells(spec: SweepSpec, n: int) -> int:
-    if n == 1:
-        return spec.cells_1d
-    if n == 2:
-        return spec.cells_2d
-    return spec.cells_radial
-
-
-def sweep_points(spec: SweepSpec) -> list[dict]:
-    """Expanded lattice, sorted by ``(n, theta, p)``, with content ids."""
+def _lattice(spec: SweepSpec) -> list[dict]:
+    # the points of the lattice, without their ids
     shared = {k: v for k, v in asdict(spec).items() if k not in _LATTICE_FIELDS}
     points = []
     for n in spec.n_values:
@@ -223,13 +201,17 @@ def sweep_points(spec: SweepSpec) -> list[dict]:
                     "theta": float(theta),
                     "p_fraction": frac,
                     "p": p,
-                    "cells": _point_cells(spec, n),
+                    "cells": {1: spec.cells_1d, 2: spec.cells_2d}.get(n, spec.cells_radial),
                     "version": SWEEP_VERSION,
                 }
-                point["point_id"] = point_id(point)
                 points.append(point)
-    points.sort(key=lambda pt: (pt["n"], pt["theta"], pt["p"]))
     return points
+
+
+def sweep_points(spec: SweepSpec) -> list[dict]:
+    """Expanded lattice, sorted by ``(n, theta, p)``, with content ids."""
+    points = [dict(pt, point_id=point_id(pt)) for pt in _lattice(spec)]
+    return sorted(points, key=lambda pt: (pt["n"], pt["theta"], pt["p"]))
 
 
 def point_id(point: dict) -> str:
@@ -237,25 +219,32 @@ def point_id(point: dict) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()[:16]
 
 
+def point_config(point: dict) -> RunConfig:
+    """The run config of one lattice point: its settings on the unit domain,
+    with a unit-base initial density and ``v0 = u0 ** theta``.
+
+    Raises:
+        ConfigError: the run-config checks reject a setting; the message
+            starts ``sweep `` and names the point.
+    """
+    try:
+        return parse_config_dict({
+            "grid": unit_grid_section(point["n"], point["cells"]),
+            "model": {f.name: point[f.name] for f in fields(ModelParams)},
+            "initial": {"family": point["family"], "base": 1.0,
+                        "amplitude": point["amplitude"], "v0": "u0_pow_theta"},
+            "controls": {f.name: point[f.name] for f in fields(StepControls)},
+            "record_every": point["record_every"],
+        })
+    except ConfigError as exc:
+        pt = f"n={point['n']} theta={point['theta']:g} p={point['p']:.6g}"
+        raise ConfigError(f"sweep {exc} (point {pt})") from exc
+
+
 def run_point(point: dict) -> dict:
     """Simulate one lattice point and summarize it (no file output here)."""
-    grid = unit_grid(point["n"], point["cells"])
-    initial = build_initial_data(
-        grid,
-        family=point["family"],
-        base=1.0,
-        amplitude=point["amplitude"],
-        v0_kind="u0_pow_theta",
-        theta=point["theta"],
-    )
     regime = audit(RegimeSpec(n=point["n"], theta=point["theta"], p=point["p"]))
-    result = simulate(
-        initial,
-        _pick(ModelParams, point),
-        _pick(StepControls, point),
-        record_every=point["record_every"],
-        keep_states="ends",
-    )
+    result = point_config(point).run(keep_states="ends")
     verdict = classify(result.records, result.status)
 
     recs = result.records
@@ -477,3 +466,18 @@ def regime_map_summary(results: list[dict]) -> str:
         + (" (subcritical points not classified Bounded)" if n_flags else "")
     )
     return "\n".join(lines) + "\n"
+
+
+def parse_sweep_config_dict(data: dict) -> SweepSpec:
+    """Validate a sweep config object; every violation raises :class:`ConfigError`.
+
+    Numbers keep their JSON type: the point ids hash them as given.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"sweep config root must be an object, got {type(data).__name__}")
+    return SweepSpec(**read_fields(SweepSpec, data, "sweep"))
+
+
+def parse_sweep_config(path: str | Path) -> SweepSpec:
+    """Parse a JSON sweep config file; errors as in :func:`~fluxks.config.parse_config`."""
+    return parse_sweep_config_dict(load_json(path, "sweep config"))

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fluxks.cli as cli
@@ -342,6 +343,17 @@ def test_sweep_degenerate_radial_grid_exits_3(tmp_path, capsys):
     argv = ["sweep", "--config", cfg_path, "--out", str(tmp_path / "x"), "--parallelism", "1"]
     assert main(argv) == 3
     assert "grid.n = 130" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_sweep_with_an_overflowing_point_exits_3_before_any_output(tmp_path, capsys):
+    # u0**theta overflows at theta = 8000; the run config of that point is
+    # rejected at parse time, so the sweep writes nothing
+    cfg = {**SWEEP_CFG, "theta_values": [8000], "p_values": [0.5], "cells_1d": 8}
+    cfg_path = write_json(tmp_path / "sweep.json", cfg)
+    with np.errstate(over="ignore"):
+        assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 3
+    assert "theta=8000" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 

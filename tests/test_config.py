@@ -10,18 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from fluxks.config import (
-    RunConfig,
-    parse_config,
-    parse_config_dict,
-    parse_sweep_config,
-    parse_sweep_config_dict,
-)
+from fluxks.config import RunConfig, parse_config, parse_config_dict
 from fluxks.errors import ConfigError, FluxksError
 from fluxks.model import mollify_initial_data
 from fluxks.regimes import relative_p
 from fluxks.stepper import StepControls, simulate
-from fluxks.sweep import SweepSpec, sweep_points
+from fluxks.sweep import SweepSpec, parse_sweep_config, parse_sweep_config_dict, sweep_points
 
 
 def base_cfg(**sections):
@@ -331,9 +325,7 @@ def test_monitor_knob_validation():
 
 def run_config(cfg: RunConfig):
     # the run of `fluxks simulate`, keeping every state
-    return simulate(cfg.build_initial(cfg.build_grid()), cfg.model, cfg.controls,
-                    record_every=cfg.record_every, monitors=cfg.monitors,
-                    mollify=cfg.mollify, keep_states="all")
+    return cfg.run(keep_states="all")
 
 
 def test_monitors_accept_the_q_f1_the_rule_picks_below_one():
@@ -387,6 +379,7 @@ def test_builders_and_simulate_kwargs(tmp_path, monkeypatch):
     assert initial.u0.values.min() > 0.0
     # `fluxks simulate` hands the config's monitors, cadence and smoothing on
     import fluxks.cli as cli
+    import fluxks.config as config
 
     seen = {}
 
@@ -394,7 +387,7 @@ def test_builders_and_simulate_kwargs(tmp_path, monkeypatch):
         seen.update(kwargs)
         return simulate(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "simulate", spy)
+    monkeypatch.setattr(config, "simulate", spy)
     path = tmp_path / "run.json"
     path.write_text(json.dumps(base_cfg(monitors={"q_set": [2.0], "s": 3.0},
                                         controls={"t_end": 0.01})), encoding="utf-8")

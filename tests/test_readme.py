@@ -6,8 +6,8 @@ from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
 
-from fluxks.config import RunConfig, parse_config_dict, parse_sweep_config_dict
-from fluxks.sweep import SweepSpec
+from fluxks.config import RunConfig, parse_config_dict
+from fluxks.sweep import SweepSpec, parse_sweep_config_dict
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 

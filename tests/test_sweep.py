@@ -6,9 +6,12 @@ resume, and parallel execution (timings.json is explicitly exempt).
 """
 
 import json
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
+from fluxks import sweep
 from fluxks.errors import ConfigError
 from fluxks.regimes import critical_exponent, relative_p
 from fluxks.sweep import (
@@ -16,6 +19,8 @@ from fluxks.sweep import (
     SWEEP_VERSION,
     SweepSpec,
     canonical_json,
+    map_in_pool,
+    point_config,
     point_id,
     regime_map_csv,
     regime_map_summary,
@@ -82,6 +87,63 @@ def test_spec_rejects_degenerate_radial_point_grid():
     # the radial cell weights of n = 130 on 256 cells underflow to 0
     with pytest.raises(ConfigError, match="grid.n = 130"):
         tiny_spec(n_values=(1, 130), cells_radial=256)
+
+
+def test_spec_rejects_a_point_whose_run_config_fails():
+    # u0**theta overflows at theta = 8000: the run-config parser rejects that
+    # point's initial data, and the error names the point
+    with np.errstate(over="ignore"):
+        with pytest.raises(ConfigError, match=r"^sweep .*\(point n=1 theta=8000 p="):
+            tiny_spec(theta_values=(2.0, 8000), cells_1d=8)
+
+
+# a changed valid value for every SweepSpec field that is a run setting
+CHANGED_RUN_SETTINGS = {
+    "chi": 2.0,
+    "eps": 2e-3,
+    "family": "gaussian",
+    "amplitude": 0.2,
+    "t_end": 0.5,
+    "dt_max": 0.01,
+    "dt_min": 1e-9,
+    "cfl_safety": 0.2,
+    "blowup_linf_threshold": 1e5,
+    "record_every": 2,
+}
+
+
+def test_every_point_setting_reaches_the_point_run_config():
+    # a field that enters the point id but not the run would name runs that
+    # do not differ; the seed is the one field that only labels the sweep
+    lattice = sweep._LATTICE_FIELDS | {"seed"}
+    assert set(CHANGED_RUN_SETTINGS) == {f.name for f in fields(SweepSpec)} - lattice
+    base = point_config(sweep_points(tiny_spec(p_values=(0.5,)))[0])
+    for name, val in CHANGED_RUN_SETTINGS.items():
+        (pt,) = sweep_points(tiny_spec(p_values=(0.5,), **{name: val}))
+        assert point_config(pt) != base, name
+
+
+def test_map_in_pool_starts_no_more_workers_than_items(monkeypatch):
+    # a fork-started pool forks all its workers at once, whatever the work
+    seen = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", FakePool)
+    assert map_in_pool(abs, [-1, -2], 64) == [1, 2]
+    assert map_in_pool(abs, [-1, -2, -3], 2) == [1, 2, 3]
+    assert seen == [2, 2]
 
 
 def test_sweep_points_relative_mode():
