@@ -22,12 +22,10 @@ from fluxks import (
     GridFunction,
     build_grid,
     density_step_set,
-    gn2_constant_estimate,
+    estimate_constants,
     gn2_ratio,
-    gn_constant_estimate,
     gn_exponent,
     gn_ratio,
-    poincare_constant_estimate,
     signal_grad_step_set,
     signal_l2_step_set,
 )
@@ -70,10 +68,11 @@ def main() -> None:
     exps = signal_grad_step_set(1, 2.0, 3.0)
     for cells in (128, 256, 512):
         gg = build_grid("cartesian-1d", extents=(1.0,), cells=(cells,))
-        c = gn_constant_estimate(gg, exps, size=200, seed=0)
-        c2 = gn2_constant_estimate(gg, all2_second, size=200, seed=0)
-        cp = poincare_constant_estimate(gg, size=200, seed=0)
-        print(f"  {cells:4d} cells   C_gn {c:.6f}   C_gn2 {c2:.6f}   C_poincare {cp:.6f}")
+        est = estimate_constants(gg, (exps,), (all2_second,), size=200, seed=0)
+        print(
+            f"  {cells:4d} cells   C_gn {est.gn[0]:.6f}   C_gn2 {est.gn2[0]:.6f}   "
+            f"C_poincare {est.poincare:.6f}"
+        )
 
 
 if __name__ == "__main__":

@@ -34,13 +34,11 @@ from .gn import (
     GNExponents,
     density_step_set,
     ensemble,
-    gn2_constant_estimate,
+    estimate_constants,
     gn2_exponent,
     gn2_ratio,
-    gn_constant_estimate,
     gn_exponent,
     gn_ratio,
-    poincare_constant_estimate,
     signal_grad_step_set,
     signal_l2_step_set,
 )
@@ -161,9 +159,7 @@ __all__ = [
     "gn_ratio",
     "gn2_ratio",
     "ensemble",
-    "gn_constant_estimate",
-    "gn2_constant_estimate",
-    "poincare_constant_estimate",
+    "estimate_constants",
     "density_step_set",
     "signal_l2_step_set",
     "signal_grad_step_set",

@@ -32,7 +32,7 @@ from .gn import (
     ENSEMBLE_VERSION,
     ConstantEstimates,
     density_step_set,
-    estimate_share,
+    estimate_constants,
     merge_estimates,
     signal_grad_step_set,
     signal_l2_step_set,
@@ -197,8 +197,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _estimate_share(job: tuple) -> ConstantEstimates | None:
-    # one pool job, the arguments of gn.estimate_share
-    return estimate_share(*job)
+    # one pool job, the arguments of gn.estimate_constants
+    return estimate_constants(*job)
 
 
 def _cmd_gn_test(args: argparse.Namespace) -> int:

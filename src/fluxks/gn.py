@@ -17,22 +17,24 @@ grid-convergent, not resolution-chasing.  Indices below 1 appear legitimately
 (the density functionals use ``L^{2/q}`` with ``q > 2``), so norm evaluation
 here extends to quasi-norm indices in ``(0, 1)``.
 
-:func:`estimate_constants` computes every requested supremum, first-form,
-second-form and Poincare, in one streamed pass over a grid's ensemble: each
-member is sampled, its norms are computed once and shared by all of its
-ratios, and it is dropped before the next is drawn, so memory does not grow
-with the ensemble size.  The single-inequality estimators are calls into it.
+:func:`estimate_constants` is the one estimator.  It computes every
+requested supremum, first-form, second-form and Poincare, in one streamed
+pass over a grid's ensemble: each member is sampled, its norms are computed
+once and shared by all of its ratios, and it is dropped before the next is
+drawn, so memory does not grow with the ensemble size.  Name every index set
+of a grid in one call rather than making one pass per constant.
 
-A supremum is a max, so the pass also splits across processes.
-:func:`estimate_share` runs it over one interleaved share of the ensemble:
-share ``(j, k)`` holds the members ``i`` with ``i % k == j``.  Each share
-replays the cheap scalar recipe draws of every member but samples and takes
-norms only of its own, so its members are exactly those of the whole
-ensemble.  :func:`merge_estimates` takes the max of each entry over the
-shares, which is the serial result bit for bit.  ``fluxks gn-test`` runs
-``k`` shares of each grid on a pool of ``k`` processes, ``k`` being the CPUs
-it may run on, so its output is byte-identical for any CPU count, and memory
-per process still does not grow with the ensemble size.
+A supremum is a max, so the pass also splits across processes.  Its
+``share=(j, k)`` keyword runs it over one interleaved share of the ensemble,
+the members ``i`` with ``i % k == j``; the default ``(0, 1)`` is the whole
+ensemble.  Each share replays the cheap scalar recipe draws of every member
+but samples and takes norms only of its own, so its members are exactly
+those of the whole ensemble.  :func:`merge_estimates` takes the max of each
+entry over the shares, which is the serial result bit for bit.
+``fluxks gn-test`` runs ``k`` shares of each grid on a pool of ``k``
+processes, ``k`` being the CPUs it may run on, so its output is
+byte-identical for any CPU count, and memory per process still does not grow
+with the ensemble size.
 """
 
 from __future__ import annotations
@@ -376,16 +378,22 @@ def _sup(best: list[float] | None, ratios: list[float]) -> list[float]:
     return ratios if best is None else [max(b, r) for b, r in zip(best, ratios)]
 
 
-def estimate_share(
+def estimate_constants(
     grid: Grid,
-    gn_sets: tuple[GNExponents, ...],
-    gn2_sets: tuple[GN2Exponents, ...],
-    size: int,
-    seed: int,
-    share: tuple[int, int],
+    gn_sets: tuple[GNExponents, ...] = (),
+    gn2_sets: tuple[GN2Exponents, ...] = (),
+    size: int = 200,
+    seed: int = 0,
+    share: tuple[int, int] = (0, 1),
 ) -> ConstantEstimates | None:
-    """The suprema of :func:`estimate_constants` over the members ``i`` of
-    share ``(j, k)``, those with ``i % k == j``; ``None`` when it has none
+    """Suprema of every ratio over the seeded ensemble, in one pass.
+
+    ``gn`` and ``gn2`` hold the supremum of :func:`gn_ratio` for each of
+    ``gn_sets`` and of :func:`gn2_ratio` for each of ``gn2_sets``.
+    ``poincare`` is the supremum of :func:`poincare_ratio` over the
+    non-constant members, starting from 0.  Each member is sampled once and
+    dropped after its ratios are folded in.  With ``share=(j, k)`` only the
+    members ``i`` with ``i % k == j`` are taken; ``None`` when there are none
     (``j >= size``).
 
     Raises:
@@ -419,46 +427,6 @@ def merge_estimates(parts: list[ConstantEstimates | None]) -> ConstantEstimates:
         gn2=tuple(map(max, zip(*(p.gn2 for p in found)))),
         poincare=max(p.poincare for p in found),
     )
-
-
-def estimate_constants(
-    grid: Grid,
-    gn_sets: tuple[GNExponents, ...] = (),
-    gn2_sets: tuple[GN2Exponents, ...] = (),
-    size: int = 200,
-    seed: int = 0,
-) -> ConstantEstimates:
-    """Suprema of every ratio over the seeded ensemble, in one pass.
-
-    ``gn`` and ``gn2`` hold the supremum of :func:`gn_ratio` for each of
-    ``gn_sets`` and of :func:`gn2_ratio` for each of ``gn2_sets``.
-    ``poincare`` is the supremum of :func:`poincare_ratio` over the
-    non-constant members, starting from 0.  Each member is sampled once and
-    dropped after its ratios are folded in.
-
-    Raises:
-        ValueError: ``size < 1``, or a member with a zero right-hand side.
-    """
-    return estimate_share(grid, gn_sets, gn2_sets, size, seed, (0, 1))
-
-
-def gn_constant_estimate(
-    grid: Grid, exps: GNExponents, size: int = 200, seed: int = 0
-) -> float:
-    """Supremum of :func:`gn_ratio` over the seeded ensemble (one-sided C)."""
-    return estimate_constants(grid, gn_sets=(exps,), size=size, seed=seed).gn[0]
-
-
-def gn2_constant_estimate(
-    grid: Grid, exps: GN2Exponents, size: int = 200, seed: int = 0
-) -> float:
-    """Supremum of :func:`gn2_ratio` over the seeded ensemble."""
-    return estimate_constants(grid, gn2_sets=(exps,), size=size, seed=seed).gn2[0]
-
-
-def poincare_constant_estimate(grid: Grid, size: int = 200, seed: int = 0) -> float:
-    """Supremum of the Poincare quotient over the non-constant ensemble members."""
-    return estimate_constants(grid, size=size, seed=seed).poincare
 
 
 # -- exponent sets used by the a priori estimates ---------------------------

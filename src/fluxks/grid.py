@@ -263,9 +263,6 @@ class GridFunction:
         self.grid = grid
         self.values = values
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())
-
     @classmethod
     def from_callable(cls, grid: Grid, fn) -> "GridFunction":
         """Sample ``fn(*coords)`` at cell centers."""
@@ -298,9 +295,6 @@ class VectorGridFunction:
         _check_no_flux(grid, checked)
         self.grid = grid
         self.faces = tuple(checked)
-
-    def copy(self) -> "VectorGridFunction":
-        return VectorGridFunction(self.grid, tuple(f.copy() for f in self.faces))
 
 
 def _check_no_flux(grid: Grid, faces) -> None:

@@ -241,8 +241,9 @@ def build_initial_data(
     ``0``, or a constant.
 
     Raises:
-        ValueError: unknown family/kind, parameters leaving ``u0 < 0``, or
-            ``v0_kind="u0_pow_theta"`` without ``theta``.
+        ValueError: unknown family/kind, parameters leaving ``u0 < 0``,
+            ``v0_kind="u0_pow_theta"`` without ``theta``, or ``u0**theta``
+            overflowing.
     """
     if family not in INITIAL_FAMILIES:
         raise ValueError(f"unknown initial family {family!r}; choose from {INITIAL_FAMILIES}")
@@ -292,7 +293,13 @@ def build_initial_data(
     if v0_kind == "u0_pow_theta":
         if theta is None:
             raise ValueError("v0_kind 'u0_pow_theta' needs theta")
-        v0 = u0**theta
+        with np.errstate(over="ignore"):
+            v0 = u0**theta
+        if not np.all(np.isfinite(v0)):
+            raise ValueError(
+                f"initial v0 = u0**theta ({v0_kind}) overflows at theta={theta} "
+                f"(max u0 {np.max(u0):g})"
+            )
     elif v0_kind == "u0_squared":
         v0 = u0**2
     elif v0_kind == "zero":

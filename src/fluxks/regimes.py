@@ -332,30 +332,23 @@ def audit(spec: RegimeSpec) -> ExponentAudit:
 
     if theta <= 1.0:
         notes.append("theta <= 1: outside the superlinear production regime, no route attempted")
-    elif subcritical:
-        entropy_p_ok = p < _p_limit_1d(theta) if n == 1 else True
-        if entropy_p_ok:
+    else:
+        if not subcritical:
+            notes.append("supercritical: no boundedness route applies")
+        elif n != 1 or p < _p_limit_1d(theta):
             q1 = _density_witness(ranges)
             grad_witness = _gradient_witness(n, p, ranges)
             if q1 is not None and grad_witness is not None:
                 route = "entropy"
-        if route is None and n == 1 and p < theta / (theta - 1.0):
-            q_1d, r_1d, value = _semigroup_witness(theta, p)
-            cond1d = value
+        if route is None and n == 1:
+            # the best semigroup value: the route of a subcritical point, a
+            # diagnostic for near-critical p of a supercritical one
+            q_1d, r_1d, cond1d = _semigroup_witness(theta, p)
             cond1d_witness = (q_1d, r_1d)
-            if value < 1.0:
+            if subcritical and cond1d < 1.0:
                 route = "semigroup-1d"
-            else:
+            elif subcritical:
                 notes.append("semigroup search found no witness below 1")
-        if route is None and not entropy_p_ok and n != 1:
-            notes.append("entropy route p-window violated")
-    else:
-        notes.append("supercritical: no boundedness route applies")
-        if n == 1:
-            # record the best semigroup value anyway: diagnostic for near-critical p
-            q_1d, r_1d, value = _semigroup_witness(theta, p)
-            cond1d = value
-            cond1d_witness = (q_1d, r_1d)
 
     # the starred quantities belong to the entropy route alone
     stars = {}

@@ -19,7 +19,7 @@ from conftest import mode_dispersion, reference_setup
 from fluxks.functionals import records_to_csv
 from fluxks.gn import (
     density_step_set,
-    gn_constant_estimate,
+    estimate_constants,
     gn_exponent,
     signal_grad_step_set,
     signal_l2_step_set,
@@ -231,10 +231,10 @@ def test_criterion_08_gn_constants():
     }
     coarse = build_grid("cartesian-1d", extents=(1.0,), cells=(256,))
     fine = build_grid("cartesian-1d", extents=(1.0,), cells=(512,))
+    est1 = estimate_constants(coarse, tuple(sets.values()), size=1000, seed=0)
+    est2 = estimate_constants(fine, tuple(sets.values()), size=1000, seed=0)
     stabilities = {}
-    for name, exps in sets.items():
-        c1 = gn_constant_estimate(coarse, exps, size=1000, seed=0)
-        c2 = gn_constant_estimate(fine, exps, size=1000, seed=0)
+    for name, c1, c2 in zip(sets, est1.gn, est2.gn, strict=True):
         assert math.isfinite(c1) and math.isfinite(c2)
         stabilities[name] = abs(c2 - c1) / c1
 

@@ -437,14 +437,14 @@ def test_gn_test_share_job_runs_in_a_spawned_process():
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    from fluxks.gn import GN2Exponents, density_step_set, estimate_share
+    from fluxks.gn import GN2Exponents, density_step_set, estimate_constants
     from fluxks.grid import unit_grid
 
     second = GN2Exponents(p_hat=2.0, q_hat=2.0, r_hat=2.0, s_hat=2.0, n=2)
     job = (unit_grid(2, 8), (density_step_set(2, 1.2, 2.5),), (second,), 7, 3, (1, 2))
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
-        assert pool.submit(cli._estimate_share, job).result(timeout=120) == estimate_share(*job)
+        assert pool.submit(cli._estimate_share, job).result(timeout=120) == estimate_constants(*job)
 
 
 def test_gn_test_needs_entropy_witnesses(capsys):

@@ -21,15 +21,11 @@ from fluxks.gn import (
     density_step_set,
     ensemble,
     estimate_constants,
-    estimate_share,
-    gn2_constant_estimate,
     gn2_exponent,
     gn2_ratio,
-    gn_constant_estimate,
     gn_exponent,
     gn_ratio,
     merge_estimates,
-    poincare_constant_estimate,
     poincare_ratio,
     quasi_lp,
     signal_grad_step_set,
@@ -236,13 +232,13 @@ def test_ensemble_recipes_are_grid_independent(grid1d):
 
 def test_constant_estimates_finite_and_refinement_stable(grid1d):
     ex = GNExponents(p_hat=4.0, q_hat=2.0, r_hat=2.0, s_hat=2.0, n=1)
-    c1 = gn_constant_estimate(grid1d(128), ex, size=40, seed=7)
-    c2 = gn_constant_estimate(grid1d(256), ex, size=40, seed=7)
+    ex2 = GN2Exponents(p_hat=2.0, q_hat=2.0, r_hat=2.0, s_hat=2.0, n=1)
+    coarse = estimate_constants(grid1d(128), (ex,), (ex2,), size=40, seed=7)
+    fine = estimate_constants(grid1d(256), (ex,), (ex2,), size=40, seed=7)
+    (c1,), (c2,) = coarse.gn, fine.gn
     assert math.isfinite(c1) and c1 > 0.0
     assert abs(c2 - c1) <= 0.15 * c1
-    ex2 = GN2Exponents(p_hat=2.0, q_hat=2.0, r_hat=2.0, s_hat=2.0, n=1)
-    d1 = gn2_constant_estimate(grid1d(128), ex2, size=40, seed=7)
-    d2 = gn2_constant_estimate(grid1d(256), ex2, size=40, seed=7)
+    (d1,), (d2,) = coarse.gn2, fine.gn2
     assert math.isfinite(d1) and d1 > 0.0
     assert abs(d2 - d1) <= 0.15 * d1
 
@@ -287,11 +283,11 @@ def test_one_pass_equals_per_ratio_definitions(n, cells):
     for exps, got in zip(gn_sets, est.gn, strict=True):
         assert got == max(gn_ratio(f, exps) for f in members)
         assert got == max(reference_gn_ratio(f, exps) for f in members)
-        assert got == gn_constant_estimate(grid, exps, size=size, seed=seed)
+        assert got == estimate_constants(grid, (exps,), size=size, seed=seed).gn[0]
     for exps, got in zip(gn2_sets, est.gn2, strict=True):
         assert got == max(gn2_ratio(f, exps) for f in members)
         assert got == max(reference_gn2_ratio(f, exps) for f in members)
-        assert got == gn2_constant_estimate(grid, exps, size=size, seed=seed)
+        assert got == estimate_constants(grid, gn2_sets=(exps,), size=size, seed=seed).gn2[0]
 
     best = 0.0
     for f in members:
@@ -299,7 +295,7 @@ def test_one_pass_equals_per_ratio_definitions(n, cells):
             continue
         best = max(best, poincare_ratio(f))
     assert est.poincare == best > 0.0
-    assert est.poincare == poincare_constant_estimate(grid, size=size, seed=seed)
+    assert est.poincare == estimate_constants(grid, size=size, seed=seed).poincare
 
 
 def test_one_pass_rejects_zero_member_and_empty_ensemble(grid1d, monkeypatch):
@@ -326,7 +322,10 @@ def test_merged_shares_equal_the_one_pass(n, cells):
     for size in (1, 3, 7, 200):
         whole = estimate_constants(grid, gn_sets, gn2_sets, size=size, seed=5)
         for k in (1, 2, 3, 4):
-            parts = [estimate_share(grid, gn_sets, gn2_sets, size, 5, (j, k)) for j in range(k)]
+            parts = [
+                estimate_constants(grid, gn_sets, gn2_sets, size, 5, share=(j, k))
+                for j in range(k)
+            ]
             # shares past the last member are empty
             assert [p is None for p in parts] == [j >= size for j in range(k)]
             assert merge_estimates(parts) == whole, (size, k)
@@ -359,7 +358,7 @@ def test_poincare_ratio_eigenfunction(grid1d):
 def test_poincare_estimate_saturates_at_first_eigenvalue(grid1d):
     # the sharp constant on the unit interval is 1/pi; the fourier members
     # contain the extremizing mode, so the estimate lands on it from below
-    est = poincare_constant_estimate(grid1d(128), size=40, seed=7)
+    est = estimate_constants(grid1d(128), size=40, seed=7).poincare
     assert 0.25 <= est <= (1.0 / math.pi) * 1.01
 
 

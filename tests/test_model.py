@@ -360,6 +360,13 @@ def test_initial_data_keep_the_grid_reflections_bit_for_bit(cells):
     assert np.array_equal(bump, bump[::-1]) and np.array_equal(bump, bump[:, ::-1])
 
 
+def test_overflowing_initial_signal_is_named():
+    # 1.1**8000 is beyond the largest double; the error names v0 and theta
+    # instead of numpy's overflow warning and a generic non-finite message
+    with pytest.raises(ValueError, match=r"v0 = u0\*\*theta .*theta=8000 \(max u0"):
+        build_initial_data(unit_grid(1, 8), amplitude=0.1, v0_kind="u0_pow_theta", theta=8000)
+
+
 def test_cosine_family_values(grid1d):
     g = grid1d(32)
     init = build_initial_data(g, family="cosine", base=2.0, amplitude=0.5,
