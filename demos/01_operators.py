@@ -1,7 +1,9 @@
 """Show the discrete operator toolbox on all three grid modes.
 
-The stepper only ever calls gradient, divergence and laplacian, so this
-script checks the three properties the rest of the package leans on:
+The stepper and the solver call the array forms gradient_faces,
+divergence_values and laplacian_values, which gradient, divergence and
+laplacian wrap, so this script checks the three properties the rest of the
+package leans on:
 
   * laplacian is literally divergence(gradient(.)), not a separate stencil
   * the composite is self-adjoint for the cell-weighted inner product

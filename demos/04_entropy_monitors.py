@@ -1,9 +1,10 @@
 """Check the dissipation inequalities on a live run.
 
-F1 = int u^q1 and F2 = int u^q2 / q2 + int |grad v|^2 / 2 come with bounds
-of the form  dF/dt + c * F <= C  along solutions; the monitor replays the
-recorded series, forms centered difference quotients, and checks them
-against a calibrated C.  The witnesses q1, q2 default to the ones the
+F1 = sign(q1 - 1) * int u^q1 + c_f1 * int v^2 and
+F2 = int u^q2 + int |grad v|^2 come with bounds of the form
+dF/dt + c * F <= C  along solutions; the monitor replays the recorded
+series, forms centered difference quotients, and checks them against a
+calibrated C.  The witnesses q1, q2 default to the ones the
 exponent audit picks for the run's (n, theta, p).
 
 Run:  python3 demos/04_entropy_monitors.py

@@ -237,13 +237,13 @@ def build_initial_data(
     ``cosine``: ``base + amplitude * prod_a cos(pi x_a / L_a)`` (radial:
     ``cos(pi r / R)``); needs ``|amplitude| <= base``.  ``gaussian``: bump of
     relative width ``width`` at the domain center (radial: at the origin).
-    ``constant``: ``base``.  The signal starts at ``u0**theta``, ``u0**2``,
-    ``0``, or a constant.
+    ``constant``: ``base``.  The signal starts at a power of ``u0``
+    (``u0**theta`` or ``u0**2``) or at a constant (``0`` or ``v0_value``).
 
     Raises:
         ValueError: unknown family/kind, parameters leaving ``u0 < 0``,
-            ``v0_kind="u0_pow_theta"`` without ``theta``, or ``u0**theta``
-            overflowing.
+            ``v0_kind="u0_pow_theta"`` without ``theta``, or the power of
+            ``u0`` overflowing (the error names the kind).
     """
     if family not in INITIAL_FAMILIES:
         raise ValueError(f"unknown initial family {family!r}; choose from {INITIAL_FAMILIES}")
@@ -287,26 +287,22 @@ def build_initial_data(
     else:
         if base <= 0.0:
             raise ValueError(f"constant family needs base > 0, got {base}")
-        u0 = base * np.ones(grid.shape)
-    u0 = np.asarray(u0, dtype=np.float64) * np.ones(grid.shape)
+        u0 = np.full(grid.shape, float(base))
 
-    if v0_kind == "u0_pow_theta":
-        if theta is None:
-            raise ValueError("v0_kind 'u0_pow_theta' needs theta")
-        with np.errstate(over="ignore"):
-            v0 = u0**theta
-        if not np.all(np.isfinite(v0)):
-            raise ValueError(
-                f"initial v0 = u0**theta ({v0_kind}) overflows at theta={theta} "
-                f"(max u0 {np.max(u0):g})"
-            )
-    elif v0_kind == "u0_squared":
-        v0 = u0**2
-    elif v0_kind == "zero":
-        v0 = np.zeros(grid.shape)
-    else:
-        if v0_value < 0.0:
+    if v0_kind in ("zero", "constant"):
+        if v0_kind == "constant" and v0_value < 0.0:
             raise ValueError(f"constant v0 must be >= 0, got {v0_value}")
-        v0 = v0_value * np.ones(grid.shape)
+        v0 = np.full(grid.shape, 0.0 if v0_kind == "zero" else float(v0_value))
+    else:
+        if v0_kind == "u0_squared":
+            power, overflow = 2, f"u0**2 ({v0_kind}) overflows"
+        elif theta is None:
+            raise ValueError("v0_kind 'u0_pow_theta' needs theta")
+        else:
+            power, overflow = theta, f"u0**theta ({v0_kind}) overflows at theta={theta}"
+        with np.errstate(over="ignore"):
+            v0 = u0**power
+        if not np.all(np.isfinite(v0)):
+            raise ValueError(f"initial v0 = {overflow} (max u0 {np.max(u0):g})")
 
     return InitialData(GridFunction(grid, u0), GridFunction(grid, v0))

@@ -187,13 +187,6 @@ def condition_1d_value(theta: float, p: float, q: float, r: float) -> float:
     return (theta - 1.0 / r) * (p - 1.0) + (1.0 - 1.0 / q)
 
 
-def semigroup_p_window(theta: float) -> tuple[float, float]:
-    """``p`` interval where the 1d semigroup route takes over from the entropy route."""
-    if theta <= 1.0:
-        raise ValueError(f"semigroup window needs theta > 1, got {theta}")
-    return (_p_limit_1d(theta), theta / (theta - 1.0))
-
-
 @dataclass(frozen=True)
 class ExponentAudit:
     """Feasibility report for one parameter point.
@@ -311,8 +304,12 @@ def _semigroup_witness(theta: float, p: float) -> tuple[float, float, float]:
 def audit(spec: RegimeSpec) -> ExponentAudit:
     """Deterministic feasibility audit of one parameter point.
 
-    Returns an :class:`ExponentAudit`; never raises for admissible specs (the
-    supercritical and infeasible outcomes are reported, not thrown).
+    Returns an :class:`ExponentAudit`; the supercritical and infeasible
+    outcomes are reported, not thrown.
+
+    Raises:
+        ValueError: ``n * theta <= 1`` (no critical exponent, see
+            :func:`critical_exponent`).
     """
     n, theta, p = spec.n, spec.theta, spec.p
     pc = critical_exponent(n, theta)

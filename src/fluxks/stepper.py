@@ -30,10 +30,12 @@ opens the next step's solve of each field costs no stencil pass, nor does the
 ``lap_v_l2`` of a record.  The state's fields are those arrays; a clamped
 field is a fresh copy and misses, as does the initial state.
 
-The time step is the smaller of ``dt_max`` and an explicit-production proxy
-``cfl_safety / (theta * max(u)^(theta-1))``; diffusion and transport are
-implicit and impose no step bound.  A step below ``dt_min`` is treated as
-suspected blow-up, as is ``||u||_inf`` beyond ``blowup_linf_threshold``.
+The time step is the smaller of ``dt_max`` and, for ``theta >= 1``, an
+explicit-production proxy ``cfl_safety / (theta * max(u)^(theta-1))``; for
+``theta < 1`` that rate grows without bound as the data shrink, while the
+sublinear production drives no growth.  Diffusion and transport are implicit
+and impose no step bound.  A step below ``dt_min`` is treated as suspected
+blow-up, as is ``||u||_inf`` beyond ``blowup_linf_threshold``.
 """
 
 from __future__ import annotations
@@ -122,13 +124,16 @@ class SimResult:
 
 
 def choose_dt(u: GridFunction, params: ModelParams, controls: StepControls) -> float:
-    """Largest admissible step for ``u``: ``dt_max`` or the production proxy.
+    """Largest admissible step for ``u``: ``dt_max`` or, for ``theta >= 1``,
+    the production proxy.
 
     Raises:
         TimeStepCollapse: the bound fell below ``dt_min``.
     """
     u_max = float(u.values.max())
-    prod_rate = params.theta * u_max ** (params.theta - 1.0) if u_max > 0.0 else 0.0
+    prod_rate = 0.0
+    if params.theta >= 1.0 and u_max > 0.0:
+        prod_rate = params.theta * u_max ** (params.theta - 1.0)
     dt_prod = controls.cfl_safety / prod_rate if prod_rate > 0.0 else math.inf
 
     dt = min(controls.dt_max, dt_prod)

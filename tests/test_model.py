@@ -360,11 +360,21 @@ def test_initial_data_keep_the_grid_reflections_bit_for_bit(cells):
     assert np.array_equal(bump, bump[::-1]) and np.array_equal(bump, bump[:, ::-1])
 
 
-def test_overflowing_initial_signal_is_named():
-    # 1.1**8000 is beyond the largest double; the error names v0 and theta
-    # instead of numpy's overflow warning and a generic non-finite message
-    with pytest.raises(ValueError, match=r"v0 = u0\*\*theta .*theta=8000 \(max u0"):
-        build_initial_data(unit_grid(1, 8), amplitude=0.1, v0_kind="u0_pow_theta", theta=8000)
+@pytest.mark.parametrize(
+    "kw,match",
+    [
+        (dict(amplitude=0.1, v0_kind="u0_pow_theta", theta=8000),
+         r"v0 = u0\*\*theta \(u0_pow_theta\) overflows at theta=8000 \(max u0"),
+        (dict(base=1e160, v0_kind="u0_squared"), r"v0 = u0\*\*2 \(u0_squared\) overflows \(max u0"),
+    ],
+    ids=["u0_pow_theta", "u0_squared"],
+)
+def test_overflowing_initial_signal_is_named(kw, match):
+    # 1.1**8000 and (1e160)**2 are beyond the largest double; the error names
+    # v0 and its kind instead of numpy's overflow warning and a generic
+    # non-finite message
+    with pytest.raises(ValueError, match=match):
+        build_initial_data(unit_grid(1, 8), **kw)
 
 
 def test_cosine_family_values(grid1d):
@@ -415,6 +425,17 @@ def test_constant_family_and_v0_kinds(grid1d):
     np.testing.assert_allclose(init.v0.values, 0.7)
     init2 = build_initial_data(g, family="constant", base=3.0, v0_kind="u0_squared")
     np.testing.assert_allclose(init2.v0.values, 9.0)
+
+    # the four kinds are two computations: zero is the constant 0.0, and
+    # u0_squared is u0_pow_theta at theta = 2, bit for bit and in dtype
+    def v0(g, kind, **kw):
+        return build_initial_data(g, base=1.5, amplitude=0.5, v0_kind=kind, **kw).v0.values
+
+    for g in (unit_grid(1, 8), unit_grid(2, 8), unit_grid(3, 8)):
+        for a, b in [(v0(g, "zero"), v0(g, "constant", v0_value=0.0)),
+                     (v0(g, "u0_squared"), v0(g, "u0_pow_theta", theta=2.0))]:
+            assert a.dtype == b.dtype == np.float64 and a.shape == g.shape
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,6 @@ from fluxks.regimes import (
     q_ranges,
     relative_p,
     s_rule,
-    semigroup_p_window,
 )
 
 
@@ -79,14 +78,6 @@ def test_condition_1d_hand_value():
         condition_1d_value(2.0, 2.1, 1.0, 2.0)
     with pytest.raises(ValueError):
         condition_1d_value(2.0, 2.1, 2.0, 1.0)
-
-
-def test_semigroup_p_window():
-    lo, hi = semigroup_p_window(2.0)
-    assert lo == pytest.approx(5.0 / 3.0, abs=1e-15)
-    assert hi == pytest.approx(2.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        semigroup_p_window(1.0)
 
 
 # ----------------------------------------------------------------- s rule

@@ -117,6 +117,22 @@ def test_choose_dt_has_no_advective_bound(mode):
         assert choose_dt(st.u, params, controls) == pytest.approx(20.0, rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    "base,amplitude,theta",
+    [(1e-25, 5e-26, 0.5), (1e-12, 5e-13, 0.1), (1e-3, 5e-4, 0.5)],
+)
+def test_sublinear_production_does_not_bound_dt(grid1d, base, amplitude, theta):
+    # theta < 1: theta * u^(theta-1) grows without bound as u shrinks, yet
+    # u^theta production cannot blow up; small data must not stop the run
+    # at step 0 or cost more steps than dt_max allows
+    init = build_initial_data(grid1d(32), base=base, amplitude=amplitude,
+                              v0_kind="u0_pow_theta", theta=theta)
+    params = ModelParams(chi=1.0, p=1.5, theta=theta, eps=1e-3, n=1)
+    res = simulate(init, params, StepControls(t_end=0.5), keep_states="ends")
+    assert res.status == RunStatus.COMPLETED, res.message
+    assert res.n_steps == 5
+
+
 def test_choose_dt_collapse_raises(grid1d):
     g = grid1d(16)
     st = make_state(g, 100.0, 0.0)
