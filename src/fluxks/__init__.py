@@ -13,162 +13,55 @@ subcritical regime p < n*theta/(n*theta - 1), interpolation-inequality
 constant estimation, and regime-map parameter sweeps.
 """
 
-from ._version import __version__
-from .config import RunConfig, parse_config, parse_config_dict
-from .errors import (
-    ConfigError,
-    FluxksError,
-    PositivityError,
-    SolverError,
-    TimeStepCollapse,
-)
-from .functionals import (
-    FunctionalRecord,
-    MonitorSettings,
-    record,
-    records_to_csv,
-    write_records_csv,
-)
-from .gn import (
-    GN2Exponents,
-    GNExponents,
-    density_step_set,
-    ensemble,
-    estimate_constants,
-    gn2_exponent,
-    gn2_ratio,
-    gn_exponent,
-    gn_ratio,
-    signal_grad_step_set,
-    signal_l2_step_set,
-)
-from .grid import (
-    Grid,
-    GridFunction,
-    VectorGridFunction,
-    build_grid,
-    divergence,
-    gradient,
-    gradient_lp_norm,
-    inner,
-    integrate,
-    laplacian,
-    lp_norm,
-)
-from .model import (
-    InitialData,
-    ModelParams,
-    build_initial_data,
-    mollify_initial_data,
-    production,
-)
-from .monitors import (
-    RegimeVerdict,
-    Verdict,
-    check_dissipation_inequality,
-    check_mass,
-    check_positivity,
-    classify,
-    eps_refinement,
-)
-from .regimes import (
-    ExponentAudit,
-    QRanges,
-    RegimeSpec,
-    SRule,
-    a_star,
-    audit,
-    b_star,
-    condition_1d_value,
-    condition_2ab,
-    critical_exponent,
-    q_ranges,
-    relative_p,
-    s_rule,
-)
-from .stepper import (
-    RunStatus,
-    SimResult,
-    SimState,
-    StepControls,
-    choose_dt,
-    simulate,
-    step,
-)
-from .sweep import SweepResult, SweepSpec, regime_map_csv, regime_map_summary, run_sweep
+import importlib
 
-__all__ = [
-    "__version__",
-    "ConfigError",
-    "FluxksError",
-    "PositivityError",
-    "SolverError",
-    "TimeStepCollapse",
-    "Grid",
-    "GridFunction",
-    "VectorGridFunction",
-    "build_grid",
-    "gradient",
-    "divergence",
-    "laplacian",
-    "integrate",
-    "inner",
-    "lp_norm",
-    "gradient_lp_norm",
-    "ModelParams",
-    "InitialData",
-    "build_initial_data",
-    "mollify_initial_data",
-    "production",
-    "RegimeSpec",
-    "ExponentAudit",
-    "QRanges",
-    "SRule",
-    "critical_exponent",
-    "relative_p",
-    "s_rule",
-    "q_ranges",
-    "a_star",
-    "b_star",
-    "condition_2ab",
-    "condition_1d_value",
-    "audit",
-    "RunStatus",
-    "StepControls",
-    "SimState",
-    "SimResult",
-    "choose_dt",
-    "step",
-    "simulate",
-    "FunctionalRecord",
-    "MonitorSettings",
-    "record",
-    "records_to_csv",
-    "write_records_csv",
-    "Verdict",
-    "RegimeVerdict",
-    "check_mass",
-    "check_positivity",
-    "check_dissipation_inequality",
-    "classify",
-    "eps_refinement",
-    "GNExponents",
-    "GN2Exponents",
-    "gn_exponent",
-    "gn2_exponent",
-    "gn_ratio",
-    "gn2_ratio",
-    "ensemble",
-    "estimate_constants",
-    "density_step_set",
-    "signal_l2_step_set",
-    "signal_grad_step_set",
-    "RunConfig",
-    "parse_config",
-    "parse_config_dict",
-    "SweepSpec",
-    "SweepResult",
-    "run_sweep",
-    "regime_map_csv",
-    "regime_map_summary",
-]
+from ._version import __version__
+
+# each public name and the submodule that defines it; a name is imported on
+# first access (PEP 562), so `fluxks audit` and `fluxks gn-test` load no solver
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "errors": ("ConfigError", "FluxksError", "PositivityError", "SolverError",
+                   "TimeStepCollapse"),
+        "grid": ("Grid", "GridFunction", "VectorGridFunction", "build_grid", "gradient",
+                 "divergence", "laplacian", "integrate", "inner", "lp_norm",
+                 "gradient_lp_norm"),
+        "model": ("ModelParams", "InitialData", "build_initial_data",
+                  "mollify_initial_data", "production"),
+        "regimes": ("RegimeSpec", "ExponentAudit", "QRanges", "SRule", "critical_exponent",
+                    "relative_p", "s_rule", "q_ranges", "a_star", "b_star",
+                    "condition_2ab", "condition_1d_value", "audit"),
+        "stepper": ("RunStatus", "StepControls", "SimState", "SimResult", "choose_dt",
+                    "step", "simulate"),
+        "functionals": ("FunctionalRecord", "MonitorSettings", "record", "records_to_csv",
+                        "write_records_csv"),
+        "monitors": ("Verdict", "RegimeVerdict", "check_mass", "check_positivity",
+                     "check_dissipation_inequality", "classify", "eps_refinement"),
+        "gn": ("GNExponents", "GN2Exponents", "gn_exponent", "gn2_exponent", "gn_ratio",
+               "gn2_ratio", "ensemble", "estimate_constants", "density_step_set",
+               "signal_l2_step_set", "signal_grad_step_set"),
+        "config": ("RunConfig", "parse_config", "parse_config_dict"),
+        "sweep": ("SweepSpec", "SweepResult", "run_sweep", "regime_map_csv",
+                  "regime_map_summary"),
+    }.items()
+    for name in names
+}
+_SUBMODULES = frozenset(_EXPORTS.values()) | {"cli", "linalg", "runtime"}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

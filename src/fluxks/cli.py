@@ -22,11 +22,12 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
+# only what audit and gn-test use is imported here; the solver stack loads in
+# the commands that step or read sweeps, so audit and gn-test never import it
 from ._version import __version__
-from .config import RunConfig, load_json, parse_config
 from .errors import ConfigError, FluxksError
-from .functionals import write_records_csv
 from .gn import (
     GN2Exponents,
     ENSEMBLE_VERSION,
@@ -38,27 +39,12 @@ from .gn import (
     signal_l2_step_set,
 )
 from .grid import unit_grid
-from .monitors import (
-    MIN_DISSIPATION_RECORDS,
-    check_dissipation_inequality,
-    check_mass,
-    check_positivity,
-    classify,
-)
 from .regimes import RegimeSpec, audit, relative_p
-from .stepper import RunStatus, SimResult
-from .sweep import (
-    _load_existing,
-    available_cpus,
-    canonical_json,
-    map_in_pool,
-    parse_sweep_config,
-    regime_map_csv,
-    regime_map_summary,
-    run_sweep,
-    tool_stamp,
-    write_atomic,
-)
+from .runtime import available_cpus, canonical_json, map_in_pool, tool_stamp, write_atomic
+
+if TYPE_CHECKING:
+    from .config import RunConfig
+    from .stepper import SimResult
 
 GN_STABILITY_RTOL = 0.15
 DEFAULT_OUT = "fluxks-out"
@@ -107,6 +93,17 @@ def _write_snapshots(out: Path, result: SimResult, cfg: RunConfig) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .config import parse_config
+    from .functionals import write_records_csv
+    from .monitors import (
+        MIN_DISSIPATION_RECORDS,
+        check_dissipation_inequality,
+        check_mass,
+        check_positivity,
+        classify,
+    )
+    from .stepper import RunStatus
+
     cfg = parse_config(args.config)
     out = _resolve_out(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -165,6 +162,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .sweep import parse_sweep_config, regime_map_summary, run_sweep
+
     spec = parse_sweep_config(args.config)
     out = _resolve_out(args.out, default="fluxks-sweep")
     result = run_sweep(spec, out, parallelism=args.parallelism, resume=not args.no_resume)
@@ -293,6 +292,9 @@ def _cmd_gn_test(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .config import load_json
+    from .sweep import _load_existing, regime_map_csv, regime_map_summary
+
     sweep_dir = Path(args.sweep_dir)
     manifest_path = sweep_dir / "sweep.json"
     if not manifest_path.is_file():

@@ -4,9 +4,11 @@ A sweep runs one simulation per ``(n, theta, p_fraction)`` lattice point and
 writes one JSON file per point, keyed by a content hash of the point
 parameters.  Artifact rules:
 
-* point files are written atomically (temp file + ``os.replace``), so an
-  interrupted sweep never leaves a truncated JSON behind;
-* resuming skips any point whose file already exists and matches; a second
+* ``sweep.json`` is written before any point runs, and each point file as
+  its result arrives, atomically (temp file + ``os.replace``); so an
+  interrupted sweep keeps every point it finished, never a truncated JSON;
+* resuming skips any point whose file already exists and matches: an
+  interrupted sweep runs only its remaining points, and a second
   ``run_sweep`` over a finished directory performs zero simulations;
 * point files, ``sweep.json`` and ``regime_map.csv`` are byte-identical
   across repeats and across ``parallelism`` settings.  Wall-clock times go
@@ -29,19 +31,17 @@ import hashlib
 import io
 import json
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from ._version import __version__
 from .errors import ConfigError
 from .config import RunConfig, load_json, parse_config_dict, read_fields
 from .grid import MIN_CELLS_PER_AXIS, unit_grid_section
 from .model import InitialSettings, ModelParams
 from .monitors import classify
 from .regimes import RegimeSpec, audit, critical_exponent, relative_p
+from .runtime import canonical_json, imap_in_pool, tool_stamp, write_atomic
 from .stepper import DEFAULT_RECORD_EVERY, StepControls
 
 SWEEP_VERSION = 5
@@ -59,43 +59,6 @@ REGIME_MAP_COLUMNS = (
     "mismatch",
     "point_id",
 )
-
-
-def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, no whitespace, NaN/inf rejected."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
-
-
-def tool_stamp() -> dict:
-    """The ``tool`` entry every artifact carries: name and version."""
-    return {"name": "fluxks", "version": __version__}
-
-
-def write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def available_cpus() -> int:
-    """The CPUs this process may run on (its affinity set where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def map_in_pool(fn, items: list, workers: int) -> list:
-    """``[fn(x) for x in items]``, in that order, on a pool of ``workers`` processes.
-
-    With one worker or at most one item it runs in this process.  ``fn`` must
-    be a module-level function and ``items`` picklable, so that the pool
-    works under any start method.
-    """
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    # a fork-started pool forks all its workers at the first submit
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -379,18 +342,8 @@ def run_sweep(
                 continue
         todo.append(point)
 
-    timings: dict[str, float] = {}
-    total0 = time.perf_counter()
-    fresh = map_in_pool(_run_point_timed, todo, parallelism)
-    for res, elapsed in fresh:
-        pid = res["point_id"]
-        by_id[pid] = res
-        timings[pid] = elapsed
-        write_atomic(out / f"{pid}.json", canonical_json(res) + "\n")
-
-    results = [by_id[pt["point_id"]] for pt in points]
-    n_mismatch = sum(1 for r in results if r["mismatch"])
-
+    # the manifest depends on no result: written first, it lets `fluxks
+    # report` read a sweep that is still running or was interrupted
     manifest = {
         "version": SWEEP_VERSION,
         "tool": tool_stamp(),
@@ -409,6 +362,17 @@ def run_sweep(
     }
     manifest_path = out / "sweep.json"
     write_atomic(manifest_path, canonical_json(manifest) + "\n")
+
+    timings: dict[str, float] = {}
+    total0 = time.perf_counter()
+    for res, elapsed in imap_in_pool(_run_point_timed, todo, parallelism):
+        pid = res["point_id"]
+        by_id[pid] = res
+        timings[pid] = elapsed
+        write_atomic(out / f"{pid}.json", canonical_json(res) + "\n")
+
+    results = [by_id[pt["point_id"]] for pt in points]
+    n_mismatch = sum(1 for r in results if r["mismatch"])
 
     regime_map_path = out / "regime_map.csv"
     write_atomic(regime_map_path, regime_map_csv(results))
@@ -431,7 +395,7 @@ def run_sweep(
     return SweepResult(
         out_dir=out,
         results=results,
-        n_run=len(fresh),
+        n_run=len(todo),
         n_skipped=n_skipped,
         n_mismatch=n_mismatch,
         manifest_path=manifest_path,

@@ -197,7 +197,7 @@ def test_simulate_growing_classification_exits_1(tmp_path, monkeypatch):
     # the exit-code mapping for Growing is unit-tested by substituting the
     # classifier; driving a real run into sustained growth is a sweep concern
     fake = RegimeVerdict("Growing", 5.0, 0.2, "Completed", "synthetic", {})
-    monkeypatch.setattr(cli, "classify", lambda records, status: fake)
+    monkeypatch.setattr("fluxks.monitors.classify", lambda records, status: fake)
     cfg_path = write_json(tmp_path / "cfg.json", run_cfg())
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 1
@@ -455,20 +455,50 @@ def test_gn_test_needs_entropy_witnesses(capsys):
     assert "entropy witnesses" in capsys.readouterr().err
 
 
-def test_import_loads_no_scipy_sparse():
-    # scipy.sparse costs import time and resident memory that no code path
-    # needs; a fresh interpreter shows what importing the package pulls in
+def _run_fresh(probe: str) -> list[str]:
+    # a fresh interpreter shows what the package's imports really pull in
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [env.get("PYTHONPATH")])])
-    probe = (
-        "import sys, fluxks, fluxks.cli\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
-        "print('scipy.linalg' in sys.modules)"
-    )
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    sparse, loaded_linalg = proc.stdout.splitlines()
-    assert loaded_linalg == "True"  # the probe sees the package's real imports
+    return proc.stdout.splitlines()
+
+
+SOLVER_MODULES = ("scipy.fft", "scipy.linalg", "scipy.sparse", "fluxks.config",
+                  "fluxks.stepper", "fluxks.linalg", "fluxks.sweep", "fluxks.monitors")
+
+
+def test_non_stepping_commands_load_no_solver():
+    # audit, gn-test, --help and --version never step, so they load neither
+    # the stepping modules nor the scipy parts those import
+    probe = (
+        "import contextlib, io, sys, fluxks, fluxks.cli\n"
+        "runs = [['audit', '--n', '2', '--theta', '1.5', '--p-fraction', '0.6'],\n"
+        "        ['gn-test', '--cells', '16', '--ensemble-size', '4'], ['--version'], ['--help']]\n"
+        "for argv in runs:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        try:\n"
+        "            code = fluxks.cli.main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            code = exc.code\n"
+        "    print(argv[0], code)\n"
+        f"print(sorted(m for m in {SOLVER_MODULES!r} if m in sys.modules))"
+    )
+    *codes, loaded = _run_fresh(probe)
+    assert codes == ["audit 0", "gn-test 0", "--version 0", "--help 0"]
+    assert loaded == "[]"
+
+
+def test_import_loads_no_scipy_sparse():
+    # scipy.sparse costs import time and resident memory that no code path
+    # needs, the stepper included
+    probe = (
+        "import sys, fluxks.stepper\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
+        "print('scipy.linalg' in sys.modules, 'scipy.fft' in sys.modules)"
+    )
+    sparse, loaded = _run_fresh(probe)
+    assert loaded == "True True"  # the probe sees the stepper's real imports
     assert sparse == "[]"

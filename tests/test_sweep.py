@@ -11,15 +11,15 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from fluxks import sweep
+from fluxks import runtime, sweep
 from fluxks.errors import ConfigError
 from fluxks.regimes import critical_exponent, relative_p
+from fluxks.runtime import map_in_pool
 from fluxks.sweep import (
     REGIME_MAP_COLUMNS,
     SWEEP_VERSION,
     SweepSpec,
     canonical_json,
-    map_in_pool,
     point_config,
     point_id,
     regime_map_csv,
@@ -140,7 +140,7 @@ def test_map_in_pool_starts_no_more_workers_than_items(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(runtime, "ProcessPoolExecutor", FakePool)
     assert map_in_pool(abs, [-1, -2], 64) == [1, 2]
     assert map_in_pool(abs, [-1, -2, -3], 2) == [1, 2, 3]
     assert seen == [2, 2]
@@ -290,6 +290,41 @@ def test_run_sweep_re_runs_invalid_point_files(tmp_path):
     res3 = run_sweep(spec, out)
     assert res3.n_run == 1
     assert target.read_bytes() == good
+
+
+def test_interrupted_sweep_keeps_finished_points(tmp_path, monkeypatch, capsys):
+    # the manifest goes first and each point file as its result arrives, so a
+    # sweep stopped at its second point keeps the first, reports it and resumes
+    from fluxks.cli import main
+
+    spec = tiny_spec()
+    real_run_point = sweep.run_point
+    calls = []
+
+    def interrupted(point):
+        calls.append(point["point_id"])
+        if len(calls) == 2:
+            raise RuntimeError("interrupted")
+        return real_run_point(point)
+
+    out = tmp_path / "interrupted"
+    monkeypatch.setattr(sweep, "run_point", interrupted)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        run_sweep(spec, out)
+    monkeypatch.undo()
+    assert sorted(f.name for f in out.iterdir()) == sorted(["sweep.json", f"{calls[0]}.json"])
+
+    assert main(["report", "--sweep-dir", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "1 points, 0 flagged" in printed
+    assert "NOTE: 1 point(s) not yet completed (sweep resumable)" in printed
+
+    resumed = run_sweep(spec, out)
+    assert resumed.n_run == 1 and resumed.n_skipped == 1
+    assert resumed.results[1]["point_id"] == calls[1]
+    whole = tmp_path / "whole"
+    run_sweep(spec, whole)
+    assert artifact_bytes(out) == artifact_bytes(whole)
 
 
 def test_run_sweep_rejects_bad_parallelism(tmp_path):
