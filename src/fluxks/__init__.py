@@ -42,8 +42,8 @@ _EXPORTS = {
                "gn2_ratio", "ensemble", "estimate_constants", "density_step_set",
                "signal_l2_step_set", "signal_grad_step_set"),
         "config": ("RunConfig", "parse_config", "parse_config_dict"),
-        "sweep": ("SweepSpec", "SweepResult", "run_sweep", "regime_map_csv",
-                  "regime_map_summary"),
+        "sweep": ("SweepSpec", "SweepResult", "run_sweep"),
+        "sweepdir": ("regime_map_csv", "regime_map_summary"),
     }.items()
     for name in names
 }

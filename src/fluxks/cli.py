@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 # only what audit and gn-test use is imported here; the solver stack loads in
-# the commands that step or read sweeps, so audit and gn-test never import it
+# the commands that step, so audit, gn-test and report never import it
 from ._version import __version__
 from .errors import ConfigError, FluxksError
 from .gn import (
@@ -40,7 +40,9 @@ from .gn import (
 )
 from .grid import unit_grid
 from .regimes import RegimeSpec, audit, relative_p
-from .runtime import available_cpus, canonical_json, map_in_pool, tool_stamp, write_atomic
+from .runtime import (
+    available_cpus, canonical_json, make_out_dir, map_in_pool, tool_stamp, write_atomic,
+)
 
 if TYPE_CHECKING:
     from .config import RunConfig
@@ -105,8 +107,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from .stepper import RunStatus
 
     cfg = parse_config(args.config)
-    out = _resolve_out(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(_resolve_out(args.out))
     result = cfg.run(keep_states="sampled" if args.snapshots else "ends")
 
     effective = cfg.effective()
@@ -162,7 +163,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .sweep import parse_sweep_config, regime_map_summary, run_sweep
+    from .sweep import parse_sweep_config, run_sweep
+    from .sweepdir import regime_map_summary
 
     spec = parse_sweep_config(args.config)
     out = _resolve_out(args.out, default="fluxks-sweep")
@@ -292,35 +294,15 @@ def _cmd_gn_test(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .config import load_json
-    from .sweep import _load_existing, regime_map_csv, regime_map_summary
+    from .sweepdir import read_sweep, regime_map_summary, write_regime_map
 
-    sweep_dir = Path(args.sweep_dir)
-    manifest_path = sweep_dir / "sweep.json"
-    if not manifest_path.is_file():
-        raise ConfigError(f"no sweep manifest at {manifest_path}")
-    manifest = load_json(manifest_path, "sweep manifest")
-    entries = manifest.get("points", []) if isinstance(manifest, dict) else None
-    if not (
-        isinstance(entries, list)
-        and all(isinstance(e, dict) and isinstance(e.get("point_id"), str) for e in entries)
-    ):
-        raise ConfigError(
-            f"sweep manifest {manifest_path} must be an object whose points each carry a point_id"
-        )
-    # a missing, truncated or stale point file counts as not yet completed
-    loaded = [_load_existing(sweep_dir, entry["point_id"]) for entry in entries]
-    results = [res for res in loaded if res is not None]
-    if not results:
-        raise ConfigError(f"sweep at {sweep_dir} has no completed points")
-
-    write_atomic(sweep_dir / "regime_map.csv", regime_map_csv(results))
+    results, n_pending = read_sweep(args.sweep_dir)
+    path = write_regime_map(Path(args.sweep_dir), results)
     print(regime_map_summary(results), end="")
-    if len(results) < len(loaded):
-        print(f"NOTE: {len(loaded) - len(results)} point(s) not yet completed (sweep resumable)")
-    n_flags = sum(1 for r in results if r["mismatch"])
-    print(f"regime map written to {sweep_dir / 'regime_map.csv'}")
-    return 0 if n_flags == 0 else 1
+    if n_pending:
+        print(f"NOTE: {n_pending} point(s) not yet completed (sweep resumable)")
+    print(f"regime map written to {path}")
+    return 1 if any(r["mismatch"] for r in results) else 0
 
 
 # -- parser ------------------------------------------------------------------

@@ -19,7 +19,6 @@ explicit; parsing that echo reproduces the identical :class:`RunConfig`
 from __future__ import annotations
 
 import functools
-import json
 import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields, replace
@@ -30,27 +29,10 @@ from .errors import ConfigError
 from .functionals import MonitorSettings
 from .grid import Grid, build_grid
 from .model import InitialData, InitialSettings, ModelParams, build_initial_data
+from .runtime import load_json
 from .stepper import DEFAULT_MOLLIFY, DEFAULT_RECORD_EVERY, SimResult, StepControls, simulate
 
 _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
-
-
-def load_json(path: str | Path, what: str):
-    """The JSON value in file ``path``; ``what`` names the file in errors."""
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {p}: {exc}") from exc
-    try:
-        return json.loads(text, parse_constant=_reject_constant)
-    except ValueError as exc:
-        raise ConfigError(f"{what} {p} is not valid JSON: {exc}") from exc
-
-
-def _reject_constant(name: str):
-    # Python's json reads NaN and Infinity, which JSON does not define
-    raise ValueError(f"{name} is not a JSON number")
 
 
 def _check_keys(section: dict, cls, where: str) -> None:

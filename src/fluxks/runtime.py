@@ -1,7 +1,8 @@
-"""Artifact and process-pool helpers that every command shares.
+"""File, artifact and process-pool helpers that every command shares.
 
-A leaf module: it imports only the standard library and ``_version``, so the
-commands that never step (``audit``, ``gn-test``) load no solver through it.
+A leaf module: it imports only the standard library, ``_version`` and
+``errors``, so the commands that never step (``audit``, ``gn-test``,
+``report``) load no solver through it.
 """
 
 from __future__ import annotations
@@ -12,6 +13,35 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from ._version import __version__
+from .errors import ConfigError
+
+
+def load_json(path: str | Path, what: str):
+    """The JSON value in file ``path``; ``what`` names the file in errors."""
+    p = Path(path)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {p}: {exc}") from exc
+    try:
+        return json.loads(text, parse_constant=_reject_constant)
+    except ValueError as exc:
+        raise ConfigError(f"{what} {p} is not valid JSON: {exc}") from exc
+
+
+def _reject_constant(name: str):
+    # Python's json reads NaN and Infinity, which JSON does not define
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def make_out_dir(path: Path) -> Path:
+    """Create directory ``path`` and its parents; :class:`ConfigError` if it
+    cannot be created (a file is in the way, or no permission)."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+    return path
 
 
 def canonical_json(obj) -> str:

@@ -2,17 +2,8 @@
 
 A sweep runs one simulation per ``(n, theta, p_fraction)`` lattice point and
 writes one JSON file per point, keyed by a content hash of the point
-parameters.  Artifact rules:
-
-* ``sweep.json`` is written before any point runs, and each point file as
-  its result arrives, atomically (temp file + ``os.replace``); so an
-  interrupted sweep keeps every point it finished, never a truncated JSON;
-* resuming skips any point whose file already exists and matches: an
-  interrupted sweep runs only its remaining points, and a second
-  ``run_sweep`` over a finished directory performs zero simulations;
-* point files, ``sweep.json`` and ``regime_map.csv`` are byte-identical
-  across repeats and across ``parallelism`` settings.  Wall-clock times go
-  to a ``timings.json`` sidecar which is exempt from that guarantee.
+parameters, into a sweep directory; :mod:`fluxks.sweepdir` defines its files
+and their resume and byte-identity rules.
 
 A sweep config (:func:`parse_sweep_config`) is a flat JSON object whose keys
 are the fields of :class:`SweepSpec`.  Each point runs the
@@ -26,9 +17,7 @@ modest cosine bump ``1 + amplitude * prod_a cos(pi x_a)`` (radial:
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import math
 import time
@@ -36,29 +25,14 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .config import RunConfig, load_json, parse_config_dict, read_fields
+from .config import RunConfig, parse_config_dict, read_fields
 from .grid import MIN_CELLS_PER_AXIS, unit_grid_section
 from .model import InitialSettings, ModelParams
 from .monitors import classify
 from .regimes import RegimeSpec, audit, critical_exponent, relative_p
-from .runtime import canonical_json, imap_in_pool, tool_stamp, write_atomic
+from .runtime import canonical_json, imap_in_pool, load_json, make_out_dir, write_atomic
 from .stepper import DEFAULT_RECORD_EVERY, StepControls
-
-SWEEP_VERSION = 5
-
-REGIME_MAP_COLUMNS = (
-    "n",
-    "theta",
-    "p_fraction",
-    "p",
-    "p_critical",
-    "subcritical",
-    "status",
-    "classification",
-    "expected",
-    "mismatch",
-    "point_id",
-)
+from .sweepdir import SWEEP_VERSION, load_point, write_manifest, write_point, write_regime_map
 
 
 @dataclass(frozen=True)
@@ -97,6 +71,9 @@ class SweepSpec:
             vals = getattr(self, name)
             if not vals:
                 raise ConfigError(f"sweep {name} must be nonempty")
+            # a set compares numbers, so 2 and 2.0 repeat one lattice point
+            if len(set(vals)) != len(vals):
+                raise ConfigError(f"sweep {name} must not repeat a value, got {vals}")
             object.__setattr__(self, name, tuple(vals))
         if any(int(n) != n or n < 1 for n in self.n_values):
             raise ConfigError(f"n_values must be integers >= 1, got {self.n_values}")
@@ -254,21 +231,6 @@ def _run_point_timed(point: dict) -> tuple[dict, float]:
     return res, time.perf_counter() - t0
 
 
-def _load_existing(out_dir: Path, pid: str) -> dict | None:
-    """The completed result of point ``pid`` in ``out_dir``, else ``None``.
-
-    A completed point file parses, names ``pid`` and carries this
-    ``SWEEP_VERSION``; a missing, truncated or stale file does not count.
-    """
-    try:
-        data = json.loads((out_dir / f"{pid}.json").read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not isinstance(data, dict):
-        return None
-    return data if data.get("point_id") == pid and data.get("version") == SWEEP_VERSION else None
-
-
 @dataclass(frozen=True)
 class SweepResult:
     out_dir: Path
@@ -282,34 +244,6 @@ class SweepResult:
     # wall seconds per freshly-run point id; informational only, excluded
     # from the byte-identical artifact guarantee
     timings: dict[str, float]
-
-
-def regime_map_csv(results: list[dict]) -> str:
-    """Regime map as CSV text, one row per point, sorted by ``(n, theta, p)``."""
-    rows = sorted(
-        results, key=lambda r: (r["point"]["n"], r["point"]["theta"], r["point"]["p"])
-    )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REGIME_MAP_COLUMNS)
-    for res in rows:
-        pt = res["point"]
-        writer.writerow(
-            [
-                str(pt["n"]),
-                repr(float(pt["theta"])),
-                repr(float(pt["p_fraction"])),
-                repr(float(pt["p"])),
-                repr(float(res["audit"]["p_critical"])),
-                str(bool(res["audit"]["subcritical"])).lower(),
-                res["run"]["status"],
-                res["classification"],
-                res["expected"],
-                str(bool(res["mismatch"])).lower(),
-                res["point_id"],
-            ]
-        )
-    return buf.getvalue()
 
 
 def run_sweep(
@@ -326,8 +260,7 @@ def run_sweep(
     """
     if parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(Path(out_dir))
     points = sweep_points(spec)
 
     by_id: dict[str, dict] = {}
@@ -335,33 +268,14 @@ def run_sweep(
     n_skipped = 0
     for point in points:
         if resume:
-            existing = _load_existing(out, point["point_id"])
+            existing = load_point(out, point["point_id"])
             if existing is not None:
                 by_id[point["point_id"]] = existing
                 n_skipped += 1
                 continue
         todo.append(point)
 
-    # the manifest depends on no result: written first, it lets `fluxks
-    # report` read a sweep that is still running or was interrupted
-    manifest = {
-        "version": SWEEP_VERSION,
-        "tool": tool_stamp(),
-        "seed": spec.seed,
-        "spec": spec.to_dict(),
-        "points": [
-            {
-                "point_id": pt["point_id"],
-                "n": pt["n"],
-                "theta": pt["theta"],
-                "p_fraction": pt["p_fraction"],
-                "p": pt["p"],
-            }
-            for pt in points
-        ],
-    }
-    manifest_path = out / "sweep.json"
-    write_atomic(manifest_path, canonical_json(manifest) + "\n")
+    manifest_path = write_manifest(out, spec.to_dict(), points)
 
     timings: dict[str, float] = {}
     total0 = time.perf_counter()
@@ -369,13 +283,11 @@ def run_sweep(
         pid = res["point_id"]
         by_id[pid] = res
         timings[pid] = elapsed
-        write_atomic(out / f"{pid}.json", canonical_json(res) + "\n")
+        write_point(out, res)
 
     results = [by_id[pt["point_id"]] for pt in points]
     n_mismatch = sum(1 for r in results if r["mismatch"])
-
-    regime_map_path = out / "regime_map.csv"
-    write_atomic(regime_map_path, regime_map_csv(results))
+    regime_map_path = write_regime_map(out, results)
 
     timings_path = out / "timings.json"
     write_atomic(
@@ -403,33 +315,6 @@ def run_sweep(
         timings_path=timings_path,
         timings=timings,
     )
-
-
-def regime_map_summary(results: list[dict]) -> str:
-    """Plain-text regime map: one line per point plus a flag count."""
-    rows = sorted(
-        results, key=lambda r: (r["point"]["n"], r["point"]["theta"], r["point"]["p"])
-    )
-    lines = []
-    n_flags = 0
-    for res in rows:
-        pt = res["point"]
-        tag = ""
-        if res["expected"] == "exploratory":
-            tag = "  [exploratory]"
-        elif res["mismatch"]:
-            tag = "  [FLAG: subcritical point not Bounded]"
-            n_flags += 1
-        lines.append(
-            f"n={pt['n']} theta={pt['theta']:g} p={pt['p']:.6g} "
-            f"(f={pt['p_fraction']:.4g}, p_c={res['audit']['p_critical']:.6g}) "
-            f"-> {res['classification']} [{res['run']['status']}]{tag}"
-        )
-    lines.append(
-        f"{len(rows)} points, {n_flags} flagged"
-        + (" (subcritical points not classified Bounded)" if n_flags else "")
-    )
-    return "\n".join(lines) + "\n"
 
 
 def parse_sweep_config_dict(data: dict) -> SweepSpec:

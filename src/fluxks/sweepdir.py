@@ -1,0 +1,161 @@
+"""The sweep directory: its files, the completed-point rule and the regime map.
+
+``fluxks sweep`` writes a sweep directory and ``fluxks report`` reads one;
+this module is the one place that knows their format.  A leaf module: it
+imports only the standard library, ``errors`` and ``runtime``, so ``report``
+loads no solver.  A sweep directory holds the manifest ``sweep.json`` (the
+spec and one ``{point_id, n, theta, p_fraction, p}`` entry per lattice
+point), one ``<point_id>.json`` result per completed point, the regime map
+``regime_map.csv`` and a ``timings.json`` sidecar.  Artifact rules:
+
+* ``sweep.json`` is written before any point runs, and each point file as
+  its result arrives, atomically (temp file + ``os.replace``); so an
+  interrupted sweep keeps every point it finished, never a truncated JSON;
+* resuming skips any point whose file already exists and matches: an
+  interrupted sweep runs only its remaining points, and a second
+  ``run_sweep`` over a finished directory performs zero simulations;
+* point files, ``sweep.json`` and ``regime_map.csv`` are byte-identical
+  across repeats and across ``parallelism`` settings.  Wall-clock times go
+  to a ``timings.json`` sidecar which is exempt from that guarantee.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+from pathlib import Path
+
+from .errors import ConfigError
+from .runtime import canonical_json, load_json, tool_stamp, write_atomic
+
+SWEEP_VERSION = 5
+
+REGIME_MAP_COLUMNS = (
+    "n", "theta", "p_fraction", "p", "p_critical", "subcritical", "status",
+    "classification", "expected", "mismatch", "point_id",
+)
+
+
+def write_manifest(out_dir: Path, spec: dict, points: list[dict]) -> Path:
+    """Write ``sweep.json`` for the sweep ``spec`` over ``points`` (with ids);
+    it depends on no result, so ``report`` can read a sweep mid-flight."""
+    manifest = {
+        "version": SWEEP_VERSION,
+        "tool": tool_stamp(),
+        "seed": spec["seed"],
+        "spec": spec,
+        "points": [
+            {k: pt[k] for k in ("point_id", "n", "theta", "p_fraction", "p")} for pt in points
+        ],
+    }
+    path = out_dir / "sweep.json"
+    write_atomic(path, canonical_json(manifest) + "\n")
+    return path
+
+
+def write_point(out_dir: Path, result: dict) -> None:
+    write_atomic(out_dir / f"{result['point_id']}.json", canonical_json(result) + "\n")
+
+
+def load_point(out_dir: Path, pid: str) -> dict | None:
+    """The completed result of point ``pid`` in ``out_dir``, else ``None``.
+
+    A completed point file parses, names ``pid`` and carries this
+    ``SWEEP_VERSION``; a missing, truncated or stale file does not count.
+    """
+    try:
+        data = json.loads((out_dir / f"{pid}.json").read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError):
+        return None
+    if not isinstance(data, dict):
+        return None
+    return data if data.get("point_id") == pid and data.get("version") == SWEEP_VERSION else None
+
+
+def read_sweep(sweep_dir: str | Path) -> tuple[list[dict], int]:
+    """The completed point results of ``sweep_dir`` in manifest order, and
+    the number of its points not yet completed.
+
+    Raises:
+        ConfigError: no manifest, a manifest that is not an object whose
+            points each carry a ``point_id``, or no completed point.
+    """
+    sweep_dir = Path(sweep_dir)
+    manifest_path = sweep_dir / "sweep.json"
+    if not manifest_path.is_file():
+        raise ConfigError(f"no sweep manifest at {manifest_path}")
+    manifest = load_json(manifest_path, "sweep manifest")
+    entries = manifest.get("points", []) if isinstance(manifest, dict) else None
+    if not (
+        isinstance(entries, list)
+        and all(isinstance(e, dict) and isinstance(e.get("point_id"), str) for e in entries)
+    ):
+        raise ConfigError(
+            f"sweep manifest {manifest_path} must be an object whose points each carry a point_id"
+        )
+    loaded = [load_point(sweep_dir, entry["point_id"]) for entry in entries]
+    results = [res for res in loaded if res is not None]
+    if not results:
+        raise ConfigError(f"sweep at {sweep_dir} has no completed points")
+    return results, len(loaded) - len(results)
+
+
+def write_regime_map(out_dir: Path, results: list[dict]) -> Path:
+    path = out_dir / "regime_map.csv"
+    write_atomic(path, regime_map_csv(results))
+    return path
+
+
+def _by_point(results: list[dict]) -> list[dict]:
+    # the one row order of the regime map
+    return sorted(results, key=lambda r: (r["point"]["n"], r["point"]["theta"], r["point"]["p"]))
+
+
+def regime_map_csv(results: list[dict]) -> str:
+    """Regime map as CSV text, one row per point, sorted by ``(n, theta, p)``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(REGIME_MAP_COLUMNS)
+    for res in _by_point(results):
+        pt = res["point"]
+        writer.writerow(
+            [
+                str(pt["n"]),
+                repr(float(pt["theta"])),
+                repr(float(pt["p_fraction"])),
+                repr(float(pt["p"])),
+                repr(float(res["audit"]["p_critical"])),
+                str(bool(res["audit"]["subcritical"])).lower(),
+                res["run"]["status"],
+                res["classification"],
+                res["expected"],
+                str(bool(res["mismatch"])).lower(),
+                res["point_id"],
+            ]
+        )
+    return buf.getvalue()
+
+
+def regime_map_summary(results: list[dict]) -> str:
+    """Plain-text regime map: one line per point plus a flag count."""
+    lines = []
+    n_flags = 0
+    for res in _by_point(results):
+        pt = res["point"]
+        tag = ""
+        if res["expected"] == "exploratory":
+            tag = "  [exploratory]"
+        elif res["mismatch"]:
+            tag = "  [FLAG: subcritical point not Bounded]"
+            n_flags += 1
+        lines.append(
+            f"n={pt['n']} theta={pt['theta']:g} p={pt['p']:.6g} "
+            f"(f={pt['p_fraction']:.4g}, p_c={res['audit']['p_critical']:.6g}) "
+            f"-> {res['classification']} [{res['run']['status']}]{tag}"
+        )
+    lines.append(
+        f"{len(results)} points, {n_flags} flagged"
+        + (" (subcritical points not classified Bounded)" if n_flags else "")
+    )
+    return "\n".join(lines) + "\n"

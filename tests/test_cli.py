@@ -16,7 +16,7 @@ import pytest
 import fluxks.cli as cli
 from fluxks.cli import main
 from fluxks.monitors import RegimeVerdict
-from fluxks.sweep import REGIME_MAP_COLUMNS, SWEEP_VERSION
+from fluxks.sweepdir import REGIME_MAP_COLUMNS, SWEEP_VERSION
 
 
 def write_json(path, obj):
@@ -319,6 +319,28 @@ def test_sweep_config_errors_exit_3(tmp_path, cfg, match, capsys):
     assert match in capsys.readouterr().err
 
 
+def test_sweep_with_a_repeated_lattice_value_exits_3_before_any_output(tmp_path, capsys):
+    cfg = {**SWEEP_CFG, "n_values": [1, 1], "p_values": [0.5, 0.5]}
+    cfg_path = write_json(tmp_path / "sweep.json", cfg)
+    assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 3
+    assert "sweep n_values must not repeat a value" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("under", [False, True])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_uncreatable_out_dir_exits_3(tmp_path, command, under, capsys):
+    # --out names an existing file, or a path beneath one
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory", encoding="utf-8")
+    out = blocker / "sub" if under else blocker
+    cfg = run_cfg(controls={"t_end": 0.1}) if command == "simulate" else SWEEP_CFG
+    cfg_path = write_json(tmp_path / "cfg.json", cfg)
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 3
+    assert f"cannot create output directory {out}" in capsys.readouterr().err
+    assert blocker.read_text(encoding="utf-8") == "not a directory"
+
+
 def test_sweep_rejects_parallelism_zero(tmp_path, capsys):
     cfg_path = write_json(tmp_path / "sweep.json", SWEEP_CFG)
     argv = ["sweep", "--config", cfg_path, "--out", str(tmp_path / "x"),
@@ -470,13 +492,17 @@ SOLVER_MODULES = ("scipy.fft", "scipy.linalg", "scipy.sparse", "fluxks.config",
                   "fluxks.stepper", "fluxks.linalg", "fluxks.sweep", "fluxks.monitors")
 
 
-def test_non_stepping_commands_load_no_solver():
-    # audit, gn-test, --help and --version never step, so they load neither
-    # the stepping modules nor the scipy parts those import
+def test_non_stepping_commands_load_no_solver(tmp_path):
+    # audit, gn-test, report, --help and --version never step, so they load
+    # neither the stepping modules nor the scipy parts those import
+    sweep_dir = tmp_path / "map"
+    assert main(["sweep", "--config", write_json(tmp_path / "sweep.json", SWEEP_CFG),
+                 "--out", str(sweep_dir)]) == 0
     probe = (
         "import contextlib, io, sys, fluxks, fluxks.cli\n"
         "runs = [['audit', '--n', '2', '--theta', '1.5', '--p-fraction', '0.6'],\n"
-        "        ['gn-test', '--cells', '16', '--ensemble-size', '4'], ['--version'], ['--help']]\n"
+        "        ['gn-test', '--cells', '16', '--ensemble-size', '4'], ['--version'], ['--help'],\n"
+        f"        ['report', '--sweep-dir', {str(sweep_dir)!r}]]\n"
         "for argv in runs:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        try:\n"
@@ -487,7 +513,7 @@ def test_non_stepping_commands_load_no_solver():
         f"print(sorted(m for m in {SOLVER_MODULES!r} if m in sys.modules))"
     )
     *codes, loaded = _run_fresh(probe)
-    assert codes == ["audit 0", "gn-test 0", "--version 0", "--help 0"]
+    assert codes == ["audit 0", "gn-test 0", "--version 0", "--help 0", "report 0"]
     assert loaded == "[]"
 
 

@@ -16,19 +16,16 @@ from fluxks.errors import ConfigError
 from fluxks.regimes import critical_exponent, relative_p
 from fluxks.runtime import map_in_pool
 from fluxks.sweep import (
-    REGIME_MAP_COLUMNS,
-    SWEEP_VERSION,
     SweepSpec,
     canonical_json,
     point_config,
     point_id,
-    regime_map_csv,
-    regime_map_summary,
     run_point,
     run_sweep,
     sweep_points,
     write_atomic,
 )
+from fluxks.sweepdir import REGIME_MAP_COLUMNS, SWEEP_VERSION, regime_map_csv, regime_map_summary
 
 
 def tiny_spec(**over):
@@ -76,6 +73,11 @@ def tiny_spec(**over):
         ({"blowup_linf_threshold": float("inf")}, "blowup_linf_threshold must be finite"),
         ({"dt_max": float("nan")}, "sweep controls"),
         ({"eps": float("nan")}, "eps"),
+        # a repeated value would run one point, under one id, more than once
+        ({"n_values": (1, 1)}, "sweep n_values must not repeat a value"),
+        ({"theta_values": (2, 2.0)}, "sweep theta_values must not repeat a value"),
+        ({"p_values": (0.5, 0.8, 0.5)}, "sweep p_values must not repeat a value"),
+        ({"p_values": (1.5, 1.5), "p_mode": "absolute"}, "sweep p_values must not repeat"),
     ],
 )
 def test_spec_validation(over, match):
