@@ -18,6 +18,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
@@ -35,6 +36,7 @@ from .grid import (
 )
 from .model import ModelParams
 from .regimes import RegimeSpec, audit, s_rule
+from .runtime import write_atomic
 
 if TYPE_CHECKING:  # pragma: no cover
     from .stepper import SimState
@@ -218,16 +220,12 @@ def _dissipation(parts: list, q: float) -> float:
     return sum(float(np.sum(u_face ** (q - 2.0) * g2 * fw)) for u_face, g2, fw in parts)
 
 
-def record(
-    state: "SimState", monitors: MonitorSettings, lap_v: np.ndarray | None = None
-) -> FunctionalRecord:
+def record(state: "SimState", monitors: MonitorSettings) -> FunctionalRecord:
     """Evaluate every tracked functional at one state, with the indices and
     the F1 weight ``c_f1`` of ``monitors`` as :meth:`MonitorSettings.resolve`
     leaves them; the clamped mass is the state's.  ``s`` may be ``inf``: then
     ``gradv_ls`` is the max face-gradient magnitude and ``v_w1s`` the max of
-    it and ``||v||_inf`` (the max-norm proxy).  ``lap_v`` is the Laplacian of
-    ``v`` when the caller already has it (the stepper's solver certified it);
-    it is computed otherwise.
+    it and ``||v||_inf`` (the max-norm proxy).
 
     Raises:
         ValueError: an index of ``monitors`` is ``None``.
@@ -254,8 +252,7 @@ def record(
     # F1 and F2 reuse the integrals of this record
     uq_f1, uq_f2 = (uq[q] if q in uq else density_integral(u, q) for q in (q_f1, q_f2))
     v_l2 = float(np.sum(v.values**2 * v.grid.cell_weights))
-    if lap_v is None:
-        lap_v = laplacian_values(v.grid, v.values)
+    lap_v = laplacian_values(v.grid, v.values)
     return FunctionalRecord(
         t=state.t,
         mass=integrate(u),
@@ -306,6 +303,6 @@ def records_to_csv(records: list[FunctionalRecord], meta_comment: str | None = N
 def write_records_csv(
     records: list[FunctionalRecord], path, meta_comment: str | None = None
 ) -> None:
-    text = records_to_csv(records, meta_comment)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """Write :func:`records_to_csv` to ``path`` as
+    :func:`fluxks.runtime.write_atomic` does."""
+    write_atomic(Path(path), records_to_csv(records, meta_comment))

@@ -2,12 +2,13 @@
 
 Each implicit update solves ``(a*I - d*L + d*A) x = b`` where ``L`` is the
 discrete Laplacian of :mod:`fluxks.grid`, ``a >= 1``, ``d > 0``, and ``A`` is
-either absent or the upwind transport operator ``x ->
-div(upwind_flux(x, coeffs))`` of :func:`fluxks.model.upwind_flux` for given
-face coefficients.  Upwinding puts each face's transport into one direction
-only, so the matrix is an M-matrix (positive diagonal, nonpositive
-off-diagonals) whose cell-weighted column sums all equal ``a``: its inverse
-keeps ``x >= 0`` and, with ``a = 1``, the mass of ``b``.
+either absent or the upwind transport operator for given face coefficients:
+``x -> div(coeff * x_upwind)``, where each interior face takes ``x`` from its
+lower cell where ``coeff > 0`` and from its upper cell otherwise.  Upwinding
+puts each face's transport into one direction only, so the matrix is an
+M-matrix (positive diagonal, nonpositive off-diagonals) whose cell-weighted
+column sums all equal ``a``: its inverse keeps ``x >= 0`` and, with ``a = 1``,
+the mass of ``b``.
 
 Without transport every grid has an exact inverse: a DCT-II spectral solve on
 the uniform 2d grid (the cell-centered no-flux Laplacian diagonalizes in that
@@ -34,23 +35,21 @@ above ``||b||`` (a large step on spiky data) is followed by another.  On
 stiff solves the residual can stall at the floating-point floor, about
 ``eps * ||A|| * ||x||``; the last iterate is then accepted when its normwise
 backward error passes, ``||r|| <= SOLVER_RTOL * (||A|| ||x|| + ||b||)``, with
-``||A||`` bounded by ``a + d * rho`` (``rho`` the largest DCT eigenvalue of
-``-L``) plus the transport's Gershgorin bound in 2d, and by the largest
-absolute row sum of the tridiagonal matrix on one-axis grids.  Anything else,
-and a right-hand side whose norm is not finite, raises :class:`SolverError`.
+``||A||`` bounded by the largest absolute row sum of the matrix.  Anything
+else, and a right-hand side whose norm is not finite, raises
+:class:`SolverError`.
 
-Certifying a returned ``x`` computes its Laplacian, and a time step starts its
-next solve of the same field from that very array.  The solver therefore keeps
-the ``(x, L(x))`` pairs of the last two arrays it returned (a step returns
-``v`` and then ``u``) and, when ``x0`` is one of them by identity, takes
-``L(x0)`` from there instead of recomputing it; the numbers are the same, so
-every result is bit for bit what a fresh solve would give.  The lookup is
-public as :meth:`HelmholtzSolver.laplacian`, for callers that need ``L`` of a
-state the solver returned.  Returned arrays are read-only, so a cached pair
-cannot go stale through them: a caller that needs to change one works on a
-copy (as the stepper's clamp does), and a copy misses the cache and has its
-Laplacian computed.  The exact inverse (DCT denominator or diagonals) is
-built only when a correction runs.
+A solve builds its operator once, as face rates per axis
+(:class:`_FaceOperator`), which its residuals, the GMRES products, the
+tridiagonal diagonals and the norm bound all read.  Applying it differences
+one face flow per axis over each cell and divides by the cell weights, as
+:func:`fluxks.grid.divergence_values` does, so the flows telescope and keep
+the mass to roundoff.  The diffusive flow keeps the kernel's rounding,
+``area * ((x_hi - x_lo) / h)``, so without transport the result is
+``a*x - d*laplacian_values(x)`` bit for bit; of the one-sided transport rates
+``max(+-coeff * area, 0)`` one is 0 on each face, so no two rounded products
+cancel.  The exact inverse (DCT denominator or diagonals) is built only when
+a correction runs.
 """
 
 from __future__ import annotations
@@ -64,8 +63,7 @@ import scipy.linalg
 from numpy.typing import NDArray
 
 from .errors import SolverError
-from .grid import Grid, divergence_values, laplacian_values
-from .model import upwind_flux
+from .grid import Grid, _slice_axis
 
 SOLVER_RTOL = 1e-10
 # corrections per solve: exact-inverse corrections (one normally suffices), or
@@ -79,25 +77,92 @@ KRYLOV_RTOL = 1e-12
 (_gtsv,) = scipy.linalg.get_lapack_funcs(("gtsv",), dtype=np.float64)
 
 
+def _faces_below(grid: Grid, axis: int, faces: NDArray) -> NDArray:
+    # the interior faces of one axis in the layout of _FaceOperator
+    out = np.zeros(grid.shape)
+    out[_slice_axis(grid.n_axes, axis, slice(1, None))] = faces[
+        _slice_axis(grid.n_axes, axis, slice(1, -1))]
+    return out.ravel()[math.prod(grid.shape[axis + 1:]):]
+
+
+class _FaceOperator:
+    """``a*I - d*L + d*A(coeffs)`` of one solve, as face rates per axis.
+
+    With the cells in C order, the neighbour below cell ``k`` along an axis is
+    cell ``k - stride``, and entry ``k - stride`` of the axis's face arrays
+    is the face between them: its ``area`` and, with transport, the rates ``up
+    = max(coeff * area, 0)`` from the lower cell into the upper one, per unit
+    of the lower cell's value, and ``down = max(-coeff * area, 0)`` back.  The
+    entries of a cell on the lower boundary of the axis are 0.
+    """
+
+    def __init__(self, grid: Grid, geometry: list, a_coef: float, d_coef: float, coeffs):
+        # geometry: (stride, spacing, area) per axis, as HelmholtzSolver keeps it
+        self.a_coef, self.d_coef, self.coeffs = a_coef, d_coef, coeffs
+        self.weights = grid.cell_weights.ravel()
+        self.axes = []  # (stride, spacing, area, up, down) per axis
+        for axis, (stride, h, area) in enumerate(geometry):
+            up = down = None
+            if coeffs is not None:
+                flow = _faces_below(grid, axis, coeffs[axis]) * area
+                up, down = np.maximum(flow, 0.0), np.maximum(-flow, 0.0)
+            self.axes.append((stride, h, area, up, down))
+
+    def apply(self, x: NDArray) -> NDArray:
+        """``a*x`` less ``d`` times the divergence of the face flow ``area *
+        ((x_hi - x_lo) / h) - up * x_lo + down * x_hi``."""
+        flat = x.ravel()
+        size = flat.size
+        acc = np.zeros(size)
+        for stride, h, area, up, down in self.axes:
+            x_lo, x_hi = flat[:-stride], flat[stride:]
+            # the face below each cell, then those above the top layer
+            flow = np.zeros(size + stride)
+            inner = flow[stride:size]
+            np.subtract(x_hi, x_lo, out=inner)
+            inner /= h
+            inner *= area
+            if up is not None:
+                inner -= up * x_lo
+                inner += down * x_hi
+            acc += flow[stride:] - flow[:-stride]
+        acc /= self.weights
+        acc *= self.d_coef
+        out = self.a_coef * flat
+        out -= acc
+        return out.reshape(x.shape)
+
+    def norm_bound(self) -> float:
+        # the largest absolute row sum: a face adds its diffusive rate twice
+        # and its transport rates once to the rows of both its cells
+        rows = np.zeros(self.weights.shape)
+        for stride, h, area, up, down in self.axes:
+            face = (2.0 / h) * area
+            if up is not None:
+                face = face + up + down
+            rows[stride:] += face
+            rows[:-stride] += face
+        return self.a_coef + self.d_coef * float((rows / self.weights).max())
+
+
 class HelmholtzSolver:
     """Solves ``(a*I - d*L + d*A) x = b`` on one grid, reusing precomputed spectra."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self._weights = grid.cell_weights
+        self._geometry = [
+            (math.prod(grid.shape[axis + 1:]), h, _faces_below(grid, axis, grid.face_areas[axis]))
+            for axis, h in enumerate(grid.spacing)
+        ]
         if grid.mode == "cartesian-2d":
             self._symbol = self._dct_symbol(grid)
             self._rates = None
-            self._rho = float(self._symbol.max())
         else:
             self._symbol = None
-            # face rates area / h, zero on the boundary as in gradient_faces
-            area = grid.face_areas[0].copy()
-            area[0] = 0.0
-            area[-1] = 0.0
-            self._rates = area / grid.spacing[0]
-        # (array, Laplacian) of the last two arrays solve returned: u's and v's
-        self._certified: tuple = ()
+            # the tridiagonal inverse's diffusive face rates area / h, 0 on the boundary
+            self._rates = np.pad(self._geometry[0][2], 1) / grid.spacing[0]
+        self._op: _FaceOperator | None = None
 
     @staticmethod
     def _dct_symbol(grid: Grid) -> NDArray[np.float64]:
@@ -108,36 +173,35 @@ class HelmholtzSolver:
         )
         return kx[:, None] + ky[None, :]
 
+    def _operator(self, a_coef: float, d_coef: float, coeffs) -> _FaceOperator:
+        # the operator of the last solve when a, d and the coeffs object itself
+        # match: it holds coeffs, whose arrays a caller does not change
+        op = self._op
+        if op is None or op.coeffs is not coeffs or (op.a_coef, op.d_coef) != (a_coef, d_coef):
+            op = self._op = _FaceOperator(self.grid, self._geometry, a_coef, d_coef, coeffs)
+        return op
+
     def _tridiagonal(self, a_coef: float, d_coef: float, coeffs=None) -> tuple[NDArray, ...]:
         """``a*I - d*L + d*A`` as its ``(lower, diagonal, upper)`` diagonals.
 
         Face ``j`` moves mass from cell ``j - 1`` up at rate ``up[j]`` and from
-        cell ``j`` down at rate ``down[j]`` (per unit of the source cell's
-        value); the upwind transport adds ``max(+-coeff * area, 0)``, i.e. the
-        flux ``coeff * x_upwind`` of :func:`fluxks.model.upwind_flux`.
+        cell ``j`` down at rate ``down[j]``: the diffusive rate plus the
+        operator's transport rate in that direction.
         """
+        *_, flow_up, flow_down = self._operator(a_coef, d_coef, coeffs).axes[0]
         up = down = self._rates
-        if coeffs is not None:
-            flow = coeffs[0] * self.grid.face_areas[0]
-            up = up + np.maximum(flow, 0.0)
-            down = down + np.maximum(-flow, 0.0)
+        if flow_up is not None:
+            up, down = up.copy(), down.copy()
+            up[1:-1] += flow_up
+            down[1:-1] += flow_down
         w = self._weights
         diagonal = a_coef + d_coef * (up[1:] + down[:-1]) / w
         return -d_coef * up[1:-1] / w[1:], diagonal, -d_coef * down[1:-1] / w[:-1]
 
-    def apply(
-        self, a_coef: float, d_coef: float, x: NDArray, coeffs=None, lap: NDArray | None = None
-    ) -> NDArray:
-        """The operator ``a*x - d*L(x) + d*div(upwind_flux(x, coeffs))`` from the
-        grid kernels, independent of any inverse (no transport term without
-        ``coeffs``); ``lap`` is ``L(x)`` when the caller already has it."""
-        if lap is None:
-            lap = laplacian_values(self.grid, x)
-        out = a_coef * x
-        out -= d_coef * lap
-        if coeffs is not None:
-            out += d_coef * divergence_values(self.grid, upwind_flux(self.grid, x, coeffs))
-        return out
+    def apply(self, a_coef: float, d_coef: float, x: NDArray, coeffs=None) -> NDArray:
+        """The operator ``a*x - d*L(x) + d*A(x)`` of the solve, independent of
+        any inverse (no transport term without ``coeffs``)."""
+        return self._operator(a_coef, d_coef, coeffs).apply(x)
 
     def _dot(self, f: NDArray, g: NDArray) -> float:
         # the weighted inner product as a numpy reduction, not a BLAS call,
@@ -172,53 +236,24 @@ class HelmholtzSolver:
 
         return inverse
 
-    def laplacian(self, x: NDArray) -> NDArray:
-        """``L(x)``, looked up when ``x`` is one of the last two arrays
-        :meth:`solve` returned, computed otherwise; do not write to it."""
-        for arr, lap in self._certified:
-            if arr is x:
-                return lap
-        return laplacian_values(self.grid, x)
-
-    def _certify(self, x: NDArray, lap: NDArray) -> NDArray:
-        """Freeze a returned ``x`` and keep its Laplacian for the next solve from it."""
-        x.flags.writeable = False
-        self._certified = (*self._certified[-1:], (x, lap))
-        return x
-
-    def _norm_bound(self, a_coef: float, d_coef: float, coeffs) -> float:
-        # bound on ||a*I - d*L + d*A||: a + d * rho in 2d, plus d times the
-        # transport's largest absolute row sum (Gershgorin: |coeff| * area /
-        # weight = |coeff| / h per face, two faces per axis); on one-axis
-        # grids the largest absolute row sum of the tridiagonal matrix
-        if self._symbol is not None:
-            bound = a_coef + d_coef * self._rho
-            if coeffs is not None:
-                bound += d_coef * sum(
-                    2.0 * float(np.abs(c).max()) / h for c, h in zip(coeffs, self.grid.spacing)
-                )
-            return bound
-        lower, rows, upper = self._tridiagonal(a_coef, d_coef, coeffs)
-        rows[:-1] += np.abs(upper)
-        rows[1:] += np.abs(lower)
-        return float(rows.max())
-
     def _gmres(
-        self, a_coef: float, d_coef: float, coeffs, precond, r: NDArray, norm_r: float,
-        target: float,
+        self, op: _FaceOperator, precond, r: NDArray, norm_r: float, target: float
     ) -> tuple[NDArray, int]:
         """One cycle of right-preconditioned GMRES (Saad & Schultz 1986) for
         ``op(dx) = r`` in the cell-weighted inner product; returns ``(dx,
         iterations)``.  It stops after ``KRYLOV_RESTART`` iterations or once
         the least-squares residual, updated by Givens rotations, is at most
-        ``target``.  Only the Arnoldi basis is kept: ``dx = precond(V y)``, as
-        ``precond`` is linear."""
+        ``target``.  It keeps the preconditioned basis ``z_j = precond(v_j)``
+        along with the Arnoldi basis ``v_j`` and returns ``sum_j y_j z_j``,
+        which takes no further preconditioner solve."""
         basis = [r / norm_r]
+        preconditioned: list[NDArray] = []
         hess = np.zeros((KRYLOV_RESTART, KRYLOV_RESTART))  # rotated: R of H = QR
         rotations: list[tuple[float, float]] = []
         resid = [norm_r]  # the rotated right-hand side beta * e_1
         for j in range(KRYLOV_RESTART):
-            w = self.apply(a_coef, d_coef, precond(basis[j]), coeffs)
+            preconditioned.append(precond(basis[j]))
+            w = op.apply(preconditioned[j])
             for i, v in enumerate(basis):  # modified Gram-Schmidt
                 hess[i, j] = self._dot(w, v)
                 w -= hess[i, j] * v
@@ -239,10 +274,10 @@ class HelmholtzSolver:
         y = np.zeros(k)
         for i in reversed(range(k)):  # back substitution in the triangle
             y[i] = (resid[i] - float(np.sum(hess[i, i + 1:k] * y[i + 1:]))) / hess[i, i]
-        combo = y[0] * basis[0]
-        for coef, v in zip(y[1:], basis[1:]):
-            combo += coef * v
-        return precond(combo), k
+        dx = y[0] * preconditioned[0]
+        for coef, z in zip(y[1:], preconditioned[1:]):
+            dx += coef * z
+        return dx, k
 
     def solve(
         self, a_coef: float, d_coef: float, rhs: NDArray, x0: NDArray, coeffs=None
@@ -264,9 +299,9 @@ class HelmholtzSolver:
         if not math.isfinite(norm_b):
             raise SolverError(f"the right-hand side's norm {norm_b} is not finite")
         if norm_b == 0.0:
-            return self._certify(np.zeros_like(rhs), np.zeros_like(rhs)), 0, 0.0  # L(0) = 0
+            return np.zeros_like(rhs), 0, 0.0
+        op = self._operator(a_coef, d_coef, coeffs)
         x = x0.copy()
-        lap = self.laplacian(x0)
         krylov = self._symbol is not None and coeffs is not None
         target = SOLVER_RTOL * norm_b
         iterations = 0
@@ -276,24 +311,21 @@ class HelmholtzSolver:
                 inverse = self._inverse(a_coef, d_coef, coeffs)
             if k > 0:
                 if krylov:
-                    dx, used = self._gmres(a_coef, d_coef, coeffs, inverse, r, norm_r,
-                                           KRYLOV_RTOL * norm_b)
+                    dx, used = self._gmres(op, inverse, r, norm_r, KRYLOV_RTOL * norm_b)
                 else:
                     dx, used = inverse(r), 1
                 x += dx
                 iterations += used
-                lap = laplacian_values(self.grid, x)
                 norm_prev = norm_r
-            r = self.apply(a_coef, d_coef, x, coeffs, lap)
+            r = op.apply(x)
             np.subtract(rhs, r, out=r)
             norm_r = self._norm(r)
             # a correction carries the rounding of its residual, eps * ||r||,
             # into x and its mass: one from a residual above ||b|| is redone
             if norm_r == 0.0 or (norm_r <= target and norm_prev <= norm_b):
-                return self._certify(x, lap), iterations, norm_r / norm_b
-        norm_a = self._norm_bound(a_coef, d_coef, coeffs)
-        if norm_r <= SOLVER_RTOL * (norm_a * self._norm(x) + norm_b):
-            return self._certify(x, lap), iterations, norm_r / norm_b
+                return x, iterations, norm_r / norm_b
+        if norm_r <= SOLVER_RTOL * (op.norm_bound() * self._norm(x) + norm_b):
+            return x, iterations, norm_r / norm_b
         raise SolverError(
             f"residual {norm_r / norm_b:.3e} above the backward-error floor "
             f"after {CORRECTIONS} corrections"

@@ -125,22 +125,6 @@ def flux_coefficients(grid: Grid, grad_faces, params: ModelParams) -> list[NDArr
     return coeffs
 
 
-def upwind_flux(grid: Grid, u_values, coeffs) -> list[NDArray[np.float64]]:
-    """Upwind face flux ``coeff * u`` per axis (boundary faces zero): ``u`` is
-    taken from the lower cell of a face where ``coeff > 0``, else from the upper."""
-    nd = grid.n_axes
-    fluxes = []
-    for a, coeff in enumerate(coeffs):
-        c_int = coeff[_slice_axis(nd, a, slice(1, -1))]
-        flux = np.zeros_like(coeff)
-        inner = flux[_slice_axis(nd, a, slice(1, -1))]
-        np.copyto(inner, u_values[_slice_axis(nd, a, slice(1, None))])
-        np.copyto(inner, u_values[_slice_axis(nd, a, slice(None, -1))], where=c_int > 0.0)
-        inner *= c_int
-        fluxes.append(flux)
-    return fluxes
-
-
 def production(u: GridFunction, params: ModelParams) -> GridFunction:
     """Cell-wise signal production ``u^theta`` (``0^theta = 0`` for theta > 0)."""
     return GridFunction(u.grid, u.values**params.theta)

@@ -7,6 +7,7 @@ A leaf module: it imports only the standard library, ``_version`` and
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -55,9 +56,16 @@ def tool_stamp() -> dict:
 
 
 def write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file beside it; a failed
+    write removes the temp file and raises :class:`ConfigError` naming ``path``."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def available_cpus() -> int:

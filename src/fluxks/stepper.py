@@ -5,9 +5,9 @@ Each step advances the signal first and the density second:
 1. ``((1 + dt)*I - dt*L) v_new = v_old + dt * u_old^theta`` -- implicit
    diffusion and damping, explicit production;
 2. ``(I - dt*L + dt*A(v_new)) u_new = u_old`` -- linearly implicit upwind
-   chemotaxis, with ``A`` the upwind transport operator
-   ``div(upwind_flux(., coeffs))`` and the flux coefficients evaluated once,
-   on ``v_new`` (:func:`fluxks.model.flux_coefficients`).  The matrix is an
+   chemotaxis, with ``A`` the upwind transport operator of the face
+   coefficients, which are evaluated once, on ``v_new``
+   (:func:`fluxks.model.flux_coefficients`).  The matrix is an
    M-matrix whose weighted column sums are 1, so ``u_new`` keeps the mass and
    the sign of ``u_old`` for any ``dt`` (the scheme of Zhou & Saito, Numer.
    Math. 135, 2017, in the line of Filbet, Numer. Math. 104, 2006).
@@ -24,11 +24,11 @@ beyond ``POSITIVITY_HARD_TOL`` is a hard error.  Mass is conserved by constructi
 the flux divergence telescopes to zero and the u-solve preserves
 cell-weighted means to roundoff.
 
-One solver serves a whole run.  It returns read-only arrays and remembers the
-Laplacian of the last ``u`` and ``v`` it returned, so the residual check that
-opens the next step's solve of each field costs no stencil pass, nor does the
-``lap_v_l2`` of a record.  The state's fields are those arrays; a clamped
-field is a fresh copy and misses, as does the initial state.
+One solver serves a whole run, and each solve builds its operator once, as
+face rates: the diffusive rate and the one-sided upwind rates of the
+coefficients.  It applies the operator in flux form, one face flow per axis
+differenced over each cell, so the flows telescope and every residual, and the
+correction made from it, keeps the mass to roundoff.
 
 The time step is the smaller of ``dt_max`` and, for ``theta >= 1``, an
 explicit-production proxy ``cfl_safety / (theta * max(u)^(theta-1))``; for
@@ -237,17 +237,13 @@ def simulate(
     status = RunStatus.COMPLETED
     message = ""
 
-    def record(st: SimState) -> None:
-        # v's Laplacian comes from the solver's cache when the step certified it
-        records.append(functionals.record(st, monitors, lap_v=solver.laplacian(st.v.values)))
-
     def keep(st: SimState) -> None:
         if keep_states == "all":
             states.append(st)
         elif keep_states == "sampled" and st.step_index % record_every == 0:
             states.append(st)
 
-    record(state)
+    records.append(functionals.record(state, monitors))
     while controls.t_end - state.t > _T_END_SLACK * max(1.0, controls.t_end):
         try:
             dt = choose_dt(state.u, params, controls)
@@ -272,7 +268,7 @@ def simulate(
             break
         keep(state)
         if state.step_index % record_every == 0:
-            record(state)
+            records.append(functionals.record(state, monitors))
         linf = float(np.max(np.abs(state.u.values)))
         if linf > controls.blowup_linf_threshold:
             status = RunStatus.BLOWUP_SUSPECTED
@@ -280,7 +276,7 @@ def simulate(
             break
 
     if records[-1].t != state.t:
-        record(state)
+        records.append(functionals.record(state, monitors))
     if states[-1] is not state:
         states.append(state)
 

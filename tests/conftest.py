@@ -3,6 +3,7 @@ acceptance tests, small grid helpers, and the discrete linear theory of the
 constant state."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -46,6 +47,21 @@ def grid2d():
     def make(cells=16, lx=1.0, ly=1.0):
         return build_grid("cartesian-2d", extents=(lx, ly), cells=(cells, cells))
     return make
+
+
+def count_laplacians(monkeypatch):
+    """Record the values of every ``laplacian_values`` call, under each name
+    that binds it in a loaded ``fluxks`` module; returns the list."""
+    calls = []
+
+    def counted(grid, values):
+        calls.append(values)
+        return laplacian_values(grid, values)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("fluxks.") and getattr(mod, "laplacian_values", None) is laplacian_values:
+            monkeypatch.setattr(mod, "laplacian_values", counted)
+    return calls
 
 
 def cosine_bump(grid, base=1.0, amplitude=0.5):

@@ -143,6 +143,16 @@ def test_simulate_happy_path(tmp_path, capsys):
     assert lines[2].startswith("t,mass,")
 
 
+@pytest.mark.parametrize("artifact", ["functionals.csv", "run.json"])
+def test_simulate_that_cannot_write_an_artifact_exits_3(tmp_path, artifact, capsys):
+    cfg_path = write_json(tmp_path / "cfg.json", run_cfg())
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 3
+    assert artifact in capsys.readouterr().err
+    assert not (out / f"{artifact}.tmp").exists()
+
+
 def test_simulate_rerun_is_byte_identical(tmp_path):
     cfg_path = write_json(tmp_path / "cfg.json", run_cfg())
     main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "a")])
@@ -277,6 +287,20 @@ def test_report_with_missing_points(tmp_path, capsys):
     second.write_text(json.dumps({**stale, "version": SWEEP_VERSION - 1}), encoding="utf-8")
     assert main(["report", "--sweep-dir", str(out)]) == 3
     assert "no completed points" in capsys.readouterr().err
+
+
+def test_report_that_cannot_write_its_map_exits_3(tmp_path, capsys):
+    # regime_map.csv is a directory: the write fails cleanly and leaves no
+    # temp file behind
+    cfg_path = write_json(tmp_path / "sweep.json", SWEEP_CFG)
+    out = tmp_path / "map"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    (out / "regime_map.csv").unlink()
+    (out / "regime_map.csv").mkdir()
+    assert main(["report", "--sweep-dir", str(out)]) == 3
+    assert "regime_map.csv" in capsys.readouterr().err
+    assert not (out / "regime_map.csv.tmp").exists()
 
 
 def test_report_requires_manifest(tmp_path, capsys):

@@ -5,8 +5,11 @@ The references below are the earlier implementations of ``gradient_faces``,
 ``flux_coefficients`` and ``upwind_flux`` (which returned the outflow rate with
 the fluxes), kept verbatim on the test side.  The kernels must reproduce them
 bit for bit, signed zeros included, so that every artifact stays
-byte-identical.  Inputs mix both signs with exact zeros (flat stretches of a
-field give zero gradients, and with ``eps = 0`` zero flux factors), on a 1d
+byte-identical.  The upwind flux has no kernel of its own any more: the
+solver's operator applies the upwind transport from face rates, and it must
+match ``-L + div(upwind_flux)`` composed from the references to roundoff.
+Inputs mix both signs with exact zeros (flat stretches of a field give zero
+gradients, and with ``eps = 0`` zero flux factors), on a 1d
 grid, a non-square 2d grid with cell counts that are not powers of two, and a
 radial grid whose innermost face has area 0.  At ``p = 3`` and ``p = 4`` the
 flux exponent is 0.5 and 1, where numpy's ``**`` may take a fast path.
@@ -21,11 +24,11 @@ from fluxks.grid import (
     gradient_faces,
     laplacian_values,
 )
+from fluxks.linalg import HelmholtzSolver
 from fluxks.model import (
     ModelParams,
     face_gradient_magnitude_sq,
     flux_coefficients,
-    upwind_flux,
 )
 
 GRIDS = {
@@ -124,6 +127,15 @@ def assert_same_bits(new, ref):
     assert np.array_equal(new.view(np.uint64), ref.view(np.uint64))
 
 
+def assert_transport_matches_reference(grid, u, coeffs):
+    # the operator a*I - d*L + d*A at a = 0, d = 1 against the references'
+    # -L + div(upwind_flux), to the roundoff of its face flows
+    out = HelmholtzSolver(grid).apply(0.0, 1.0, u, coeffs)
+    ref_fluxes, _ = ref_upwind_flux(grid, u, coeffs)
+    ref = ref_divergence_values(grid, ref_fluxes) - ref_laplacian_values(grid, u)
+    assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 def field(grid, seed):
     """Values of both signs with rounded stretches (exact zero differences),
     some -0.0 entries and a plateau (zero gradients on every axis)."""
@@ -182,17 +194,12 @@ def test_flux_kernels_match_references(grid, p, eps, seed):
     assert any(np.any(c[_axis(grid.n_axes, a, slice(1, -1))] == 0.0)
                for a, c in enumerate(coeffs))
     u = np.abs(field(grid, seed + 10))  # includes exact zeros
-    ref_fluxes, _ = ref_upwind_flux(grid, u, coeffs)
-    for new, ref in zip(upwind_flux(grid, u, coeffs), ref_fluxes):
-        assert_same_bits(new, ref)
+    assert_transport_matches_reference(grid, u, coeffs)
 
 
 def test_upwind_flux_of_signed_coefficients_with_zeros(grid):
-    # coefficients of both signs and exact zeros, a density with zeros: the
-    # -0.0 of a negative coefficient times a zero upwind value is kept
+    # coefficients of both signs and exact zeros, a density with zeros
     coeffs = faces_of(grid, 5)
     u = np.abs(field(grid, 6))
     u[np.random.default_rng(7).random(grid.shape) < 0.2] = 0.0
-    ref_fluxes, _ = ref_upwind_flux(grid, u, coeffs)
-    for new, ref in zip(upwind_flux(grid, u, coeffs), ref_fluxes):
-        assert_same_bits(new, ref)
+    assert_transport_matches_reference(grid, u, coeffs)

@@ -24,7 +24,6 @@ from fluxks.model import (
     ModelParams,
     build_initial_data,
     flux_coefficients,
-    upwind_flux,
 )
 from fluxks.regimes import relative_p
 from fluxks.stepper import (
@@ -38,6 +37,8 @@ from fluxks.stepper import (
     simulate,
     step,
 )
+from conftest import count_laplacians
+from test_kernels import ref_upwind_flux
 
 
 def make_state(grid, u_vals, v_vals):
@@ -59,7 +60,7 @@ def signal_rate(state, params):
     for idx in np.ndindex(g.shape):
         unit = np.zeros(g.shape)
         unit[idx] = 1.0
-        rates.append(divergence_values(g, upwind_flux(g, unit, coeffs))[idx])
+        rates.append(divergence_values(g, ref_upwind_flux(g, unit, coeffs)[0])[idx])
     return max(rates)
 
 
@@ -347,6 +348,45 @@ def test_2d_run_keeps_the_point_symmetry_of_its_data_bit_for_bit():
             assert np.array_equal(field, field[::-1, ::-1])
 
 
+def run_on_one_axis_data(grid, axis=0):
+    # u0 = 1 + 0.9 cos(pi x_axis), constant along the other axes, v0 = u0^2;
+    # dt_max binds every step, so each run of these data steps alike
+    x = grid.axis_centers(axis)
+    u0 = np.expand_dims(1.0 + 0.9 * np.cos(np.pi * x), tuple(a for a in range(grid.n_axes) if a != axis))
+    u0 = u0 * np.ones(grid.shape)
+    init = InitialData(GridFunction(grid, u0), GridFunction(grid, u0**2))
+    params = ModelParams(chi=5.0, p=1.8, theta=2.0, eps=1e-3, n=grid.n)
+    res = simulate(init, params, StepControls(t_end=0.3, dt_max=0.01), mollify=False)
+    assert res.status == RunStatus.COMPLETED, res.message
+    return res
+
+
+def assert_close(field, ref, rtol):
+    assert np.abs(field - ref).max() <= rtol * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("cells", [(64, 4), (32, 32)], ids=["64x4", "32x32"])
+def test_2d_run_on_x_only_data_stays_x_only_and_matches_the_1d_run(cells):
+    # the 2d scheme on data that do not depend on y: no y-flow arises, so
+    # every column stays the same bit for bit, and the run is the 1d one
+    grid = build_grid("cartesian-2d", extents=(1.0, 1.0), cells=cells)
+    res = run_on_one_axis_data(grid)
+    one_d = run_on_one_axis_data(build_grid("cartesian-1d", extents=(1.0,), cells=(cells[0],)))
+    assert res.n_steps == one_d.n_steps == 30
+    final = res.final_state
+    for field, ref in ((final.u.values, one_d.final_state.u.values),
+                       (final.v.values, one_d.final_state.v.values)):
+        assert np.array_equal(field, np.broadcast_to(field[:, :1], field.shape))
+        assert_close(field[:, 0], ref, 1e-12)
+
+
+def test_2d_run_on_transposed_data_gives_the_transposed_result():
+    grid = build_grid("cartesian-2d", extents=(1.0, 1.0), cells=(32, 32))
+    along_x, along_y = (run_on_one_axis_data(grid, axis).final_state for axis in (0, 1))
+    assert_close(along_y.u.values, along_x.u.values.T, 1e-12)
+    assert_close(along_y.v.values, along_x.v.values.T, 1e-12)
+
+
 def stale_cfl_case(base=1.0, t_end=0.01):
     # a 2d gaussian with v0 = 0: no transport at t = 0, but the first v_new is
     # steep, and its explicit upwind bound (about 3.5e-4) is far below the
@@ -449,48 +489,20 @@ def test_flux_coefficients_evaluated_once_per_step(grid2d, monkeypatch):
     assert len(evaluations) == res.n_steps
 
 
-def test_records_reuse_the_certified_laplacian_of_v(grid2d, monkeypatch):
-    # a record takes lap(v) from the solver that certified v; the reference
-    # solver answers no lookup outside a solve, so every record recomputes it
-    import fluxks.functionals as functionals_mod
-    import fluxks.linalg as linalg_mod
-    import fluxks.model as model_mod
-
-    class Recomputing(HelmholtzSolver):
-        in_solve = False
-
-        def laplacian(self, x):
-            return super().laplacian(x) if self.in_solve else None
-
-        def solve(self, *args, **kwargs):
-            self.in_solve = True
-            try:
-                return super().solve(*args, **kwargs)
-            finally:
-                self.in_solve = False
-
-    calls = []
-    for mod in (functionals_mod, linalg_mod, model_mod):
-        def counted(grid, values, _original=mod.laplacian_values):
-            calls.append(None)
-            return _original(grid, values)
-
-        monkeypatch.setattr(mod, "laplacian_values", counted)
+def test_each_record_computes_the_laplacian_of_v_once(grid2d, monkeypatch):
+    # the solves compute no Laplacian, and each record computes L(v) once
+    # (mollify off: the initial smoothing is a Laplacian pass too); the
+    # records are those of the kept states, recomputed
+    calls = count_laplacians(monkeypatch)
     init = build_initial_data(grid2d(16), family="cosine", base=1.0, amplitude=0.5,
                               v0_kind="u0_squared")
     params = ModelParams(chi=1.0, p=1.5, theta=2.0, eps=1e-3, n=2)
-    runs = []
-    for solver_cls in (HelmholtzSolver, Recomputing):
-        monkeypatch.setattr(stepper_mod, "HelmholtzSolver", solver_cls)
-        calls.clear()
-        res = simulate(init, params, StepControls(t_end=2.0), record_every=2)
-        runs.append((res, len(calls)))
-    (cached, n_cached), (reference, n_reference) = runs
-    assert cached.status == RunStatus.COMPLETED and cached.clamped_mass_cumulative == 0.0
-    assert cached.records == reference.records
-    # every record but the initial state's finds v's Laplacian in the cache
-    assert len(cached.records) > 5
-    assert n_reference - n_cached == len(cached.records) - 1
+    res = simulate(init, params, StepControls(t_end=2.0), record_every=2, mollify=False)
+    assert res.status == RunStatus.COMPLETED and res.clamped_mass_cumulative == 0.0
+    assert len(res.records) > 5 and len(calls) == len(res.records) == len(res.states)
+    assert all(values is st.v.values for values, st in zip(calls, res.states))
+    monitors = MonitorSettings().resolve(params)
+    assert [record(st, monitors) for st in res.states] == res.records
 
 
 def test_large_steps_agree_under_refinement():
