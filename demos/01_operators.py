@@ -1,11 +1,13 @@
 """Show the discrete operator toolbox on all three grid modes.
 
-The stepper and the solver call the array forms gradient_faces,
+The stepper and the model call the array forms gradient_faces,
 divergence_values and laplacian_values, which gradient, divergence and
-laplacian wrap, so this script checks the three properties the rest of the
-package leans on:
+laplacian wrap.  laplacian_values is the flux-form kernel of fluxks.grid that
+the implicit solver's operator also applies, not a composition of the other
+two, so this script checks the three properties the rest of the package
+leans on:
 
-  * laplacian is literally divergence(gradient(.)), not a separate stencil
+  * laplacian equals divergence(gradient(.)) bit for bit
   * the composite is self-adjoint for the cell-weighted inner product
   * cos(k pi x) is a discrete near-eigenfunction with second-order residual
 

@@ -22,9 +22,11 @@ Three modes are supported:
 
 The divergence divides net face flow by the cell weight, so cell sums of the
 divergence telescope to the boundary fluxes and vanish identically: discrete
-integration by parts holds exactly, and ``laplacian`` (literally
-``divergence(gradient(.))``) is self-adjoint in the cell-weighted inner
-product with constants in its null space.
+integration by parts holds exactly, and ``laplacian``, equal to
+``divergence(gradient(.))`` bit for bit, is self-adjoint in the cell-weighted
+inner product with constants in its null space.  One flux-form kernel,
+``_flow_divergence``, computes it and the implicit solver's operator
+(:mod:`fluxks.linalg`) from the face layout cached on the grid.
 """
 
 from __future__ import annotations
@@ -100,6 +102,14 @@ class Grid:
 
     def face_shape(self, axis: int) -> tuple[int, ...]:
         return _face_shape(self.shape, axis)
+
+    @cached_property
+    def _face_layout(self) -> tuple[tuple[int, float, NDArray[np.float64]], ...]:
+        # per axis (stride, spacing, area): in C order the neighbour below cell
+        # k is cell k - stride, and area[k - stride] is the area of the face
+        # between them (0 for a cell on the lower boundary of the axis)
+        return tuple((math.prod(self.shape[axis + 1:]), h, _layout_faces(self, axis, areas))
+                     for axis, (h, areas) in enumerate(zip(self.spacing, self.face_areas)))
 
     @cached_property
     def _face_quadrature(self) -> tuple[NDArray[np.float64], ...]:
@@ -199,11 +209,8 @@ def build_grid(
     else:
         vol = float(np.prod(spacing))
         weights = np.full(res, vol)
-        areas_list = []
-        for a in range(rank):
-            transverse = vol / spacing[a]
-            areas_list.append(np.full(_face_shape(res, a), transverse))
-        areas = tuple(areas_list)
+        # each face's area is the volume of its cell over the spacing across it
+        areas = tuple(np.full(_face_shape(res, a), vol / spacing[a]) for a in range(rank))
     # the divergence divides by the cell weights: zero, subnormal or infinite
     # weights (large radial n) would turn the fields into inf and NaN
     tiny, huge = sys.float_info.min, sys.float_info.max
@@ -313,7 +320,7 @@ def _slice_axis(ndim: int, axis: int, s: int | slice) -> tuple:
     return tuple(idx)
 
 
-# -- raw-array kernels (shared by the public operators and the implicit solver)
+# -- raw-array kernels (shared by the public operators, the model and the implicit solver)
 
 
 def gradient_faces(grid: Grid, values: NDArray[np.float64]) -> list[NDArray[np.float64]]:
@@ -344,8 +351,52 @@ def divergence_values(grid: Grid, faces) -> NDArray[np.float64]:
     return acc
 
 
+def _layout_faces(grid: Grid, axis: int, faces: NDArray) -> NDArray:
+    # the interior faces of one axis, read-only, in the layout of Grid._face_layout
+    out = np.zeros(grid.shape)
+    out[_slice_axis(grid.n_axes, axis, slice(1, None))] = faces[
+        _slice_axis(grid.n_axes, axis, slice(1, -1))]
+    out.flags.writeable = False
+    return out.ravel()[math.prod(grid.shape[axis + 1:]):]
+
+
+def _flow_divergence(grid: Grid, values: NDArray[np.float64], rates=None) -> NDArray[np.float64]:
+    """Net flow per unit cell weight of the face flow ``area * ((x_hi - x_lo)
+    / h)``, less ``up * x_lo - down * x_hi`` with the upwind ``rates`` ``(up,
+    down)`` per axis in the layout of ``Grid._face_layout``.  Without ``rates``
+    it is ``divergence_values(gradient_faces(values))`` bit for bit."""
+    flat = values.ravel()
+    acc = np.zeros(flat.size)
+    for axis, (stride, h, area) in enumerate(grid._face_layout):
+        x_lo, x_hi = flat[:-stride], flat[stride:]
+        # the face below each cell, then those above the top layer
+        flow = np.zeros(flat.size + stride)
+        inner = np.subtract(x_hi, x_lo, out=flow[stride:-stride])
+        inner /= h
+        inner *= area
+        if rates is not None:
+            up, down = rates[axis]
+            inner -= up * x_lo
+            inner += down * x_hi
+        acc += flow[stride:] - flow[:-stride]
+    acc = acc.reshape(grid.shape)
+    acc /= grid.cell_weights
+    return acc
+
+
 def laplacian_values(grid: Grid, values: NDArray[np.float64]) -> NDArray[np.float64]:
-    return divergence_values(grid, gradient_faces(grid, values))
+    return _flow_divergence(grid, values)
+
+
+def _neg_laplacian_diagonal(grid: Grid) -> NDArray[np.float64]:
+    # the diagonal of -L in C order: per cell, the sum over its interior faces
+    # of area / (cell weight * spacing)
+    weights = grid.cell_weights.ravel()
+    diag = np.zeros(weights.size)
+    for stride, h, area in grid._face_layout:
+        faces = np.pad(area, stride)
+        diag += (faces[:-stride] + faces[stride:]) / (weights * h)
+    return diag
 
 
 # -- public operators
@@ -363,8 +414,8 @@ def divergence(vf: VectorGridFunction) -> GridFunction:
 
 
 def laplacian(f: GridFunction) -> GridFunction:
-    """``divergence(gradient(f))``, literally: the identity is structural."""
-    return divergence(gradient(f))
+    """:func:`laplacian_values` of ``f``, equal to ``divergence(gradient(f))`` bit for bit."""
+    return GridFunction(f.grid, laplacian_values(f.grid, f.values))
 
 
 def integrate(f: GridFunction) -> float:

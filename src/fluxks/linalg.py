@@ -39,17 +39,13 @@ backward error passes, ``||r|| <= SOLVER_RTOL * (||A|| ||x|| + ||b||)``, with
 else, and a right-hand side whose norm is not finite, raises
 :class:`SolverError`.
 
-A solve builds its operator once, as face rates per axis
-(:class:`_FaceOperator`), which its residuals, the GMRES products, the
-tridiagonal diagonals and the norm bound all read.  Applying it differences
-one face flow per axis over each cell and divides by the cell weights, as
-:func:`fluxks.grid.divergence_values` does, so the flows telescope and keep
-the mass to roundoff.  The diffusive flow keeps the kernel's rounding,
-``area * ((x_hi - x_lo) / h)``, so without transport the result is
-``a*x - d*laplacian_values(x)`` bit for bit; of the one-sided transport rates
-``max(+-coeff * area, 0)`` one is 0 on each face, so no two rounded products
-cancel.  The exact inverse (DCT denominator or diagonals) is built only when
-a correction runs.
+A solve builds its operator once (:class:`_FaceOperator`), which its
+residuals, the GMRES products, the tridiagonal diagonals and the norm bound
+all read.  It applies the flux-form kernel of ``laplacian_values``
+(:mod:`fluxks.grid`), so its face flows telescope and keep the mass to
+roundoff; of the one-sided transport rates ``max(+-coeff * area, 0)`` one is
+0 on each face, so no two rounded products cancel.  The exact inverse (DCT
+denominator or diagonals) is built only when a correction runs.
 """
 
 from __future__ import annotations
@@ -63,7 +59,7 @@ import scipy.linalg
 from numpy.typing import NDArray
 
 from .errors import SolverError
-from .grid import Grid, _slice_axis
+from .grid import Grid, _flow_divergence, _layout_faces, _neg_laplacian_diagonal
 
 SOLVER_RTOL = 1e-10
 # corrections per solve: exact-inverse corrections (one normally suffices), or
@@ -77,72 +73,41 @@ KRYLOV_RTOL = 1e-12
 (_gtsv,) = scipy.linalg.get_lapack_funcs(("gtsv",), dtype=np.float64)
 
 
-def _faces_below(grid: Grid, axis: int, faces: NDArray) -> NDArray:
-    # the interior faces of one axis in the layout of _FaceOperator
-    out = np.zeros(grid.shape)
-    out[_slice_axis(grid.n_axes, axis, slice(1, None))] = faces[
-        _slice_axis(grid.n_axes, axis, slice(1, -1))]
-    return out.ravel()[math.prod(grid.shape[axis + 1:]):]
-
-
 class _FaceOperator:
-    """``a*I - d*L + d*A(coeffs)`` of one solve, as face rates per axis.
+    """``a*I - d*L + d*A(coeffs)`` of one solve: ``a``, ``d`` and the upwind
+    rates per axis in the layout of ``Grid._face_layout``, ``up = max(coeff *
+    area, 0)`` from the lower cell of a face into the upper one, per unit of
+    the lower cell's value, and ``down = max(-coeff * area, 0)`` back."""
 
-    With the cells in C order, the neighbour below cell ``k`` along an axis is
-    cell ``k - stride``, and entry ``k - stride`` of the axis's face arrays
-    is the face between them: its ``area`` and, with transport, the rates ``up
-    = max(coeff * area, 0)`` from the lower cell into the upper one, per unit
-    of the lower cell's value, and ``down = max(-coeff * area, 0)`` back.  The
-    entries of a cell on the lower boundary of the axis are 0.
-    """
-
-    def __init__(self, grid: Grid, geometry: list, a_coef: float, d_coef: float, coeffs):
-        # geometry: (stride, spacing, area) per axis, as HelmholtzSolver keeps it
+    def __init__(self, grid: Grid, a_coef: float, d_coef: float, coeffs):
+        self.grid = grid
         self.a_coef, self.d_coef, self.coeffs = a_coef, d_coef, coeffs
-        self.weights = grid.cell_weights.ravel()
-        self.axes = []  # (stride, spacing, area, up, down) per axis
-        for axis, (stride, h, area) in enumerate(geometry):
-            up = down = None
-            if coeffs is not None:
-                flow = _faces_below(grid, axis, coeffs[axis]) * area
-                up, down = np.maximum(flow, 0.0), np.maximum(-flow, 0.0)
-            self.axes.append((stride, h, area, up, down))
+        self.rates = None
+        if coeffs is not None:
+            self.rates = []
+            for axis, (_, _, area) in enumerate(grid._face_layout):
+                flow = _layout_faces(grid, axis, coeffs[axis]) * area
+                self.rates.append((np.maximum(flow, 0.0), np.maximum(-flow, 0.0)))
 
     def apply(self, x: NDArray) -> NDArray:
         """``a*x`` less ``d`` times the divergence of the face flow ``area *
         ((x_hi - x_lo) / h) - up * x_lo + down * x_hi``."""
-        flat = x.ravel()
-        size = flat.size
-        acc = np.zeros(size)
-        for stride, h, area, up, down in self.axes:
-            x_lo, x_hi = flat[:-stride], flat[stride:]
-            # the face below each cell, then those above the top layer
-            flow = np.zeros(size + stride)
-            inner = flow[stride:size]
-            np.subtract(x_hi, x_lo, out=inner)
-            inner /= h
-            inner *= area
-            if up is not None:
-                inner -= up * x_lo
-                inner += down * x_hi
-            acc += flow[stride:] - flow[:-stride]
-        acc /= self.weights
+        acc = _flow_divergence(self.grid, x, self.rates)
         acc *= self.d_coef
-        out = self.a_coef * flat
+        out = self.a_coef * x
         out -= acc
-        return out.reshape(x.shape)
+        return out
 
     def norm_bound(self) -> float:
-        # the largest absolute row sum: a face adds its diffusive rate twice
-        # and its transport rates once to the rows of both its cells
-        rows = np.zeros(self.weights.shape)
-        for stride, h, area, up, down in self.axes:
-            face = (2.0 / h) * area
-            if up is not None:
-                face = face + up + down
-            rows[stride:] += face
-            rows[:-stride] += face
-        return self.a_coef + self.d_coef * float((rows / self.weights).max())
+        # the largest absolute row sum: the entries of a row of -L sum in
+        # absolute value to twice its diagonal, and a face adds its transport
+        # rates to the rows of both its cells
+        rows = 2.0 * _neg_laplacian_diagonal(self.grid)
+        w = self.grid.cell_weights.ravel()
+        for (stride, _, _), (up, down) in zip(self.grid._face_layout, self.rates or ()):
+            rows[stride:] += (up + down) / w[stride:]
+            rows[:-stride] += (up + down) / w[:-stride]
+        return self.a_coef + self.d_coef * float(rows.max())
 
 
 class HelmholtzSolver:
@@ -151,17 +116,13 @@ class HelmholtzSolver:
     def __init__(self, grid: Grid):
         self.grid = grid
         self._weights = grid.cell_weights
-        self._geometry = [
-            (math.prod(grid.shape[axis + 1:]), h, _faces_below(grid, axis, grid.face_areas[axis]))
-            for axis, h in enumerate(grid.spacing)
-        ]
+        self._symbol = self._rates = None
         if grid.mode == "cartesian-2d":
             self._symbol = self._dct_symbol(grid)
-            self._rates = None
         else:
-            self._symbol = None
             # the tridiagonal inverse's diffusive face rates area / h, 0 on the boundary
-            self._rates = np.pad(self._geometry[0][2], 1) / grid.spacing[0]
+            _, h, area = grid._face_layout[0]
+            self._rates = np.pad(area, 1) / h
         self._op: _FaceOperator | None = None
 
     @staticmethod
@@ -178,7 +139,7 @@ class HelmholtzSolver:
         # match: it holds coeffs, whose arrays a caller does not change
         op = self._op
         if op is None or op.coeffs is not coeffs or (op.a_coef, op.d_coef) != (a_coef, d_coef):
-            op = self._op = _FaceOperator(self.grid, self._geometry, a_coef, d_coef, coeffs)
+            op = self._op = _FaceOperator(self.grid, a_coef, d_coef, coeffs)
         return op
 
     def _tridiagonal(self, a_coef: float, d_coef: float, coeffs=None) -> tuple[NDArray, ...]:
@@ -188,12 +149,12 @@ class HelmholtzSolver:
         cell ``j`` down at rate ``down[j]``: the diffusive rate plus the
         operator's transport rate in that direction.
         """
-        *_, flow_up, flow_down = self._operator(a_coef, d_coef, coeffs).axes[0]
+        rates = self._operator(a_coef, d_coef, coeffs).rates
         up = down = self._rates
-        if flow_up is not None:
+        if rates is not None:
             up, down = up.copy(), down.copy()
-            up[1:-1] += flow_up
-            down[1:-1] += flow_down
+            up[1:-1] += rates[0][0]
+            down[1:-1] += rates[0][1]
         w = self._weights
         diagonal = a_coef + d_coef * (up[1:] + down[:-1]) / w
         return -d_coef * up[1:-1] / w[1:], diagonal, -d_coef * down[1:-1] / w[:-1]

@@ -21,6 +21,7 @@ from numpy.typing import NDArray
 from .grid import (
     Grid,
     GridFunction,
+    _neg_laplacian_diagonal,
     _slice_axis,
     integrate,
     laplacian_values,
@@ -130,30 +131,15 @@ def production(u: GridFunction, params: ModelParams) -> GridFunction:
     return GridFunction(u.grid, u.values**params.theta)
 
 
-def _max_row_rate(grid: Grid) -> float:
-    # largest diagonal rate of the discrete Laplacian: sum over a cell's
-    # interior faces of area / (cell weight * spacing)
-    rate = np.zeros(grid.shape)
-    nd = grid.n_axes
-    for a in range(nd):
-        area = grid.face_areas[a].copy()
-        area[_slice_axis(nd, a, 0)] = 0.0
-        area[_slice_axis(nd, a, -1)] = 0.0
-        lo = area[_slice_axis(nd, a, slice(None, -1))]
-        hi = area[_slice_axis(nd, a, slice(1, None))]
-        rate += (lo + hi) / (grid.cell_weights * grid.spacing[a])
-    return float(rate.max())
-
-
 def _mollify_values(grid: Grid, values: NDArray[np.float64], eps: float) -> NDArray[np.float64]:
     # Conservative averaging: each pass is an explicit diffusion step
-    #   f <- f + (gamma / max_row_rate) * lap(f),  gamma = eps * scale < 1,
+    #   f <- f + (gamma / max diag(-L)) * lap(f),  gamma = eps * scale < 1,
     # which is doubly stochastic w.r.t. the cell weights: mass is exact,
     # nonnegativity and every L^q norm are nonexpansive, constants are fixed.
     # On a uniform 1d grid the step is gamma * h^2 / 2, i.e. the kernel
     # [gamma/2, 1 - gamma, gamma/2].
     gamma = eps * MOLLIFIER_KERNEL_SCALE
-    step = gamma / _max_row_rate(grid)
+    step = gamma / float(_neg_laplacian_diagonal(grid).max())
     out = values
     for _ in range(MOLLIFIER_PASSES):
         out = out + step * laplacian_values(grid, out)

@@ -383,12 +383,17 @@ def test_radial_laplacian_of_r_squared_closed_form():
 
 
 def test_divergence_of_gradient_is_laplacian(grid1d, grid2d):
+    # the flux-form kernel of laplacian_values does the arithmetic of
+    # divergence(gradient(.)) in the same order, so the two agree bit for bit
     rng = np.random.default_rng(3)
-    for g in (grid1d(40), grid2d(12)):
+    radial = build_grid("radial-n", extents=(1.0,), cells=(24,), n=3)
+    for g in (grid1d(40), grid2d(12), radial):
         f = GridFunction(g, rng.standard_normal(g.shape))
         via_ops = divergence(gradient(f)).values
         direct = laplacian_values(g, f.values)
         np.testing.assert_allclose(via_ops, direct, rtol=0.0, atol=1e-14)
+        assert np.array_equal(via_ops, direct)
+        assert np.array_equal(laplacian(f).values, direct)
 
 
 def test_divergence_rejects_nonzero_boundary_flux(grid1d):

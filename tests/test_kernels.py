@@ -2,12 +2,15 @@
 
 The references below are the earlier implementations of ``gradient_faces``,
 ``divergence_values``, ``laplacian_values``, ``face_gradient_magnitude_sq``,
-``flux_coefficients`` and ``upwind_flux`` (which returned the outflow rate with
-the fluxes), kept verbatim on the test side.  The kernels must reproduce them
-bit for bit, signed zeros included, so that every artifact stays
-byte-identical.  The upwind flux has no kernel of its own any more: the
-solver's operator applies the upwind transport from face rates, and it must
-match ``-L + div(upwind_flux)`` composed from the references to roundoff.
+``flux_coefficients``, ``upwind_flux`` (which returned the outflow rate with
+the fluxes) and the mollifier's ``_max_row_rate``, kept verbatim on the test
+side.  The kernels must reproduce them bit for bit, signed zeros included, so
+that every artifact stays byte-identical.  ``laplacian_values`` is now the flat
+flux-form kernel that the solver's operator shares, and the largest diagonal
+rate of ``-L`` is read from the grid's face layout.  The upwind flux has no
+kernel of its own any more: the solver's operator applies the upwind
+transport from face rates, and it must match ``-L + div(upwind_flux)``
+composed from the references to roundoff.
 Inputs mix both signs with exact zeros (flat stretches of a field give zero
 gradients, and with ``eps = 0`` zero flux factors), on a 1d
 grid, a non-square 2d grid with cell counts that are not powers of two, and a
@@ -19,6 +22,7 @@ import numpy as np
 import pytest
 
 from fluxks.grid import (
+    _neg_laplacian_diagonal,
     build_grid,
     divergence_values,
     gradient_faces,
@@ -117,6 +121,21 @@ def ref_upwind_flux(grid, u_values, coeffs):
     return fluxes, float(outflow.max())
 
 
+def ref_max_row_rate(grid):
+    # largest diagonal rate of the discrete Laplacian: sum over a cell's
+    # interior faces of area / (cell weight * spacing)
+    rate = np.zeros(grid.shape)
+    nd = grid.n_axes
+    for a in range(nd):
+        area = grid.face_areas[a].copy()
+        area[_axis(nd, a, 0)] = 0.0
+        area[_axis(nd, a, -1)] = 0.0
+        lo = area[_axis(nd, a, slice(None, -1))]
+        hi = area[_axis(nd, a, slice(1, None))]
+        rate += (lo + hi) / (grid.cell_weights * grid.spacing[a])
+    return float(rate.max())
+
+
 # -- inputs and the comparison
 
 
@@ -203,3 +222,15 @@ def test_upwind_flux_of_signed_coefficients_with_zeros(grid):
     u = np.abs(field(grid, 6))
     u[np.random.default_rng(7).random(grid.shape) < 0.2] = 0.0
     assert_transport_matches_reference(grid, u, coeffs)
+
+
+def test_laplacian_diagonal_matches_the_mollifier_reference(grid):
+    # the mollifier's step divides by the largest rate: bit for bit with the
+    # reference, so the mollified data keep their bits
+    diag = _neg_laplacian_diagonal(grid)
+    assert float(diag.max()) == ref_max_row_rate(grid)
+    # and it is the diagonal of -L, read off the kernel's unit responses
+    size = diag.size
+    neg_lap = [-laplacian_values(grid, e.reshape(grid.shape)).ravel()[k]
+               for k, e in enumerate(np.eye(size))]
+    np.testing.assert_allclose(diag, neg_lap, rtol=1e-13)

@@ -130,6 +130,21 @@ def test_apply_matches_the_grid_kernels(mode, kwargs, a_coef, d_coef):
             assert abs(total - a_coef * float(np.sum(w * x))) <= 1e-14 * float(np.sum(np.abs(w * y)))
 
 
+@pytest.mark.parametrize("mode,kwargs", ALL_GRIDS)
+@pytest.mark.parametrize("transport", [False, True])
+def test_norm_bound_is_the_largest_absolute_row_sum(mode, kwargs, transport):
+    # the backward-error floor's ||A||, from the diagonal of -L and the
+    # transport rates, against the dense matrix of apply
+    grid = build_grid(mode, **kwargs)
+    solver = HelmholtzSolver(grid)
+    coeffs = random_coeffs(grid, 16) if transport else None
+    size = int(np.prod(grid.shape))
+    mat = np.array([solver.apply(1.1, 0.3, e.reshape(grid.shape), coeffs).ravel()
+                    for e in np.eye(size)]).T
+    bound = solver._operator(1.1, 0.3, coeffs).norm_bound()
+    assert bound == pytest.approx(float(np.abs(mat).sum(axis=1).max()), rel=1e-13)
+
+
 @pytest.mark.parametrize("mode,kwargs", ONE_AXIS_GRIDS)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_transport_bands_match_apply_and_form_an_m_matrix(mode, kwargs, seed):
