@@ -24,8 +24,7 @@ _EXPORTS = {
     for module, names in {
         "errors": ("ConfigError", "FluxksError", "PositivityError", "SolverError",
                    "TimeStepCollapse"),
-        "grid": ("Grid", "GridFunction", "VectorGridFunction", "build_grid", "gradient",
-                 "divergence", "laplacian", "integrate", "inner", "lp_norm",
+        "grid": ("Grid", "GridFunction", "build_grid", "integrate", "lp_norm",
                  "gradient_lp_norm"),
         "model": ("ModelParams", "InitialData", "build_initial_data",
                   "mollify_initial_data", "production"),

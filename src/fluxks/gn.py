@@ -44,14 +44,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .grid import (
-    Grid,
-    GridFunction,
-    divergence_values,
-    faces_lp_norm,
-    gradient_faces,
-    measure_boundary_faces,
-)
+from .grid import Grid, GridFunction, faces_lp_norm, laplacian_values, measured_gradient_faces
 
 ENSEMBLE_VERSION = 1
 EXPONENT_TOL = 1e-12
@@ -161,8 +154,8 @@ class _Norms:
     share their intermediates too: ``log |f|`` is taken once, and every
     finite index but 2 is ``(sum exp(p log |f|) w)^(1/p)``, which costs an
     ``exp`` per index where ``|f|^p`` would cost a fractional power (a zero
-    cell gives ``exp(-inf) = 0``); ``f`` is differenced once, for both the
-    measurement gradient and the Laplacian.
+    cell gives ``exp(-inf) = 0``); the measurement gradient serves every
+    gradient index.
     """
 
     def __init__(self, f: GridFunction):
@@ -170,7 +163,6 @@ class _Norms:
         self._lp: dict[float, float] = {}
         self._grad_lp: dict[float, float] = {}
         self._log_abs = None
-        self._diffs = None
         self._faces = None
         self._lap_l2 = None
 
@@ -196,25 +188,17 @@ class _Norms:
         terms *= self.f.grid.cell_weights
         return float(np.sum(terms) ** (1.0 / p))
 
-    def _differences(self) -> list[np.ndarray]:
-        # the face differences with zero boundary faces, as gradient_faces
-        if self._diffs is None:
-            self._diffs = gradient_faces(self.f.grid, self.f.values)
-        return self._diffs
-
     def grad_lp(self, p: float) -> float:
         if p not in self._grad_lp:
             if self._faces is None:
-                # copies: lap_l2 reads the differences with zero boundary faces
-                copies = [d.copy() for d in self._differences()]
-                self._faces = measure_boundary_faces(self.f.grid, copies)
+                self._faces = measured_gradient_faces(self.f.grid, self.f.values)
             self._grad_lp[p] = faces_lp_norm(self.f.grid, self._faces, p)
         return self._grad_lp[p]
 
     def lap_l2(self) -> float:
-        """The L2 norm of ``laplacian_values(f)``, to the bit."""
+        """The L2 norm of ``laplacian_values(f)``."""
         if self._lap_l2 is None:
-            lap = divergence_values(self.f.grid, self._differences())
+            lap = laplacian_values(self.f.grid, self.f.values)
             lap *= lap
             lap *= self.f.grid.cell_weights
             self._lap_l2 = float(np.sqrt(np.sum(lap)))

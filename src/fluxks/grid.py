@@ -1,12 +1,14 @@
-"""Finite-volume grids, fields, and discrete calculus with no-flux boundaries.
+"""Finite-volume grids, fields, and the array kernels of discrete calculus
+with no-flux boundaries.
 
 Layout conventions
 ------------------
-Scalar fields live at cell centers, vector fields at cell faces (one face array
-per axis).  For ``N`` cells per axis there are ``N + 1`` faces; face ``j`` of
-axis ``a`` sits between cells ``j - 1`` and ``j`` along that axis.  Boundary
-faces (``j = 0`` and ``j = N``) carry exactly zero in every stored vector
-field: the no-flux condition is encoded structurally, not approximately.
+Scalar fields live at cell centers (a :class:`GridFunction`, or an array
+shaped like the grid), face fields at cell faces, one array per axis.  For
+``N`` cells per axis there are ``N + 1`` faces; face ``j`` of axis ``a`` sits
+between cells ``j - 1`` and ``j`` along that axis.  Boundary faces (``j = 0``
+and ``j = N``) of the gradient carry exactly zero: the no-flux condition is
+encoded structurally, not approximately.
 
 Three modes are supported:
 
@@ -20,13 +22,16 @@ Three modes are supported:
   ``omega * r_i^(n-1) * h`` by the midpoint rule, where ``omega`` is the
   surface measure of the unit sphere.
 
-The divergence divides net face flow by the cell weight, so cell sums of the
-divergence telescope to the boundary fluxes and vanish identically: discrete
-integration by parts holds exactly, and ``laplacian``, equal to
-``divergence(gradient(.))`` bit for bit, is self-adjoint in the cell-weighted
-inner product with constants in its null space.  One flux-form kernel,
-``_flow_divergence``, computes it and the implicit solver's operator
-(:mod:`fluxks.linalg`) from the face layout cached on the grid.
+The operators are array kernels.  ``gradient_faces`` differences a field
+across the faces.  ``divergence_values`` divides net face flow by the cell
+weight, so its cell sums telescope to the boundary fluxes and vanish
+identically: discrete integration by parts holds exactly, and
+``laplacian_values``, equal to ``divergence_values(gradient_faces(.))`` bit
+for bit, is self-adjoint in the cell-weighted inner product with constants in
+its null space.  One flux-form kernel, ``_flow_divergence``, computes it and
+the implicit solver's operator (:mod:`fluxks.linalg`) from the face layout
+cached on the grid.  ``measured_gradient_faces`` is the gradient for
+measurement, which the norms read.
 """
 
 from __future__ import annotations
@@ -281,38 +286,6 @@ class GridFunction:
         return cls(grid, np.full(grid.shape, float(value)))
 
 
-class VectorGridFunction:
-    """Face-centered vector field; boundary faces must be exactly zero."""
-
-    __slots__ = ("grid", "faces")
-
-    def __init__(self, grid: Grid, faces: tuple[NDArray[np.float64], ...]):
-        if len(faces) != grid.n_axes:
-            raise ValueError(f"expected {grid.n_axes} face arrays, got {len(faces)}")
-        checked = []
-        for a, arr in enumerate(faces):
-            arr = np.asarray(arr, dtype=np.float64)
-            if arr.shape != grid.face_shape(a):
-                raise ValueError(
-                    f"axis {a} faces shape {arr.shape} != expected {grid.face_shape(a)}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("face values must be finite (NaN/Inf rejected)")
-            checked.append(arr)
-        _check_no_flux(grid, checked)
-        self.grid = grid
-        self.faces = tuple(checked)
-
-
-def _check_no_flux(grid: Grid, faces) -> None:
-    # the no-flux encoding: every boundary face value is exactly zero
-    for a, arr in enumerate(faces):
-        lo = arr[_slice_axis(grid.n_axes, a, 0)]
-        hi = arr[_slice_axis(grid.n_axes, a, -1)]
-        if np.any(lo != 0.0) or np.any(hi != 0.0):
-            raise ValueError("boundary faces must be exactly zero (no-flux encoding)")
-
-
 def _slice_axis(ndim: int, axis: int, s: int | slice) -> tuple:
     # the index that applies s along axis and takes every other axis whole
     idx: list = [slice(None)] * ndim
@@ -320,7 +293,7 @@ def _slice_axis(ndim: int, axis: int, s: int | slice) -> tuple:
     return tuple(idx)
 
 
-# -- raw-array kernels (shared by the public operators, the model and the implicit solver)
+# -- array kernels (the operators of the model, the solver, the mollifier and the norms)
 
 
 def gradient_faces(grid: Grid, values: NDArray[np.float64]) -> list[NDArray[np.float64]]:
@@ -372,6 +345,10 @@ def _flow_divergence(grid: Grid, values: NDArray[np.float64], rates=None) -> NDA
         # the face below each cell, then those above the top layer
         flow = np.zeros(flat.size + stride)
         inner = np.subtract(x_hi, x_lo, out=flow[stride:-stride])
+        if axis == 1:
+            # the 2d pairs that straddle the end of a row have no face between
+            # them (area 0): an overflowing difference there would give inf * 0
+            inner[grid.shape[1] - 1::grid.shape[1]] = 0.0
         inner /= h
         inner *= area
         if rates is not None:
@@ -399,33 +376,12 @@ def _neg_laplacian_diagonal(grid: Grid) -> NDArray[np.float64]:
     return diag
 
 
-# -- public operators
-
-
-def gradient(f: GridFunction) -> VectorGridFunction:
-    """Discrete gradient at faces; boundary faces are zero by the no-flux encoding."""
-    return VectorGridFunction(f.grid, tuple(gradient_faces(f.grid, f.values)))
-
-
-def divergence(vf: VectorGridFunction) -> GridFunction:
-    """Conservative divergence; cell sums telescope to zero exactly."""
-    _check_no_flux(vf.grid, vf.faces)
-    return GridFunction(vf.grid, divergence_values(vf.grid, vf.faces))
-
-
-def laplacian(f: GridFunction) -> GridFunction:
-    """:func:`laplacian_values` of ``f``, equal to ``divergence(gradient(f))`` bit for bit."""
-    return GridFunction(f.grid, laplacian_values(f.grid, f.values))
+# -- integrals and norms
 
 
 def integrate(f: GridFunction) -> float:
     """Cell-weighted sum (midpoint quadrature)."""
     return float(np.sum(f.values * f.grid.cell_weights))
-
-
-def inner(f: GridFunction, g: GridFunction) -> float:
-    """Cell-weighted inner product."""
-    return float(np.sum(f.values * g.values * f.grid.cell_weights))
 
 
 def lp_norm(f: GridFunction, p: float) -> float:
@@ -461,16 +417,7 @@ def measured_gradient_faces(grid: Grid, values: NDArray[np.float64]) -> list[NDA
     general fields.  Copying the adjacent interior gradient restores second
     order accuracy of the face quadrature.
     """
-    return measure_boundary_faces(grid, gradient_faces(grid, values))
-
-
-def measure_boundary_faces(grid: Grid, faces) -> list[NDArray[np.float64]]:
-    """Turn :func:`gradient_faces` output, in place, into the measurement
-    gradient of :func:`measured_gradient_faces`, and return it.
-
-    Lets a caller that differences a field once use the differences both with
-    their zero boundary faces and for measurement.
-    """
+    faces = gradient_faces(grid, values)
     nd = grid.n_axes
     for a, g in enumerate(faces):
         g[_slice_axis(nd, a, 0)] = g[_slice_axis(nd, a, 1)]

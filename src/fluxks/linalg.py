@@ -81,7 +81,7 @@ class _FaceOperator:
 
     def __init__(self, grid: Grid, a_coef: float, d_coef: float, coeffs):
         self.grid = grid
-        self.a_coef, self.d_coef, self.coeffs = a_coef, d_coef, coeffs
+        self.a_coef, self.d_coef = a_coef, d_coef
         self.rates = None
         if coeffs is not None:
             self.rates = []
@@ -123,7 +123,6 @@ class HelmholtzSolver:
             # the tridiagonal inverse's diffusive face rates area / h, 0 on the boundary
             _, h, area = grid._face_layout[0]
             self._rates = np.pad(area, 1) / h
-        self._op: _FaceOperator | None = None
 
     @staticmethod
     def _dct_symbol(grid: Grid) -> NDArray[np.float64]:
@@ -134,35 +133,26 @@ class HelmholtzSolver:
         )
         return kx[:, None] + ky[None, :]
 
-    def _operator(self, a_coef: float, d_coef: float, coeffs) -> _FaceOperator:
-        # the operator of the last solve when a, d and the coeffs object itself
-        # match: it holds coeffs, whose arrays a caller does not change
-        op = self._op
-        if op is None or op.coeffs is not coeffs or (op.a_coef, op.d_coef) != (a_coef, d_coef):
-            op = self._op = _FaceOperator(self.grid, a_coef, d_coef, coeffs)
-        return op
-
-    def _tridiagonal(self, a_coef: float, d_coef: float, coeffs=None) -> tuple[NDArray, ...]:
-        """``a*I - d*L + d*A`` as its ``(lower, diagonal, upper)`` diagonals.
+    def _tridiagonal(self, op: _FaceOperator) -> tuple[NDArray, ...]:
+        """The diagonals ``(lower, diagonal, upper)`` of ``op``, ``a*I - d*L + d*A``.
 
         Face ``j`` moves mass from cell ``j - 1`` up at rate ``up[j]`` and from
         cell ``j`` down at rate ``down[j]``: the diffusive rate plus the
         operator's transport rate in that direction.
         """
-        rates = self._operator(a_coef, d_coef, coeffs).rates
         up = down = self._rates
-        if rates is not None:
+        if op.rates is not None:
             up, down = up.copy(), down.copy()
-            up[1:-1] += rates[0][0]
-            down[1:-1] += rates[0][1]
-        w = self._weights
+            up[1:-1] += op.rates[0][0]
+            down[1:-1] += op.rates[0][1]
+        a_coef, d_coef, w = op.a_coef, op.d_coef, self._weights
         diagonal = a_coef + d_coef * (up[1:] + down[:-1]) / w
         return -d_coef * up[1:-1] / w[1:], diagonal, -d_coef * down[1:-1] / w[:-1]
 
     def apply(self, a_coef: float, d_coef: float, x: NDArray, coeffs=None) -> NDArray:
         """The operator ``a*x - d*L(x) + d*A(x)`` of the solve, independent of
         any inverse (no transport term without ``coeffs``)."""
-        return self._operator(a_coef, d_coef, coeffs).apply(x)
+        return _FaceOperator(self.grid, a_coef, d_coef, coeffs).apply(x)
 
     def _dot(self, f: NDArray, g: NDArray) -> float:
         # the weighted inner product as a numpy reduction, not a BLAS call,
@@ -174,11 +164,11 @@ class HelmholtzSolver:
     def _norm(self, f: NDArray) -> float:
         return math.sqrt(self._dot(f, f))
 
-    def _inverse(self, a_coef: float, d_coef: float, coeffs) -> Callable[[NDArray], NDArray]:
-        # the exact inverse; in 2d that of a*I - d*L, which is the GMRES
+    def _inverse(self, op: _FaceOperator) -> Callable[[NDArray], NDArray]:
+        # the exact inverse of op; in 2d that of a*I - d*L, which is the GMRES
         # preconditioner when there is transport
         if self._symbol is not None:
-            denom = a_coef + d_coef * self._symbol
+            denom = op.a_coef + op.d_coef * self._symbol
 
             def inverse(r: NDArray) -> NDArray:
                 rh = scipy.fft.dctn(r, type=2, norm="ortho")
@@ -186,7 +176,7 @@ class HelmholtzSolver:
                 return scipy.fft.idctn(rh, type=2, norm="ortho", overwrite_x=True)
 
             return inverse
-        lower, diagonal, upper = self._tridiagonal(a_coef, d_coef, coeffs)
+        lower, diagonal, upper = self._tridiagonal(op)
 
         def inverse(r: NDArray) -> NDArray:
             # overwrite flags off (gtsv's default): the diagonals serve every correction
@@ -261,7 +251,7 @@ class HelmholtzSolver:
             raise SolverError(f"the right-hand side's norm {norm_b} is not finite")
         if norm_b == 0.0:
             return np.zeros_like(rhs), 0, 0.0
-        op = self._operator(a_coef, d_coef, coeffs)
+        op = _FaceOperator(self.grid, a_coef, d_coef, coeffs)
         x = x0.copy()
         krylov = self._symbol is not None and coeffs is not None
         target = SOLVER_RTOL * norm_b
@@ -269,7 +259,7 @@ class HelmholtzSolver:
         norm_prev = math.inf
         for k in range(CORRECTIONS + 1):
             if k == 1:  # built only when x0 is not exact
-                inverse = self._inverse(a_coef, d_coef, coeffs)
+                inverse = self._inverse(op)
             if k > 0:
                 if krylov:
                     dx, used = self._gmres(op, inverse, r, norm_r, KRYLOV_RTOL * norm_b)

@@ -83,6 +83,8 @@ def test_gn2_exponent_hand_values():
     assert gn2_exponent(math.inf, 2.0, 2) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError, match="outside"):
         gn2_exponent(1.0, 2.0, 2)  # b = 0
+    with pytest.raises(ValueError, match="degenerate denominator"):
+        gn2_exponent(2.0, math.inf, 4)  # 0 + 2/4 - 1/2 = 0
 
 
 def test_exponent_dataclass_validation():

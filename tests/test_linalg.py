@@ -1,7 +1,7 @@
 """Helmholtz and transport-diffusion solves checked against dense linear algebra.
 
-The operator (a*I - d*L) is assembled column by column through the public
-laplacian and solved with numpy; the matrix-free solver must agree to the
+The operator (a*I - d*L) is assembled column by column through
+laplacian_values and solved with numpy; the matrix-free solver must agree to the
 residual tolerance it certifies, and the residual it reports must be the true
 residual of the solution it returns.  On one-axis grids the upwind transport
 term's diagonals are checked the same way against the matvec, and for the
@@ -25,7 +25,7 @@ from scipy.linalg import solve_banded
 from fluxks import linalg
 from fluxks.errors import SolverError
 from fluxks.grid import GridFunction, build_grid, divergence_values, integrate, laplacian_values
-from fluxks.linalg import SOLVER_RTOL, HelmholtzSolver
+from fluxks.linalg import SOLVER_RTOL, HelmholtzSolver, _FaceOperator
 from conftest import count_laplacians, mode_dispersion
 from fluxks.model import ModelParams, build_initial_data
 from fluxks.stepper import RunStatus, StepControls, _clamp_negative, simulate
@@ -141,7 +141,7 @@ def test_norm_bound_is_the_largest_absolute_row_sum(mode, kwargs, transport):
     size = int(np.prod(grid.shape))
     mat = np.array([solver.apply(1.1, 0.3, e.reshape(grid.shape), coeffs).ravel()
                     for e in np.eye(size)]).T
-    bound = solver._operator(1.1, 0.3, coeffs).norm_bound()
+    bound = _FaceOperator(grid, 1.1, 0.3, coeffs).norm_bound()
     assert bound == pytest.approx(float(np.abs(mat).sum(axis=1).max()), rel=1e-13)
 
 
@@ -158,7 +158,8 @@ def test_transport_bands_match_apply_and_form_an_m_matrix(mode, kwargs, seed):
         e = np.zeros(size)
         e[j] = 1.0
         applied[:, j] = solver.apply(a_coef, d_coef, e, coeffs)
-    banded = dense_from_diagonals(*solver._tridiagonal(a_coef, d_coef, coeffs))
+    op = _FaceOperator(grid, a_coef, d_coef, coeffs)
+    banded = dense_from_diagonals(*solver._tridiagonal(op))
     np.testing.assert_allclose(banded, applied, rtol=0.0, atol=1e-12 * np.abs(applied).max())
     # M-matrix: positive diagonal, nonpositive off-diagonals; weighted column
     # sums equal a, i.e. the solve conserves mass
@@ -181,7 +182,7 @@ def test_tridiagonal_inverse_matches_solve_banded_bit_for_bit(mode, kwargs, tran
     grid = build_grid(mode, **kwargs)
     coeffs = random_coeffs(grid, 11) if transport else None
     r = np.random.default_rng(12).standard_normal(grid.shape)
-    x = HelmholtzSolver(grid)._inverse(a_coef, 0.03, coeffs)(r)
+    x = HelmholtzSolver(grid)._inverse(_FaceOperator(grid, a_coef, 0.03, coeffs))(r)
     assert np.array_equal(x, solve_banded((1, 1), band_matrix(grid, a_coef, 0.03, coeffs), r))
 
 
@@ -191,7 +192,7 @@ def test_tridiagonal_zero_pivot_raises(mode, kwargs):
     grid = build_grid(mode, **kwargs)
     solver = HelmholtzSolver(grid)
     solver._rates = np.zeros_like(solver._rates)
-    inverse = solver._inverse(0.0, 0.5, None)
+    inverse = solver._inverse(_FaceOperator(grid, 0.0, 0.5, None))
     with pytest.raises(SolverError, match="zero pivot"):
         inverse(np.ones(grid.shape))
 
@@ -201,7 +202,7 @@ def test_dct_inverse_commutes_with_reflections_bit_for_bit():
     # along either axis, bit for bit, so its roundoff cannot break a symmetry
     # of the data
     grid = build_grid("cartesian-2d", extents=(1.0, 1.0), cells=(16, 12))
-    inverse = HelmholtzSolver(grid)._inverse(1.0, 0.3, None)
+    inverse = HelmholtzSolver(grid)._inverse(_FaceOperator(grid, 1.0, 0.3, None))
     r = np.random.default_rng(6).standard_normal(grid.shape)
     x = inverse(r)
     assert np.array_equal(inverse(r[::-1]), x[::-1])

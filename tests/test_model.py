@@ -14,7 +14,6 @@ from fluxks.grid import (
     GridFunction,
     build_grid,
     divergence_values,
-    gradient,
     gradient_faces,
     integrate,
     lp_norm,
@@ -41,7 +40,7 @@ def upwind_flux(grid, u_values, coeffs):
 
 def flux(u, grad_v, params):
     # the upwind chemotactic face flux chi * u * (|grad v|^2 + eps)^((p-2)/2) * grad v
-    return upwind_flux(u.grid, u.values, flux_coefficients(u.grid, grad_v.faces, params))
+    return upwind_flux(u.grid, u.values, flux_coefficients(u.grid, grad_v, params))
 
 
 def params_with(**kw):
@@ -115,7 +114,7 @@ def test_flux_zero_signal_gradient(grid1d):
     u = GridFunction.constant(g, 5.0)
     v = GridFunction.constant(g, 1.0)
     for eps in (0.0, 1e-3):
-        fl = flux(u, gradient(v), params_with(eps=eps))
+        fl = flux(u, gradient_faces(g, v.values), params_with(eps=eps))
         np.testing.assert_allclose(fl[0], 0.0)
 
 
@@ -124,12 +123,12 @@ def test_flux_p2_is_classical_and_eps_free(grid1d):
     g = grid1d(32)
     u = GridFunction.from_callable(g, lambda x: 1.0 + x)
     v = GridFunction.from_callable(g, lambda x: x * (1.0 - x))
-    gv = gradient(v)
+    gv = gradient_faces(g, v.values)
     f0 = flux(u, gv, params_with(p=2.0, eps=0.0))
     f1 = flux(u, gv, params_with(p=2.0, eps=0.5))
     np.testing.assert_allclose(f0[0], f1[0], rtol=0.0, atol=0.0)
     # against the upwind hand formula
-    coeff = gv.faces[0][1:-1]
+    coeff = gv[0][1:-1]
     up = np.where(coeff > 0.0, u.values[:-1], u.values[1:])
     np.testing.assert_allclose(f0[0][1:-1], coeff * up, rtol=1e-15)
 
@@ -171,7 +170,7 @@ def test_flux_hand_oracle_plane_signal():
     X, Y = g.center_mesh()
     v = GridFunction(g, 3.0 * X + 4.0 * Y)
     u = GridFunction.constant(g, 1.0)
-    fl = flux(u, gradient(v), params_with(p=1.5, eps=0.0, n=2))
+    fl = flux(u, gradient_faces(g, v.values), params_with(p=1.5, eps=0.0, n=2))
     s = 5.0**-0.5
     # away from every wall the tangential average sees the full gradient
     np.testing.assert_allclose(fl[0][4:-4, 4:-4], 3.0 * s, rtol=1e-12)
@@ -185,7 +184,7 @@ def test_flux_linear_in_chi_and_u(grid1d):
     g = grid1d(24)
     u = GridFunction.from_callable(g, lambda x: 1.0 + 0.5 * np.sin(2 * math.pi * x))
     v = GridFunction.from_callable(g, lambda x: np.cos(math.pi * x))
-    gv = gradient(v)
+    gv = gradient_faces(g, v.values)
     base = flux(u, gv, params_with(chi=1.0))[0]
     twice_chi = flux(u, gv, params_with(chi=2.0))[0]
     np.testing.assert_allclose(twice_chi, 2.0 * base, rtol=0.0, atol=0.0)
@@ -198,11 +197,11 @@ def test_flux_upwind_cell_selection(grid1d):
     g = grid1d(8)
     u = GridFunction(g, np.arange(1.0, 9.0))
     v = GridFunction.from_callable(g, lambda x: x)  # grad v > 0
-    fl = flux(u, gradient(v), params_with(p=2.0, eps=0.0))
+    fl = flux(u, gradient_faces(g, v.values), params_with(p=2.0, eps=0.0))
     # positive coefficient picks the left (upwind) cell
     np.testing.assert_allclose(fl[0][1:-1], u.values[:-1], rtol=1e-14)
     v_dn = GridFunction.from_callable(g, lambda x: -x)
-    fl_dn = flux(u, gradient(v_dn), params_with(p=2.0, eps=0.0))
+    fl_dn = flux(u, gradient_faces(g, v_dn.values), params_with(p=2.0, eps=0.0))
     np.testing.assert_allclose(fl_dn[0][1:-1], -u.values[1:], rtol=1e-14)
 
 
@@ -211,7 +210,7 @@ def test_flux_eps_monotone_for_sublinear_p(grid1d):
     g = grid1d(32)
     u = GridFunction.constant(g, 1.0)
     v = GridFunction.from_callable(g, lambda x: np.sin(math.pi * x))
-    gv = gradient(v)
+    gv = gradient_faces(g, v.values)
     mags = []
     for eps in (0.0, 0.1, 0.5):
         fl = flux(u, gv, params_with(p=1.5, eps=eps))
@@ -224,7 +223,7 @@ def test_flux_eps_limit_consistency_nondegenerate(grid1d):
     # grad v = 1 everywhere inside: error = 1 - (1 + eps)^((p-2)/2) ~ eps/4
     g = grid1d(64)
     u = GridFunction.constant(g, 1.0)
-    gv = gradient(GridFunction.from_callable(g, lambda x: x))
+    gv = gradient_faces(g, g.axis_centers(0))
     limit = flux(u, gv, params_with(p=1.5, eps=0.0))[0]
     errs = []
     for eps in (1e-2, 1e-4, 1e-6):
@@ -240,7 +239,7 @@ def test_flux_eps_limit_consistency_degenerate_point(grid1d):
     g = grid1d(64)
     u = GridFunction.from_callable(g, lambda x: 1.0 + 0.3 * np.cos(math.pi * x))
     v = GridFunction.from_callable(g, lambda x: np.sin(math.pi * x) + 0.2 * x)
-    gv = gradient(v)
+    gv = gradient_faces(g, v.values)
     limit = flux(u, gv, params_with(p=1.5, eps=0.0))[0]
     errs = []
     for eps in (1e-2, 1e-4, 1e-6):
@@ -252,9 +251,9 @@ def test_flux_eps_limit_consistency_degenerate_point(grid1d):
 
 def test_face_gradient_magnitude_1d_is_square(grid1d):
     g = grid1d(16)
-    gv = gradient(GridFunction.from_callable(g, lambda x: x**2))
-    mags = face_gradient_magnitude_sq(g, gv.faces)
-    np.testing.assert_allclose(mags[0], gv.faces[0] ** 2, rtol=1e-15)
+    gv = gradient_faces(g, g.axis_centers(0) ** 2)
+    mags = face_gradient_magnitude_sq(g, gv)
+    np.testing.assert_allclose(mags[0], gv[0] ** 2, rtol=1e-15)
 
 
 # -------------------------------------------------------------- mollifier
