@@ -24,8 +24,7 @@ _EXPORTS = {
     for module, names in {
         "errors": ("ConfigError", "FluxksError", "PositivityError", "SolverError",
                    "TimeStepCollapse"),
-        "grid": ("Grid", "GridFunction", "build_grid", "integrate", "lp_norm",
-                 "gradient_lp_norm"),
+        "grid": ("Grid", "GridFunction", "FieldNorms", "build_grid", "integrate"),
         "model": ("ModelParams", "InitialData", "build_initial_data",
                   "mollify_initial_data", "production"),
         "regimes": ("RegimeSpec", "ExponentAudit", "QRanges", "SRule", "critical_exponent",

@@ -6,11 +6,13 @@ Two Lyapunov-type quantities are tracked along a run:
   whose dissipation inequality certifies the L^q window;
 * ``F2 = int u^q2 + int |grad v|^2`` -- the density/signal-gradient pair.
 
-``F2`` always decomposes exactly as ``uq[q2] + gradv_l2`` of the same record,
-because all three numbers come from one quadrature. Gradient integrals use the
-face-component quadrature of :func:`fluxks.grid.gradient_lp_norm`; the
-dissipation integral ``int u^(q-2) |grad u|^2`` shares it, with face values of
-``u`` averaged arithmetically and floored to keep negative powers finite.
+Every integral of a record comes from one :class:`fluxks.grid.FieldNorms`
+for ``u`` and one for ``v``, so ``F2`` decomposes exactly as ``uq[q2] +
+gradv_l2`` of the same record.  Gradient integrals use the face-component
+quadrature of ``FieldNorms.grad_integral``; the dissipation integral
+``int u^(q-2) |grad u|^2`` shares it and ``u``'s measurement gradient, with
+face values of ``u`` averaged arithmetically and floored to keep negative
+powers finite.
 """
 
 from __future__ import annotations
@@ -23,17 +25,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
-from .grid import (
-    GridFunction,
-    face_quadrature_weights,
-    faces_lp_norm,
-    gradient_lp_norm,
-    integrate,
-    laplacian_values,
-    lp_norm,
-    measured_gradient_faces,
-    _slice_axis,
-)
+from .grid import FieldNorms, GridFunction, face_quadrature_weights, integrate, _slice_axis
 from .model import ModelParams
 from .regimes import RegimeSpec, audit, s_rule
 from .runtime import write_atomic
@@ -149,20 +141,13 @@ _Q_FIELDS = tuple(
 )
 
 
-def density_integral(u: GridFunction, q: float) -> float:
-    """``int u^q`` (cell quadrature); ``q > 0`` required."""
-    if q <= 0.0:
-        raise ValueError(f"density integral requires q > 0, got {q}")
-    return float(np.sum(u.values**q * u.grid.cell_weights))
-
-
 def entropy_F1(u: GridFunction, v: GridFunction, q: float, c: float) -> float:
     """``sign(q-1) * int u^q + c * int v^2``.
 
     Raises:
         ValueError: ``q = 1`` (the sign is undefined there) or ``c < 0``.
     """
-    return _f1(density_integral(u, q), float(np.sum(v.values**2 * v.grid.cell_weights)), q, c)
+    return _f1(FieldNorms(u).integral(q), FieldNorms(v).integral(2.0), q, c)
 
 
 def _f1(uq: float, v_l2: float, q: float, c: float) -> float:
@@ -182,7 +167,7 @@ def entropy_F2(u: GridFunction, v: GridFunction, q: float) -> float:
     """
     if q <= 1.0:
         raise ValueError(f"entropy_F2 requires q > 1, got {q}")
-    return density_integral(u, q) + gradient_lp_norm(v, 2.0) ** 2
+    return FieldNorms(u).integral(q) + FieldNorms(v).grad_integral(2.0)
 
 
 def dissipation_u(u: GridFunction, q: float) -> float:
@@ -194,12 +179,13 @@ def dissipation_u(u: GridFunction, q: float) -> float:
     """
     if q <= 0.0:
         raise ValueError(f"dissipation requires q > 0, got {q}")
-    return _dissipation(_dissipation_parts(u, measured_gradient_faces(u.grid, u.values)), q)
+    return _dissipation(_dissipation_parts(FieldNorms(u)), q)
 
 
-def _dissipation_parts(u: GridFunction, grads) -> list:
+def _dissipation_parts(norms: FieldNorms) -> list:
     # per axis: the floored face density, the squared face gradient and the
-    # face weights of dissipation_u, given measurement face gradients of u
+    # face weights of dissipation_u, from the norms of u
+    u, grads = norms.f, norms.faces
     grid = u.grid
     nd = grid.n_axes
     parts = []
@@ -233,39 +219,27 @@ def record(state: "SimState", monitors: MonitorSettings) -> FunctionalRecord:
     qs, s, q_f1, q_f2 = monitors.q_set, monitors.s, monitors.q_f1, monitors.q_f2
     if None in (qs, s, q_f1, q_f2):
         raise ValueError(f"unset index in {monitors}: use MonitorSettings.resolve first")
-    u, v = state.u, state.v
-
-    # one measurement gradient per field serves every index
-    grads_u = measured_gradient_faces(u.grid, u.values)
-    grads_v = measured_gradient_faces(v.grid, v.values)
-    uq = {q: density_integral(u, q) for q in qs}
-    dissip_parts = _dissipation_parts(u, grads_u)
-    dissip = {q: _dissipation(dissip_parts, q) for q in qs}
-    gradv_l2 = faces_lp_norm(v.grid, grads_v, 2.0) ** 2
+    u, v = FieldNorms(state.u), FieldNorms(state.v)
+    dissip_parts = _dissipation_parts(u)
     if math.isinf(s):
-        gradv_ls = faces_lp_norm(v.grid, grads_v, math.inf)
-        v_w1s = max(lp_norm(v, math.inf), gradv_ls)
+        gradv_ls = v.grad_lp(math.inf)
+        v_w1s = max(v.lp(math.inf), gradv_ls)
     else:
-        gradv_ls = faces_lp_norm(v.grid, grads_v, s) ** s
-        v_w1s = (lp_norm(v, s) ** s + gradv_ls) ** (1.0 / s)
-
-    # F1 and F2 reuse the integrals of this record
-    uq_f1, uq_f2 = (uq[q] if q in uq else density_integral(u, q) for q in (q_f1, q_f2))
-    v_l2 = float(np.sum(v.values**2 * v.grid.cell_weights))
-    lap_v = laplacian_values(v.grid, v.values)
+        gradv_ls = v.grad_integral(s)
+        v_w1s = (v.integral(s) + gradv_ls) ** (1.0 / s)
     return FunctionalRecord(
         t=state.t,
-        mass=integrate(u),
-        uq=uq,
-        u_linf=lp_norm(u, math.inf),
-        v_l2=v_l2,
-        gradv_l2=gradv_l2,
+        mass=integrate(state.u),
+        uq={q: u.integral(q) for q in qs},
+        u_linf=u.lp(math.inf),
+        v_l2=v.integral(2.0),
+        gradv_l2=v.grad_integral(2.0),
         gradv_ls=gradv_ls,
         v_w1s=v_w1s,
-        lap_v_l2=float(np.sum(lap_v**2 * v.grid.cell_weights)),
-        dissip_u=dissip,
-        F1=_f1(uq_f1, v_l2, q_f1, monitors.c_f1),
-        F2=uq_f2 + gradv_l2,
+        lap_v_l2=v.lap_integral(),
+        dissip_u={q: _dissipation(dissip_parts, q) for q in qs},
+        F1=_f1(u.integral(q_f1), v.integral(2.0), q_f1, monitors.c_f1),
+        F2=u.integral(q_f2) + v.grad_integral(2.0),
         clamped_mass_cumulative=state.clamped_mass_cumulative,
     )
 

@@ -14,15 +14,16 @@ constant; it cannot prove the inequality false.  Ensemble members are analytic
 recipes drawn independently of the grid, so re-running with the same seed on a
 finer grid evaluates the *same* functions: the constant estimate is
 grid-convergent, not resolution-chasing.  Indices below 1 appear legitimately
-(the density functionals use ``L^{2/q}`` with ``q > 2``), so norm evaluation
-here extends to quasi-norm indices in ``(0, 1)``.
+(the density functionals use ``L^{2/q}`` with ``q > 2``); the norms are those
+of :class:`fluxks.grid.FieldNorms`, which admits quasi-norm indices in
+``(0, 1)``.
 
 :func:`estimate_constants` is the one estimator.  It computes every
 requested supremum, first-form, second-form and Poincare, in one streamed
-pass over a grid's ensemble: each member is sampled, its norms are computed
-once and shared by all of its ratios, and it is dropped before the next is
-drawn, so memory does not grow with the ensemble size.  Name every index set
-of a grid in one call rather than making one pass per constant.
+pass over a grid's ensemble: each member is sampled, one ``FieldNorms``
+computes its norms once for all of its ratios, and it is dropped before the
+next is drawn, so memory does not grow with the ensemble size.  Name every
+index set of a grid in one call rather than making one pass per constant.
 
 A supremum is a max, so the pass also splits across processes.  Its
 ``share=(j, k)`` keyword runs it over one interleaved share of the ensemble,
@@ -44,7 +45,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .grid import Grid, GridFunction, faces_lp_norm, laplacian_values, measured_gradient_faces
+from .grid import FieldNorms, Grid, GridFunction
 
 ENSEMBLE_VERSION = 1
 EXPONENT_TOL = 1e-12
@@ -141,71 +142,7 @@ class GN2Exponents(_IndexTuple):
         return {**asdict(self), "b": self.b}
 
 
-def quasi_lp(f: GridFunction, p: float) -> float:
-    """Lebesgue functional extended to quasi-norm indices ``p in (0, 1)``."""
-    return _Norms(f).lp(p)
-
-
-class _Norms:
-    """The norms of one field, each computed at most once.
-
-    The ratios of one ensemble member share most of their norms; the ratio
-    formulas read them from here instead of recomputing them.  The norms
-    share their intermediates too: ``log |f|`` is taken once, and every
-    finite index but 2 is ``(sum exp(p log |f|) w)^(1/p)``, which costs an
-    ``exp`` per index where ``|f|^p`` would cost a fractional power (a zero
-    cell gives ``exp(-inf) = 0``); the measurement gradient serves every
-    gradient index.
-    """
-
-    def __init__(self, f: GridFunction):
-        self.f = f
-        self._lp: dict[float, float] = {}
-        self._grad_lp: dict[float, float] = {}
-        self._log_abs = None
-        self._faces = None
-        self._lap_l2 = None
-
-    def lp(self, p: float) -> float:
-        if p not in self._lp:
-            self._lp[p] = self._lebesgue(p)
-        return self._lp[p]
-
-    def _lebesgue(self, p: float) -> float:
-        if p <= 0.0:
-            raise ValueError(f"index must be positive, got {p}")
-        if p == math.inf:
-            return float(np.max(np.abs(self.f.values)))
-        if p == 2.0:
-            terms = self.f.values * self.f.values
-        else:
-            if self._log_abs is None:
-                self._log_abs = np.abs(self.f.values)
-                with np.errstate(divide="ignore"):
-                    np.log(self._log_abs, out=self._log_abs)
-            terms = p * self._log_abs
-            np.exp(terms, out=terms)
-        terms *= self.f.grid.cell_weights
-        return float(np.sum(terms) ** (1.0 / p))
-
-    def grad_lp(self, p: float) -> float:
-        if p not in self._grad_lp:
-            if self._faces is None:
-                self._faces = measured_gradient_faces(self.f.grid, self.f.values)
-            self._grad_lp[p] = faces_lp_norm(self.f.grid, self._faces, p)
-        return self._grad_lp[p]
-
-    def lap_l2(self) -> float:
-        """The L2 norm of ``laplacian_values(f)``."""
-        if self._lap_l2 is None:
-            lap = laplacian_values(self.f.grid, self.f.values)
-            lap *= lap
-            lap *= self.f.grid.cell_weights
-            self._lap_l2 = float(np.sqrt(np.sum(lap)))
-        return self._lap_l2
-
-
-def _gn_ratio(norms: _Norms, exps: GNExponents) -> float:
+def _gn_ratio(norms: FieldNorms, exps: GNExponents) -> float:
     lhs = norms.lp(exps.p_hat)
     a = exps.a
     rhs = norms.grad_lp(exps.r_hat) ** a * norms.lp(exps.q_hat) ** (1.0 - a)
@@ -215,17 +152,18 @@ def _gn_ratio(norms: _Norms, exps: GNExponents) -> float:
     return lhs / rhs
 
 
-def _gn2_ratio(norms: _Norms, exps: GN2Exponents) -> float:
+def _gn2_ratio(norms: FieldNorms, exps: GN2Exponents) -> float:
     lhs = norms.grad_lp(exps.p_hat)
     b = exps.b
-    rhs = (norms.lap_l2() ** b + norms.lp(exps.r_hat) ** b) * norms.lp(exps.q_hat) ** (1.0 - b)
+    lap_l2 = math.sqrt(norms.lap_integral())
+    rhs = (lap_l2**b + norms.lp(exps.r_hat) ** b) * norms.lp(exps.q_hat) ** (1.0 - b)
     rhs += norms.lp(exps.s_hat)
     if rhs == 0.0:
         raise ValueError("gn2_ratio: zero right-hand side (f vanishes identically)")
     return lhs / rhs
 
 
-def _poincare_ratio(norms: _Norms) -> float:
+def _poincare_ratio(norms: FieldNorms) -> float:
     f, grid = norms.f, norms.f.grid
     mean = float(np.sum(f.values * grid.cell_weights)) / grid.measure
     dev = f.values - mean
@@ -242,17 +180,17 @@ def gn_ratio(f: GridFunction, exps: GNExponents) -> float:
     Raises:
         ValueError: identically zero ``f`` (zero right-hand side).
     """
-    return _gn_ratio(_Norms(f), exps)
+    return _gn_ratio(FieldNorms(f), exps)
 
 
 def gn2_ratio(f: GridFunction, exps: GN2Exponents) -> float:
     """Left/right ratio of the second form with ``C = 1``."""
-    return _gn2_ratio(_Norms(f), exps)
+    return _gn2_ratio(FieldNorms(f), exps)
 
 
 def poincare_ratio(f: GridFunction) -> float:
     """``||f - mean||_2 / ||grad f||_2`` (mean-zero Poincare quotient)."""
-    return _poincare_ratio(_Norms(f))
+    return _poincare_ratio(FieldNorms(f))
 
 
 # -- seeded adversarial ensemble -------------------------------------------
@@ -386,7 +324,7 @@ def estimate_constants(
     gn = gn2 = None
     poincare = 0.0
     for f in _members(grid, size, seed, share):
-        norms = _Norms(f)
+        norms = FieldNorms(f)
         gn = _sup(gn, [_gn_ratio(norms, exps) for exps in gn_sets])
         gn2 = _sup(gn2, [_gn2_ratio(norms, exps) for exps in gn2_sets])
         if norms.grad_lp(2.0) != 0.0:

@@ -32,6 +32,12 @@ its null space.  One flux-form kernel, ``_flow_divergence``, computes it and
 the implicit solver's operator (:mod:`fluxks.linalg`) from the face layout
 cached on the grid.  ``measured_gradient_faces`` is the gradient for
 measurement, which the norms read.
+
+The norms have one home, :class:`FieldNorms`: the Lebesgue, gradient and
+Laplacian integrals of one field and their roots, each computed once.  The
+diagnostics of :mod:`fluxks.functionals` and the constant estimates of
+:mod:`fluxks.gn` read it.  :func:`integrate` stays apart, as the signed sum
+that mass is.
 """
 
 from __future__ import annotations
@@ -384,22 +390,6 @@ def integrate(f: GridFunction) -> float:
     return float(np.sum(f.values * f.grid.cell_weights))
 
 
-def lp_norm(f: GridFunction, p: float) -> float:
-    """Discrete Lebesgue norm; ``p = inf`` gives the max norm.
-
-    Raises:
-        ValueError: for ``p < 1``.
-    """
-    if p != math.inf and p < 1.0:
-        raise ValueError(f"lp_norm requires p >= 1 or inf, got {p}")
-    if p == math.inf:
-        return float(np.max(np.abs(f.values))) if f.values.size else 0.0
-    return float(np.sum(np.abs(f.values) ** p * f.grid.cell_weights) ** (1.0 / p))
-
-
-# -- face quadrature for gradient-based integrals
-
-
 def face_quadrature_weights(grid: Grid, axis: int) -> NDArray[np.float64]:
     """Quadrature weight of each face of one axis (read-only, cached on the grid).
 
@@ -425,33 +415,84 @@ def measured_gradient_faces(grid: Grid, values: NDArray[np.float64]) -> list[NDA
     return faces
 
 
-def gradient_lp_norm(f: GridFunction, p: float) -> float:
-    """Face-component gradient norm ``(sum_axes sum_faces |g|^p w_face)^(1/p)``.
+class FieldNorms:
+    """The norms of one field, each integral computed at most once.
 
-    Uses the measurement gradient (one-sided boundary estimates) and the face
-    quadrature of :func:`face_quadrature_weights`.  ``p = inf`` gives the
-    largest face-gradient magnitude.
+    ``integral(p)`` is ``sum |f|^p w`` over the cells and ``lp(p)`` its
+    ``p``-th root, ``max |f|`` for ``p = inf``.  Every finite index but 2 is
+    ``exp(p log |f|)`` from :attr:`log_abs`, taken once per field, which
+    costs an ``exp`` per index where ``|f|^p`` would cost a fractional power
+    (a zero cell gives ``exp(-inf) = 0``); index 2 is ``f * f``.  Indices in
+    ``(0, 1)`` give the quasi-norms that the density functionals use.
+
+    ``grad_integral(p)`` and ``grad_lp(p)`` are the same over the face
+    components of :attr:`faces`, the measurement gradient, with the
+    quadrature of :func:`face_quadrature_weights`; ``lap_integral()`` is
+    ``sum L(f)^2 w`` with ``L = laplacian_values``.
+
+    Raises (from the methods):
+        ValueError: a Lebesgue index ``p <= 0``, a gradient index below 1, or
+            an infinite index to an integral.
     """
-    return faces_lp_norm(f.grid, measured_gradient_faces(f.grid, f.values), p)
 
+    def __init__(self, f: GridFunction):
+        self.f = f
+        self._integrals: dict[float, float] = {}
+        self._grad_integrals: dict[float, float] = {}
+        self._lap_integral: float | None = None
 
-def faces_lp_norm(grid: Grid, grads, p: float) -> float:
-    """The norm of :func:`gradient_lp_norm` over given per-axis face arrays.
+    @cached_property
+    def log_abs(self) -> NDArray[np.float64]:
+        """``log |f|`` per cell (``-inf`` on a zero cell)."""
+        out = np.abs(self.f.values)
+        with np.errstate(divide="ignore"):
+            return np.log(out, out=out)
 
-    Lets a caller that needs several indices of one field compute the
-    measurement gradient once.
+    @cached_property
+    def faces(self) -> list[NDArray[np.float64]]:
+        """``measured_gradient_faces(f)``."""
+        return measured_gradient_faces(self.f.grid, self.f.values)
 
-    Raises:
-        ValueError: for ``p < 1``.
-    """
-    if p != math.inf and p < 1.0:
-        raise ValueError(f"gradient_lp_norm requires p >= 1 or inf, got {p}")
-    if p == math.inf:
-        return max(float(np.max(np.abs(g))) for g in grads)
-    total = 0.0
-    for a, g in enumerate(grads):
-        # g * g is |g| ** 2 to the bit, without the abs
-        terms = g * g if p == 2.0 else np.abs(g) ** p
-        terms *= face_quadrature_weights(grid, a)
-        total += float(np.sum(terms))
-    return total ** (1.0 / p)
+    def integral(self, p: float) -> float:
+        if p not in self._integrals:
+            if not 0.0 < p < math.inf:
+                raise ValueError(f"Lebesgue integral index must be positive and finite, got {p}")
+            if p == 2.0:
+                terms = self.f.values * self.f.values
+            else:
+                terms = p * self.log_abs
+                np.exp(terms, out=terms)
+            terms *= self.f.grid.cell_weights
+            self._integrals[p] = float(np.sum(terms))
+        return self._integrals[p]
+
+    def lp(self, p: float) -> float:
+        if p == math.inf:
+            return float(np.max(np.abs(self.f.values)))
+        return self.integral(p) ** (1.0 / p)
+
+    def grad_integral(self, p: float) -> float:
+        if p not in self._grad_integrals:
+            if not 1.0 <= p < math.inf:
+                raise ValueError(f"gradient integral index must be >= 1 and finite, got {p}")
+            total = 0.0
+            for a, g in enumerate(self.faces):
+                # g * g is |g| ** 2 to the bit, without the abs
+                terms = g * g if p == 2.0 else np.abs(g) ** p
+                terms *= face_quadrature_weights(self.f.grid, a)
+                total += float(np.sum(terms))
+            self._grad_integrals[p] = total
+        return self._grad_integrals[p]
+
+    def grad_lp(self, p: float) -> float:
+        if p == math.inf:
+            return max(float(np.max(np.abs(g))) for g in self.faces)
+        return self.grad_integral(p) ** (1.0 / p)
+
+    def lap_integral(self) -> float:
+        if self._lap_integral is None:
+            lap = laplacian_values(self.f.grid, self.f.values)
+            lap *= lap
+            lap *= self.f.grid.cell_weights
+            self._lap_integral = float(np.sum(lap))
+        return self._lap_integral

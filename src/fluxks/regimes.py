@@ -277,9 +277,10 @@ def _gradient_witness(n: int, p: float, ranges: QRanges) -> tuple[float, float] 
 
 
 def _semigroup_witness(theta: float, p: float) -> tuple[float, float, float]:
-    # best-effort (q, r, value); feasible when value < 1.  The budget shrinks
-    # as r decreases, so walk the r ladder and spend half the slack on q.
-    best: tuple[float, float, float] | None = None
+    # (q, r, value) of the first ladder r with room for a q above 1, feasible
+    # (value < 1) by construction.  The budget shrinks as r decreases, so walk
+    # the r ladder and spend half the slack on q; a lead within an ulp of 1
+    # leaves a slack that rounds q to 1, and that r is skipped.
     for margin in (0.01, 0.0):
         for r in _SEMIGROUP_R_LADDER:
             lead = (theta - 1.0 / r) * (p - 1.0)
@@ -288,13 +289,8 @@ def _semigroup_witness(theta: float, p: float) -> tuple[float, float, float]:
                 continue
             q_max = 1.0 / (1.0 - budget) if budget < 1.0 else 4.0
             q = 0.5 * (1.0 + q_max)
-            value = condition_1d_value(theta, p, q, r)
-            if value < 1.0:
-                return (q, r, value)
-            if best is None or value < best[2]:
-                best = (q, r, value)
-    if best is not None:
-        return best
+            if q > 1.0:
+                return (q, r, condition_1d_value(theta, p, q, r))
     # even the smallest r exceeds the unit budget: report the ladder floor
     r = _SEMIGROUP_R_LADDER[-1]
     q = 1.0 + 2.0**-20
@@ -338,7 +334,7 @@ def audit(spec: RegimeSpec) -> ExponentAudit:
             if q1 is not None and grad_witness is not None:
                 route = "entropy"
         if route is None and n == 1:
-            # the best semigroup value: the route of a subcritical point, a
+            # the semigroup value: the route of a subcritical point, a
             # diagnostic for near-critical p of a supercritical one
             q_1d, r_1d, cond1d = _semigroup_witness(theta, p)
             cond1d_witness = (q_1d, r_1d)

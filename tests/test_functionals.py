@@ -19,7 +19,6 @@ from fluxks.functionals import (
     FunctionalRecord,
     MonitorSettings,
     csv_columns,
-    density_integral,
     dissipation_u,
     entropy_F1,
     entropy_F2,
@@ -28,13 +27,12 @@ from fluxks.functionals import (
     write_records_csv,
 )
 from fluxks.grid import (
+    FieldNorms,
     GridFunction,
     build_grid,
     face_quadrature_weights,
-    gradient_lp_norm,
     integrate,
     laplacian_values,
-    lp_norm,
     measured_gradient_faces,
     unit_grid,
 )
@@ -58,10 +56,11 @@ def const_state(grid, u_val, v_val, t=0.0):
 def test_density_integral_constant(grid1d):
     g = grid1d(16)
     u = GridFunction.constant(g, 2.0)
-    assert density_integral(u, 3.0) == pytest.approx(8.0, abs=1e-13)
-    assert density_integral(u, 1.0) == pytest.approx(integrate(u), abs=1e-14)
+    norms = FieldNorms(u)
+    assert norms.integral(3.0) == pytest.approx(8.0, abs=1e-13)
+    assert norms.integral(1.0) == pytest.approx(integrate(u), abs=1e-14)
     with pytest.raises(ValueError):
-        density_integral(u, 0.0)
+        norms.integral(0.0)
 
 
 def test_entropy_f1_hand_values(grid1d):
@@ -209,9 +208,10 @@ def test_record_brute_force_cross_check(grid1d):
     assert rec.u_linf == float(np.abs(u.values).max())
     assert rec.uq[1.5] == pytest.approx(float(np.sum(u.values**1.5 * w)), rel=1e-15)
     assert rec.v_l2 == pytest.approx(float(np.sum(v.values**2 * w)), rel=1e-15)
-    assert rec.gradv_l2 == pytest.approx(gradient_lp_norm(v, 2.0) ** 2, rel=1e-15)
-    assert rec.gradv_ls == pytest.approx(gradient_lp_norm(v, s) ** s, rel=1e-15)
-    expected_w1s = (lp_norm(v, s) ** s + rec.gradv_ls) ** (1.0 / s)
+    v_norms = FieldNorms(v)
+    assert rec.gradv_l2 == pytest.approx(v_norms.grad_lp(2.0) ** 2, rel=1e-15)
+    assert rec.gradv_ls == pytest.approx(v_norms.grad_lp(s) ** s, rel=1e-15)
+    expected_w1s = (v_norms.lp(s) ** s + rec.gradv_ls) ** (1.0 / s)
     assert rec.v_w1s == pytest.approx(expected_w1s, rel=1e-15)
     lap = laplacian_values(g, v.values)
     assert rec.lap_v_l2 == pytest.approx(float(np.sum(lap**2 * w)), rel=1e-14)
@@ -229,7 +229,6 @@ def test_record_brute_force_cross_check(grid1d):
 def test_record_builds_one_gradient_per_field(monkeypatch, mode, cells, s):
     # one measurement gradient of u serves every q, one of v both indices;
     # the values equal (==) those of the public per-call functions
-    import fluxks.functionals as functionals
     import fluxks.grid as grid_mod
 
     g = build_grid(mode, extents=(1.0,) * len(cells), cells=cells,
@@ -248,18 +247,18 @@ def test_record_builds_one_gradient_per_field(monkeypatch, mode, cells, s):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(grid_mod, "measured_gradient_faces", counted)
-    monkeypatch.setattr(functionals, "measured_gradient_faces", counted)
     rec = record(st, MonitorSettings(q_set=q_set, s=s, q_f1=3.0, q_f2=3.0, c_f1=1.0))
     assert len(calls) == 2
     monkeypatch.undo()
 
     for q in q_set:
         assert rec.dissip_u[q] == dissipation_u(u, q)
-    assert rec.gradv_l2 == gradient_lp_norm(v, 2.0) ** 2
+    v_norms = FieldNorms(v)
+    assert rec.gradv_l2 == v_norms.grad_integral(2.0)
     if math.isinf(s):
-        assert rec.gradv_ls == gradient_lp_norm(v, math.inf)
+        assert rec.gradv_ls == v_norms.grad_lp(math.inf)
     else:
-        assert rec.gradv_ls == gradient_lp_norm(v, s) ** s
+        assert rec.gradv_ls == v_norms.grad_integral(s)
 
 
 @pytest.mark.parametrize("q_f1,c_f1", [(1.5, 2.0), (0.5, 0.7), (3.0, 0.0)])
@@ -330,6 +329,7 @@ _USER_MONITORS = hs.fixed_dictionaries({}, optional={
 @example(n=2, theta=0.3, p=2.0, user={})
 @example(n=6, theta=0.05, p=1.0001, user={"q_f2": 3.0})
 @example(n=2, theta=1.2, p=relative_p(2, 1.2, 0.8), user={})  # q_f1 in (0, 1)
+@example(n=1, theta=1.5, p=2.984555984555984, user={})  # a semigroup rung with q = 1
 def test_resolve_sets_every_index_keeps_user_fields_and_is_idempotent(n, theta, p, user):
     params = ModelParams(chi=1.0, p=p, theta=theta, eps=1e-3, n=n)
     given_settings = MonitorSettings(**user)

@@ -11,20 +11,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 from fluxks.grid import (
     MIN_CELLS_PER_AXIS,
+    FieldNorms,
     Grid,
     GridFunction,
     build_grid,
     divergence_values,
     face_quadrature_weights,
-    faces_lp_norm,
     gradient_faces,
-    gradient_lp_norm,
     integrate,
     laplacian_values,
-    lp_norm,
     measured_gradient_faces,
 )
 
@@ -213,15 +213,27 @@ def test_lp_norm_constant_and_sup(grid1d):
     g = grid1d(20)
     f = GridFunction.constant(g, 2.0)
     # ||2||_3 on unit measure = 2
-    assert abs(lp_norm(f, 3.0) - 2.0) < 1e-12
+    assert abs(FieldNorms(f).lp(3.0) - 2.0) < 1e-12
     vals = np.ones(20)
     vals[7] = 7.0
-    assert lp_norm(GridFunction(g, vals), math.inf) == 7.0
+    assert FieldNorms(GridFunction(g, vals)).lp(math.inf) == 7.0
 
 
-def test_lp_norm_rejects_p_below_one(grid1d):
-    with pytest.raises(ValueError):
-        lp_norm(GridFunction.constant(grid1d(8), 1.0), 0.5)
+def test_field_norms_reject_indices_outside_their_range(grid1d):
+    # Lebesgue indices in (0, 1) are quasi-norms and admitted; gradient
+    # indices start at 1, and an integral needs a finite index
+    norms = FieldNorms(GridFunction.constant(grid1d(8), 2.0))
+    assert norms.lp(0.5) == pytest.approx(2.0, rel=1e-15)
+    for bad in (0.0, -1.0, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            norms.integral(bad)
+    with pytest.raises(ValueError, match="positive and finite"):
+        norms.lp(0.0)
+    for bad in (0.5, math.inf):
+        with pytest.raises(ValueError, match=">= 1"):
+            norms.grad_integral(bad)
+    with pytest.raises(ValueError, match=">= 1"):
+        norms.grad_lp(0.5)
 
 
 def test_holder_interpolation_on_random_fields(grid1d):
@@ -231,9 +243,43 @@ def test_holder_interpolation_on_random_fields(grid1d):
     for p in (1.5, 2.0, 4.0):
         for _ in range(5):
             f = GridFunction(g, rng.uniform(0.0, 3.0, size=50))
-            lhs = lp_norm(f, 1.0)
-            rhs = g.measure ** (1.0 - 1.0 / p) * lp_norm(f, p)
+            norms = FieldNorms(f)
+            lhs = norms.lp(1.0)
+            rhs = g.measure ** (1.0 - 1.0 / p) * norms.lp(p)
             assert lhs <= rhs * (1.0 + 1e-12)
+
+
+_MODE_GRIDS = {
+    "cartesian-1d": lambda cells, n: build_grid("cartesian-1d", 1.0, cells),
+    "cartesian-2d": lambda cells, n: build_grid("cartesian-2d", (1.0, 0.7), (cells, cells + 3)),
+    "radial-n": lambda cells, n: build_grid("radial-n", 1.0, cells, n=n),
+}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    mode=hs.sampled_from(sorted(_MODE_GRIDS)),
+    cells=hs.integers(4, 24),
+    n=hs.integers(1, 5),
+    scale=hs.floats(1e-3, 1e3),
+    seed=hs.integers(0, 2**16),
+    p=hs.floats(0.5, 8.0, exclude_min=True, exclude_max=True),
+)
+@example(mode="cartesian-2d", cells=5, n=2, scale=1.0, seed=0, p=2.0)  # the f * f route
+def test_field_norms_match_the_direct_sums(mode, cells, n, scale, seed, p):
+    # integral and lp are sum |f|^p w and its root, grad_integral the face
+    # sum of |g|^p w_face, whatever route (f * f or exp(p log |f|)) they take
+    grid = _MODE_GRIDS[mode](cells, n)
+    values = scale * np.random.default_rng(seed).normal(size=grid.shape)
+    norms = FieldNorms(GridFunction(grid, values))
+    direct = float(np.sum(np.abs(values) ** p * grid.cell_weights))
+    assert norms.integral(p) == pytest.approx(direct, rel=1e-13, abs=0.0)
+    assert norms.lp(p) == pytest.approx(direct ** (1.0 / p), rel=1e-13, abs=0.0)
+    if p >= 1.0:
+        faces = measured_gradient_faces(grid, values)
+        direct = sum(float(np.sum(np.abs(g) ** p * face_quadrature_weights(grid, a)))
+                     for a, g in enumerate(faces))
+        assert norms.grad_integral(p) == pytest.approx(direct, rel=1e-13, abs=0.0)
 
 
 def test_face_quadrature_weights_sum_to_measure(grid2d):
@@ -279,7 +325,7 @@ def test_gradient_lp_norm_converges_quadratically():
     for cells in (100, 200, 400):
         g = build_grid("cartesian-1d", extents=(1.0,), cells=(cells,))
         f = GridFunction.from_callable(g, lambda x: np.cos(math.pi * x))
-        errs.append(abs(gradient_lp_norm(f, 2.0) - exact))
+        errs.append(abs(FieldNorms(f).grad_lp(2.0) - exact))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.15)
 
@@ -300,7 +346,9 @@ def test_faces_lp_norm_l2_path_is_the_abs_power_sum_bit_for_bit(grid):
     total = 0.0
     for a, g in enumerate(faces):
         total += float(np.sum(np.abs(g) ** 2 * face_quadrature_weights(grid, a)))
-    assert faces_lp_norm(grid, faces, 2.0) == total ** 0.5
+    norms = FieldNorms(GridFunction(grid, values))
+    assert norms.grad_integral(2.0) == total
+    assert norms.grad_lp(2.0) == total ** 0.5
 
 
 def test_laplacian_eigenvector_exact_1d():

@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from fluxks.grid import (
+    FieldNorms,
     GridFunction,
     build_grid,
     divergence_values,
     gradient_faces,
     integrate,
-    lp_norm,
     unit_grid,
 )
 from fluxks.model import (
@@ -312,7 +312,7 @@ def test_mollifier_nonexpansive_in_lq(grid1d, q):
         v0=GridFunction.constant(g, 0.0),
     )
     out = mollify_initial_data(raw, 0.8)
-    assert lp_norm(out.u0, q) <= lp_norm(raw.u0, q) * (1.0 + 1e-12)
+    assert FieldNorms(out.u0).lp(q) <= FieldNorms(raw.u0).lp(q) * (1.0 + 1e-12)
 
 
 def test_mollifier_strength_monotone_in_eps(grid1d):

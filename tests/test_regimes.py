@@ -189,6 +189,18 @@ def test_audit_semigroup_route_1d():
     assert rep.a_star is None and rep.condition_2ab is None
 
 
+def test_audit_semigroup_route_skips_a_rung_whose_q_rounds_to_one():
+    # at theta=1.5, p=2.984555984555984 (p_c = 3) the rung r = 1 + 2^-8 puts
+    # the lead (theta - 1/r)(p - 1) within an ulp of 1, where half the slack
+    # rounds q to 1 (condition_1d_value rejects it): that rung is skipped
+    theta, p = 1.5, 2.984555984555984
+    rep = audit(RegimeSpec(n=1, theta=theta, p=p))
+    assert rep.route == "semigroup-1d"
+    assert rep.chosen_q > 1.0 and rep.chosen_r == 1.0 + 2.0**-9
+    assert rep.condition_1d < 1.0
+    assert rep.condition_1d == condition_1d_value(theta, p, rep.chosen_q, rep.chosen_r)
+
+
 def test_audit_1d_entropy_route_small_p():
     rep = audit(RegimeSpec(n=1, theta=2.0, p=1.3))
     assert rep.feasible
