@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 from fluxks import (
+    FieldNorms,
     GN2Exponents,
     GNExponents,
     GridFunction,
@@ -57,10 +58,10 @@ def main() -> None:
     all2_second = GN2Exponents(p_hat=2.0, q_hat=2.0, r_hat=2.0, s_hat=2.0, n=1)
     print("single fields, all indices 2 (first form a = 0, second form b = 1/2):")
     print(
-        f"  gn_ratio(1 + cos)  = {gn_ratio(one_plus, all2_first):.6f}   "
+        f"  gn_ratio(1 + cos)  = {gn_ratio(FieldNorms(one_plus), all2_first):.6f}   "
         "(a = 0: right side is exactly 2 ||f||_2)"
     )
-    print(f"  gn2_ratio(cos)     = {gn2_ratio(cos, all2_second):.6f}")
+    print(f"  gn2_ratio(cos)     = {gn2_ratio(FieldNorms(cos), all2_second):.6f}")
     print(f"  pi/(pi + 2)        = {math.pi / (math.pi + 2):.6f}   (continuum value)")
     print()
 

@@ -7,12 +7,11 @@ Two Lyapunov-type quantities are tracked along a run:
 * ``F2 = int u^q2 + int |grad v|^2`` -- the density/signal-gradient pair.
 
 Every integral of a record comes from one :class:`fluxks.grid.FieldNorms`
-for ``u`` and one for ``v``, so ``F2`` decomposes exactly as ``uq[q2] +
-gradv_l2`` of the same record.  Gradient integrals use the face-component
-quadrature of ``FieldNorms.grad_integral``; the dissipation integral
-``int u^(q-2) |grad u|^2`` shares it and ``u``'s measurement gradient, with
-face values of ``u`` averaged arithmetically and floored to keep negative
-powers finite.
+for ``u`` and one for ``v``: the Lebesgue and gradient integrals, and the
+dissipation integral ``int u^(q-2) |grad u|^2`` of the inequality
+``dF/dt + c F <= C`` that the monitors check.  ``F1`` and ``F2`` are formed
+from the record's own integrals, so ``F1 = sign(q1 - 1) * uq[q1] + c * v_l2``
+and ``F2 = uq[q2] + gradv_l2`` hold exactly, as floats.
 """
 
 from __future__ import annotations
@@ -23,9 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-import numpy as np
-
-from .grid import FieldNorms, GridFunction, face_quadrature_weights, integrate, _slice_axis
+from .grid import FieldNorms, integrate
 from .model import ModelParams
 from .regimes import RegimeSpec, audit, s_rule
 from .runtime import write_atomic
@@ -33,8 +30,6 @@ from .runtime import write_atomic
 if TYPE_CHECKING:  # pragma: no cover
     from .stepper import SimState
 
-# floor for face-averaged density inside negative powers
-FACE_AVERAGE_FLOOR = 1e-12
 # the default weight c of int v^2 in F1 (the run config's monitors.c_f1)
 DEFAULT_C_F1 = 1.0
 
@@ -141,71 +136,6 @@ _Q_FIELDS = tuple(
 )
 
 
-def entropy_F1(u: GridFunction, v: GridFunction, q: float, c: float) -> float:
-    """``sign(q-1) * int u^q + c * int v^2``.
-
-    Raises:
-        ValueError: ``q = 1`` (the sign is undefined there) or ``c < 0``.
-    """
-    return _f1(FieldNorms(u).integral(q), FieldNorms(v).integral(2.0), q, c)
-
-
-def _f1(uq: float, v_l2: float, q: float, c: float) -> float:
-    # entropy_F1 from its integrals int u^q and int v^2
-    if q == 1.0:
-        raise ValueError("entropy_F1 requires q != 1")
-    if c < 0.0:
-        raise ValueError(f"entropy_F1 requires c >= 0, got {c}")
-    return (1.0 if q > 1.0 else -1.0) * uq + c * v_l2
-
-
-def entropy_F2(u: GridFunction, v: GridFunction, q: float) -> float:
-    """``int u^q + int |grad v|^2``.
-
-    Raises:
-        ValueError: ``q <= 1``.
-    """
-    if q <= 1.0:
-        raise ValueError(f"entropy_F2 requires q > 1, got {q}")
-    return FieldNorms(u).integral(q) + FieldNorms(v).grad_integral(2.0)
-
-
-def dissipation_u(u: GridFunction, q: float) -> float:
-    """``int u^(q-2) |grad u|^2`` over faces.
-
-    Face densities are arithmetic means of the adjacent cells floored at
-    ``FACE_AVERAGE_FLOOR``; gradients and weights follow the measurement
-    quadrature (one-sided boundary estimates, half-cell boundary weights).
-    """
-    if q <= 0.0:
-        raise ValueError(f"dissipation requires q > 0, got {q}")
-    return _dissipation(_dissipation_parts(FieldNorms(u)), q)
-
-
-def _dissipation_parts(norms: FieldNorms) -> list:
-    # per axis: the floored face density, the squared face gradient and the
-    # face weights of dissipation_u, from the norms of u
-    u, grads = norms.f, norms.faces
-    grid = u.grid
-    nd = grid.n_axes
-    parts = []
-    for a in range(nd):
-        left = u.values[_slice_axis(nd, a, slice(None, -1))]
-        right = u.values[_slice_axis(nd, a, slice(1, None))]
-        u_face = np.empty(grid.face_shape(a))
-        u_face[_slice_axis(nd, a, slice(1, -1))] = 0.5 * (left + right)
-        u_face[_slice_axis(nd, a, slice(0, 1))] = u.values[_slice_axis(nd, a, slice(0, 1))]
-        u_face[_slice_axis(nd, a, slice(-1, None))] = u.values[_slice_axis(nd, a, slice(-1, None))]
-        u_face = np.maximum(u_face, FACE_AVERAGE_FLOOR)
-        parts.append((u_face, grads[a] ** 2, face_quadrature_weights(grid, a)))
-    return parts
-
-
-def _dissipation(parts: list, q: float) -> float:
-    # dissipation_u at index q from the axis parts from _dissipation_parts
-    return sum(float(np.sum(u_face ** (q - 2.0) * g2 * fw)) for u_face, g2, fw in parts)
-
-
 def record(state: "SimState", monitors: MonitorSettings) -> FunctionalRecord:
     """Evaluate every tracked functional at one state, with the indices and
     the F1 weight ``c_f1`` of ``monitors`` as :meth:`MonitorSettings.resolve`
@@ -220,7 +150,7 @@ def record(state: "SimState", monitors: MonitorSettings) -> FunctionalRecord:
     if None in (qs, s, q_f1, q_f2):
         raise ValueError(f"unset index in {monitors}: use MonitorSettings.resolve first")
     u, v = FieldNorms(state.u), FieldNorms(state.v)
-    dissip_parts = _dissipation_parts(u)
+    dissip_u = {q: u.dissipation_integral(q) for q in qs}
     if math.isinf(s):
         gradv_ls = v.grad_lp(math.inf)
         v_w1s = max(v.lp(math.inf), gradv_ls)
@@ -237,8 +167,8 @@ def record(state: "SimState", monitors: MonitorSettings) -> FunctionalRecord:
         gradv_ls=gradv_ls,
         v_w1s=v_w1s,
         lap_v_l2=v.lap_integral(),
-        dissip_u={q: _dissipation(dissip_parts, q) for q in qs},
-        F1=_f1(u.integral(q_f1), v.integral(2.0), q_f1, monitors.c_f1),
+        dissip_u=dissip_u,
+        F1=(1.0 if q_f1 > 1.0 else -1.0) * u.integral(q_f1) + monitors.c_f1 * v.integral(2.0),
         F2=u.integral(q_f2) + v.grad_integral(2.0),
         clamped_mass_cumulative=state.clamped_mass_cumulative,
     )

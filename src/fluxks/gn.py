@@ -14,9 +14,10 @@ constant; it cannot prove the inequality false.  Ensemble members are analytic
 recipes drawn independently of the grid, so re-running with the same seed on a
 finer grid evaluates the *same* functions: the constant estimate is
 grid-convergent, not resolution-chasing.  Indices below 1 appear legitimately
-(the density functionals use ``L^{2/q}`` with ``q > 2``); the norms are those
-of :class:`fluxks.grid.FieldNorms`, which admits quasi-norm indices in
-``(0, 1)``.
+(the density functionals use ``L^{2/q}`` with ``q > 2``).  The ratios
+:func:`gn_ratio`, :func:`gn2_ratio` and :func:`poincare_ratio` take the
+:class:`fluxks.grid.FieldNorms` of a field, which admits quasi-norm indices
+in ``(0, 1)``, so every ratio of one field shares its norms.
 
 :func:`estimate_constants` is the one estimator.  It computes every
 requested supremum, first-form, second-form and Poincare, in one streamed
@@ -142,7 +143,12 @@ class GN2Exponents(_IndexTuple):
         return {**asdict(self), "b": self.b}
 
 
-def _gn_ratio(norms: FieldNorms, exps: GNExponents) -> float:
+def gn_ratio(norms: FieldNorms, exps: GNExponents) -> float:
+    """Left/right ratio of the first form with ``C = 1`` for the field of ``norms``.
+
+    Raises:
+        ValueError: identically zero field (zero right-hand side).
+    """
     lhs = norms.lp(exps.p_hat)
     a = exps.a
     rhs = norms.grad_lp(exps.r_hat) ** a * norms.lp(exps.q_hat) ** (1.0 - a)
@@ -152,7 +158,8 @@ def _gn_ratio(norms: FieldNorms, exps: GNExponents) -> float:
     return lhs / rhs
 
 
-def _gn2_ratio(norms: FieldNorms, exps: GN2Exponents) -> float:
+def gn2_ratio(norms: FieldNorms, exps: GN2Exponents) -> float:
+    """Left/right ratio of the second form with ``C = 1`` for the field of ``norms``."""
     lhs = norms.grad_lp(exps.p_hat)
     b = exps.b
     lap_l2 = math.sqrt(norms.lap_integral())
@@ -163,7 +170,8 @@ def _gn2_ratio(norms: FieldNorms, exps: GN2Exponents) -> float:
     return lhs / rhs
 
 
-def _poincare_ratio(norms: FieldNorms) -> float:
+def poincare_ratio(norms: FieldNorms) -> float:
+    """``||f - mean||_2 / ||grad f||_2``, the Poincare quotient of the field of ``norms``."""
     f, grid = norms.f, norms.f.grid
     mean = float(np.sum(f.values * grid.cell_weights)) / grid.measure
     dev = f.values - mean
@@ -172,25 +180,6 @@ def _poincare_ratio(norms: FieldNorms) -> float:
     if den == 0.0:
         raise ValueError("poincare_ratio: constant function has zero gradient")
     return num / den
-
-
-def gn_ratio(f: GridFunction, exps: GNExponents) -> float:
-    """Left/right ratio of the first form with ``C = 1``.
-
-    Raises:
-        ValueError: identically zero ``f`` (zero right-hand side).
-    """
-    return _gn_ratio(FieldNorms(f), exps)
-
-
-def gn2_ratio(f: GridFunction, exps: GN2Exponents) -> float:
-    """Left/right ratio of the second form with ``C = 1``."""
-    return _gn2_ratio(FieldNorms(f), exps)
-
-
-def poincare_ratio(f: GridFunction) -> float:
-    """``||f - mean||_2 / ||grad f||_2`` (mean-zero Poincare quotient)."""
-    return _poincare_ratio(FieldNorms(f))
 
 
 # -- seeded adversarial ensemble -------------------------------------------
@@ -325,10 +314,10 @@ def estimate_constants(
     poincare = 0.0
     for f in _members(grid, size, seed, share):
         norms = FieldNorms(f)
-        gn = _sup(gn, [_gn_ratio(norms, exps) for exps in gn_sets])
-        gn2 = _sup(gn2, [_gn2_ratio(norms, exps) for exps in gn2_sets])
+        gn = _sup(gn, [gn_ratio(norms, exps) for exps in gn_sets])
+        gn2 = _sup(gn2, [gn2_ratio(norms, exps) for exps in gn2_sets])
         if norms.grad_lp(2.0) != 0.0:
-            poincare = max(poincare, _poincare_ratio(norms))
+            poincare = max(poincare, poincare_ratio(norms))
     if gn is None:
         return None
     return ConstantEstimates(gn=tuple(gn), gn2=tuple(gn2), poincare=poincare)

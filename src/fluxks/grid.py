@@ -30,12 +30,13 @@ identically: discrete integration by parts holds exactly, and
 for bit, is self-adjoint in the cell-weighted inner product with constants in
 its null space.  One flux-form kernel, ``_flow_divergence``, computes it and
 the implicit solver's operator (:mod:`fluxks.linalg`) from the face layout
-cached on the grid.  ``measured_gradient_faces`` is the gradient for
-measurement, which the norms read.
+cached on the grid.
 
-The norms have one home, :class:`FieldNorms`: the Lebesgue, gradient and
-Laplacian integrals of one field and their roots, each computed once.  The
-diagnostics of :mod:`fluxks.functionals` and the constant estimates of
+Every measurement of a field is read off one object, :class:`FieldNorms`:
+the Lebesgue, gradient, dissipation and Laplacian integrals of the field and
+their roots, each computed once, over its measurement gradient
+(``FieldNorms.faces``) and the face quadrature ``Grid.face_weights``.  The
+diagnostic records of :mod:`fluxks.functionals` and the constant estimates of
 :mod:`fluxks.gn` read it.  :func:`integrate` stays apart, as the signed sum
 that mass is.
 """
@@ -53,6 +54,9 @@ from numpy.typing import NDArray
 MODES = ("cartesian-1d", "cartesian-2d", "radial-n")
 
 MIN_CELLS_PER_AXIS = 4
+
+# floor for the face density inside the negative powers of dissipation_integral
+FACE_AVERAGE_FLOOR = 1e-12
 
 
 def _sphere_surface(n: int) -> float:
@@ -123,8 +127,11 @@ class Grid:
                      for axis, (h, areas) in enumerate(zip(self.spacing, self.face_areas)))
 
     @cached_property
-    def _face_quadrature(self) -> tuple[NDArray[np.float64], ...]:
-        # per axis, the weights of face_quadrature_weights
+    def face_weights(self) -> tuple[NDArray[np.float64], ...]:
+        """Per axis, the quadrature weight of each face (read-only), the pair of
+        :attr:`cell_weights`: interior faces get the mean of the two adjacent cell
+        weights, boundary faces half the adjacent cell weight, so each axis's
+        faces tile the domain."""
         w = self.cell_weights
         nd = self.n_axes
         out = []
@@ -292,7 +299,7 @@ class GridFunction:
         return cls(grid, np.full(grid.shape, float(value)))
 
 
-def _slice_axis(ndim: int, axis: int, s: int | slice) -> tuple:
+def _slice_axis(ndim: int, axis: int, s: int | slice | list) -> tuple:
     # the index that applies s along axis and takes every other axis whole
     idx: list = [slice(None)] * ndim
     idx[axis] = s
@@ -390,31 +397,6 @@ def integrate(f: GridFunction) -> float:
     return float(np.sum(f.values * f.grid.cell_weights))
 
 
-def face_quadrature_weights(grid: Grid, axis: int) -> NDArray[np.float64]:
-    """Quadrature weight of each face of one axis (read-only, cached on the grid).
-
-    Interior faces get the mean of the two adjacent cell weights, boundary
-    faces half the adjacent cell weight, so each axis's faces tile the domain.
-    """
-    return grid._face_quadrature[axis]
-
-
-def measured_gradient_faces(grid: Grid, values: NDArray[np.float64]) -> list[NDArray[np.float64]]:
-    """Face gradients for measurement: boundary faces copy the nearest interior value.
-
-    The no-flux encoding zeroes boundary faces, which is exact for admissible
-    states but drops an O(h) boundary strip when integrating gradients of
-    general fields.  Copying the adjacent interior gradient restores second
-    order accuracy of the face quadrature.
-    """
-    faces = gradient_faces(grid, values)
-    nd = grid.n_axes
-    for a, g in enumerate(faces):
-        g[_slice_axis(nd, a, 0)] = g[_slice_axis(nd, a, 1)]
-        g[_slice_axis(nd, a, -1)] = g[_slice_axis(nd, a, -2)]
-    return faces
-
-
 class FieldNorms:
     """The norms of one field, each integral computed at most once.
 
@@ -427,18 +409,22 @@ class FieldNorms:
 
     ``grad_integral(p)`` and ``grad_lp(p)`` are the same over the face
     components of :attr:`faces`, the measurement gradient, with the
-    quadrature of :func:`face_quadrature_weights`; ``lap_integral()`` is
-    ``sum L(f)^2 w`` with ``L = laplacian_values``.
+    quadrature of :attr:`Grid.face_weights`; ``dissipation_integral(q)`` is
+    ``sum dens^(q-2) |g|^2 w`` over the same faces, ``dens`` the mean of the
+    two adjacent cells (a boundary face takes its own cell) floored at
+    ``FACE_AVERAGE_FLOOR`` to keep negative powers finite;
+    ``lap_integral()`` is ``sum L(f)^2 w`` with ``L = laplacian_values``.
 
     Raises (from the methods):
-        ValueError: a Lebesgue index ``p <= 0``, a gradient index below 1, or
-            an infinite index to an integral.
+        ValueError: a Lebesgue or dissipation index ``p <= 0``, a gradient
+            index below 1, or an infinite index to an integral.
     """
 
     def __init__(self, f: GridFunction):
         self.f = f
         self._integrals: dict[float, float] = {}
         self._grad_integrals: dict[float, float] = {}
+        self._dissipation_integrals: dict[float, float] = {}
         self._lap_integral: float | None = None
 
     @cached_property
@@ -450,8 +436,20 @@ class FieldNorms:
 
     @cached_property
     def faces(self) -> list[NDArray[np.float64]]:
-        """``measured_gradient_faces(f)``."""
-        return measured_gradient_faces(self.f.grid, self.f.values)
+        """Face gradients for measurement: boundary faces copy the nearest interior value.
+
+        The no-flux encoding zeroes boundary faces, which is exact for admissible
+        states but drops an O(h) boundary strip when integrating gradients of
+        general fields.  Copying the adjacent interior gradient restores second
+        order accuracy of the face quadrature.
+        """
+        grid = self.f.grid
+        faces = gradient_faces(grid, self.f.values)
+        nd = grid.n_axes
+        for a, g in enumerate(faces):
+            g[_slice_axis(nd, a, 0)] = g[_slice_axis(nd, a, 1)]
+            g[_slice_axis(nd, a, -1)] = g[_slice_axis(nd, a, -2)]
+        return faces
 
     def integral(self, p: float) -> float:
         if p not in self._integrals:
@@ -476,10 +474,10 @@ class FieldNorms:
             if not 1.0 <= p < math.inf:
                 raise ValueError(f"gradient integral index must be >= 1 and finite, got {p}")
             total = 0.0
-            for a, g in enumerate(self.faces):
+            for g, fw in zip(self.faces, self.f.grid.face_weights):
                 # g * g is |g| ** 2 to the bit, without the abs
                 terms = g * g if p == 2.0 else np.abs(g) ** p
-                terms *= face_quadrature_weights(self.f.grid, a)
+                terms *= fw
                 total += float(np.sum(terms))
             self._grad_integrals[p] = total
         return self._grad_integrals[p]
@@ -488,6 +486,31 @@ class FieldNorms:
         if p == math.inf:
             return max(float(np.max(np.abs(g))) for g in self.faces)
         return self.grad_integral(p) ** (1.0 / p)
+
+    @cached_property
+    def _dissipation_terms(self) -> list[tuple[NDArray[np.float64], ...]]:
+        # per axis: the floored face density, the squared face gradient and
+        # the face weights of dissipation_integral
+        values, grid = self.f.values, self.f.grid
+        nd = grid.n_axes
+        terms = []
+        for a, (g, fw) in enumerate(zip(self.faces, grid.face_weights)):
+            dens = np.empty(grid.face_shape(a))
+            dens[_slice_axis(nd, a, slice(1, -1))] = 0.5 * (
+                values[_slice_axis(nd, a, slice(None, -1))]
+                + values[_slice_axis(nd, a, slice(1, None))])
+            dens[_slice_axis(nd, a, [0, -1])] = values[_slice_axis(nd, a, [0, -1])]
+            terms.append((np.maximum(dens, FACE_AVERAGE_FLOOR), g**2, fw))
+        return terms
+
+    def dissipation_integral(self, q: float) -> float:
+        if q not in self._dissipation_integrals:
+            if not 0.0 < q < math.inf:
+                raise ValueError(f"dissipation integral index must be positive and finite, got {q}")
+            self._dissipation_integrals[q] = sum(
+                float(np.sum(dens ** (q - 2.0) * g2 * fw))
+                for dens, g2, fw in self._dissipation_terms)
+        return self._dissipation_integrals[q]
 
     def lap_integral(self) -> float:
         if self._lap_integral is None:

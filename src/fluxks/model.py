@@ -211,7 +211,8 @@ def build_initial_data(
     (``u0**theta`` or ``u0**2``) or at a constant (``0`` or ``v0_value``).
 
     Raises:
-        ValueError: unknown family/kind, parameters leaving ``u0 < 0``,
+        ValueError: unknown family/kind, parameters leaving ``u0 < 0``, a
+            gaussian width whose exponent leaves the float range,
             ``v0_kind="u0_pow_theta"`` without ``theta``, or the power of
             ``u0`` overflowing (the error names the kind).
     """
@@ -253,7 +254,14 @@ def build_initial_data(
             d2 = np.zeros(grid.shape)
             for offset in grid.center_offset_mesh():
                 d2 = d2 + offset**2
-        u0 = base + amplitude * np.exp(-d2 / (2.0 * w * w))
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            try:  # an underflowing 2 w^2 gives 0/0 at a centred cell, -inf elsewhere
+                exponent = -d2 / (2.0 * w * w)
+            except FloatingPointError:
+                raise ValueError(f"initial.width = {width} is too small for grid.extents "
+                                 f"{list(grid.extents)}: the gaussian's -d^2 / (2 (width * "
+                                 "min extent)^2) leaves the float range") from None
+        u0 = base + amplitude * np.exp(exponent)
     else:
         if base <= 0.0:
             raise ValueError(f"constant family needs base > 0, got {base}")

@@ -462,3 +462,14 @@ def test_sweep_config_file_errors(tmp_path):
         parse_sweep_config(path)
     with pytest.raises(ConfigError, match="cannot read sweep config"):
         parse_sweep_config(tmp_path / "absent.json")
+
+
+@pytest.mark.parametrize("cells", [32, 33], ids=["even", "odd"])
+def test_gaussian_width_whose_square_underflows_is_rejected_at_parse(cells):
+    # 2 (width * extent)^2 underflows to 0: an odd grid's centre cell
+    # computed 0/0 (NaN data, misnamed as a u0_squared overflow), an even
+    # grid divided by zero and lost its bump without an error
+    cfg = base_cfg(grid={"cells": [cells]},
+                   initial={"family": "gaussian", "width": 1e-200})
+    with pytest.raises(ConfigError, match=r"initial\.width = 1e-200 is too small"):
+        parse_config_dict(cfg)

@@ -19,9 +19,6 @@ from fluxks.functionals import (
     FunctionalRecord,
     MonitorSettings,
     csv_columns,
-    dissipation_u,
-    entropy_F1,
-    entropy_F2,
     record,
     records_to_csv,
     write_records_csv,
@@ -30,10 +27,8 @@ from fluxks.grid import (
     FieldNorms,
     GridFunction,
     build_grid,
-    face_quadrature_weights,
     integrate,
     laplacian_values,
-    measured_gradient_faces,
     unit_grid,
 )
 from fluxks.model import ModelParams, build_initial_data
@@ -63,33 +58,30 @@ def test_density_integral_constant(grid1d):
         norms.integral(0.0)
 
 
+def f_record(u, v, q_f1=2.0, c_f1=1.0, q_f2=2.0):
+    # the record of one state, with F1 and F2 at the given indices
+    st = SimState(u=u, v=v, t=0.0, step_index=0)
+    return record(st, MonitorSettings(q_set=(2.0,), s=2.0, q_f1=q_f1, q_f2=q_f2, c_f1=c_f1))
+
+
 def test_entropy_f1_hand_values(grid1d):
     g = grid1d(16)
     u1, v0 = GridFunction.constant(g, 1.0), GridFunction.constant(g, 0.0)
-    assert entropy_F1(u1, v0, 2.0, 1.0) == pytest.approx(1.0, abs=1e-13)
+    assert f_record(u1, v0, 2.0, 1.0).F1 == pytest.approx(1.0, abs=1e-13)
     # q < 1 flips the density sign: -1 + 2*1 = 1
     v1 = GridFunction.constant(g, 1.0)
-    assert entropy_F1(u1, v1, 0.5, 2.0) == pytest.approx(1.0, abs=1e-13)
+    assert f_record(u1, v1, 0.5, 2.0).F1 == pytest.approx(1.0, abs=1e-13)
     u2, v3 = GridFunction.constant(g, 2.0), GridFunction.constant(g, 3.0)
-    assert entropy_F1(u2, v3, 2.0, 1.0) == pytest.approx(13.0, abs=1e-12)
-
-
-def test_entropy_f1_validation(grid1d):
-    g = grid1d(8)
-    u = GridFunction.constant(g, 1.0)
-    with pytest.raises(ValueError, match="q != 1"):
-        entropy_F1(u, u, 1.0, 1.0)
-    with pytest.raises(ValueError, match="c >= 0"):
-        entropy_F1(u, u, 2.0, -0.5)
+    assert f_record(u2, v3, 2.0, 1.0).F1 == pytest.approx(13.0, abs=1e-12)
 
 
 def test_entropy_f2_constant_state(grid1d):
     g = grid1d(32)
     u = GridFunction.constant(g, 2.0)
     v = GridFunction.constant(g, 4.0)
-    assert entropy_F2(u, v, 3.0) == pytest.approx(8.0, abs=1e-12)
-    with pytest.raises(ValueError, match="q > 1"):
-        entropy_F2(u, v, 1.0)
+    assert f_record(u, v, q_f2=3.0).F2 == pytest.approx(8.0, abs=1e-12)
+    with pytest.raises(ValueError, match="q_f2 must exceed 1"):
+        MonitorSettings(q_f2=1.0)
 
 
 def test_entropy_f2_cosine_gradient_energy():
@@ -101,7 +93,7 @@ def test_entropy_f2_cosine_gradient_energy():
         g = build_grid("cartesian-1d", extents=(1.0,), cells=(cells,))
         u = GridFunction.constant(g, 1.0)
         v = GridFunction.from_callable(g, lambda x: np.cos(math.pi * x))
-        val = entropy_F2(u, v, 2.0)
+        val = f_record(u, v).F2
         h = 1.0 / cells
         amp = 2.0 / h * math.sin(math.pi * h / 2.0)
         closed = amp * amp * (0.5 + h * math.sin(math.pi * h) ** 2)
@@ -112,7 +104,7 @@ def test_entropy_f2_cosine_gradient_energy():
 
 def test_dissipation_constant_is_zero(grid1d):
     g = grid1d(16)
-    assert dissipation_u(GridFunction.constant(g, 5.0), 2.0) == 0.0
+    assert FieldNorms(GridFunction.constant(g, 5.0)).dissipation_integral(2.0) == 0.0
 
 
 def test_dissipation_q2_linear_field_exact(grid1d):
@@ -120,33 +112,39 @@ def test_dissipation_q2_linear_field_exact(grid1d):
     # quadrature tiles the domain, so the integral is exactly 1
     g = grid1d(50)
     u = GridFunction.from_callable(g, lambda x: 1.0 + x)
-    assert dissipation_u(u, 2.0) == pytest.approx(1.0, abs=1e-13)
+    assert FieldNorms(u).dissipation_integral(2.0) == pytest.approx(1.0, abs=1e-13)
 
 
-def test_dissipation_matches_brute_force(grid1d):
-    g = grid1d(24)
-    rng = np.random.default_rng(4)
-    u = GridFunction(g, rng.uniform(0.5, 2.0, size=24))
+def face_density(values, axis):
+    # per face of one axis, the mean of its two cells; a boundary face takes
+    # its own cell
+    cells = np.moveaxis(values, axis, 0)
+    dens = np.concatenate([cells[:1], 0.5 * (cells[:-1] + cells[1:]), cells[-1:]])
+    return np.moveaxis(dens, 0, axis)
+
+
+def test_dissipation_matches_brute_force():
     q = 2.6
-    grads = measured_gradient_faces(g, u.values)[0]
-    fw = face_quadrature_weights(g, 0)
-    u_face = np.empty(25)
-    u_face[1:-1] = 0.5 * (u.values[:-1] + u.values[1:])
-    u_face[0] = u.values[0]
-    u_face[-1] = u.values[-1]
-    brute = float(np.sum(u_face ** (q - 2.0) * grads**2 * fw))
-    assert dissipation_u(u, q) == pytest.approx(brute, rel=1e-15)
+    for g in (build_grid("cartesian-1d", extents=(1.0,), cells=(24,)),
+              build_grid("cartesian-2d", extents=(1.0, 0.7), cells=(7, 5)),
+              build_grid("radial-n", extents=(1.0,), cells=(24,), n=3)):
+        rng = np.random.default_rng(4)
+        u = GridFunction(g, rng.uniform(0.5, 2.0, size=g.shape))
+        norms = FieldNorms(u)
+        brute = sum(float(np.sum(face_density(u.values, a) ** (q - 2.0) * grads**2 * fw))
+                    for a, (grads, fw) in enumerate(zip(norms.faces, g.face_weights)))
+        assert norms.dissipation_integral(q) == pytest.approx(brute, rel=1e-15), g.mode
 
 
 def test_dissipation_floor_keeps_negative_powers_finite(grid1d):
     g = grid1d(16)
     vals = np.ones(16)
     vals[5] = 0.0  # zero cell forces the face floor into play
-    u = GridFunction(g, vals)
-    out = dissipation_u(u, 1.5)
+    norms = FieldNorms(GridFunction(g, vals))
+    out = norms.dissipation_integral(1.5)
     assert math.isfinite(out) and out >= 0.0
     with pytest.raises(ValueError):
-        dissipation_u(u, 0.0)
+        norms.dissipation_integral(0.0)
 
 
 # ----------------------------------------------------------------- record
@@ -215,7 +213,7 @@ def test_record_brute_force_cross_check(grid1d):
     assert rec.v_w1s == pytest.approx(expected_w1s, rel=1e-15)
     lap = laplacian_values(g, v.values)
     assert rec.lap_v_l2 == pytest.approx(float(np.sum(lap**2 * w)), rel=1e-14)
-    assert rec.dissip_u[2.0] == pytest.approx(dissipation_u(u, 2.0), rel=1e-15)
+    assert rec.dissip_u[2.0] == pytest.approx(FieldNorms(u).dissipation_integral(2.0), rel=1e-15)
     assert rec.F1 == pytest.approx(rec.uq[2.0] + 0.5 * rec.v_l2, rel=1e-14)
     assert rec.F2 == rec.uq[2.0] + rec.gradv_l2
     assert rec.clamped_mass_cumulative == 1e-13
@@ -228,7 +226,7 @@ def test_record_brute_force_cross_check(grid1d):
 ])
 def test_record_builds_one_gradient_per_field(monkeypatch, mode, cells, s):
     # one measurement gradient of u serves every q, one of v both indices;
-    # the values equal (==) those of the public per-call functions
+    # the values equal (==) those of fresh FieldNorms
     import fluxks.grid as grid_mod
 
     g = build_grid(mode, extents=(1.0,) * len(cells), cells=cells,
@@ -240,19 +238,20 @@ def test_record_builds_one_gradient_per_field(monkeypatch, mode, cells, s):
     q_set = (1.5, 2.0, 3.0)
 
     calls = []
-    original = grid_mod.measured_gradient_faces
+    original = grid_mod.gradient_faces
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(grid_mod, "measured_gradient_faces", counted)
+    monkeypatch.setattr(grid_mod, "gradient_faces", counted)
     rec = record(st, MonitorSettings(q_set=q_set, s=s, q_f1=3.0, q_f2=3.0, c_f1=1.0))
     assert len(calls) == 2
     monkeypatch.undo()
 
+    u_norms = FieldNorms(u)
     for q in q_set:
-        assert rec.dissip_u[q] == dissipation_u(u, q)
+        assert rec.dissip_u[q] == u_norms.dissipation_integral(q)
     v_norms = FieldNorms(v)
     assert rec.gradv_l2 == v_norms.grad_integral(2.0)
     if math.isinf(s):
@@ -264,7 +263,7 @@ def test_record_builds_one_gradient_per_field(monkeypatch, mode, cells, s):
 @pytest.mark.parametrize("q_f1,c_f1", [(1.5, 2.0), (0.5, 0.7), (3.0, 0.0)])
 def test_record_f1_reuses_its_integrals(grid1d, q_f1, c_f1):
     # F1 is assembled from the record's own uq[q_f1] and v_l2, bit for bit,
-    # and equals entropy_F1 evaluated afresh
+    # and equals F1 from fresh FieldNorms
     g = grid1d(24)
     rng = np.random.default_rng(7)
     u = GridFunction(g, rng.uniform(0.2, 2.0, size=g.shape))
@@ -274,8 +273,9 @@ def test_record_f1_reuses_its_integrals(grid1d, q_f1, c_f1):
     rec = record(st, monitors)
     sign = 1.0 if q_f1 > 1.0 else -1.0
     assert rec.F1 == sign * rec.uq[q_f1] + c_f1 * rec.v_l2
-    assert rec.F1 == entropy_F1(u, v, q_f1, c_f1)
-    # the settings record reads reject what entropy_F1 rejects
+    assert rec.F1 == sign * FieldNorms(u).integral(q_f1) + c_f1 * FieldNorms(v).integral(2.0)
+    # the settings record reads reject q_f1 = 1, where the sign is undefined,
+    # and a negative weight
     with pytest.raises(ValueError, match="!= 1"):
         record(st, MonitorSettings(q_set=(2.0,), s=2.0, q_f1=1.0, q_f2=2.0, c_f1=1.0))
     with pytest.raises(ValueError, match=">= 0"):

@@ -158,7 +158,7 @@ def test_gn_ratio_constant_field(grid1d):
     ex = GNExponents(p_hat=4.0, q_hat=2.0, r_hat=2.0, s_hat=2.0, n=1)
     for c in (1.0, 7.0):
         f = GridFunction(g, c * np.ones(64))
-        assert gn_ratio(f, ex) == pytest.approx(1.0, rel=1e-14)
+        assert gn_ratio(FieldNorms(f), ex) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_gn_ratio_scale_invariant(grid1d):
@@ -166,8 +166,8 @@ def test_gn_ratio_scale_invariant(grid1d):
     x = g.axis_centers(0)
     f = GridFunction(g, 1.0 + np.cos(np.pi * x) ** 2)
     ex = GNExponents(p_hat=4.0, q_hat=2.0, r_hat=2.0, s_hat=2.0, n=1)
-    base = gn_ratio(f, ex)
-    scaled = gn_ratio(GridFunction(g, 7.0 * f.values), ex)
+    base = gn_ratio(FieldNorms(f), ex)
+    scaled = gn_ratio(FieldNorms(GridFunction(g, 7.0 * f.values)), ex)
     assert scaled == pytest.approx(base, rel=1e-12)
 
 
@@ -176,7 +176,7 @@ def test_gn_ratio_zero_field_rejected(grid1d):
     f = GridFunction(g, np.zeros(16))
     ex = GNExponents(p_hat=4.0, q_hat=2.0, r_hat=2.0, s_hat=2.0, n=1)
     with pytest.raises(ValueError, match="zero right-hand side"):
-        gn_ratio(f, ex)
+        gn_ratio(FieldNorms(f), ex)
 
 
 def test_gn2_ratio_cosine_closed_form(grid1d):
@@ -186,7 +186,7 @@ def test_gn2_ratio_cosine_closed_form(grid1d):
     x = g.axis_centers(0)
     f = GridFunction(g, np.cos(np.pi * x))
     ex = GN2Exponents(p_hat=2.0, q_hat=2.0, r_hat=2.0, s_hat=2.0, n=1)
-    assert gn2_ratio(f, ex) == pytest.approx(math.pi / (math.pi + 2.0), rel=1e-4)
+    assert gn2_ratio(FieldNorms(f), ex) == pytest.approx(math.pi / (math.pi + 2.0), rel=1e-4)
 
 
 # ----------------------------------------------------------------- ensemble
@@ -290,11 +290,11 @@ def test_one_pass_equals_per_ratio_definitions(n, cells):
     est = estimate_constants(grid, gn_sets, gn2_sets, size=size, seed=seed)
 
     for exps, got in zip(gn_sets, est.gn, strict=True):
-        assert got == max(gn_ratio(f, exps) for f in members)
+        assert got == max(gn_ratio(FieldNorms(f), exps) for f in members)
         assert got == max(reference_gn_ratio(f, exps) for f in members)
         assert got == estimate_constants(grid, (exps,), size=size, seed=seed).gn[0]
     for exps, got in zip(gn2_sets, est.gn2, strict=True):
-        assert got == max(gn2_ratio(f, exps) for f in members)
+        assert got == max(gn2_ratio(FieldNorms(f), exps) for f in members)
         assert got == max(reference_gn2_ratio(f, exps) for f in members)
         assert got == estimate_constants(grid, gn2_sets=(exps,), size=size, seed=seed).gn2[0]
 
@@ -302,7 +302,7 @@ def test_one_pass_equals_per_ratio_definitions(n, cells):
     for f in members:
         if gradient_lp_norm(f, 2.0) == 0.0:
             continue
-        best = max(best, poincare_ratio(f))
+        best = max(best, poincare_ratio(FieldNorms(f)))
     assert est.poincare == best > 0.0
     assert est.poincare == estimate_constants(grid, size=size, seed=seed).poincare
 
@@ -359,9 +359,9 @@ def test_poincare_ratio_eigenfunction(grid1d):
     g = grid1d(256)
     x = g.axis_centers(0)
     f = GridFunction(g, np.cos(np.pi * x))
-    assert poincare_ratio(f) == pytest.approx(1.0 / math.pi, rel=1e-4)
+    assert poincare_ratio(FieldNorms(f)) == pytest.approx(1.0 / math.pi, rel=1e-4)
     with pytest.raises(ValueError, match="constant"):
-        poincare_ratio(GridFunction(g, np.ones(256)))
+        poincare_ratio(FieldNorms(GridFunction(g, np.ones(256))))
 
 
 def test_poincare_estimate_saturates_at_first_eigenvalue(grid1d):

@@ -13,19 +13,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
+from test_functionals import face_density
 
 from fluxks.grid import (
+    FACE_AVERAGE_FLOOR,
     MIN_CELLS_PER_AXIS,
     FieldNorms,
     Grid,
     GridFunction,
     build_grid,
     divergence_values,
-    face_quadrature_weights,
     gradient_faces,
     integrate,
     laplacian_values,
-    measured_gradient_faces,
 )
 
 
@@ -264,29 +264,44 @@ _MODE_GRIDS = {
     scale=hs.floats(1e-3, 1e3),
     seed=hs.integers(0, 2**16),
     p=hs.floats(0.5, 8.0, exclude_min=True, exclude_max=True),
+    zeros=hs.floats(0.0, 0.5),
 )
-@example(mode="cartesian-2d", cells=5, n=2, scale=1.0, seed=0, p=2.0)  # the f * f route
-def test_field_norms_match_the_direct_sums(mode, cells, n, scale, seed, p):
+@example(mode="cartesian-2d", cells=5, n=2, scale=1.0, seed=0, p=2.0, zeros=0.0)  # f * f
+@example(mode="radial-n", cells=9, n=3, scale=1.0, seed=1, p=0.7, zeros=0.5)  # the floor
+def test_field_norms_match_the_direct_sums(mode, cells, n, scale, seed, p, zeros):
     # integral and lp are sum |f|^p w and its root, grad_integral the face
-    # sum of |g|^p w_face, whatever route (f * f or exp(p log |f|)) they take
+    # sum of |g|^p w_face, whatever route (f * f or exp(p log |f|)) they take;
+    # dissipation_integral(p) is the face sum of dens^(p-2) g^2 w_face, dens
+    # the floored mean of the cells beside each face.  A share `zeros` of the
+    # cells is 0, where log |f| is -inf and, with the negative cells, the
+    # floor acts.
     grid = _MODE_GRIDS[mode](cells, n)
-    values = scale * np.random.default_rng(seed).normal(size=grid.shape)
+    rng = np.random.default_rng(seed)
+    values = scale * rng.normal(size=grid.shape)
+    values[rng.random(grid.shape) < zeros] = 0.0
     norms = FieldNorms(GridFunction(grid, values))
     direct = float(np.sum(np.abs(values) ** p * grid.cell_weights))
     assert norms.integral(p) == pytest.approx(direct, rel=1e-13, abs=0.0)
     assert norms.lp(p) == pytest.approx(direct ** (1.0 / p), rel=1e-13, abs=0.0)
     if p >= 1.0:
-        faces = measured_gradient_faces(grid, values)
-        direct = sum(float(np.sum(np.abs(g) ** p * face_quadrature_weights(grid, a)))
-                     for a, g in enumerate(faces))
+        direct = sum(float(np.sum(np.abs(g) ** p * fw))
+                     for g, fw in zip(norms.faces, grid.face_weights))
         assert norms.grad_integral(p) == pytest.approx(direct, rel=1e-13, abs=0.0)
+    direct = 0.0
+    for axis, (g, fw) in enumerate(zip(norms.faces, grid.face_weights)):
+        dens = np.maximum(face_density(values, axis), FACE_AVERAGE_FLOOR)
+        direct += float(np.sum(dens ** (p - 2.0) * g**2 * fw))
+    assert norms.dissipation_integral(p) == pytest.approx(direct, rel=1e-13, abs=0.0)
 
 
-def test_face_quadrature_weights_sum_to_measure(grid2d):
+def test_face_quadrature_weights_sum_to_measure():
     # face trapezoid weights (half cells at the boundary) tile the domain
-    g = grid2d(12)
-    for a in range(2):
-        assert abs(face_quadrature_weights(g, a).sum() - g.measure) < 1e-12
+    for g in (build_grid("cartesian-1d", 1.0, 12),
+              build_grid("cartesian-2d", (1.0, 0.7), (12, 9)),
+              build_grid("radial-n", 1.0, 12, n=3)):
+        assert len(g.face_weights) == g.n_axes
+        for fw in g.face_weights:
+            assert abs(fw.sum() - g.measure) < 1e-12 * g.measure
 
 
 # -------------------------------------------------------------- operators
@@ -311,7 +326,7 @@ def test_gradient_of_linear_is_exact_inside(grid1d):
 def test_measured_gradient_copies_interior_to_boundary(grid1d):
     g = grid1d(16)
     f = GridFunction.from_callable(g, lambda x: x)
-    meas = measured_gradient_faces(g, f.values)[0]
+    meas = FieldNorms(f).faces[0]
     # measurement estimate keeps the nearest interior slope at the wall
     assert abs(meas[0] - meas[1]) < 1e-13
     assert abs(meas[-1] - meas[-2]) < 1e-13
@@ -342,11 +357,10 @@ def test_gradient_lp_norm_converges_quadratically():
 def test_faces_lp_norm_l2_path_is_the_abs_power_sum_bit_for_bit(grid):
     # p = 2 squares with g * g; |g| ** 2 is the same double
     values = np.random.default_rng(8).normal(size=grid.shape)
-    faces = measured_gradient_faces(grid, values)
-    total = 0.0
-    for a, g in enumerate(faces):
-        total += float(np.sum(np.abs(g) ** 2 * face_quadrature_weights(grid, a)))
     norms = FieldNorms(GridFunction(grid, values))
+    total = 0.0
+    for g, fw in zip(norms.faces, grid.face_weights):
+        total += float(np.sum(np.abs(g) ** 2 * fw))
     assert norms.grad_integral(2.0) == total
     assert norms.grad_lp(2.0) == total ** 0.5
 

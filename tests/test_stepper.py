@@ -413,6 +413,54 @@ def test_radial_run_with_n_1_is_the_1d_run_bit_for_bit(p, theta, chi):
     assert integrate(radial.u) == 2.0 * integrate(flat.u)
 
 
+@pytest.mark.parametrize("grid", [
+    build_grid("cartesian-1d", extents=(1.0,), cells=(64,)),
+    build_grid("radial-n", extents=(1.0,), cells=(64,), n=3),
+    build_grid("cartesian-2d", extents=(1.0, 1.0), cells=(32, 32)),
+], ids=["1d", "radial-3", "2d"])
+@pytest.mark.parametrize("p,theta", [(1.5, 2.0), (3.0, 1.0)])
+def test_scaled_run_is_the_run_scaled(grid, p, theta):
+    # (u, v, chi, eps) -> (lam u, lam^theta v, lam^(-theta (p-1)) chi,
+    # lam^(2 theta) eps) maps solutions to solutions.  With lam = 2 every
+    # factor is a power of two, so the one-axis runs agree bit for bit; 2d,
+    # whose transport solve is iterative, to roundoff.  dt_max binds both
+    # runs (the production proxy is not scale-invariant for theta != 1).
+    lam = 2.0
+    init = build_initial_data(grid, family="cosine", base=1.0, amplitude=0.9,
+                              v0_kind="u0_pow_theta", theta=theta)
+    controls = StepControls(t_end=0.5, dt_max=0.01)
+    runs = []
+    for k, (fu, fv, fchi, feps) in enumerate(
+            [(1.0, 1.0, 1.0, 1.0),
+             (lam, lam**theta, lam ** (-theta * (p - 1.0)), lam ** (2.0 * theta))]):
+        data = InitialData(GridFunction(grid, fu * init.u0.values),
+                           GridFunction(grid, fv * init.v0.values))
+        params = ModelParams(chi=fchi, p=p, theta=theta, eps=1e-3 * feps, n=grid.n)
+        res = simulate(data, params, controls, mollify=False)
+        assert res.status == RunStatus.COMPLETED, res.message
+        runs.append(res)
+    base, scaled = runs
+    assert scaled.n_steps == base.n_steps == 50
+    u, v = base.final_state.u.values, base.final_state.v.values
+    su, sv = scaled.final_state.u.values, scaled.final_state.v.values
+    if grid.n_axes == 1:
+        assert np.array_equal(su, lam * u)
+        assert np.array_equal(sv, lam**theta * v)
+    else:
+        np.testing.assert_allclose(su, lam * u, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(sv, lam**theta * v, rtol=1e-13, atol=0.0)
+    assert len(scaled.records) == len(base.records)
+    for rec, srec in zip(base.records, scaled.records):
+        assert srec.t == rec.t
+        assert srec.mass == pytest.approx(lam * rec.mass, rel=1e-13, abs=0.0)
+        for q in rec.uq:
+            assert srec.uq[q] == pytest.approx(lam**q * rec.uq[q], rel=1e-13, abs=0.0)
+            assert srec.dissip_u[q] == pytest.approx(lam**q * rec.dissip_u[q], rel=1e-13, abs=0.0)
+        for name in ("v_l2", "gradv_l2", "lap_v_l2"):
+            assert getattr(srec, name) == pytest.approx(
+                lam ** (2.0 * theta) * getattr(rec, name), rel=1e-13, abs=0.0), name
+
+
 def stale_cfl_case(base=1.0, t_end=0.01):
     # a 2d gaussian with v0 = 0: no transport at t = 0, but the first v_new is
     # steep, and its explicit upwind bound (about 3.5e-4) is far below the
