@@ -337,26 +337,40 @@ def divergence_values(grid: Grid, faces) -> NDArray[np.float64]:
     return acc
 
 
-def _layout_faces(grid: Grid, axis: int, faces: NDArray) -> NDArray:
-    # the interior faces of one axis, read-only, in the layout of Grid._face_layout
-    out = np.zeros(grid.shape)
+def _layout_faces(grid: Grid, axis: int, faces: NDArray, out: NDArray | None = None) -> NDArray:
+    # the interior faces of one axis in the layout of Grid._face_layout: read-only,
+    # or written into out, a field whose entries outside that layout are 0
+    held = out is not None
+    out = out if held else np.zeros(grid.shape)
     out[_slice_axis(grid.n_axes, axis, slice(1, None))] = faces[
         _slice_axis(grid.n_axes, axis, slice(1, -1))]
-    out.flags.writeable = False
+    out.flags.writeable = held
     return out.ravel()[math.prod(grid.shape[axis + 1:]):]
 
 
-def _flow_divergence(grid: Grid, values: NDArray[np.float64], rates=None) -> NDArray[np.float64]:
+def _flow_work(grid: Grid) -> list[tuple[NDArray[np.float64], ...]]:
+    # the work arrays of _flow_divergence, per axis: the face flow, the face
+    # below each cell, then those above the top layer (the first and last
+    # stride entries, boundary faces, stay 0), and two views of one scratch
+    # field, for the products of the rates and for the flow differences
+    n = grid.cell_weights.size
+    scratch = np.empty(n)
+    return [(np.zeros(n + stride), scratch[stride:], scratch) for stride, _, _ in grid._face_layout]
+
+
+def _flow_divergence(grid: Grid, values: NDArray[np.float64], rates=None, out=None,
+                     work=None) -> NDArray[np.float64]:
     """Net flow per unit cell weight of the face flow ``area * ((x_hi - x_lo)
     / h)``, less ``up * x_lo - down * x_hi`` with the upwind ``rates`` ``(up,
     down)`` per axis in the layout of ``Grid._face_layout``.  Without ``rates``
-    it is ``divergence_values(gradient_faces(values))`` bit for bit."""
+    it is ``divergence_values(gradient_faces(values))`` bit for bit.  It writes
+    into ``out``, a field, with the arrays of :func:`_flow_work` (new ones by
+    default, one axis at a time)."""
     flat = values.ravel()
-    acc = np.zeros(flat.size)
+    acc = None if out is None else out.reshape(-1)
     for axis, (stride, h, area) in enumerate(grid._face_layout):
         x_lo, x_hi = flat[:-stride], flat[stride:]
-        # the face below each cell, then those above the top layer
-        flow = np.zeros(flat.size + stride)
+        flow, prod, diff = work[axis] if work else (np.zeros(flat.size + stride), None, None)
         inner = np.subtract(x_hi, x_lo, out=flow[stride:-stride])
         if axis == 1:
             # the 2d pairs that straddle the end of a row have no face between
@@ -366,9 +380,11 @@ def _flow_divergence(grid: Grid, values: NDArray[np.float64], rates=None) -> NDA
         inner *= area
         if rates is not None:
             up, down = rates[axis]
-            inner -= up * x_lo
-            inner += down * x_hi
-        acc += flow[stride:] - flow[:-stride]
+            inner -= np.multiply(up, x_lo, out=prod)
+            inner += np.multiply(down, x_hi, out=prod)
+        net = np.subtract(flow[stride:], flow[:-stride], out=diff)
+        # the first axis's net flow is added to 0.0, as to an array of zeros
+        acc = np.add(acc if axis else 0.0, net, out=acc)
     acc = acc.reshape(grid.shape)
     acc /= grid.cell_weights
     return acc

@@ -39,13 +39,25 @@ backward error passes, ``||r|| <= SOLVER_RTOL * (||A|| ||x|| + ||b||)``, with
 else, and a right-hand side whose norm is not finite, raises
 :class:`SolverError`.
 
-A solve builds its operator once (:class:`_FaceOperator`), which its
+A solve sets the solver's operator once (:class:`_FaceOperator`), which its
 residuals, the GMRES products, the tridiagonal diagonals and the norm bound
 all read.  It applies the flux-form kernel of ``laplacian_values``
 (:mod:`fluxks.grid`), so its face flows telescope and keep the mass to
 roundoff; of the one-sided transport rates ``max(+-coeff * area, 0)`` one is
 0 on each face, so no two rounded products cancel.  The exact inverse (DCT
 denominator or diagonals) is built only when a correction runs.
+
+A solver holds its work arrays for its life, one run: the operator's rates
+and flows, the residual (which each correction overwrites), the DCT
+denominator and both GMRES bases, ``KRYLOV_RESTART + 1`` and
+``KRYLOV_RESTART`` fields mapped as the cycles reach them.  A 128x128 field
+is 131,072 bytes, glibc's default mmap threshold; allocated and freed per
+call, such fields make glibc trim its heap and fault the pages in again.  A
+79-step 128x128 point took about 48,500 minor page faults, 42,000 in its
+solves, and takes about 5,500 with held arrays, 800 in its solves (first
+touches), with the same arithmetic.  No returned array is a work array, and
+no two solvers share one: a cache keyed by ``id(grid)`` would hand a dead
+grid's arrays to a new grid of another size.
 """
 
 from __future__ import annotations
@@ -59,7 +71,7 @@ import scipy.linalg
 from numpy.typing import NDArray
 
 from .errors import SolverError
-from .grid import Grid, _flow_divergence, _layout_faces, _neg_laplacian_diagonal
+from .grid import Grid, _flow_divergence, _flow_work, _layout_faces, _neg_laplacian_diagonal
 
 SOLVER_RTOL = 1e-10
 # corrections per solve: exact-inverse corrections (one normally suffices), or
@@ -77,24 +89,40 @@ class _FaceOperator:
     """``a*I - d*L + d*A(coeffs)`` of one solve: ``a``, ``d`` and the upwind
     rates per axis in the layout of ``Grid._face_layout``, ``up = max(coeff *
     area, 0)`` from the lower cell of a face into the upper one, per unit of
-    the lower cell's value, and ``down = max(-coeff * area, 0)`` back."""
+    the lower cell's value, and ``down = max(-coeff * area, 0)`` back.  It
+    keeps its work arrays and rates when :meth:`reset` makes it the next
+    solve's operator."""
 
     def __init__(self, grid: Grid, a_coef: float, d_coef: float, coeffs):
         self.grid = grid
+        # the flux-form kernel's work arrays and output, and per axis a field
+        # for up (its entries outside the face layout stay 0) and down
+        self._kernel_work, self._divergence = _flow_work(grid), np.empty(grid.shape)
+        self._rate_work = [(np.zeros(grid.shape), np.empty(grid.cell_weights.size - stride))
+                           for stride, _, _ in grid._face_layout]
+        self.reset(a_coef, d_coef, coeffs)
+
+    def reset(self, a_coef: float, d_coef: float, coeffs) -> "_FaceOperator":
         self.a_coef, self.d_coef = a_coef, d_coef
         self.rates = None
         if coeffs is not None:
             self.rates = []
-            for axis, (_, _, area) in enumerate(grid._face_layout):
-                flow = _layout_faces(grid, axis, coeffs[axis]) * area
-                self.rates.append((np.maximum(flow, 0.0), np.maximum(-flow, 0.0)))
+            for axis, ((_, _, area), (up_field, down)) in enumerate(
+                    zip(self.grid._face_layout, self._rate_work)):
+                flow = up = _layout_faces(self.grid, axis, coeffs[axis], out=up_field)
+                flow *= area
+                np.maximum(np.negative(flow, out=down), 0.0, out=down)
+                np.maximum(flow, 0.0, out=up)  # in place: flow is spent
+                self.rates.append((up, down))
+        return self
 
-    def apply(self, x: NDArray) -> NDArray:
+    def apply(self, x: NDArray, out: NDArray | None = None) -> NDArray:
         """``a*x`` less ``d`` times the divergence of the face flow ``area *
-        ((x_hi - x_lo) / h) - up * x_lo + down * x_hi``."""
-        acc = _flow_divergence(self.grid, x, self.rates)
+        ((x_hi - x_lo) / h) - up * x_lo + down * x_hi``, into ``out`` (a new
+        array by default)."""
+        acc = _flow_divergence(self.grid, x, self.rates, self._divergence, self._kernel_work)
         acc *= self.d_coef
-        out = self.a_coef * x
+        out = np.multiply(self.a_coef, x, out=out)
         out -= acc
         return out
 
@@ -111,14 +139,24 @@ class _FaceOperator:
 
 
 class HelmholtzSolver:
-    """Solves ``(a*I - d*L + d*A) x = b`` on one grid, reusing precomputed spectra."""
+    """Solves ``(a*I - d*L + d*A) x = b`` on one grid, reusing precomputed
+    spectra and the work arrays of its solves (see the module docstring), so
+    one solver serves one thread."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self._weights = grid.cell_weights
         self._symbol = self._rates = None
+        self._op = _FaceOperator(grid, 1.0, 0.0, None)  # reset by each solve
+        # the residual, which its correction overwrites, and the products of
+        # the inner product and of Gram-Schmidt
+        self._residual, self._product = np.empty((2, *grid.shape))
         if grid.mode == "cartesian-2d":
             self._symbol = self._dct_symbol(grid)
+            self._denom = np.empty(grid.shape)
+            # np.empty maps pages only as the GMRES cycles reach them
+            self._basis = np.empty((KRYLOV_RESTART + 1, *grid.shape))
+            self._preconditioned = np.empty((KRYLOV_RESTART, *grid.shape))
         else:
             # the tridiagonal inverse's diffusive face rates area / h, 0 on the boundary
             _, h, area = grid._face_layout[0]
@@ -152,35 +190,37 @@ class HelmholtzSolver:
     def apply(self, a_coef: float, d_coef: float, x: NDArray, coeffs=None) -> NDArray:
         """The operator ``a*x - d*L(x) + d*A(x)`` of the solve, independent of
         any inverse (no transport term without ``coeffs``)."""
-        return _FaceOperator(self.grid, a_coef, d_coef, coeffs).apply(x)
+        return self._op.reset(a_coef, d_coef, coeffs).apply(x)
 
     def _dot(self, f: NDArray, g: NDArray) -> float:
         # the weighted inner product as a numpy reduction, not a BLAS call,
         # whose threads would make results depend on the thread count
-        prod = f * g
+        prod = np.multiply(f, g, out=self._product)
         prod *= self._weights
         return float(np.sum(prod))
 
     def _norm(self, f: NDArray) -> float:
         return math.sqrt(self._dot(f, f))
 
-    def _inverse(self, op: _FaceOperator) -> Callable[[NDArray], NDArray]:
-        # the exact inverse of op; in 2d that of a*I - d*L, which is the GMRES
-        # preconditioner when there is transport
+    def _inverse(self, op: _FaceOperator) -> Callable[..., NDArray]:
+        # the exact inverse of op, applied to r in out (a new array by
+        # default); in 2d that of a*I - d*L, which is the GMRES preconditioner
+        # when there is transport
         if self._symbol is not None:
-            denom = op.a_coef + op.d_coef * self._symbol
+            denom = np.multiply(self._symbol, op.d_coef, out=self._denom)
+            denom += op.a_coef
+        else:
+            lower, diagonal, upper = self._tridiagonal(op)
 
-            def inverse(r: NDArray) -> NDArray:
-                rh = scipy.fft.dctn(r, type=2, norm="ortho")
-                rh /= denom
-                return scipy.fft.idctn(rh, type=2, norm="ortho", overwrite_x=True)
-
-            return inverse
-        lower, diagonal, upper = self._tridiagonal(op)
-
-        def inverse(r: NDArray) -> NDArray:
-            # overwrite flags off (gtsv's default): the diagonals serve every correction
-            *_, x, info = _gtsv(lower, diagonal, upper, r)
+        def inverse(r: NDArray, out: NDArray | None = None) -> NDArray:
+            x = np.empty_like(r) if out is None else out
+            x[...] = r
+            if self._symbol is not None:  # the transforms run in place (overwrite_x)
+                xh = scipy.fft.dctn(x, type=2, norm="ortho", overwrite_x=True)
+                xh /= denom
+                return scipy.fft.idctn(xh, type=2, norm="ortho", overwrite_x=True)
+            # the diagonals' overwrite flags off (gtsv's default): they serve every correction
+            *_, x, info = _gtsv(lower, diagonal, upper, x, overwrite_b=True)
             if info != 0:
                 raise SolverError(f"gtsv: zero pivot in row {info} of the tridiagonal solve")
             return x
@@ -196,18 +236,21 @@ class HelmholtzSolver:
         the least-squares residual, updated by Givens rotations, is at most
         ``target``.  It keeps the preconditioned basis ``z_j = precond(v_j)``
         along with the Arnoldi basis ``v_j`` and returns ``sum_j y_j z_j``,
-        which takes no further preconditioner solve."""
-        basis = [r / norm_r]
+        which takes no further preconditioner solve.  Both bases live in the
+        solver's work arrays (see the module docstring); the operator's
+        products, and then ``dx``, overwrite ``r``."""
+        basis = self._basis
+        np.divide(r, norm_r, out=basis[0])
         preconditioned: list[NDArray] = []
         hess = np.zeros((KRYLOV_RESTART, KRYLOV_RESTART))  # rotated: R of H = QR
         rotations: list[tuple[float, float]] = []
         resid = [norm_r]  # the rotated right-hand side beta * e_1
         for j in range(KRYLOV_RESTART):
-            preconditioned.append(precond(basis[j]))
-            w = op.apply(preconditioned[j])
-            for i, v in enumerate(basis):  # modified Gram-Schmidt
+            preconditioned.append(precond(basis[j], self._preconditioned[j]))
+            w = op.apply(preconditioned[j], r)  # r is spent: basis[0] holds it
+            for i, v in enumerate(basis[:j + 1]):  # modified Gram-Schmidt
                 hess[i, j] = self._dot(w, v)
-                w -= hess[i, j] * v
+                w -= np.multiply(v, hess[i, j], out=self._product)
             h_next = self._norm(w)
             for i, (c, s) in enumerate(rotations):
                 hess[i, j], hess[i + 1, j] = (c * hess[i, j] + s * hess[i + 1, j],
@@ -220,14 +263,14 @@ class HelmholtzSolver:
             resid[j] *= c
             if abs(resid[j + 1]) <= target or h_next == 0.0:
                 break
-            basis.append(w / h_next)
+            np.divide(w, h_next, out=basis[j + 1])
         k = len(rotations)
         y = np.zeros(k)
         for i in reversed(range(k)):  # back substitution in the triangle
             y[i] = (resid[i] - float(np.sum(hess[i, i + 1:k] * y[i + 1:]))) / hess[i, i]
-        dx = y[0] * preconditioned[0]
+        dx = np.multiply(preconditioned[0], y[0], out=r)
         for coef, z in zip(y[1:], preconditioned[1:]):
-            dx += coef * z
+            dx += np.multiply(z, coef, out=self._product)
         return dx, k
 
     def solve(
@@ -251,7 +294,7 @@ class HelmholtzSolver:
             raise SolverError(f"the right-hand side's norm {norm_b} is not finite")
         if norm_b == 0.0:
             return np.zeros_like(rhs), 0, 0.0
-        op = _FaceOperator(self.grid, a_coef, d_coef, coeffs)
+        op = self._op.reset(a_coef, d_coef, coeffs)
         x = x0.copy()
         krylov = self._symbol is not None and coeffs is not None
         target = SOLVER_RTOL * norm_b
@@ -264,11 +307,11 @@ class HelmholtzSolver:
                 if krylov:
                     dx, used = self._gmres(op, inverse, r, norm_r, KRYLOV_RTOL * norm_b)
                 else:
-                    dx, used = inverse(r), 1
+                    dx, used = inverse(r, r), 1
                 x += dx
                 iterations += used
                 norm_prev = norm_r
-            r = op.apply(x)
+            r = op.apply(x, self._residual)
             np.subtract(rhs, r, out=r)
             norm_r = self._norm(r)
             # a correction carries the rounding of its residual, eps * ||r||,

@@ -119,7 +119,7 @@ def flux_coefficients(grid: Grid, grad_faces, params: ModelParams) -> list[NDArr
     coeffs = []
     for g, m in zip(grad_faces, face_gradient_magnitude_sq(grid, grad_faces)):
         m += params.eps
-        coeff = np.power(m, expo, out=np.zeros_like(m), where=m > 0.0)
+        coeff = np.power(m, expo, out=m, where=m > 0.0)
         coeff *= params.chi
         coeff *= g
         coeffs.append(coeff)

@@ -24,6 +24,11 @@ import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:  # POSIX only
+    resource = None
+
 from .errors import ConfigError
 from .config import RunConfig, parse_config_dict, read_fields
 from .grid import MIN_CELLS_PER_AXIS, unit_grid_section
@@ -225,10 +230,15 @@ def run_point(point: dict) -> dict:
     }
 
 
-def _run_point_timed(point: dict) -> tuple[dict, float]:
-    t0 = time.perf_counter()
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt if resource else 0
+
+
+def _run_point_timed(point: dict) -> tuple[dict, float, int]:
+    # wall seconds and minor page faults of the point, in the process that ran it
+    faults0, t0 = _minor_faults(), time.perf_counter()
     res = run_point(point)
-    return res, time.perf_counter() - t0
+    return res, time.perf_counter() - t0, _minor_faults() - faults0
 
 
 @dataclass(frozen=True)
@@ -278,11 +288,12 @@ def run_sweep(
     manifest_path = write_manifest(out, spec.to_dict(), points)
 
     timings: dict[str, float] = {}
+    faults: dict[str, int] = {}
     total0 = time.perf_counter()
-    for res, elapsed in imap_in_pool(_run_point_timed, todo, parallelism):
+    for res, elapsed, n_faults in imap_in_pool(_run_point_timed, todo, parallelism):
         pid = res["point_id"]
         by_id[pid] = res
-        timings[pid] = elapsed
+        timings[pid], faults[pid] = elapsed, n_faults
         write_point(out, res)
 
     results = [by_id[pt["point_id"]] for pt in points]
@@ -297,6 +308,8 @@ def run_sweep(
                 "total_seconds": time.perf_counter() - total0,
                 "parallelism": parallelism,
                 "points": timings,
+                # where the platform counts them (resource)
+                **({"minor_faults": faults} if resource else {}),
             },
             sort_keys=True,
             indent=2,

@@ -15,8 +15,9 @@ point), one ``<point_id>.json`` result per completed point, the regime map
   interrupted sweep runs only its remaining points, and a second
   ``run_sweep`` over a finished directory performs zero simulations;
 * point files, ``sweep.json`` and ``regime_map.csv`` are byte-identical
-  across repeats and across ``parallelism`` settings.  Wall-clock times go
-  to a ``timings.json`` sidecar which is exempt from that guarantee.
+  across repeats and across ``parallelism`` settings.  Wall-clock times and
+  minor page faults per point (where the platform counts them) go to a
+  ``timings.json`` sidecar which is exempt from that guarantee.
 """
 
 from __future__ import annotations

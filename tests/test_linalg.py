@@ -9,9 +9,12 @@ M-matrix sign pattern and weighted column sums that give positivity and mass,
 and the LAPACK ``gtsv`` inverse against scipy's ``solve_banded`` bit for bit;
 on the 2d grid the GMRES transport solve is checked against the dense matvec.
 A solve always corrects its guess unless the guess is exact, so modes below
-the solver tolerance still follow the discrete linear theory.
+the solver tolerance still follow the discrete linear theory.  A solver holds
+its work arrays for a run: reused, it matches fresh solvers bit for bit, and
+no two solvers share them, even on grids that reuse a dropped grid's id.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -24,7 +27,7 @@ from scipy.linalg import solve_banded
 
 from fluxks import linalg
 from fluxks.errors import SolverError
-from fluxks.grid import GridFunction, build_grid, divergence_values, integrate, laplacian_values
+from fluxks.grid import Grid, GridFunction, build_grid, divergence_values, integrate, laplacian_values
 from fluxks.linalg import SOLVER_RTOL, HelmholtzSolver, _FaceOperator
 from conftest import count_laplacians, mode_dispersion
 from fluxks.model import ModelParams, build_initial_data
@@ -488,6 +491,58 @@ def test_clamped_copy_solves_as_a_fresh_array(monkeypatch):
         same_solve(cached, HelmholtzSolver(grid).solve(1.0, 1e-3, b, np.array(x0)))
         assert cached[1] >= 1
     assert seen == []
+
+
+@pytest.mark.parametrize("mode,kwargs", ALL_GRIDS)
+def test_reused_solver_matches_fresh_solvers_bit_for_bit(mode, kwargs):
+    # a solver holds its work arrays for the run: over solves with changing
+    # a, d and coefficients, with and without transport, each solve and each
+    # apply equals that of a fresh solver bit for bit, and no array it
+    # returned changes afterwards
+    grid = build_grid(mode, **kwargs)
+    rng = np.random.default_rng(31)
+    solver = HelmholtzSolver(grid)
+    returned = []
+    for k, (a_coef, d_coef, transport) in enumerate(
+            [(1.0, 0.05, True), (1.3, 0.2, False), (1.0, 1.0, True), (1.0, 0.01, True), (1.1, 2.0, False)]):
+        coeffs = random_coeffs(grid, 40 + k, scale=1.0 + k) if transport else None
+        rhs, x0 = rng.uniform(0.5, 1.5, (2, *grid.shape))
+        result = solver.solve(a_coef, d_coef, rhs, x0, coeffs=coeffs)
+        same_solve(result, HelmholtzSolver(grid).solve(a_coef, d_coef, rhs, x0, coeffs=coeffs))
+        applied = solver.apply(a_coef, d_coef, result[0], coeffs)
+        assert np.array_equal(applied, HelmholtzSolver(grid).apply(a_coef, d_coef, result[0], coeffs))
+        returned += [(result[0], result[0].copy()), (applied, applied.copy())]
+    for array, snapshot in returned:
+        assert np.array_equal(array.view(np.uint64), snapshot.view(np.uint64))
+
+
+def test_solvers_on_grids_that_take_dropped_grids_ids_match_fresh_ones():
+    # work arrays cached by id(grid) fail here.  CPython hands the ids of
+    # dropped objects to new ones, so grids built just after a batch of grids
+    # of another size and their solvers are dropped take the dropped grids'
+    # ids: 64², then 128², then 64² again
+    def solve(grid):
+        solver = HelmholtzSolver(grid)
+        rhs = np.random.default_rng(grid.shape[0]).uniform(0.5, 1.5, grid.shape)
+        return (solver.solve(1.1, 0.05, rhs, rhs),
+                solver.solve(1.0, 0.05, rhs, rhs, coeffs=random_coeffs(grid, grid.shape[0])))
+
+    fields, fresh = {}, {}
+    for cells in (64, 128):
+        grid = build_grid("cartesian-2d", extents=(1.0, 1.0), cells=(cells, cells))
+        fields[cells] = [getattr(grid, f.name) for f in dataclasses.fields(grid)]
+        fresh[cells] = solve(grid)
+    dropped, taken = set(), 0
+    for cells in (64, 128, 64):
+        grids = [Grid(*fields[cells]) for _ in range(4)]
+        for grid in grids:
+            if not dropped or id(grid) in dropped:
+                taken += bool(dropped)
+                for result, reference in zip(solve(grid), fresh[cells]):
+                    same_solve(result, reference)
+        dropped = {id(grid) for grid in grids}
+        del grids, grid
+    assert taken, "no grid took a dropped grid's id: the hazard went unexercised"
 
 
 # a 2d run whose transport goes through GMRES and a radial run through gtsv;

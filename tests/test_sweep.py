@@ -253,6 +253,16 @@ def test_run_sweep_artifacts_resume_and_determinism(tmp_path):
     header = (out_a / "regime_map.csv").read_text(encoding="utf-8").splitlines()[0]
     assert header == ",".join(REGIME_MAP_COLUMNS)
 
+    # timings.json: per point the wall seconds and, where resource counts
+    # them, the minor page faults of the process that ran it
+    timings = json.loads((out_a / "timings.json").read_text(encoding="utf-8"))
+    ids = {r["point_id"] for r in res.results}
+    assert set(timings["points"]) == ids and timings["total_seconds"] > 0.0
+    assert ("minor_faults" in timings) == (sweep.resource is not None)
+    if sweep.resource is not None:
+        assert set(timings["minor_faults"]) == ids
+        assert all(isinstance(n, int) and n >= 0 for n in timings["minor_faults"].values())
+
     # resume: nothing re-runs, artifacts unchanged
     before = artifact_bytes(out_a)
     res2 = run_sweep(spec, out_a)
