@@ -20,7 +20,6 @@ from fluxks import (
     FieldNorms,
     GN2Exponents,
     GNExponents,
-    GridFunction,
     build_grid,
     density_step_set,
     estimate_constants,
@@ -52,16 +51,16 @@ def main() -> None:
 
     g = build_grid("cartesian-1d", extents=(1.0,), cells=(256,))
     x = g.axis_centers(0)
-    cos = GridFunction(g, np.cos(math.pi * x))
-    one_plus = GridFunction(g, 1.0 + cos.values)
+    cos = np.cos(math.pi * x)
+    one_plus = 1.0 + cos
     all2_first = GNExponents(p_hat=2.0, q_hat=2.0, r_hat=2.0, s_hat=2.0, n=1)
     all2_second = GN2Exponents(p_hat=2.0, q_hat=2.0, r_hat=2.0, s_hat=2.0, n=1)
     print("single fields, all indices 2 (first form a = 0, second form b = 1/2):")
     print(
-        f"  gn_ratio(1 + cos)  = {gn_ratio(FieldNorms(one_plus), all2_first):.6f}   "
+        f"  gn_ratio(1 + cos)  = {gn_ratio(FieldNorms(g, one_plus), all2_first):.6f}   "
         "(a = 0: right side is exactly 2 ||f||_2)"
     )
-    print(f"  gn2_ratio(cos)     = {gn2_ratio(FieldNorms(cos), all2_second):.6f}")
+    print(f"  gn2_ratio(cos)     = {gn2_ratio(FieldNorms(g, cos), all2_second):.6f}")
     print(f"  pi/(pi + 2)        = {math.pi / (math.pi + 2):.6f}   (continuum value)")
     print()
 

@@ -79,8 +79,8 @@ def _write_snapshots(out: Path, result: SimResult, cfg: RunConfig) -> None:
     lines = []
     for state in result.states:
         cells = [repr(float(state.t))]
-        cells += [repr(float(x)) for x in state.u.values.ravel(order="C")]
-        cells += [repr(float(x)) for x in state.v.values.ravel(order="C")]
+        cells += [repr(float(x)) for x in state.u.ravel(order="C")]
+        cells += [repr(float(x)) for x in state.v.ravel(order="C")]
         lines.append(" ".join(cells))
     write_atomic(out / "snapshots.txt", "\n".join(lines) + "\n")
     meta = {
@@ -88,7 +88,7 @@ def _write_snapshots(out: Path, result: SimResult, cfg: RunConfig) -> None:
         "config": cfg.effective(),
         "format": "per line: t, then u cell values, then v cell values, "
         "whitespace-separated, C order over the cell index grid",
-        "grid": result.final_state.u.grid.describe(),
+        "grid": result.final_state.grid.describe(),
         "n_snapshots": len(result.states),
     }
     write_atomic(out / "snapshots.meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")

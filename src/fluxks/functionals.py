@@ -149,7 +149,7 @@ def record(state: "SimState", monitors: MonitorSettings) -> FunctionalRecord:
     qs, s, q_f1, q_f2 = monitors.q_set, monitors.s, monitors.q_f1, monitors.q_f2
     if None in (qs, s, q_f1, q_f2):
         raise ValueError(f"unset index in {monitors}: use MonitorSettings.resolve first")
-    u, v = FieldNorms(state.u), FieldNorms(state.v)
+    u, v = FieldNorms(state.grid, state.u), FieldNorms(state.grid, state.v)
     dissip_u = {q: u.dissipation_integral(q) for q in qs}
     if math.isinf(s):
         gradv_ls = v.grad_lp(math.inf)
@@ -159,7 +159,7 @@ def record(state: "SimState", monitors: MonitorSettings) -> FunctionalRecord:
         v_w1s = (v.integral(s) + gradv_ls) ** (1.0 / s)
     return FunctionalRecord(
         t=state.t,
-        mass=integrate(state.u),
+        mass=integrate(state.grid, state.u),
         uq={q: u.integral(q) for q in qs},
         u_linf=u.lp(math.inf),
         v_l2=v.integral(2.0),

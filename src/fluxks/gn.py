@@ -46,7 +46,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .grid import FieldNorms, Grid, GridFunction
+from .grid import FieldNorms, Grid
 
 ENSEMBLE_VERSION = 1
 EXPONENT_TOL = 1e-12
@@ -172,9 +172,9 @@ def gn2_ratio(norms: FieldNorms, exps: GN2Exponents) -> float:
 
 def poincare_ratio(norms: FieldNorms) -> float:
     """``||f - mean||_2 / ||grad f||_2``, the Poincare quotient of the field of ``norms``."""
-    f, grid = norms.f, norms.f.grid
-    mean = float(np.sum(f.values * grid.cell_weights)) / grid.measure
-    dev = f.values - mean
+    grid, values = norms.grid, norms.values
+    mean = float(np.sum(values * grid.cell_weights)) / grid.measure
+    dev = values - mean
     num = math.sqrt(float(np.sum(dev**2 * grid.cell_weights)))
     den = norms.grad_lp(2.0)
     if den == 0.0:
@@ -262,11 +262,11 @@ def _members(grid: Grid, size: int, seed: int, share: tuple[int, int] = (0, 1)):
         values[...] = fn(*mesh)
         if not np.any(values):
             values += 1.0
-        yield GridFunction(grid, values)
+        yield values
 
 
-def ensemble(grid: Grid, size: int, seed: int) -> list[GridFunction]:
-    """Seeded test functions: analytic recipes sampled on the grid.
+def ensemble(grid: Grid, size: int, seed: int) -> list[np.ndarray]:
+    """Seeded test functions: analytic recipes sampled on the grid, as arrays.
 
     The recipes (versioned by ``ENSEMBLE_VERSION``) are drawn before touching
     the grid, so the same seed on a refined grid yields the same functions.
@@ -312,8 +312,8 @@ def estimate_constants(
     """
     gn = gn2 = None
     poincare = 0.0
-    for f in _members(grid, size, seed, share):
-        norms = FieldNorms(f)
+    for values in _members(grid, size, seed, share):
+        norms = FieldNorms(grid, values)
         gn = _sup(gn, [gn_ratio(norms, exps) for exps in gn_sets])
         gn2 = _sup(gn2, [gn2_ratio(norms, exps) for exps in gn2_sets])
         if norms.grad_lp(2.0) != 0.0:

@@ -3,8 +3,8 @@ with no-flux boundaries.
 
 Layout conventions
 ------------------
-Scalar fields live at cell centers (a :class:`GridFunction`, or an array
-shaped like the grid), face fields at cell faces, one array per axis.  For
+Scalar fields are ``float64`` arrays shaped like the grid, one value per cell
+center; face fields live at cell faces, one array per axis.  For
 ``N`` cells per axis there are ``N + 1`` faces; face ``j`` of axis ``a`` sits
 between cells ``j - 1`` and ``j`` along that axis.  Boundary faces (``j = 0``
 and ``j = N``) of the gradient carry exactly zero: the no-flux condition is
@@ -274,31 +274,6 @@ def _face_shape(shape: tuple[int, ...], axis: int) -> tuple[int, ...]:
     return tuple(s)
 
 
-class GridFunction:
-    """Cell-centered scalar field; values are validated finite on construction."""
-
-    __slots__ = ("grid", "values")
-
-    def __init__(self, grid: Grid, values: NDArray[np.float64]):
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != grid.shape:
-            raise ValueError(f"values shape {values.shape} does not match grid {grid.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("GridFunction values must be finite (NaN/Inf rejected)")
-        self.grid = grid
-        self.values = values
-
-    @classmethod
-    def from_callable(cls, grid: Grid, fn) -> "GridFunction":
-        """Sample ``fn(*coords)`` at cell centers."""
-        mesh = grid.center_mesh()
-        return cls(grid, np.asarray(fn(*mesh), dtype=np.float64) * np.ones(grid.shape))
-
-    @classmethod
-    def constant(cls, grid: Grid, value: float) -> "GridFunction":
-        return cls(grid, np.full(grid.shape, float(value)))
-
-
 def _slice_axis(ndim: int, axis: int, s: int | slice | list) -> tuple:
     # the index that applies s along axis and takes every other axis whole
     idx: list = [slice(None)] * ndim
@@ -408,13 +383,14 @@ def _neg_laplacian_diagonal(grid: Grid) -> NDArray[np.float64]:
 # -- integrals and norms
 
 
-def integrate(f: GridFunction) -> float:
+def integrate(grid: Grid, values: NDArray[np.float64]) -> float:
     """Cell-weighted sum (midpoint quadrature)."""
-    return float(np.sum(f.values * f.grid.cell_weights))
+    return float(np.sum(values * grid.cell_weights))
 
 
 class FieldNorms:
-    """The norms of one field, each integral computed at most once.
+    """The norms of one field, the array ``values`` on ``grid``, each integral
+    computed at most once.
 
     ``integral(p)`` is ``sum |f|^p w`` over the cells and ``lp(p)`` its
     ``p``-th root, ``max |f|`` for ``p = inf``.  Every finite index but 2 is
@@ -431,13 +407,19 @@ class FieldNorms:
     ``FACE_AVERAGE_FLOOR`` to keep negative powers finite;
     ``lap_integral()`` is ``sum L(f)^2 w`` with ``L = laplacian_values``.
 
-    Raises (from the methods):
-        ValueError: a Lebesgue or dissipation index ``p <= 0``, a gradient
-            index below 1, or an infinite index to an integral.
+    Raises:
+        ValueError: ``values`` not shaped like the grid; from the methods, a
+            Lebesgue or dissipation index ``p <= 0``, a gradient index below
+            1, or an infinite index to an integral.
     """
 
-    def __init__(self, f: GridFunction):
-        self.f = f
+    def __init__(self, grid: Grid, values: NDArray[np.float64]):
+        values = np.asarray(values, dtype=np.float64)
+        # an (N, 1) field on an (N,) grid would broadcast against the weights
+        if values.shape != grid.shape:
+            raise ValueError(f"values shape {values.shape} does not match grid {grid.shape}")
+        self.grid = grid
+        self.values = values
         self._integrals: dict[float, float] = {}
         self._grad_integrals: dict[float, float] = {}
         self._dissipation_integrals: dict[float, float] = {}
@@ -446,7 +428,7 @@ class FieldNorms:
     @cached_property
     def log_abs(self) -> NDArray[np.float64]:
         """``log |f|`` per cell (``-inf`` on a zero cell)."""
-        out = np.abs(self.f.values)
+        out = np.abs(self.values)
         with np.errstate(divide="ignore"):
             return np.log(out, out=out)
 
@@ -459,8 +441,8 @@ class FieldNorms:
         general fields.  Copying the adjacent interior gradient restores second
         order accuracy of the face quadrature.
         """
-        grid = self.f.grid
-        faces = gradient_faces(grid, self.f.values)
+        grid = self.grid
+        faces = gradient_faces(grid, self.values)
         nd = grid.n_axes
         for a, g in enumerate(faces):
             g[_slice_axis(nd, a, 0)] = g[_slice_axis(nd, a, 1)]
@@ -472,17 +454,17 @@ class FieldNorms:
             if not 0.0 < p < math.inf:
                 raise ValueError(f"Lebesgue integral index must be positive and finite, got {p}")
             if p == 2.0:
-                terms = self.f.values * self.f.values
+                terms = self.values * self.values
             else:
                 terms = p * self.log_abs
                 np.exp(terms, out=terms)
-            terms *= self.f.grid.cell_weights
+            terms *= self.grid.cell_weights
             self._integrals[p] = float(np.sum(terms))
         return self._integrals[p]
 
     def lp(self, p: float) -> float:
         if p == math.inf:
-            return float(np.max(np.abs(self.f.values)))
+            return float(np.max(np.abs(self.values)))
         return self.integral(p) ** (1.0 / p)
 
     def grad_integral(self, p: float) -> float:
@@ -490,7 +472,7 @@ class FieldNorms:
             if not 1.0 <= p < math.inf:
                 raise ValueError(f"gradient integral index must be >= 1 and finite, got {p}")
             total = 0.0
-            for g, fw in zip(self.faces, self.f.grid.face_weights):
+            for g, fw in zip(self.faces, self.grid.face_weights):
                 # g * g is |g| ** 2 to the bit, without the abs
                 terms = g * g if p == 2.0 else np.abs(g) ** p
                 terms *= fw
@@ -507,7 +489,7 @@ class FieldNorms:
     def _dissipation_terms(self) -> list[tuple[NDArray[np.float64], ...]]:
         # per axis: the floored face density, the squared face gradient and
         # the face weights of dissipation_integral
-        values, grid = self.f.values, self.f.grid
+        values, grid = self.values, self.grid
         nd = grid.n_axes
         terms = []
         for a, (g, fw) in enumerate(zip(self.faces, grid.face_weights)):
@@ -530,8 +512,8 @@ class FieldNorms:
 
     def lap_integral(self) -> float:
         if self._lap_integral is None:
-            lap = laplacian_values(self.f.grid, self.f.values)
+            lap = laplacian_values(self.grid, self.values)
             lap *= lap
-            lap *= self.f.grid.cell_weights
+            lap *= self.grid.cell_weights
             self._lap_integral = float(np.sum(lap))
         return self._lap_integral

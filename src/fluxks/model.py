@@ -20,7 +20,6 @@ from numpy.typing import NDArray
 
 from .grid import (
     Grid,
-    GridFunction,
     _neg_laplacian_diagonal,
     _slice_axis,
     integrate,
@@ -60,19 +59,26 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class InitialData:
-    """Initial pair; ``u0 >= 0`` with positive mass, ``v0 >= 0``."""
+    """Initial pair on ``grid``: finite ``float64`` arrays shaped like the grid
+    (the one check of both, as fields enter a run; the solver certifies every
+    field after it), ``u0 >= 0`` with positive mass, ``v0 >= 0``."""
 
-    u0: GridFunction
-    v0: GridFunction
+    grid: Grid
+    u0: NDArray[np.float64]
+    v0: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        if self.u0.grid != self.v0.grid:
-            raise ValueError("u0 and v0 must share one grid")
-        if np.any(self.u0.values < 0.0):
-            raise ValueError("u0 must be nonnegative")
-        if np.any(self.v0.values < 0.0):
-            raise ValueError("v0 must be nonnegative")
-        if integrate(self.u0) <= 0.0:
+        for name in ("u0", "v0"):
+            values = np.asarray(getattr(self, name), dtype=np.float64)
+            shape = self.grid.shape
+            if values.shape != shape:
+                raise ValueError(f"{name} shape {values.shape} does not match grid {shape}")
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} must be finite (NaN/Inf rejected)")
+            if np.any(values < 0.0):
+                raise ValueError(f"{name} must be nonnegative")
+            object.__setattr__(self, name, values)
+        if integrate(self.grid, self.u0) <= 0.0:
             raise ValueError("u0 must carry positive mass")
 
 
@@ -126,9 +132,9 @@ def flux_coefficients(grid: Grid, grad_faces, params: ModelParams) -> list[NDArr
     return coeffs
 
 
-def production(u: GridFunction, params: ModelParams) -> GridFunction:
+def production(u: NDArray[np.float64], params: ModelParams) -> NDArray[np.float64]:
     """Cell-wise signal production ``u^theta`` (``0^theta = 0`` for theta > 0)."""
-    return GridFunction(u.grid, u.values**params.theta)
+    return u**params.theta
 
 
 def _mollify_values(grid: Grid, values: NDArray[np.float64], eps: float) -> NDArray[np.float64]:
@@ -162,15 +168,15 @@ def mollify_initial_data(raw: InitialData, eps: float, include_v: bool = True) -
         raise ValueError(f"mollifier eps must lie in [0, 1), got {eps}")
     if eps == 0.0:
         return raw
-    grid = raw.u0.grid
-    u = _mollify_values(grid, raw.u0.values, eps)
+    grid = raw.grid
+    u = _mollify_values(grid, raw.u0, eps)
     # roundoff guard: averaging of nonnegative data is nonnegative
     u = np.maximum(u, 0.0)
     if include_v:
-        v = np.maximum(_mollify_values(grid, raw.v0.values, eps), 0.0)
+        v = np.maximum(_mollify_values(grid, raw.v0, eps), 0.0)
     else:
-        v = raw.v0.values
-    return InitialData(GridFunction(grid, u), GridFunction(grid, v))
+        v = raw.v0
+    return InitialData(grid, u, v)
 
 
 INITIAL_FAMILIES = ("cosine", "gaussian", "constant")
@@ -283,4 +289,4 @@ def build_initial_data(
         if not np.all(np.isfinite(v0)):
             raise ValueError(f"initial v0 = {overflow} (max u0 {np.max(u0):g})")
 
-    return InitialData(GridFunction(grid, u0), GridFunction(grid, v0))
+    return InitialData(grid, u0, v0)

@@ -24,7 +24,6 @@ from typing import Sequence
 import numpy as np
 
 from .functionals import FunctionalRecord
-from .grid import GridFunction
 from .model import InitialData, ModelParams
 from .stepper import RunStatus, SimResult, SimState, StepControls, simulate
 
@@ -120,7 +119,7 @@ def check_positivity(states: Sequence[SimState]) -> Verdict:
     worst = 0.0
     where = None
     for st in states:
-        m = min(float(st.u.values.min()), float(st.v.values.min()))
+        m = min(float(st.u.min()), float(st.v.min()))
         if m < worst:
             worst = m
             where = st.t
@@ -283,7 +282,7 @@ def eps_refinement(
 
     t_compare = min(controls.t_end, EPS_COMPARISON_HORIZON)
     cmp_controls = replace(controls, t_end=t_compare)
-    finals: list[GridFunction] = []
+    finals: list[np.ndarray] = []
     statuses = []
     for e in eps:
         res: SimResult = simulate(
@@ -296,9 +295,9 @@ def eps_refinement(
         )
         statuses.append(res.status.value)
         finals.append(res.final_state.u)
-    w = initial.u0.grid.cell_weights
+    w = initial.grid.cell_weights
     dists = [
-        float(np.sqrt(np.sum((a.values - b.values) ** 2 * w)))
+        float(np.sqrt(np.sum((a - b) ** 2 * w)))
         for a, b in zip(finals, finals[1:])
     ]
     ok = all(s == RunStatus.COMPLETED.value for s in statuses)

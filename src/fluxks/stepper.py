@@ -53,7 +53,7 @@ import numpy as np
 
 from . import functionals
 from .errors import FluxksError, PositivityError, TimeStepCollapse
-from .grid import GridFunction, gradient_faces, integrate
+from .grid import Grid, gradient_faces, integrate
 from .linalg import HelmholtzSolver
 from .model import InitialData, ModelParams, flux_coefficients, mollify_initial_data, production
 from .regimes import s_rule
@@ -104,11 +104,13 @@ class StepControls:
 
 @dataclass(frozen=True)
 class SimState:
-    """One trajectory point; ``t``, ``step_index`` and ``clamped_mass_cumulative``
-    (the mass clamped by every step up to it) are running totals, 0 initially."""
+    """One trajectory point: the fields ``u`` and ``v``, arrays on ``grid``;
+    ``t``, ``step_index`` and ``clamped_mass_cumulative`` (the mass clamped by
+    every step up to it) are running totals, 0 initially."""
 
-    u: GridFunction
-    v: GridFunction
+    grid: Grid
+    u: np.ndarray
+    v: np.ndarray
     t: float
     step_index: int
     clamped_mass_cumulative: float = 0.0
@@ -127,14 +129,14 @@ class SimResult:
     message: str = ""
 
 
-def choose_dt(u: GridFunction, params: ModelParams, controls: StepControls) -> float:
+def choose_dt(u: np.ndarray, params: ModelParams, controls: StepControls) -> float:
     """Largest admissible step for ``u``: ``dt_max`` or, for ``theta >= 1``,
     the production proxy.
 
     Raises:
         TimeStepCollapse: the bound fell below ``dt_min``.
     """
-    u_max = float(u.values.max())
+    u_max = float(u.max())
     prod_rate = 0.0
     if params.theta >= 1.0 and u_max > 0.0:
         prod_rate = params.theta * u_max ** (params.theta - 1.0)
@@ -179,20 +181,21 @@ def step(
         PositivityError: negative cells beyond roundoff.
         SolverError: linear solve failure or non-finite values.
     """
-    grid = state.u.grid
+    grid = state.grid
     weights = grid.cell_weights
 
-    rhs_v = state.v.values + dt * production(state.u, params).values
-    v_new, _, _ = solver.solve(1.0 + dt, dt, rhs_v, x0=state.v.values)
+    rhs_v = state.v + dt * production(state.u, params)
+    v_new, _, _ = solver.solve(1.0 + dt, dt, rhs_v, x0=state.v)
     v_new, _ = _clamp_negative(v_new, weights, "v")
 
     coeffs = flux_coefficients(grid, gradient_faces(grid, v_new), params)
-    u_new, _, _ = solver.solve(1.0, dt, state.u.values, x0=state.u.values, coeffs=coeffs)
+    u_new, _, _ = solver.solve(1.0, dt, state.u, x0=state.u, coeffs=coeffs)
     u_new, clamped = _clamp_negative(u_new, weights, "u")
 
     return SimState(
-        u=GridFunction(grid, u_new),
-        v=GridFunction(grid, v_new),
+        grid=grid,
+        u=u_new,
+        v=v_new,
         t=state.t + dt,
         step_index=state.step_index + 1,
         clamped_mass_cumulative=state.clamped_mass_cumulative + clamped,
@@ -214,11 +217,13 @@ def simulate(
     eps-scaled initial smoothing, to ``v`` only off the s-rule's max-norm
     branch, whatever ``monitors.s`` says.  ``keep_states`` is ``"sampled"``
     (states at the record cadence), ``"ends"`` (initial and final only), or ``"all"``.
+    A :class:`~fluxks.errors.FluxksError` raised by a step ends the run
+    ``NumericalFailure``; any other exception propagates.
 
     Raises:
         ValueError: grid/params dimension mismatch or bad arguments.
     """
-    grid = initial.u0.grid
+    grid = initial.grid
     if params.n != grid.n:
         raise ValueError(f"params.n = {params.n} does not match grid dimension {grid.n}")
     if record_every < 1:
@@ -233,9 +238,9 @@ def simulate(
     else:
         data = initial
 
-    state = SimState(u=data.u0, v=data.v0, t=0.0, step_index=0)
+    state = SimState(grid=grid, u=data.u0, v=data.v0, t=0.0, step_index=0)
     solver = HelmholtzSolver(grid)
-    initial_mass = integrate(data.u0)
+    initial_mass = integrate(grid, data.u0)
     records: list[functionals.FunctionalRecord] = []
     states = [state]
     status = RunStatus.COMPLETED
@@ -257,9 +262,8 @@ def simulate(
             break
         dt = min(dt, controls.t_end - state.t)
         try:
-            # ValueError covers non-finite values rejected by GridFunction
             state = step(state, params, controls, dt, solver=solver)
-        except (FluxksError, ValueError) as exc:
+        except FluxksError as exc:
             status = RunStatus.NUMERICAL_FAILURE
             message = str(exc)
             break
@@ -273,7 +277,7 @@ def simulate(
         keep(state)
         if state.step_index % record_every == 0:
             records.append(functionals.record(state, monitors))
-        linf = float(np.max(np.abs(state.u.values)))
+        linf = float(np.max(np.abs(state.u)))
         if linf > controls.blowup_linf_threshold:
             status = RunStatus.BLOWUP_SUSPECTED
             message = f"||u||_inf = {linf:.3e} exceeded threshold"

@@ -8,9 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from fluxks.grid import GridFunction, build_grid, laplacian_values
+from fluxks.grid import build_grid, laplacian_values
 from fluxks.linalg import HelmholtzSolver
-from fluxks.model import InitialData, ModelParams, build_initial_data
+from fluxks.model import ModelParams, build_initial_data
 from fluxks.stepper import SimState, StepControls, simulate, step
 
 
@@ -64,19 +64,6 @@ def count_laplacians(monkeypatch):
     return calls
 
 
-def cosine_bump(grid, base=1.0, amplitude=0.5):
-    # 1d helper: base + amplitude * cos(pi x) sampled at cell centers
-    x = grid.axis_centers(0)
-    return GridFunction(grid, base + amplitude * np.cos(math.pi * x))
-
-
-def constant_pair(grid, u_val, v_val):
-    return InitialData(
-        u0=GridFunction.constant(grid, u_val),
-        v0=GridFunction.constant(grid, v_val),
-    )
-
-
 def laplacian_mode(grid):
     """The lowest nonconstant eigenpair ``(e, mu)``, ``-L e = mu e``, with
     ``max |e| = 1``: the product mode ``prod_a cos(pi x_a / L_a)`` on cartesian
@@ -111,8 +98,7 @@ def mode_dispersion(grid, params, size, steps=100, dt=0.01):
     e, mu = laplacian_mode(grid)
     c = params.chi * params.eps ** (0.5 * (params.p - 2.0))
     a_hat, b_hat = size, params.theta * size
-    state = SimState(u=GridFunction(grid, 1.0 + a_hat * e),
-                     v=GridFunction(grid, 1.0 + b_hat * e), t=0.0, step_index=0)
+    state = SimState(grid, u=1.0 + a_hat * e, v=1.0 + b_hat * e, t=0.0, step_index=0)
     solver = HelmholtzSolver(grid)
     controls = StepControls(t_end=steps * dt)
     for _ in range(steps):
@@ -120,5 +106,5 @@ def mode_dispersion(grid, params, size, steps=100, dt=0.01):
         b_hat = (b_hat + dt * params.theta * a_hat) / (1.0 + dt + dt * mu)
         a_hat = (a_hat + dt * c * mu * b_hat) / (1.0 + dt * mu)
     w = grid.cell_weights
-    measured = float(np.sum((state.u.values - 1.0) * e * w) / np.sum(e * e * w))
+    measured = float(np.sum((state.u - 1.0) * e * w) / np.sum(e * e * w))
     return abs(measured - a_hat) / abs(a_hat), a_hat / size

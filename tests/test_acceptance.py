@@ -108,8 +108,8 @@ def test_criterion_03_equilibrium_fixed_point():
     params = ModelParams(chi=1.0, p=1.5, theta=theta, eps=1e-3, n=1)
     # production CFL pins dt to 0.1, so t_end = 100 is exactly 1000 steps
     result = simulate(initial, params, StepControls(t_end=100.0), record_every=100)
-    dev_u = float(np.max(np.abs(result.final_state.u.values - u_bar)))
-    dev_v = float(np.max(np.abs(result.final_state.v.values - u_bar**theta)))
+    dev_u = float(np.max(np.abs(result.final_state.u - u_bar)))
+    dev_v = float(np.max(np.abs(result.final_state.v - u_bar**theta)))
     dev = max(dev_u, dev_v)
     ok = result.n_steps == 1000 and dev <= 1e-10
     announce(3, ok, f"{result.n_steps} steps, equilibrium L-inf deviation {dev:.2e} <= 1e-10")

@@ -357,10 +357,10 @@ def test_mollify_follows_the_s_rule_whatever_monitors_s_says():
                                           monitors={"s": "inf"}))
     assert max_norm.monitors.s == math.inf
     raw = unset.build_initial(unset.build_grid())
-    mollified = mollify_initial_data(raw, 0.5, include_v=True).v0.values
-    assert not np.array_equal(mollified, raw.v0.values)
+    mollified = mollify_initial_data(raw, 0.5, include_v=True).v0
+    assert not np.array_equal(mollified, raw.v0)
     for cfg in (unset, max_norm):
-        assert np.array_equal(run_config(cfg).states[0].v.values, mollified)
+        assert np.array_equal(run_config(cfg).states[0].v, mollified)
 
 
 def test_parse_time_grid_and_initial_screening():
@@ -376,7 +376,7 @@ def test_builders_and_simulate_kwargs(tmp_path, monkeypatch):
     grid = cfg.build_grid()
     assert grid.mode == "cartesian-1d" and grid.shape == (64,)
     initial = cfg.build_initial(grid)
-    assert initial.u0.values.min() > 0.0
+    assert initial.u0.min() > 0.0
     # `fluxks simulate` hands the config's monitors, cadence and smoothing on
     import fluxks.cli as cli
     import fluxks.config as config

@@ -25,7 +25,6 @@ from fluxks.functionals import (
 )
 from fluxks.grid import (
     FieldNorms,
-    GridFunction,
     build_grid,
     integrate,
     laplacian_values,
@@ -38,8 +37,9 @@ from fluxks.stepper import SimState, StepControls, simulate
 
 def const_state(grid, u_val, v_val, t=0.0):
     return SimState(
-        u=GridFunction.constant(grid, u_val),
-        v=GridFunction.constant(grid, v_val),
+        grid,
+        u=np.full(grid.shape, u_val),
+        v=np.full(grid.shape, v_val),
         t=t,
         step_index=0,
     )
@@ -50,36 +50,36 @@ def const_state(grid, u_val, v_val, t=0.0):
 
 def test_density_integral_constant(grid1d):
     g = grid1d(16)
-    u = GridFunction.constant(g, 2.0)
-    norms = FieldNorms(u)
+    u = np.full(g.shape, 2.0)
+    norms = FieldNorms(g, u)
     assert norms.integral(3.0) == pytest.approx(8.0, abs=1e-13)
-    assert norms.integral(1.0) == pytest.approx(integrate(u), abs=1e-14)
+    assert norms.integral(1.0) == pytest.approx(integrate(g, u), abs=1e-14)
     with pytest.raises(ValueError):
         norms.integral(0.0)
 
 
-def f_record(u, v, q_f1=2.0, c_f1=1.0, q_f2=2.0):
+def f_record(grid, u, v, q_f1=2.0, c_f1=1.0, q_f2=2.0):
     # the record of one state, with F1 and F2 at the given indices
-    st = SimState(u=u, v=v, t=0.0, step_index=0)
+    st = SimState(grid, u=u, v=v, t=0.0, step_index=0)
     return record(st, MonitorSettings(q_set=(2.0,), s=2.0, q_f1=q_f1, q_f2=q_f2, c_f1=c_f1))
 
 
 def test_entropy_f1_hand_values(grid1d):
     g = grid1d(16)
-    u1, v0 = GridFunction.constant(g, 1.0), GridFunction.constant(g, 0.0)
-    assert f_record(u1, v0, 2.0, 1.0).F1 == pytest.approx(1.0, abs=1e-13)
+    u1, v0 = np.full(g.shape, 1.0), np.full(g.shape, 0.0)
+    assert f_record(g, u1, v0, 2.0, 1.0).F1 == pytest.approx(1.0, abs=1e-13)
     # q < 1 flips the density sign: -1 + 2*1 = 1
-    v1 = GridFunction.constant(g, 1.0)
-    assert f_record(u1, v1, 0.5, 2.0).F1 == pytest.approx(1.0, abs=1e-13)
-    u2, v3 = GridFunction.constant(g, 2.0), GridFunction.constant(g, 3.0)
-    assert f_record(u2, v3, 2.0, 1.0).F1 == pytest.approx(13.0, abs=1e-12)
+    v1 = np.full(g.shape, 1.0)
+    assert f_record(g, u1, v1, 0.5, 2.0).F1 == pytest.approx(1.0, abs=1e-13)
+    u2, v3 = np.full(g.shape, 2.0), np.full(g.shape, 3.0)
+    assert f_record(g, u2, v3, 2.0, 1.0).F1 == pytest.approx(13.0, abs=1e-12)
 
 
 def test_entropy_f2_constant_state(grid1d):
     g = grid1d(32)
-    u = GridFunction.constant(g, 2.0)
-    v = GridFunction.constant(g, 4.0)
-    assert f_record(u, v, q_f2=3.0).F2 == pytest.approx(8.0, abs=1e-12)
+    u = np.full(g.shape, 2.0)
+    v = np.full(g.shape, 4.0)
+    assert f_record(g, u, v, q_f2=3.0).F2 == pytest.approx(8.0, abs=1e-12)
     with pytest.raises(ValueError, match="q_f2 must exceed 1"):
         MonitorSettings(q_f2=1.0)
 
@@ -91,9 +91,9 @@ def test_entropy_f2_cosine_gradient_energy():
     # carry the copied interior slope A sin(pi h) at half-cell weight.
     for cells in (64, 128):
         g = build_grid("cartesian-1d", extents=(1.0,), cells=(cells,))
-        u = GridFunction.constant(g, 1.0)
-        v = GridFunction.from_callable(g, lambda x: np.cos(math.pi * x))
-        val = f_record(u, v).F2
+        u = np.full(g.shape, 1.0)
+        (x,) = g.center_mesh()
+        val = f_record(g, u, np.cos(math.pi * x)).F2
         h = 1.0 / cells
         amp = 2.0 / h * math.sin(math.pi * h / 2.0)
         closed = amp * amp * (0.5 + h * math.sin(math.pi * h) ** 2)
@@ -104,15 +104,15 @@ def test_entropy_f2_cosine_gradient_energy():
 
 def test_dissipation_constant_is_zero(grid1d):
     g = grid1d(16)
-    assert FieldNorms(GridFunction.constant(g, 5.0)).dissipation_integral(2.0) == 0.0
+    assert FieldNorms(g, np.full(g.shape, 5.0)).dissipation_integral(2.0) == 0.0
 
 
 def test_dissipation_q2_linear_field_exact(grid1d):
     # q = 2 drops the density factor; grad(1 + x) = 1 and the face
     # quadrature tiles the domain, so the integral is exactly 1
     g = grid1d(50)
-    u = GridFunction.from_callable(g, lambda x: 1.0 + x)
-    assert FieldNorms(u).dissipation_integral(2.0) == pytest.approx(1.0, abs=1e-13)
+    (x,) = g.center_mesh()
+    assert FieldNorms(g, 1.0 + x).dissipation_integral(2.0) == pytest.approx(1.0, abs=1e-13)
 
 
 def face_density(values, axis):
@@ -129,9 +129,9 @@ def test_dissipation_matches_brute_force():
               build_grid("cartesian-2d", extents=(1.0, 0.7), cells=(7, 5)),
               build_grid("radial-n", extents=(1.0,), cells=(24,), n=3)):
         rng = np.random.default_rng(4)
-        u = GridFunction(g, rng.uniform(0.5, 2.0, size=g.shape))
-        norms = FieldNorms(u)
-        brute = sum(float(np.sum(face_density(u.values, a) ** (q - 2.0) * grads**2 * fw))
+        u = rng.uniform(0.5, 2.0, size=g.shape)
+        norms = FieldNorms(g, u)
+        brute = sum(float(np.sum(face_density(u, a) ** (q - 2.0) * grads**2 * fw))
                     for a, (grads, fw) in enumerate(zip(norms.faces, g.face_weights)))
         assert norms.dissipation_integral(q) == pytest.approx(brute, rel=1e-15), g.mode
 
@@ -140,7 +140,7 @@ def test_dissipation_floor_keeps_negative_powers_finite(grid1d):
     g = grid1d(16)
     vals = np.ones(16)
     vals[5] = 0.0  # zero cell forces the face floor into play
-    norms = FieldNorms(GridFunction(g, vals))
+    norms = FieldNorms(g, vals)
     out = norms.dissipation_integral(1.5)
     assert math.isfinite(out) and out >= 0.0
     with pytest.raises(ValueError):
@@ -195,25 +195,25 @@ def test_record_mass_equals_integral_and_holder(reference_run):
 def test_record_brute_force_cross_check(grid1d):
     g = grid1d(20)
     rng = np.random.default_rng(12)
-    u = GridFunction(g, rng.uniform(0.2, 2.0, size=20))
-    v = GridFunction(g, rng.uniform(0.0, 1.5, size=20))
-    st = SimState(u=u, v=v, t=0.3, step_index=7, clamped_mass_cumulative=1e-13)
+    u = rng.uniform(0.2, 2.0, size=20)
+    v = rng.uniform(0.0, 1.5, size=20)
+    st = SimState(g, u=u, v=v, t=0.3, step_index=7, clamped_mass_cumulative=1e-13)
     s = 3.0
     rec = record(st, MonitorSettings(q_set=(1.5, 2.0), s=s, q_f1=2.0, q_f2=2.0, c_f1=0.5))
     w = g.cell_weights
     assert rec.t == 0.3
-    assert rec.mass == pytest.approx(float(np.sum(u.values * w)), rel=1e-15)
-    assert rec.u_linf == float(np.abs(u.values).max())
-    assert rec.uq[1.5] == pytest.approx(float(np.sum(u.values**1.5 * w)), rel=1e-15)
-    assert rec.v_l2 == pytest.approx(float(np.sum(v.values**2 * w)), rel=1e-15)
-    v_norms = FieldNorms(v)
+    assert rec.mass == pytest.approx(float(np.sum(u * w)), rel=1e-15)
+    assert rec.u_linf == float(np.abs(u).max())
+    assert rec.uq[1.5] == pytest.approx(float(np.sum(u**1.5 * w)), rel=1e-15)
+    assert rec.v_l2 == pytest.approx(float(np.sum(v**2 * w)), rel=1e-15)
+    v_norms = FieldNorms(g, v)
     assert rec.gradv_l2 == pytest.approx(v_norms.grad_lp(2.0) ** 2, rel=1e-15)
     assert rec.gradv_ls == pytest.approx(v_norms.grad_lp(s) ** s, rel=1e-15)
     expected_w1s = (v_norms.lp(s) ** s + rec.gradv_ls) ** (1.0 / s)
     assert rec.v_w1s == pytest.approx(expected_w1s, rel=1e-15)
-    lap = laplacian_values(g, v.values)
+    lap = laplacian_values(g, v)
     assert rec.lap_v_l2 == pytest.approx(float(np.sum(lap**2 * w)), rel=1e-14)
-    assert rec.dissip_u[2.0] == pytest.approx(FieldNorms(u).dissipation_integral(2.0), rel=1e-15)
+    assert rec.dissip_u[2.0] == pytest.approx(FieldNorms(g, u).dissipation_integral(2.0), rel=1e-15)
     assert rec.F1 == pytest.approx(rec.uq[2.0] + 0.5 * rec.v_l2, rel=1e-14)
     assert rec.F2 == rec.uq[2.0] + rec.gradv_l2
     assert rec.clamped_mass_cumulative == 1e-13
@@ -232,9 +232,9 @@ def test_record_builds_one_gradient_per_field(monkeypatch, mode, cells, s):
     g = build_grid(mode, extents=(1.0,) * len(cells), cells=cells,
                    n=3 if mode == "radial-n" else None)
     rng = np.random.default_rng(5)
-    u = GridFunction(g, rng.uniform(0.2, 2.0, size=g.shape))
-    v = GridFunction(g, rng.uniform(0.0, 1.5, size=g.shape))
-    st = SimState(u=u, v=v, t=0.1, step_index=1)
+    u = rng.uniform(0.2, 2.0, size=g.shape)
+    v = rng.uniform(0.0, 1.5, size=g.shape)
+    st = SimState(g, u=u, v=v, t=0.1, step_index=1)
     q_set = (1.5, 2.0, 3.0)
 
     calls = []
@@ -249,10 +249,10 @@ def test_record_builds_one_gradient_per_field(monkeypatch, mode, cells, s):
     assert len(calls) == 2
     monkeypatch.undo()
 
-    u_norms = FieldNorms(u)
+    u_norms = FieldNorms(g, u)
     for q in q_set:
         assert rec.dissip_u[q] == u_norms.dissipation_integral(q)
-    v_norms = FieldNorms(v)
+    v_norms = FieldNorms(g, v)
     assert rec.gradv_l2 == v_norms.grad_integral(2.0)
     if math.isinf(s):
         assert rec.gradv_ls == v_norms.grad_lp(math.inf)
@@ -266,14 +266,14 @@ def test_record_f1_reuses_its_integrals(grid1d, q_f1, c_f1):
     # and equals F1 from fresh FieldNorms
     g = grid1d(24)
     rng = np.random.default_rng(7)
-    u = GridFunction(g, rng.uniform(0.2, 2.0, size=g.shape))
-    v = GridFunction(g, rng.uniform(0.0, 1.5, size=g.shape))
-    st = SimState(u=u, v=v, t=0.3, step_index=2)
+    u = rng.uniform(0.2, 2.0, size=g.shape)
+    v = rng.uniform(0.0, 1.5, size=g.shape)
+    st = SimState(g, u=u, v=v, t=0.3, step_index=2)
     monitors = MonitorSettings(q_set=(0.5, 1.5, 2.0, 3.0), s=2.0, q_f1=q_f1, q_f2=3.0, c_f1=c_f1)
     rec = record(st, monitors)
     sign = 1.0 if q_f1 > 1.0 else -1.0
     assert rec.F1 == sign * rec.uq[q_f1] + c_f1 * rec.v_l2
-    assert rec.F1 == sign * FieldNorms(u).integral(q_f1) + c_f1 * FieldNorms(v).integral(2.0)
+    assert rec.F1 == sign * FieldNorms(g, u).integral(q_f1) + c_f1 * FieldNorms(g, v).integral(2.0)
     # the settings record reads reject q_f1 = 1, where the sign is undefined,
     # and a negative weight
     with pytest.raises(ValueError, match="!= 1"):
@@ -421,9 +421,9 @@ def test_csv_roundtrip_and_determinism(grid1d):
     recs = []
     rng = np.random.default_rng(2)
     for i in range(3):
-        u = GridFunction(g, rng.uniform(0.5, 1.5, size=16))
-        v = GridFunction(g, rng.uniform(0.0, 1.0, size=16))
-        st = SimState(u=u, v=v, t=0.1 * i, step_index=i)
+        u = rng.uniform(0.5, 1.5, size=16)
+        v = rng.uniform(0.0, 1.0, size=16)
+        st = SimState(g, u=u, v=v, t=0.1 * i, step_index=i)
         recs.append(record(st, MonitorSettings(q_set=(2.0,), s=2.0, q_f1=2.0, q_f2=2.0, c_f1=1.0)))
     text1 = records_to_csv(recs, meta_comment="alpha\nbeta")
     text2 = records_to_csv(recs, meta_comment="alpha\nbeta")

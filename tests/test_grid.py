@@ -20,13 +20,13 @@ from fluxks.grid import (
     MIN_CELLS_PER_AXIS,
     FieldNorms,
     Grid,
-    GridFunction,
     build_grid,
     divergence_values,
     gradient_faces,
     integrate,
     laplacian_values,
 )
+from fluxks.model import InitialData
 
 
 # ---------------------------------------------------------------- geometry
@@ -137,15 +137,14 @@ def test_equal_grids_compare_and_hash_equal(mode, extents, cells, n):
 
 
 def test_initial_data_on_equal_grids_is_accepted():
-    from fluxks.model import InitialData
-
+    # fields shaped for an equal grid are accepted; a field of another grid is not
     g1 = build_grid("cartesian-1d", extents=(1.0,), cells=(8,))
     g2 = build_grid("cartesian-1d", extents=(1.0,), cells=(8,))
-    data = InitialData(GridFunction.constant(g1, 1.0), GridFunction.constant(g2, 2.0))
-    assert data.u0.grid == data.v0.grid
+    data = InitialData(g1, np.full(g2.shape, 1.0), np.full(g2.shape, 2.0))
+    assert data.grid == g2
     g16 = build_grid("cartesian-1d", extents=(1.0,), cells=(16,))
-    with pytest.raises(ValueError, match="must share one grid"):
-        InitialData(GridFunction.constant(g1, 1.0), GridFunction.constant(g16, 2.0))
+    with pytest.raises(ValueError, match="v0 shape"):
+        InitialData(g1, np.full(g1.shape, 1.0), np.full(g16.shape, 2.0))
 
 
 @pytest.mark.parametrize("mode,extents,cells,n", [
@@ -168,30 +167,42 @@ def test_min_cells_constant_is_enforced():
         build_grid("cartesian-1d", extents=(1.0,), cells=(MIN_CELLS_PER_AXIS - 1,))
 
 
-# ---------------------------------------------------------- grid functions
+# ------------------------------------------------------------------ fields
 
 
-def test_gridfunction_rejects_nonfinite(grid1d):
+def test_initial_data_rejects_nonfinite(grid1d):
+    # fields enter a run through InitialData, which checks each one
     g = grid1d(8)
+    ok = np.ones(8)
     vals = np.ones(8)
     vals[3] = np.nan
-    with pytest.raises(ValueError):
-        GridFunction(g, vals)
+    with pytest.raises(ValueError, match="u0 must be finite"):
+        InitialData(g, vals, ok)
     vals[3] = np.inf
-    with pytest.raises(ValueError):
-        GridFunction(g, vals)
+    with pytest.raises(ValueError, match="v0 must be finite"):
+        InitialData(g, ok, vals)
 
 
-def test_gridfunction_rejects_shape_mismatch(grid1d):
+def test_initial_data_rejects_shape_mismatch(grid1d):
     g = grid1d(8)
-    with pytest.raises(ValueError):
-        GridFunction(g, np.ones(9))
+    with pytest.raises(ValueError, match="u0 shape"):
+        InitialData(g, np.ones(9), np.ones(8))
+    with pytest.raises(ValueError, match="v0 shape"):
+        InitialData(g, np.ones(8), np.ones((8, 1)))
 
 
-def test_from_callable_samples_centers(grid1d):
+def test_field_norms_reject_shape_mismatch(grid1d):
+    # an (N, 1) field would broadcast silently against the (N,) cell weights
+    g = grid1d(8)
+    for bad in (np.ones(9), np.ones((8, 1))):
+        with pytest.raises(ValueError, match="does not match grid"):
+            FieldNorms(g, bad)
+
+
+def test_center_mesh_samples_centers(grid1d):
     g = grid1d(10)
-    f = GridFunction.from_callable(g, lambda x: 2.0 * x)
-    np.testing.assert_allclose(f.values, 2.0 * g.axis_centers(0))
+    (x,) = g.center_mesh()
+    np.testing.assert_allclose(2.0 * x, 2.0 * g.axis_centers(0))
 
 
 # ------------------------------------------------------------- quadrature
@@ -199,30 +210,29 @@ def test_from_callable_samples_centers(grid1d):
 
 def test_integrate_constant_is_measure(grid2d):
     g = grid2d(8, lx=2.0, ly=1.5)
-    assert abs(integrate(GridFunction.constant(g, 1.0)) - 3.0) < 1e-12
+    assert abs(integrate(g, np.full(g.shape, 1.0)) - 3.0) < 1e-12
 
 
 def test_integrate_sin_squared_midpoint_exact(grid1d):
     # midpoint rule on a full period: int sin^2(pi x) dx = 1/2 exactly
     g = grid1d(37)
-    f = GridFunction.from_callable(g, lambda x: np.sin(math.pi * x) ** 2)
-    assert abs(integrate(f) - 0.5) < 1e-14
+    (x,) = g.center_mesh()
+    assert abs(integrate(g, np.sin(math.pi * x) ** 2) - 0.5) < 1e-14
 
 
 def test_lp_norm_constant_and_sup(grid1d):
     g = grid1d(20)
-    f = GridFunction.constant(g, 2.0)
     # ||2||_3 on unit measure = 2
-    assert abs(FieldNorms(f).lp(3.0) - 2.0) < 1e-12
+    assert abs(FieldNorms(g, np.full(g.shape, 2.0)).lp(3.0) - 2.0) < 1e-12
     vals = np.ones(20)
     vals[7] = 7.0
-    assert FieldNorms(GridFunction(g, vals)).lp(math.inf) == 7.0
+    assert FieldNorms(g, vals).lp(math.inf) == 7.0
 
 
 def test_field_norms_reject_indices_outside_their_range(grid1d):
     # Lebesgue indices in (0, 1) are quasi-norms and admitted; gradient
     # indices start at 1, and an integral needs a finite index
-    norms = FieldNorms(GridFunction.constant(grid1d(8), 2.0))
+    norms = FieldNorms(grid1d(8), np.full(8, 2.0))
     assert norms.lp(0.5) == pytest.approx(2.0, rel=1e-15)
     for bad in (0.0, -1.0, math.inf):
         with pytest.raises(ValueError, match="positive and finite"):
@@ -242,8 +252,7 @@ def test_holder_interpolation_on_random_fields(grid1d):
     rng = np.random.default_rng(7)
     for p in (1.5, 2.0, 4.0):
         for _ in range(5):
-            f = GridFunction(g, rng.uniform(0.0, 3.0, size=50))
-            norms = FieldNorms(f)
+            norms = FieldNorms(g, rng.uniform(0.0, 3.0, size=50))
             lhs = norms.lp(1.0)
             rhs = g.measure ** (1.0 - 1.0 / p) * norms.lp(p)
             assert lhs <= rhs * (1.0 + 1e-12)
@@ -279,7 +288,7 @@ def test_field_norms_match_the_direct_sums(mode, cells, n, scale, seed, p, zeros
     rng = np.random.default_rng(seed)
     values = scale * rng.normal(size=grid.shape)
     values[rng.random(grid.shape) < zeros] = 0.0
-    norms = FieldNorms(GridFunction(grid, values))
+    norms = FieldNorms(grid, values)
     direct = float(np.sum(np.abs(values) ** p * grid.cell_weights))
     assert norms.integral(p) == pytest.approx(direct, rel=1e-13, abs=0.0)
     assert norms.lp(p) == pytest.approx(direct ** (1.0 / p), rel=1e-13, abs=0.0)
@@ -325,8 +334,8 @@ def test_gradient_of_linear_is_exact_inside(grid1d):
 
 def test_measured_gradient_copies_interior_to_boundary(grid1d):
     g = grid1d(16)
-    f = GridFunction.from_callable(g, lambda x: x)
-    meas = FieldNorms(f).faces[0]
+    (x,) = g.center_mesh()
+    meas = FieldNorms(g, x).faces[0]
     # measurement estimate keeps the nearest interior slope at the wall
     assert abs(meas[0] - meas[1]) < 1e-13
     assert abs(meas[-1] - meas[-2]) < 1e-13
@@ -339,8 +348,8 @@ def test_gradient_lp_norm_converges_quadratically():
     errs = []
     for cells in (100, 200, 400):
         g = build_grid("cartesian-1d", extents=(1.0,), cells=(cells,))
-        f = GridFunction.from_callable(g, lambda x: np.cos(math.pi * x))
-        errs.append(abs(FieldNorms(f).grad_lp(2.0) - exact))
+        (x,) = g.center_mesh()
+        errs.append(abs(FieldNorms(g, np.cos(math.pi * x)).grad_lp(2.0) - exact))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.15)
 
@@ -357,7 +366,7 @@ def test_gradient_lp_norm_converges_quadratically():
 def test_faces_lp_norm_l2_path_is_the_abs_power_sum_bit_for_bit(grid):
     # p = 2 squares with g * g; |g| ** 2 is the same double
     values = np.random.default_rng(8).normal(size=grid.shape)
-    norms = FieldNorms(GridFunction(grid, values))
+    norms = FieldNorms(grid, values)
     total = 0.0
     for g, fw in zip(norms.faces, grid.face_weights):
         total += float(np.sum(np.abs(g) ** 2 * fw))
@@ -370,10 +379,11 @@ def test_laplacian_eigenvector_exact_1d():
     # L f = (2/h^2)(cos(k pi h) - 1) f
     cells, k = 64, 3
     g = build_grid("cartesian-1d", extents=(1.0,), cells=(cells,))
-    f = GridFunction.from_callable(g, lambda x: np.cos(k * math.pi * x))
+    (x,) = g.center_mesh()
+    f = np.cos(k * math.pi * x)
     h = g.spacing[0]
     lam = 2.0 / h**2 * (math.cos(k * math.pi * h) - 1.0)
-    np.testing.assert_allclose(laplacian_values(g, f.values), lam * f.values, atol=1e-9)
+    np.testing.assert_allclose(laplacian_values(g, f), lam * f, atol=1e-9)
 
 
 def test_laplacian_eigenvalue_order_two():
@@ -394,12 +404,12 @@ def test_laplacian_2d_separable_field():
     # f = cos(pi x) cos(2 pi y): tensor eigenvector of the 2d stencil
     g = build_grid("cartesian-2d", extents=(1.0, 1.0), cells=(48, 48))
     X, Y = g.center_mesh()
-    f = GridFunction(g, np.cos(math.pi * X) * np.cos(2.0 * math.pi * Y))
+    f = np.cos(math.pi * X) * np.cos(2.0 * math.pi * Y)
     hx, hy = g.spacing
     lam = (2.0 / hx**2) * (math.cos(math.pi * hx) - 1.0) + (2.0 / hy**2) * (
         math.cos(2.0 * math.pi * hy) - 1.0
     )
-    np.testing.assert_allclose(laplacian_values(g, f.values), lam * f.values, atol=1e-8)
+    np.testing.assert_allclose(laplacian_values(g, f), lam * f, atol=1e-8)
 
 
 def test_radial_laplacian_of_r_squared_closed_form():
@@ -412,8 +422,8 @@ def test_radial_laplacian_of_r_squared_closed_form():
         (5, lambda r, h: 10.0 + 5.0 * h**2 / r**2 + h**4 / (8.0 * r**4)),
     ):
         g = build_grid("radial-n", extents=(1.0,), cells=(200,), n=n)
-        f = GridFunction.from_callable(g, lambda r: r**2)
-        lap = laplacian_values(g, f.values)
+        (r,) = g.center_mesh()
+        lap = laplacian_values(g, r**2)
         h = g.spacing[0]
         r = g.axis_centers(0)
         # boundary cell loses its outward flux (Neumann wall), skip it
@@ -475,8 +485,8 @@ def test_laplacian_mass_neutral():
         build_grid("radial-n", extents=(1.0,), cells=(64,), n=4),
     ):
         rng = np.random.default_rng(5)
-        f = GridFunction(g, rng.uniform(0.5, 2.0, size=g.shape))
-        assert abs(integrate(GridFunction(g, laplacian_values(g, f.values)))) < 1e-12
+        f = rng.uniform(0.5, 2.0, size=g.shape)
+        assert abs(integrate(g, laplacian_values(g, f))) < 1e-12
 
 
 def test_laplacian_self_adjoint():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fluxks.functionals import FunctionalRecord
-from fluxks.grid import GridFunction, build_grid
+from fluxks.grid import build_grid
 from fluxks.model import InitialData, ModelParams, build_initial_data
 from fluxks.monitors import (
     EPS_REFINEMENT_SLACK,
@@ -78,13 +78,11 @@ def test_check_mass_reference_run(reference_run):
 
 def test_check_positivity_passes_and_flags(grid1d):
     g = grid1d(8)
-    good = SimState(u=GridFunction.constant(g, 1.0), v=GridFunction.constant(g, 0.0),
-                    t=0.0, step_index=0)
+    good = SimState(g, u=np.full(8, 1.0), v=np.full(8, 0.0), t=0.0, step_index=0)
     assert check_positivity([good]).passed
     vals = np.ones(8)
     vals[3] = -1e-6
-    bad = SimState(u=GridFunction(g, vals), v=GridFunction.constant(g, 0.0),
-                   t=0.7, step_index=1)
+    bad = SimState(g, u=vals, v=np.full(8, 0.0), t=0.7, step_index=1)
     v = check_positivity([good, bad])
     assert not v.passed
     assert v.worst_violation == pytest.approx(1e-6, rel=1e-12)
