@@ -46,7 +46,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .grid import FieldNorms, Grid
+from .grid import FieldNorms, Grid, integrate
 
 ENSEMBLE_VERSION = 1
 EXPONENT_TOL = 1e-12
@@ -173,9 +173,8 @@ def gn2_ratio(norms: FieldNorms, exps: GN2Exponents) -> float:
 def poincare_ratio(norms: FieldNorms) -> float:
     """``||f - mean||_2 / ||grad f||_2``, the Poincare quotient of the field of ``norms``."""
     grid, values = norms.grid, norms.values
-    mean = float(np.sum(values * grid.cell_weights)) / grid.measure
-    dev = values - mean
-    num = math.sqrt(float(np.sum(dev**2 * grid.cell_weights)))
+    mean = integrate(grid, values) / grid.measure
+    num = math.sqrt(FieldNorms(grid, values - mean).integral(2.0))
     den = norms.grad_lp(2.0)
     if den == 0.0:
         raise ValueError("poincare_ratio: constant function has zero gradient")

@@ -333,19 +333,17 @@ def _flow_work(grid: Grid) -> list[tuple[NDArray[np.float64], ...]]:
     return [(np.zeros(n + stride), scratch[stride:], scratch) for stride, _, _ in grid._face_layout]
 
 
-def _flow_divergence(grid: Grid, values: NDArray[np.float64], rates=None, out=None,
-                     work=None) -> NDArray[np.float64]:
+def _flow_divergence(grid: Grid, values: NDArray[np.float64], rates, out: NDArray[np.float64],
+                     work) -> NDArray[np.float64]:
     """Net flow per unit cell weight of the face flow ``area * ((x_hi - x_lo)
     / h)``, less ``up * x_lo - down * x_hi`` with the upwind ``rates`` ``(up,
     down)`` per axis in the layout of ``Grid._face_layout``.  Without ``rates``
-    it is ``divergence_values(gradient_faces(values))`` bit for bit.  It writes
-    into ``out``, a field, with the arrays of :func:`_flow_work` (new ones by
-    default, one axis at a time)."""
-    flat = values.ravel()
-    acc = None if out is None else out.reshape(-1)
-    for axis, (stride, h, area) in enumerate(grid._face_layout):
+    (``None``) it is ``divergence_values(gradient_faces(values))`` bit for bit.
+    It writes into ``out``, a contiguous field, with the arrays of
+    :func:`_flow_work`."""
+    flat, acc = values.ravel(), out.reshape(-1)
+    for axis, ((stride, h, area), (flow, prod, diff)) in enumerate(zip(grid._face_layout, work)):
         x_lo, x_hi = flat[:-stride], flat[stride:]
-        flow, prod, diff = work[axis] if work else (np.zeros(flat.size + stride), None, None)
         inner = np.subtract(x_hi, x_lo, out=flow[stride:-stride])
         if axis == 1:
             # the 2d pairs that straddle the end of a row have no face between
@@ -359,14 +357,13 @@ def _flow_divergence(grid: Grid, values: NDArray[np.float64], rates=None, out=No
             inner += np.multiply(down, x_hi, out=prod)
         net = np.subtract(flow[stride:], flow[:-stride], out=diff)
         # the first axis's net flow is added to 0.0, as to an array of zeros
-        acc = np.add(acc if axis else 0.0, net, out=acc)
-    acc = acc.reshape(grid.shape)
-    acc /= grid.cell_weights
-    return acc
+        np.add(acc if axis else 0.0, net, out=acc)
+    out /= grid.cell_weights
+    return out
 
 
 def laplacian_values(grid: Grid, values: NDArray[np.float64]) -> NDArray[np.float64]:
-    return _flow_divergence(grid, values)
+    return _flow_divergence(grid, values, None, np.empty(grid.shape), _flow_work(grid))
 
 
 def _neg_laplacian_diagonal(grid: Grid) -> NDArray[np.float64]:

@@ -41,25 +41,23 @@ up to ``KRYLOV_CYCLES``: a step that moves mass across many cells can need
 more than 60 iterations (an 11x11 step at p = 3 takes 120).  Anything else,
 and a right-hand side whose norm is not finite, raises :class:`SolverError`.
 
-A solve sets the solver's operator once (:class:`_FaceOperator`), which its
-residuals, the GMRES products, the tridiagonal diagonals and the norm bound
-all read.  It applies the flux-form kernel of ``laplacian_values``
-(:mod:`fluxks.grid`), so its face flows telescope and keep the mass to
-roundoff; of the one-sided transport rates ``max(+-coeff * area, 0)`` one is
-0 on each face, so no two rounded products cancel.  The exact inverse (DCT
-denominator or diagonals) is built only when a correction runs.
+A solve sets the solver's operator once, which its residuals, the GMRES
+products, the tridiagonal diagonals and the norm bound all read.  It applies
+the flux-form kernel of ``laplacian_values`` (:mod:`fluxks.grid`), so its
+face flows telescope and keep the mass to roundoff; of the one-sided
+transport rates ``max(+-coeff * area, 0)`` one is 0 on each face, so no two
+rounded products cancel.  The exact inverse (DCT denominator or diagonals) is
+built only when a correction runs.
 
 A solver holds its work arrays for its life, one run: the operator's rates
 and flows, the residual (which each correction overwrites), the DCT
 denominator and both GMRES bases, ``KRYLOV_RESTART + 1`` and
 ``KRYLOV_RESTART`` fields mapped as the cycles reach them.  A 128x128 field
-is 131,072 bytes, glibc's default mmap threshold; allocated and freed per
-call, such fields make glibc trim its heap and fault the pages in again.  A
-79-step 128x128 point took about 48,500 minor page faults, 42,000 in its
-solves, and takes about 5,500 with held arrays, 800 in its solves (first
-touches), with the same arithmetic.  No returned array is a work array, and
-no two solvers share one: a cache keyed by ``id(grid)`` would hand a dead
-grid's arrays to a new grid of another size.
+is 131,072 bytes, exactly glibc's default mmap threshold: allocated and freed
+per call, such fields make glibc trim its heap and fault the pages in again.
+No returned array is a work array, and no two solvers share one: a cache
+keyed by ``id(grid)`` would hand a dead grid's arrays to a new grid of
+another size.
 """
 
 from __future__ import annotations
@@ -89,59 +87,6 @@ KRYLOV_RTOL = 1e-12
 (_gtsv,) = scipy.linalg.get_lapack_funcs(("gtsv",), dtype=np.float64)
 
 
-class _FaceOperator:
-    """``a*I - d*L + d*A(coeffs)`` of one solve: ``a``, ``d`` and the upwind
-    rates per axis in the layout of ``Grid._face_layout``, ``up = max(coeff *
-    area, 0)`` from the lower cell of a face into the upper one, per unit of
-    the lower cell's value, and ``down = max(-coeff * area, 0)`` back.  It
-    keeps its work arrays and rates when :meth:`reset` makes it the next
-    solve's operator."""
-
-    def __init__(self, grid: Grid, a_coef: float, d_coef: float, coeffs):
-        self.grid = grid
-        # the flux-form kernel's work arrays and output, and per axis a field
-        # for up (its entries outside the face layout stay 0) and down
-        self._kernel_work, self._divergence = _flow_work(grid), np.empty(grid.shape)
-        self._rate_work = [(np.zeros(grid.shape), np.empty(grid.cell_weights.size - stride))
-                           for stride, _, _ in grid._face_layout]
-        self.reset(a_coef, d_coef, coeffs)
-
-    def reset(self, a_coef: float, d_coef: float, coeffs) -> "_FaceOperator":
-        self.a_coef, self.d_coef = a_coef, d_coef
-        self.rates = None
-        if coeffs is not None:
-            self.rates = []
-            for axis, ((_, _, area), (up_field, down)) in enumerate(
-                    zip(self.grid._face_layout, self._rate_work)):
-                flow = up = _layout_faces(self.grid, axis, coeffs[axis], out=up_field)
-                flow *= area
-                np.maximum(np.negative(flow, out=down), 0.0, out=down)
-                np.maximum(flow, 0.0, out=up)  # in place: flow is spent
-                self.rates.append((up, down))
-        return self
-
-    def apply(self, x: NDArray, out: NDArray | None = None) -> NDArray:
-        """``a*x`` less ``d`` times the divergence of the face flow ``area *
-        ((x_hi - x_lo) / h) - up * x_lo + down * x_hi``, into ``out`` (a new
-        array by default)."""
-        acc = _flow_divergence(self.grid, x, self.rates, self._divergence, self._kernel_work)
-        acc *= self.d_coef
-        out = np.multiply(self.a_coef, x, out=out)
-        out -= acc
-        return out
-
-    def norm_bound(self) -> float:
-        # the largest absolute row sum: the entries of a row of -L sum in
-        # absolute value to twice its diagonal, and a face adds its transport
-        # rates to the rows of both its cells
-        rows = 2.0 * _neg_laplacian_diagonal(self.grid)
-        w = self.grid.cell_weights.ravel()
-        for (stride, _, _), (up, down) in zip(self.grid._face_layout, self.rates or ()):
-            rows[stride:] += (up + down) / w[stride:]
-            rows[:-stride] += (up + down) / w[:-stride]
-        return self.a_coef + self.d_coef * float(rows.max())
-
-
 class HelmholtzSolver:
     """Solves ``(a*I - d*L + d*A) x = b`` on one grid, reusing precomputed
     spectra and the work arrays of its solves (see the module docstring), so
@@ -151,7 +96,11 @@ class HelmholtzSolver:
         self.grid = grid
         self._weights = grid.cell_weights
         self._symbol = self._rates = None
-        self._op = _FaceOperator(grid, 1.0, 0.0, None)  # reset by each solve
+        # the flux-form kernel's work arrays and output, and per axis a field
+        # for up (its entries outside the face layout stay 0) and down
+        self._kernel_work, self._divergence = _flow_work(grid), np.empty(grid.shape)
+        self._rate_work = [(np.zeros(grid.shape), np.empty(grid.cell_weights.size - stride))
+                           for stride, _, _ in grid._face_layout]
         # the residual, which its correction overwrites, and the products of
         # the inner product and of Gram-Schmidt
         self._residual, self._product = np.empty((2, *grid.shape))
@@ -165,6 +114,46 @@ class HelmholtzSolver:
             # the tridiagonal inverse's diffusive face rates area / h, 0 on the boundary
             _, h, area = grid._face_layout[0]
             self._rates = np.pad(area, 1) / h
+        self._set_operator(1.0, 0.0, None)  # set again by each solve
+
+    def _set_operator(self, a_coef: float, d_coef: float, coeffs) -> None:
+        # a*I - d*L + d*A(coeffs) for the next solve: a, d and per axis, in
+        # the layout of Grid._face_layout, the upwind transport rates up =
+        # max(coeff * area, 0) from the lower cell of a face into the upper
+        # one, per unit of the lower cell's value, and down = max(-coeff *
+        # area, 0) back
+        self._a_coef, self._d_coef = a_coef, d_coef
+        self._upwind_rates = None
+        if coeffs is not None:
+            self._upwind_rates = []
+            for axis, ((_, _, area), (up_field, down)) in enumerate(
+                    zip(self.grid._face_layout, self._rate_work)):
+                flow = up = _layout_faces(self.grid, axis, coeffs[axis], out=up_field)
+                flow *= area
+                np.maximum(np.negative(flow, out=down), 0.0, out=down)
+                np.maximum(flow, 0.0, out=up)  # in place: flow is spent
+                self._upwind_rates.append((up, down))
+
+    def _apply(self, x: NDArray, out: NDArray) -> NDArray:
+        # a*x less d times the divergence of the face flow area * ((x_hi -
+        # x_lo) / h) - up * x_lo + down * x_hi, into out
+        acc = _flow_divergence(self.grid, x, self._upwind_rates, self._divergence,
+                               self._kernel_work)
+        acc *= self._d_coef
+        np.multiply(self._a_coef, x, out=out)
+        out -= acc
+        return out
+
+    def _norm_bound(self) -> float:
+        # the largest absolute row sum: the entries of a row of -L sum in
+        # absolute value to twice its diagonal, and a face adds its transport
+        # rates to the rows of both its cells
+        rows = 2.0 * _neg_laplacian_diagonal(self.grid)
+        w = self._weights.ravel()
+        for (stride, _, _), (up, down) in zip(self.grid._face_layout, self._upwind_rates or ()):
+            rows[stride:] += (up + down) / w[stride:]
+            rows[:-stride] += (up + down) / w[:-stride]
+        return self._a_coef + self._d_coef * float(rows.max())
 
     @staticmethod
     def _dct_symbol(grid: Grid) -> NDArray[np.float64]:
@@ -175,26 +164,28 @@ class HelmholtzSolver:
         )
         return kx[:, None] + ky[None, :]
 
-    def _tridiagonal(self, op: _FaceOperator) -> tuple[NDArray, ...]:
-        """The diagonals ``(lower, diagonal, upper)`` of ``op``, ``a*I - d*L + d*A``.
+    def _tridiagonal(self) -> tuple[NDArray, ...]:
+        """The diagonals ``(lower, diagonal, upper)`` of the operator ``a*I -
+        d*L + d*A``.
 
         Face ``j`` moves mass from cell ``j - 1`` up at rate ``up[j]`` and from
         cell ``j`` down at rate ``down[j]``: the diffusive rate plus the
         operator's transport rate in that direction.
         """
         up = down = self._rates
-        if op.rates is not None:
+        if self._upwind_rates is not None:
             up, down = up.copy(), down.copy()
-            up[1:-1] += op.rates[0][0]
-            down[1:-1] += op.rates[0][1]
-        a_coef, d_coef, w = op.a_coef, op.d_coef, self._weights
+            up[1:-1] += self._upwind_rates[0][0]
+            down[1:-1] += self._upwind_rates[0][1]
+        a_coef, d_coef, w = self._a_coef, self._d_coef, self._weights
         diagonal = a_coef + d_coef * (up[1:] + down[:-1]) / w
         return -d_coef * up[1:-1] / w[1:], diagonal, -d_coef * down[1:-1] / w[:-1]
 
     def apply(self, a_coef: float, d_coef: float, x: NDArray, coeffs=None) -> NDArray:
         """The operator ``a*x - d*L(x) + d*A(x)`` of the solve, independent of
         any inverse (no transport term without ``coeffs``)."""
-        return self._op.reset(a_coef, d_coef, coeffs).apply(x)
+        self._set_operator(a_coef, d_coef, coeffs)
+        return self._apply(x, np.empty(self.grid.shape))
 
     def _dot(self, f: NDArray, g: NDArray) -> float:
         # the weighted inner product as a numpy reduction, not a BLAS call,
@@ -206,43 +197,41 @@ class HelmholtzSolver:
     def _norm(self, f: NDArray) -> float:
         return math.sqrt(self._dot(f, f))
 
-    def _inverse(self, op: _FaceOperator) -> Callable[..., NDArray]:
-        # the exact inverse of op, applied to r in out (a new array by
-        # default); in 2d that of a*I - d*L, which is the GMRES preconditioner
-        # when there is transport
+    def _inverse(self) -> Callable[[NDArray, NDArray], NDArray]:
+        # the exact inverse of the operator, applied to r in out; in 2d that
+        # of a*I - d*L, which is the GMRES preconditioner when there is
+        # transport
         if self._symbol is not None:
-            denom = np.multiply(self._symbol, op.d_coef, out=self._denom)
-            denom += op.a_coef
+            denom = np.multiply(self._symbol, self._d_coef, out=self._denom)
+            denom += self._a_coef
         else:
-            lower, diagonal, upper = self._tridiagonal(op)
+            lower, diagonal, upper = self._tridiagonal()
 
-        def inverse(r: NDArray, out: NDArray | None = None) -> NDArray:
-            x = np.empty_like(r) if out is None else out
-            x[...] = r
+        def inverse(r: NDArray, out: NDArray) -> NDArray:
+            out[...] = r
             if self._symbol is not None:  # the transforms run in place (overwrite_x)
-                xh = scipy.fft.dctn(x, type=2, norm="ortho", overwrite_x=True)
+                xh = scipy.fft.dctn(out, type=2, norm="ortho", overwrite_x=True)
                 xh /= denom
                 return scipy.fft.idctn(xh, type=2, norm="ortho", overwrite_x=True)
             # the diagonals' overwrite flags off (gtsv's default): they serve every correction
-            *_, x, info = _gtsv(lower, diagonal, upper, x, overwrite_b=True)
+            *_, x, info = _gtsv(lower, diagonal, upper, out, overwrite_b=True)
             if info != 0:
                 raise SolverError(f"gtsv: zero pivot in row {info} of the tridiagonal solve")
             return x
 
         return inverse
 
-    def _gmres(
-        self, op: _FaceOperator, precond, r: NDArray, norm_r: float, target: float
-    ) -> tuple[NDArray, int]:
+    def _gmres(self, precond, r: NDArray, norm_r: float, target: float) -> tuple[NDArray, int]:
         """One cycle of right-preconditioned GMRES (Saad & Schultz 1986) for
-        ``op(dx) = r`` in the cell-weighted inner product; returns ``(dx,
-        iterations)``.  It stops after ``KRYLOV_RESTART`` iterations or once
-        the least-squares residual, updated by Givens rotations, is at most
-        ``target``.  It keeps the preconditioned basis ``z_j = precond(v_j)``
-        along with the Arnoldi basis ``v_j`` and returns ``sum_j y_j z_j``,
-        which takes no further preconditioner solve.  Both bases live in the
-        solver's work arrays (see the module docstring); the operator's
-        products, and then ``dx``, overwrite ``r``."""
+        ``M dx = r``, ``M`` the solve's operator, in the cell-weighted inner
+        product; returns ``(dx, iterations)``.  It stops after
+        ``KRYLOV_RESTART`` iterations or once the least-squares residual,
+        updated by Givens rotations, is at most ``target``.  It keeps the
+        preconditioned basis ``z_j = precond(v_j)`` along with the Arnoldi
+        basis ``v_j`` and returns ``sum_j y_j z_j``, which takes no further
+        preconditioner solve.  Both bases live in the solver's work arrays
+        (see the module docstring); the operator's products, and then
+        ``dx``, overwrite ``r``."""
         basis = self._basis
         np.divide(r, norm_r, out=basis[0])
         preconditioned: list[NDArray] = []
@@ -251,7 +240,7 @@ class HelmholtzSolver:
         resid = [norm_r]  # the rotated right-hand side beta * e_1
         for j in range(KRYLOV_RESTART):
             preconditioned.append(precond(basis[j], self._preconditioned[j]))
-            w = op.apply(preconditioned[j], r)  # r is spent: basis[0] holds it
+            w = self._apply(preconditioned[j], r)  # r is spent: basis[0] holds it
             for i, v in enumerate(basis[:j + 1]):  # modified Gram-Schmidt
                 hess[i, j] = self._dot(w, v)
                 w -= np.multiply(v, hess[i, j], out=self._product)
@@ -298,7 +287,7 @@ class HelmholtzSolver:
             raise SolverError(f"the right-hand side's norm {norm_b} is not finite")
         if norm_b == 0.0:
             return np.zeros_like(rhs), 0, 0.0
-        op = self._op.reset(a_coef, d_coef, coeffs)
+        self._set_operator(a_coef, d_coef, coeffs)
         x = x0.copy()
         krylov = self._symbol is not None and coeffs is not None
         target = SOLVER_RTOL * norm_b
@@ -306,16 +295,16 @@ class HelmholtzSolver:
         norm_prev = math.inf
         for k in range((KRYLOV_CYCLES if krylov else CORRECTIONS) + 1):
             if k == 1:  # built only when x0 is not exact
-                inverse = self._inverse(op)
+                inverse = self._inverse()
             if k > 0:
                 if krylov:
-                    dx, used = self._gmres(op, inverse, r, norm_r, KRYLOV_RTOL * norm_b)
+                    dx, used = self._gmres(inverse, r, norm_r, KRYLOV_RTOL * norm_b)
                 else:
                     dx, used = inverse(r, r), 1
                 x += dx
                 iterations += used
                 norm_prev = norm_r
-            r = op.apply(x, self._residual)
+            r = self._apply(x, self._residual)
             np.subtract(rhs, r, out=r)
             norm_r = self._norm(r)
             # a correction carries the rounding of its residual, eps * ||r||,
@@ -323,7 +312,7 @@ class HelmholtzSolver:
             if norm_r == 0.0 or (norm_r <= target and norm_prev <= norm_b):
                 return x, iterations, norm_r / norm_b
             if k >= CORRECTIONS and norm_r <= SOLVER_RTOL * (
-                    op.norm_bound() * self._norm(x) + norm_b):
+                    self._norm_bound() * self._norm(x) + norm_b):
                 return x, iterations, norm_r / norm_b
         raise SolverError(
             f"residual {norm_r / norm_b:.3e} above the backward-error floor "

@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .functionals import FunctionalRecord
+from .grid import FieldNorms
 from .model import InitialData, ModelParams
 from .stepper import RunStatus, SimResult, SimState, StepControls, simulate
 
@@ -295,9 +296,8 @@ def eps_refinement(
         )
         statuses.append(res.status.value)
         finals.append(res.final_state.u)
-    w = initial.grid.cell_weights
     dists = [
-        float(np.sqrt(np.sum((a - b) ** 2 * w)))
+        math.sqrt(FieldNorms(initial.grid, a - b).integral(2.0))
         for a, b in zip(finals, finals[1:])
     ]
     ok = all(s == RunStatus.COMPLETED.value for s in statuses)

@@ -24,15 +24,10 @@ beyond ``POSITIVITY_HARD_TOL`` is a hard error.  Mass is conserved by constructi
 the flux divergence telescopes to zero and the u-solve preserves
 cell-weighted means to roundoff.
 
-One solver serves a whole run and holds the work arrays of its solves (rates,
-residual, Krylov bases) for it: allocated per call, 128x128 fields cycle
-through glibc's heap trimming, 42,000 minor page faults in the solves of a
-79-step 128x128 point against about 800 held (:mod:`fluxks.linalg`).  Each
-solve builds its operator once, as face rates: the diffusive rate and the
-one-sided upwind rates of the coefficients.  It applies the operator in flux
-form, one face flow per axis differenced over each cell, so the flows
-telescope and every residual, and the correction made from it, keeps the mass
-to roundoff.
+One solver serves a whole run (:mod:`fluxks.linalg`).  It applies each
+solve's operator in flux form, one face flow per axis differenced over each
+cell, so the flows telescope and every residual, and the correction made from
+it, keeps the mass to roundoff.
 
 The time step is the smaller of ``dt_max`` and, for ``theta >= 1``, an
 explicit-production proxy ``cfl_safety / (theta * max(u)^(theta-1))``; for

@@ -369,6 +369,8 @@ def test_parse_time_grid_and_initial_screening():
         parse_config_dict(base_cfg(grid={"cells": [2]}))
     with pytest.raises(ConfigError, match="amplitude"):
         parse_config_dict(base_cfg(initial={"amplitude": 1.5}))
+    with pytest.raises(ConfigError, match=r"gaussian family needs base \+ min\(amplitude, 0\) >= 0"):
+        parse_config_dict(base_cfg(initial={"family": "gaussian", "base": 0.5, "amplitude": -1.0}))
 
 
 def test_builders_and_simulate_kwargs(tmp_path, monkeypatch):

@@ -444,6 +444,19 @@ def test_divergence_of_gradient_is_laplacian(grid1d, grid2d):
         assert np.array_equal(composed, direct)
 
 
+def test_laplacian_returns_a_fresh_array_on_each_call(grid1d, grid2d):
+    # FieldNorms.lap_integral squares the result in place, so a result held
+    # from one call must keep its bits through the next
+    rng = np.random.default_rng(5)
+    radial = build_grid("radial-n", extents=(1.0,), cells=(24,), n=3)
+    for g in (grid1d(40), grid2d(12), radial):
+        first = laplacian_values(g, rng.standard_normal(g.shape))
+        kept = first.copy()
+        second = laplacian_values(g, rng.standard_normal(g.shape))
+        assert np.array_equal(first, kept)
+        assert not np.shares_memory(first, second)
+
+
 def test_laplacian_ignores_the_pairs_that_straddle_a_2d_row_end():
     # the flat kernel differences the last cell of each row against the first
     # of the next, across no face; with rows of 1.5e308 * (-1, -1/3, 1/3, 1)

@@ -28,7 +28,7 @@ from scipy.linalg import solve_banded
 from fluxks import linalg
 from fluxks.errors import SolverError
 from fluxks.grid import Grid, build_grid, divergence_values, integrate, laplacian_values
-from fluxks.linalg import SOLVER_RTOL, HelmholtzSolver, _FaceOperator
+from fluxks.linalg import SOLVER_RTOL, HelmholtzSolver
 from conftest import count_laplacians, mode_dispersion
 from fluxks.model import ModelParams, build_initial_data
 from fluxks.stepper import RunStatus, StepControls, _clamp_negative, simulate
@@ -144,7 +144,8 @@ def test_norm_bound_is_the_largest_absolute_row_sum(mode, kwargs, transport):
     size = int(np.prod(grid.shape))
     mat = np.array([solver.apply(1.1, 0.3, e.reshape(grid.shape), coeffs).ravel()
                     for e in np.eye(size)]).T
-    bound = _FaceOperator(grid, 1.1, 0.3, coeffs).norm_bound()
+    solver._set_operator(1.1, 0.3, coeffs)
+    bound = solver._norm_bound()
     assert bound == pytest.approx(float(np.abs(mat).sum(axis=1).max()), rel=1e-13)
 
 
@@ -161,8 +162,8 @@ def test_transport_bands_match_apply_and_form_an_m_matrix(mode, kwargs, seed):
         e = np.zeros(size)
         e[j] = 1.0
         applied[:, j] = solver.apply(a_coef, d_coef, e, coeffs)
-    op = _FaceOperator(grid, a_coef, d_coef, coeffs)
-    banded = dense_from_diagonals(*solver._tridiagonal(op))
+    solver._set_operator(a_coef, d_coef, coeffs)
+    banded = dense_from_diagonals(*solver._tridiagonal())
     np.testing.assert_allclose(banded, applied, rtol=0.0, atol=1e-12 * np.abs(applied).max())
     # M-matrix: positive diagonal, nonpositive off-diagonals; weighted column
     # sums equal a, i.e. the solve conserves mass
@@ -185,7 +186,9 @@ def test_tridiagonal_inverse_matches_solve_banded_bit_for_bit(mode, kwargs, tran
     grid = build_grid(mode, **kwargs)
     coeffs = random_coeffs(grid, 11) if transport else None
     r = np.random.default_rng(12).standard_normal(grid.shape)
-    x = HelmholtzSolver(grid)._inverse(_FaceOperator(grid, a_coef, 0.03, coeffs))(r)
+    solver = HelmholtzSolver(grid)
+    solver._set_operator(a_coef, 0.03, coeffs)
+    x = solver._inverse()(r, np.empty(grid.shape))
     assert np.array_equal(x, solve_banded((1, 1), band_matrix(grid, a_coef, 0.03, coeffs), r))
 
 
@@ -195,9 +198,10 @@ def test_tridiagonal_zero_pivot_raises(mode, kwargs):
     grid = build_grid(mode, **kwargs)
     solver = HelmholtzSolver(grid)
     solver._rates = np.zeros_like(solver._rates)
-    inverse = solver._inverse(_FaceOperator(grid, 0.0, 0.5, None))
+    solver._set_operator(0.0, 0.5, None)
+    inverse = solver._inverse()
     with pytest.raises(SolverError, match="zero pivot"):
-        inverse(np.ones(grid.shape))
+        inverse(np.ones(grid.shape), np.empty(grid.shape))
 
 
 def test_dct_inverse_commutes_with_reflections_bit_for_bit():
@@ -205,12 +209,14 @@ def test_dct_inverse_commutes_with_reflections_bit_for_bit():
     # along either axis, bit for bit, so its roundoff cannot break a symmetry
     # of the data
     grid = build_grid("cartesian-2d", extents=(1.0, 1.0), cells=(16, 12))
-    inverse = HelmholtzSolver(grid)._inverse(_FaceOperator(grid, 1.0, 0.3, None))
+    solver = HelmholtzSolver(grid)
+    solver._set_operator(1.0, 0.3, None)
+    inverse = solver._inverse()
     r = np.random.default_rng(6).standard_normal(grid.shape)
-    x = inverse(r)
-    assert np.array_equal(inverse(r[::-1]), x[::-1])
-    assert np.array_equal(inverse(r[:, ::-1]), x[:, ::-1])
-    assert np.array_equal(inverse(r[::-1, ::-1]), x[::-1, ::-1])
+    x = inverse(r, np.empty(grid.shape))
+    assert np.array_equal(inverse(r[::-1], np.empty(grid.shape)), x[::-1])
+    assert np.array_equal(inverse(r[:, ::-1], np.empty(grid.shape)), x[:, ::-1])
+    assert np.array_equal(inverse(r[::-1, ::-1], np.empty(grid.shape)), x[::-1, ::-1])
 
 
 @pytest.mark.parametrize("dt", [0.01, 1.0])

@@ -7,10 +7,12 @@ coverage quantile.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fluxks import monitors
 from fluxks.functionals import FunctionalRecord
 from fluxks.grid import build_grid
 from fluxks.model import InitialData, ModelParams, build_initial_data
@@ -276,6 +278,25 @@ def test_eps_refinement_contracting_ladder():
     d = v.details["distances"]
     assert len(d) == 2 and d[0] > 0.0
     assert d[1] <= EPS_REFINEMENT_SLACK * d[0]
+
+
+def test_eps_refinement_fails_a_growing_distance(monkeypatch):
+    # final states 0, 1 and 3 on the unit interval: distances 1 and 2, and
+    # 2 exceeds EPS_REFINEMENT_SLACK * 1
+    initial, controls = eps_setup(16)
+    finals = iter([0.0, 1.0, 3.0])
+
+    def fake_simulate(*args, **kwargs):
+        state = SimpleNamespace(u=np.full(initial.grid.shape, next(finals)))
+        return SimpleNamespace(status=RunStatus.COMPLETED, final_state=state)
+
+    monkeypatch.setattr(monitors, "simulate", fake_simulate)
+    params = ModelParams(chi=1.0, p=1.5, theta=2.0, eps=1e-2, n=1)
+    v = eps_refinement(initial, params, controls, [1e-2, 1e-3, 1e-4])
+    assert v.details["distances"] == [1.0, 2.0]
+    assert v.details["statuses"] == ["Completed"] * 3
+    assert not v.passed
+    assert v.worst_violation == pytest.approx(2.0 - EPS_REFINEMENT_SLACK)
 
 
 def test_eps_refinement_compares_at_fixed_horizon():

@@ -295,6 +295,12 @@ def test_run_sweep_re_runs_invalid_point_files(tmp_path):
     assert res2.n_run == 1 and res2.n_skipped == 1
     assert target.read_bytes() == good
 
+    # valid JSON that is not an object is not a completed point
+    target.write_text("[1, 2]", encoding="utf-8")
+    res2 = run_sweep(spec, out)
+    assert res2.n_run == 1 and res2.n_skipped == 1
+    assert target.read_bytes() == good
+
     # stale version is not resumable either
     stale = json.loads(good)
     stale["version"] = SWEEP_VERSION + 1
