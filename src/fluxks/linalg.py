@@ -14,15 +14,25 @@ Without transport every grid has an exact inverse: a DCT-II spectral solve on
 the uniform 2d grid (the cell-centered no-flux Laplacian diagonalizes in that
 basis) and LAPACK ``gtsv`` on the diagonals of the tridiagonal matrix of the
 one-axis grids (``cartesian-1d`` and ``radial-n``), exact with transport too.
-The 2d transport solve uses right-preconditioned GMRES (Saad & Schultz, SIAM
-J. Sci. Stat. Comput. 7, 1986) in the cell-weighted inner product, with the
-DCT inverse of ``a*I - d*L`` as preconditioner.  With ``a = 1`` that
-preconditioner keeps the mean and the transport moves no mass, so every
-Krylov vector of a residual with zero mean has zero mean: the correction
-keeps the mass to roundoff, not to the solver tolerance.  A GMRES cycle stops
-at ``KRYLOV_RTOL``, below ``SOLVER_RTOL``: the error of a cycle stopped at
-``SOLVER_RTOL`` can leave negatives beyond the stepper's positivity
-tolerance where aggregating ``u`` is near 0.
+The 2d transport solve uses flexible right-preconditioned GMRES (Saad, SIAM
+J. Sci. Comput. 14, 1993) in the cell-weighted inner product, with the DCT
+inverse of ``a*I - d*L`` in float32 as preconditioner: flexible GMRES reaches
+the float64 residual with an inexact preconditioner (Higham & Mary, Acta
+Numerica 31, 2022).  The operator's products, the Hessenberg matrix, the true
+residual and the exact DCT and ``gtsv`` corrections stay float64: they set
+the accuracy a solve certifies.  The float32 round trip moves the mean by
+about 1e-7 relative, so the preconditioner adds the float64 scalar that sets
+the cell-weighted mean of its output to ``mean(v) / a``, the exact inverse's
+(the mean reset).  With ``a = 1`` it then keeps the mean and the transport
+moves no mass, so every Krylov vector of a residual with zero mean has zero
+mean: the correction keeps the mass to roundoff, not to the solver
+tolerance.  The inner products are numpy reductions, not BLAS calls, whose
+threads would make results depend on the thread count; on the 2d grid, whose
+cells share one volume, one ``einsum`` pass (``optimize`` off, which could
+route to BLAS).  A GMRES cycle stops at ``KRYLOV_RTOL``, below
+``SOLVER_RTOL``: the error of a cycle stopped at ``SOLVER_RTOL`` can leave
+negatives beyond the stepper's positivity tolerance where aggregating ``u``
+is near 0.
 
 The solve starts from the caller's guess ``x0`` and certifies the true
 residual ``r = b - A x`` of the ``x`` it returns, in the cell-weighted norm.
@@ -51,8 +61,9 @@ built only when a correction runs.
 
 A solver holds its work arrays for its life, one run: the operator's rates
 and flows, the residual (which each correction overwrites), the DCT
-denominator and both GMRES bases, ``KRYLOV_RESTART + 1`` and
-``KRYLOV_RESTART`` fields mapped as the cycles reach them.  A 128x128 field
+denominator and its float32 copy with the preconditioner's float32 field,
+and both GMRES bases, ``KRYLOV_RESTART + 1`` and ``KRYLOV_RESTART`` fields
+mapped as the cycles reach them.  A 128x128 field
 is 131,072 bytes, exactly glibc's default mmap threshold: allocated and freed
 per call, such fields make glibc trim its heap and fault the pages in again.
 No returned array is a work array, and no two solvers share one: a cache
@@ -107,6 +118,11 @@ class HelmholtzSolver:
         if grid.mode == "cartesian-2d":
             self._symbol = self._dct_symbol(grid)
             self._denom = np.empty(grid.shape)
+            # the float32 preconditioner's field and denominator
+            self._single = np.empty((2, *grid.shape), dtype=np.float32)
+            # cells share one volume: one einsum pass, with no temporary
+            volume = float(self._weights.flat[0])
+            self._dot = lambda f, g: volume * float(np.einsum("ij,ij->", f, g))
             # np.empty maps pages only as the GMRES cycles reach them
             self._basis = np.empty((KRYLOV_RESTART + 1, *grid.shape))
             self._preconditioned = np.empty((KRYLOV_RESTART, *grid.shape))
@@ -188,8 +204,8 @@ class HelmholtzSolver:
         return self._apply(x, np.empty(self.grid.shape))
 
     def _dot(self, f: NDArray, g: NDArray) -> float:
-        # the weighted inner product as a numpy reduction, not a BLAS call,
-        # whose threads would make results depend on the thread count
+        # the weighted inner product of the one-axis grids (__init__ sets the
+        # 2d one) as a numpy reduction, not a BLAS call (module docstring)
         prod = np.multiply(f, g, out=self._product)
         prod *= self._weights
         return float(np.sum(prod))
@@ -197,22 +213,32 @@ class HelmholtzSolver:
     def _norm(self, f: NDArray) -> float:
         return math.sqrt(self._dot(f, f))
 
-    def _inverse(self) -> Callable[[NDArray, NDArray], NDArray]:
+    def _inverse(self, dtype=np.float64) -> Callable[[NDArray, NDArray], NDArray]:
         # the exact inverse of the operator, applied to r in out; in 2d that
-        # of a*I - d*L, which is the GMRES preconditioner when there is
-        # transport
+        # of a*I - d*L, transformed in dtype: in float32 it is the GMRES
+        # preconditioner when there is transport (see the module docstring)
         if self._symbol is not None:
             denom = np.multiply(self._symbol, self._d_coef, out=self._denom)
             denom += self._a_coef
+            if dtype == np.float32:
+                work, denom = self._single
+                denom[...] = self._denom  # once per solve
         else:
             lower, diagonal, upper = self._tridiagonal()
 
         def inverse(r: NDArray, out: NDArray) -> NDArray:
-            out[...] = r
+            field = out if dtype == np.float64 else work
+            field[...] = r
             if self._symbol is not None:  # the transforms run in place (overwrite_x)
-                xh = scipy.fft.dctn(out, type=2, norm="ortho", overwrite_x=True)
+                xh = scipy.fft.dctn(field, type=2, norm="ortho", overwrite_x=True)
                 xh /= denom
-                return scipy.fft.idctn(xh, type=2, norm="ortho", overwrite_x=True)
+                x = scipy.fft.idctn(xh, type=2, norm="ortho", overwrite_x=True)
+                if field is out:
+                    return x
+                # cast back, and the mean reset (cells share one volume)
+                out[...] = x
+                out += np.mean(r) / self._a_coef - np.mean(out)
+                return out
             # the diagonals' overwrite flags off (gtsv's default): they serve every correction
             *_, x, info = _gtsv(lower, diagonal, upper, out, overwrite_b=True)
             if info != 0:
@@ -222,14 +248,15 @@ class HelmholtzSolver:
         return inverse
 
     def _gmres(self, precond, r: NDArray, norm_r: float, target: float) -> tuple[NDArray, int]:
-        """One cycle of right-preconditioned GMRES (Saad & Schultz 1986) for
+        """One cycle of flexible right-preconditioned GMRES (Saad 1993) for
         ``M dx = r``, ``M`` the solve's operator, in the cell-weighted inner
         product; returns ``(dx, iterations)``.  It stops after
         ``KRYLOV_RESTART`` iterations or once the least-squares residual,
         updated by Givens rotations, is at most ``target``.  It keeps the
         preconditioned basis ``z_j = precond(v_j)`` along with the Arnoldi
         basis ``v_j`` and returns ``sum_j y_j z_j``, which takes no further
-        preconditioner solve.  Both bases live in the solver's work arrays
+        preconditioner solve and holds for an inexact (float32) ``precond``
+        (flexible GMRES).  Both bases live in the solver's work arrays
         (see the module docstring); the operator's products, and then
         ``dx``, overwrite ``r``."""
         basis = self._basis
@@ -295,7 +322,7 @@ class HelmholtzSolver:
         norm_prev = math.inf
         for k in range((KRYLOV_CYCLES if krylov else CORRECTIONS) + 1):
             if k == 1:  # built only when x0 is not exact
-                inverse = self._inverse()
+                inverse = self._inverse(np.float32 if krylov else np.float64)
             if k > 0:
                 if krylov:
                     dx, used = self._gmres(inverse, r, norm_r, KRYLOV_RTOL * norm_b)

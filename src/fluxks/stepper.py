@@ -14,10 +14,10 @@ Each step advances the signal first and the density second:
 
 All solves run through :class:`fluxks.linalg.HelmholtzSolver`.  Starting
 from the old field, it applies at least one correction -- exact-inverse
-(DCT in 2d, tridiagonal on one-axis grids), or DCT-preconditioned GMRES for
-the 2d transport -- until the true relative residual is at most 1e-10, and
-accepts a residual stalled at the floating-point floor only through a
-normwise backward-error test.  The implicit operators are inverse-positive,
+(DCT in 2d, tridiagonal on one-axis grids), or for the 2d transport flexible
+GMRES with a float32 DCT preconditioner -- until the true relative residual
+is at most 1e-10 in float64, and accepts a residual stalled at the
+floating-point floor only through a normwise backward-error test.  The implicit operators are inverse-positive,
 so negative cells can only appear at solver accuracy scale; they are clamped
 to zero, the clamped mass is added to the state's running total, and anything
 beyond ``POSITIVITY_HARD_TOL`` is a hard error.  Mass is conserved by construction:

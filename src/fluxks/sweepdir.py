@@ -30,7 +30,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .runtime import canonical_json, load_json, tool_stamp, write_atomic
 
-SWEEP_VERSION = 7
+SWEEP_VERSION = 8
 
 REGIME_MAP_COLUMNS = (
     "n", "theta", "p_fraction", "p", "p_critical", "subcritical", "status",

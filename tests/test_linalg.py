@@ -7,7 +7,9 @@ residual of the solution it returns.  On one-axis grids the upwind transport
 term's diagonals are checked the same way against the matvec, and for the
 M-matrix sign pattern and weighted column sums that give positivity and mass,
 and the LAPACK ``gtsv`` inverse against scipy's ``solve_banded`` bit for bit;
-on the 2d grid the GMRES transport solve is checked against the dense matvec.
+on the 2d grid the GMRES transport solve is checked against the dense matvec,
+and its float32 preconditioner for the mean of the exact inverse, the
+symmetries it keeps bit for bit, and its distance from the float64 inverse.
 A solve always corrects its guess unless the guess is exact, so modes below
 the solver tolerance still follow the discrete linear theory.  A solver holds
 its work arrays for a run: reused, it matches fresh solvers bit for bit, and
@@ -217,6 +219,50 @@ def test_dct_inverse_commutes_with_reflections_bit_for_bit():
     assert np.array_equal(inverse(r[::-1], np.empty(grid.shape)), x[::-1])
     assert np.array_equal(inverse(r[:, ::-1], np.empty(grid.shape)), x[:, ::-1])
     assert np.array_equal(inverse(r[::-1, ::-1], np.empty(grid.shape)), x[::-1, ::-1])
+
+
+def float32_preconditioner(a_coef, cells=(64, 48)):
+    # the GMRES preconditioner of a 2d transport solve: the DCT inverse of
+    # a*I - d*L in float32, with the mean reset
+    grid = build_grid("cartesian-2d", extents=(1.0, 1.0), cells=cells)
+    solver = HelmholtzSolver(grid)
+    solver._set_operator(a_coef, 0.3, None)
+    return grid, solver, solver._inverse(np.float32)
+
+
+@pytest.mark.parametrize("a_coef", [1.0, 1.5])
+def test_float32_preconditioner_keeps_the_mean_of_the_exact_inverse(a_coef):
+    # the float32 round trip moves the mean by about 1e-7 relative; the mean
+    # reset puts back mean(r) / a, the mean of the exact inverse, so a
+    # zero-mean residual still gives zero-mean Krylov vectors
+    grid, _, precond = float32_preconditioner(a_coef)
+    r = np.random.default_rng(9).standard_normal(grid.shape) + 0.5
+    z = precond(r, np.empty(grid.shape))
+    assert z.dtype == np.float64
+    target = integrate(grid, r) / grid.measure / a_coef
+    assert abs(integrate(grid, z) / grid.measure - target) <= 1e-15 * abs(target)
+
+
+def test_float32_preconditioner_keeps_point_symmetric_and_x_only_data_bit_for_bit():
+    # the reflections of the data need not commute with the float32 path
+    # (the float64 sums of reflected data round differently), but data
+    # symmetric under (x, y) -> (1 - x, 1 - y), and data constant along y,
+    # keep that form exactly
+    grid, _, precond = float32_preconditioner(1.0)
+    r = np.random.default_rng(10).uniform(0.0, 1.0, grid.shape)
+    z = precond(r + r[::-1, ::-1], np.empty(grid.shape))
+    assert np.array_equal(z, z[::-1, ::-1])
+    z = precond(np.broadcast_to(r[:, :1], grid.shape), np.empty(grid.shape))
+    assert np.array_equal(z, np.broadcast_to(z[:, :1], grid.shape))
+    assert not np.array_equal(z[:, 0], np.full(grid.shape[0], z[0, 0]))
+
+
+def test_float32_preconditioner_matches_the_float64_inverse():
+    grid, solver, precond = float32_preconditioner(1.0)
+    r = np.random.default_rng(11).standard_normal(grid.shape) + 0.5
+    exact = solver._inverse()(r, np.empty(grid.shape))
+    z = precond(r, np.empty(grid.shape))
+    assert np.abs(z - exact).max() <= 1e-6 * np.abs(exact).max()
 
 
 @pytest.mark.parametrize("dt", [0.01, 1.0])
@@ -551,8 +597,11 @@ def test_solvers_on_grids_that_take_dropped_grids_ids_match_fresh_ones():
     assert taken, "no grid took a dropped grid's id: the hazard went unexercised"
 
 
-# a 2d run whose transport goes through GMRES and a radial run through gtsv;
-# prints one digest per run of its records CSV and final u and v bytes
+# two 2d runs whose transport goes through GMRES and a radial run through
+# gtsv; the 128x128 run's 16,384 cells are above the roughly 10,000 elements
+# at which OpenBLAS's x86-64 dot kernel starts threads, so a BLAS reduction in
+# the 2d inner product would show; prints one digest per run of its records
+# CSV and final u and v bytes
 _THREAD_PROBE = """
 import hashlib
 from fluxks.functionals import records_to_csv
@@ -560,11 +609,11 @@ from fluxks.grid import unit_grid
 from fluxks.model import ModelParams, build_initial_data
 from fluxks.stepper import StepControls, simulate
 
-for n, cells, chi in ((2, 32, 5.0), (3, 64, 2.0)):
+for n, cells, chi, t_end in ((2, 32, 5.0, 0.2), (2, 128, 5.0, 0.02), (3, 64, 2.0, 0.2)):
     init = build_initial_data(unit_grid(n, cells), family="gaussian", base=1.0, amplitude=2.0,
                               v0_kind="u0_pow_theta", theta=2.0)
     res = simulate(init, ModelParams(chi=chi, p=1.5, theta=2.0, eps=1e-3, n=n),
-                   StepControls(t_end=0.2, dt_max=0.01), record_every=1)
+                   StepControls(t_end=t_end, dt_max=0.01), record_every=1)
     assert res.status.value == "Completed", res.message
     digest = hashlib.sha256(records_to_csv(res.records).encode())
     digest.update(res.final_state.u.tobytes())
@@ -586,5 +635,5 @@ def test_results_do_not_depend_on_the_thread_count():
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr[-2000:]
         outputs.append(proc.stdout)
-    assert len(outputs[0].splitlines()) == 2
+    assert len(outputs[0].splitlines()) == 3
     assert outputs[0] == outputs[1]
