@@ -30,7 +30,14 @@ identically: discrete integration by parts holds exactly, and
 for bit, is self-adjoint in the cell-weighted inner product with constants in
 its null space.  One flux-form kernel, ``_flow_divergence``, computes it and
 the implicit solver's operator (:mod:`fluxks.linalg`) from the face layout
-cached on the grid.
+cached on the grid.  The kernels multiply by ``1 / h``, ``area / h`` and
+``1 / w``, and skip a factor of 1, where that is exact: where a spacing ``h``
+or every cell weight ``w`` is a power of two (``math.frexp(x)[0] == 0.5``)
+with a finite reciprocal, as on the unit grids with ``2^k`` cells per axis.
+Binary floating point scales by a power of two exactly (IEEE 754), so the
+results are the division's bit for bit wherever ``(x_hi - x_lo) / h`` is
+normal or zero; beyond (differences near the float maximum, or subnormal with
+``h > 1``) the division's inf or NaN can come out finite.  Other grids divide.
 
 Every measurement of a field is read off one object, :class:`FieldNorms`:
 the Lebesgue, gradient, dissipation and Laplacian integrals of the field and
@@ -125,6 +132,26 @@ class Grid:
         # between them (0 for a cell on the lower boundary of the axis)
         return tuple((math.prod(self.shape[axis + 1:]), h, _layout_faces(self, axis, areas))
                      for axis, (h, areas) in enumerate(zip(self.spacing, self.face_areas)))
+
+    @cached_property
+    def _scalings(self) -> tuple:
+        # the kernels' in-place scalings, (ufunc, operand) pairs: per axis the
+        # gradient's by 1 / h, per axis the face flow's by area / h, and by 1 / w
+        def scaling(x):
+            inv = 1.0 / x  # exact for a power of two whose reciprocal is finite
+            exact = np.all((np.frexp(x)[0] == 0.5) & (inv * x == 1.0))
+            return (np.multiply, inv) if exact else (np.divide, x)
+        gradient, flow = tuple(scaling(h) for h in self.spacing), []
+        for axis, ((_, h, area), (scale, inv_h)) in enumerate(zip(self._face_layout, gradient)):
+            with np.errstate(over="ignore"):  # an overflowing factor is not exact
+                factor = area * inv_h if scale is np.multiply else None
+            if factor is None or not np.array_equal(factor * h, area):  # not exact
+                flow.append(((np.divide, h), (np.multiply, area)))
+            elif np.array_equal(factor, _layout_faces(self, axis, np.ones(self.face_shape(axis)))):
+                flow.append(())  # 1 on every face between two cells, 0 on the straddle pairs
+            else:
+                flow.append(((np.multiply, factor),))
+        return gradient, tuple(flow), scaling(self.cell_weights)
 
     @cached_property
     def face_weights(self) -> tuple[NDArray[np.float64], ...]:
@@ -285,7 +312,7 @@ def _slice_axis(ndim: int, axis: int, s: int | slice | list) -> tuple:
 
 
 def gradient_faces(grid: Grid, values: NDArray[np.float64]) -> list[NDArray[np.float64]]:
-    """Per-axis face-normal differences with zero boundary faces."""
+    """Per-axis face-normal differences over ``h``, zero on boundary faces."""
     nd = grid.n_axes
     out = []
     for a in range(nd):
@@ -296,7 +323,8 @@ def gradient_faces(grid: Grid, values: NDArray[np.float64]) -> list[NDArray[np.f
             values[_slice_axis(nd, a, slice(None, -1))],
             out=inner,
         )
-        inner /= grid.spacing[a]
+        scale, by = grid._scalings[0][a]
+        scale(inner, by, out=inner)
         out.append(g)
     return out
 
@@ -338,19 +366,21 @@ def _flow_divergence(grid: Grid, values: NDArray[np.float64], rates, out: NDArra
     """Net flow per unit cell weight of the face flow ``area * ((x_hi - x_lo)
     / h)``, less ``up * x_lo - down * x_hi`` with the upwind ``rates`` ``(up,
     down)`` per axis in the layout of ``Grid._face_layout``.  Without ``rates``
-    (``None``) it is ``divergence_values(gradient_faces(values))`` bit for bit.
-    It writes into ``out``, a contiguous field, with the arrays of
-    :func:`_flow_work`."""
+    (``None``) it is ``divergence_values(gradient_faces(values))`` bit for bit,
+    in the range of the module docstring where it multiplies.  It writes into
+    ``out``, a contiguous field, with the arrays of :func:`_flow_work`."""
     flat, acc = values.ravel(), out.reshape(-1)
-    for axis, ((stride, h, area), (flow, prod, diff)) in enumerate(zip(grid._face_layout, work)):
+    _, flow_scalings, (scale, by) = grid._scalings
+    for axis, ((stride, _, _), scalings, (flow, prod, diff)) in enumerate(
+            zip(grid._face_layout, flow_scalings, work)):
         x_lo, x_hi = flat[:-stride], flat[stride:]
         inner = np.subtract(x_hi, x_lo, out=flow[stride:-stride])
         if axis == 1:
             # the 2d pairs that straddle the end of a row have no face between
             # them (area 0): an overflowing difference there would give inf * 0
             inner[grid.shape[1] - 1::grid.shape[1]] = 0.0
-        inner /= h
-        inner *= area
+        for flow_scale, flow_by in scalings:
+            flow_scale(inner, flow_by, out=inner)
         if rates is not None:
             up, down = rates[axis]
             inner -= np.multiply(up, x_lo, out=prod)
@@ -358,7 +388,7 @@ def _flow_divergence(grid: Grid, values: NDArray[np.float64], rates, out: NDArra
         net = np.subtract(flow[stride:], flow[:-stride], out=diff)
         # the first axis's net flow is added to 0.0, as to an array of zeros
         np.add(acc if axis else 0.0, net, out=acc)
-    out /= grid.cell_weights
+    scale(out, by, out=out)
     return out
 
 
@@ -382,7 +412,7 @@ def _neg_laplacian_diagonal(grid: Grid) -> NDArray[np.float64]:
 
 def integrate(grid: Grid, values: NDArray[np.float64]) -> float:
     """Cell-weighted sum (midpoint quadrature)."""
-    return float(np.sum(values * grid.cell_weights))
+    return float((values * grid.cell_weights).sum())
 
 
 class FieldNorms:
@@ -456,7 +486,7 @@ class FieldNorms:
                 terms = p * self.log_abs
                 np.exp(terms, out=terms)
             terms *= self.grid.cell_weights
-            self._integrals[p] = float(np.sum(terms))
+            self._integrals[p] = float(terms.sum())
         return self._integrals[p]
 
     def lp(self, p: float) -> float:
@@ -473,7 +503,7 @@ class FieldNorms:
                 # g * g is |g| ** 2 to the bit, without the abs
                 terms = g * g if p == 2.0 else np.abs(g) ** p
                 terms *= fw
-                total += float(np.sum(terms))
+                total += float(terms.sum())
             self._grad_integrals[p] = total
         return self._grad_integrals[p]
 
@@ -503,7 +533,7 @@ class FieldNorms:
             if not 0.0 < q < math.inf:
                 raise ValueError(f"dissipation integral index must be positive and finite, got {q}")
             self._dissipation_integrals[q] = sum(
-                float(np.sum(dens ** (q - 2.0) * g2 * fw))
+                float((dens ** (q - 2.0) * g2 * fw).sum())
                 for dens, g2, fw in self._dissipation_terms)
         return self._dissipation_integrals[q]
 
@@ -512,5 +542,5 @@ class FieldNorms:
             lap = laplacian_values(self.grid, self.values)
             lap *= lap
             lap *= self.grid.cell_weights
-            self._lap_integral = float(np.sum(lap))
+            self._lap_integral = float(lap.sum())
         return self._lap_integral

@@ -208,7 +208,7 @@ class HelmholtzSolver:
         # 2d one) as a numpy reduction, not a BLAS call (module docstring)
         prod = np.multiply(f, g, out=self._product)
         prod *= self._weights
-        return float(np.sum(prod))
+        return float(prod.sum())
 
     def _norm(self, f: NDArray) -> float:
         return math.sqrt(self._dot(f, f))
@@ -237,7 +237,7 @@ class HelmholtzSolver:
                     return x
                 # cast back, and the mean reset (cells share one volume)
                 out[...] = x
-                out += np.mean(r) / self._a_coef - np.mean(out)
+                out += float(r.sum()) / r.size / self._a_coef - float(out.sum()) / out.size
                 return out
             # the diagonals' overwrite flags off (gtsv's default): they serve every correction
             *_, x, info = _gtsv(lower, diagonal, upper, out, overwrite_b=True)

@@ -432,11 +432,14 @@ def test_radial_laplacian_of_r_squared_closed_form():
 
 def test_divergence_of_gradient_is_laplacian(grid1d, grid2d):
     # the flux-form kernel of laplacian_values does the arithmetic of
-    # divergence_values(gradient_faces(.)) in the same order, so the two agree
-    # bit for bit
+    # divergence_values(gradient_faces(.)) in the same order, or multiplies
+    # where a scaling is an exact power of two (the unit grids with 2^k cells),
+    # so the two agree bit for bit
     rng = np.random.default_rng(3)
     radial = build_grid("radial-n", extents=(1.0,), cells=(24,), n=3)
-    for g in (grid1d(40), grid2d(12), radial):
+    exact = (grid1d(32), grid2d(16), build_grid("cartesian-2d", extents=(1.0, 1.0), cells=(16, 8)),
+             build_grid("radial-n", extents=(1.0,), cells=(32,), n=3))
+    for g in (grid1d(40), grid2d(12), radial, *exact):
         values = rng.standard_normal(g.shape)
         composed = divergence_values(g, gradient_faces(g, values))
         direct = laplacian_values(g, values)

@@ -16,6 +16,11 @@ gradients, and with ``eps = 0`` zero flux factors), on a 1d
 grid, a non-square 2d grid with cell counts that are not powers of two, and a
 radial grid whose innermost face has area 0.  At ``p = 3`` and ``p = 4`` the
 flux exponent is 0.5 and 1, where numpy's ``**`` may take a fast path.
+The kernels divide by the spacing and the cell weights on those three grids,
+and multiply where the scaling is exact, by a power of two: the four unit
+grids below take that path, with a face factor ``area / h`` of 32 (1d), of
+exactly 1, which the kernel skips (2d 16x16), of 2 and 1/2 (2d 16x8), and
+per face with weights that are not powers of two (radial, 32 cells).
 """
 
 import numpy as np
@@ -39,6 +44,10 @@ GRIDS = {
     "cartesian-1d": build_grid("cartesian-1d", extents=(1.3,), cells=(17,)),
     "cartesian-2d": build_grid("cartesian-2d", extents=(1.0, 1.7), cells=(12, 20)),
     "radial-3": build_grid("radial-n", extents=(1.0,), cells=(24,), n=3),
+    "unit-1d-32": build_grid("cartesian-1d", extents=(1.0,), cells=(32,)),
+    "unit-2d-16x16": build_grid("cartesian-2d", extents=(1.0, 1.0), cells=(16, 16)),
+    "unit-2d-16x8": build_grid("cartesian-2d", extents=(1.0, 1.0), cells=(16, 8)),
+    "unit-radial-3-32": build_grid("radial-n", extents=(1.0,), cells=(32,), n=3),
 }
 
 
@@ -234,3 +243,19 @@ def test_laplacian_diagonal_matches_the_mollifier_reference(grid):
     neg_lap = [-laplacian_values(grid, e.reshape(grid.shape)).ravel()[k]
                for k, e in enumerate(np.eye(size))]
     np.testing.assert_allclose(diag, neg_lap, rtol=1e-13)
+
+
+@pytest.mark.parametrize("extents", [(2.0**-998, 2.0**1002), (2.0**-1028, 2.0**1002)],
+                         ids=["factor-overflows", "reciprocal-overflows"])
+def test_power_of_two_spacings_out_of_range_keep_the_division(extents):
+    # h = 2^-1000 with area 2^1000 across it: the factor area / h is 2^2000,
+    # out of range; h = 2^-1030 is subnormal, its reciprocal out of range.
+    # The kernels divide there, as the references do, and keep the finite
+    # flows of tiny data
+    grid = build_grid("cartesian-2d", extents=extents, cells=(4, 4))
+    vals = field(grid, 0) * 2.0**-1060
+    for new, ref in zip(gradient_faces(grid, vals), ref_gradient_faces(grid, vals)):
+        assert_same_bits(new, ref)
+    lap = laplacian_values(grid, vals)
+    assert np.isfinite(lap).all()
+    assert_same_bits(lap, ref_laplacian_values(grid, vals))

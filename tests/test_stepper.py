@@ -363,10 +363,11 @@ def assert_close(field, ref, rtol):
     assert np.abs(field - ref).max() <= rtol * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("cells", [(64, 4), (32, 32)], ids=["64x4", "32x32"])
+@pytest.mark.parametrize("cells", [(64, 4), (32, 32), (48, 6)], ids=["64x4", "32x32", "48x6"])
 def test_2d_run_on_x_only_data_stays_x_only_and_matches_the_1d_run(cells):
     # the 2d scheme on data that do not depend on y: no y-flow arises, so
-    # every column stays the same bit for bit, and the run is the 1d one
+    # every column stays the same bit for bit, and the run is the 1d one.
+    # 48x6 has no power-of-two spacing: its kernels divide
     grid = build_grid("cartesian-2d", extents=(1.0, 1.0), cells=cells)
     res = run_on_one_axis_data(grid)
     one_d = run_on_one_axis_data(build_grid("cartesian-1d", extents=(1.0,), cells=(cells[0],)))
@@ -385,15 +386,21 @@ def test_2d_run_on_transposed_data_gives_the_transposed_result():
     assert_close(along_y.v, along_x.v.T, 1e-12)
 
 
-@pytest.mark.parametrize("p,theta,chi", [(1.5, 2.0, 1.0), (3.0, 1.0, 5.0), (1.8, 2.0, 5.0)])
-def test_radial_run_with_n_1_is_the_1d_run_bit_for_bit(p, theta, chi):
+@pytest.mark.parametrize("p,theta,chi,cells", [
+    pytest.param(1.5, 2.0, 1.0, 64, id="1.5-2.0-1.0"),
+    pytest.param(3.0, 1.0, 5.0, 64, id="3.0-1.0-5.0"),
+    pytest.param(1.8, 2.0, 5.0, 64, id="1.8-2.0-5.0"),
+    pytest.param(1.8, 2.0, 5.0, 48, id="1.8-2.0-5.0-48-cells"),
+])
+def test_radial_run_with_n_1_is_the_1d_run_bit_for_bit(p, theta, chi, cells):
     # radial-n with n = 1 has face areas 2 and cell weights 2h, twice those of
     # cartesian-1d, and the factor cancels in every divided flow: the same
     # data give the same fields bit for bit, and twice the mass.  The data are
     # built once and copied, since the radial cosine of build_initial_data
-    # differs from the cartesian one in the last bits.
-    line = build_grid("cartesian-1d", extents=(1.0,), cells=(64,))
-    ball = build_grid("radial-n", extents=(1.0,), cells=(64,), n=1)
+    # differs from the cartesian one in the last bits.  With 64 cells the
+    # kernels multiply by the exact 1 / h and 1 / w, with 48 they divide.
+    line = build_grid("cartesian-1d", extents=(1.0,), cells=(cells,))
+    ball = build_grid("radial-n", extents=(1.0,), cells=(cells,), n=1)
     init = build_initial_data(line, family="cosine", base=1.0, amplitude=0.5,
                               v0_kind="u0_squared", theta=theta)
     controls = StepControls(t_end=0.3, dt_max=0.01)
