@@ -22,8 +22,8 @@ from ._version import __version__
 _EXPORTS = {
     name: module
     for module, names in {
-        "errors": ("ConfigError", "FluxksError", "PositivityError", "SolverError",
-                   "TimeStepCollapse"),
+        "errors": ("BlowUpSuspected", "ConfigError", "FluxksError", "PositivityError",
+                   "SolverError", "TimeStepCollapse"),
         "grid": ("Grid", "FieldNorms", "build_grid", "integrate"),
         "model": ("ModelParams", "InitialData", "build_initial_data",
                   "mollify_initial_data", "production"),

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  A run stops by raising one where
+the stop is found: :class:`BlowUpSuspected` ends it ``BlowUpSuspected``, any
+other :class:`FluxksError` ``NumericalFailure``."""
 
 
 class FluxksError(Exception):
@@ -13,8 +15,12 @@ class SolverError(FluxksError, RuntimeError):
     """Linear solve failed to reach its residual target."""
 
 
-class TimeStepCollapse(FluxksError, RuntimeError):
-    """Selected time step fell below dt_min; treated as suspected blow-up."""
+class BlowUpSuspected(FluxksError, RuntimeError):
+    """The solution grew past what the run resolves: a physical stop."""
+
+
+class TimeStepCollapse(BlowUpSuspected):
+    """Selected time step fell below dt_min."""
 
 
 class PositivityError(FluxksError, RuntimeError):

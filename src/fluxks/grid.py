@@ -136,7 +136,8 @@ class Grid:
     @cached_property
     def _scalings(self) -> tuple:
         # the kernels' in-place scalings, (ufunc, operand) pairs: per axis the
-        # gradient's by 1 / h, per axis the face flow's by area / h, and by 1 / w
+        # gradient's by 1 / h, per axis the face flow's by area / h, and by 1 / w,
+        # one float where every cell weight is equal (every cartesian grid)
         def scaling(x):
             inv = 1.0 / x  # exact for a power of two whose reciprocal is finite
             exact = np.all((np.frexp(x)[0] == 0.5) & (inv * x == 1.0))
@@ -151,7 +152,8 @@ class Grid:
                 flow.append(())  # 1 on every face between two cells, 0 on the straddle pairs
             else:
                 flow.append(((np.multiply, factor),))
-        return gradient, tuple(flow), scaling(self.cell_weights)
+        w = self.cell_weights
+        return gradient, tuple(flow), scaling(w.flat[0] if (w == w.flat[0]).all() else w)
 
     @cached_property
     def face_weights(self) -> tuple[NDArray[np.float64], ...]:

@@ -253,20 +253,19 @@ class HelmholtzSolver:
         product; returns ``(dx, iterations)``.  It stops after
         ``KRYLOV_RESTART`` iterations or once the least-squares residual,
         updated by Givens rotations, is at most ``target``.  It keeps the
-        preconditioned basis ``z_j = precond(v_j)`` along with the Arnoldi
-        basis ``v_j`` and returns ``sum_j y_j z_j``, which takes no further
-        preconditioner solve and holds for an inexact (float32) ``precond``
-        (flexible GMRES).  Both bases live in the solver's work arrays
-        (see the module docstring); the operator's products, and then
-        ``dx``, overwrite ``r``."""
-        basis = self._basis
+        preconditioned basis ``z_j``, which ``precond(v_j, out)`` writes into
+        the ``out`` it is given, with the Arnoldi basis ``v_j``, and returns
+        ``sum_j y_j z_j``: no further preconditioner solve, and it holds for an
+        inexact (float32) ``precond`` (flexible GMRES).  Both bases live in the
+        solver's work arrays (see the module docstring); the operator's
+        products, and then ``dx``, overwrite ``r``."""
+        basis, preconditioned = self._basis, self._preconditioned
         np.divide(r, norm_r, out=basis[0])
-        preconditioned: list[NDArray] = []
         hess = np.zeros((KRYLOV_RESTART, KRYLOV_RESTART))  # rotated: R of H = QR
         rotations: list[tuple[float, float]] = []
         resid = [norm_r]  # the rotated right-hand side beta * e_1
         for j in range(KRYLOV_RESTART):
-            preconditioned.append(precond(basis[j], self._preconditioned[j]))
+            precond(basis[j], preconditioned[j])
             w = self._apply(preconditioned[j], r)  # r is spent: basis[0] holds it
             for i, v in enumerate(basis[:j + 1]):  # modified Gram-Schmidt
                 hess[i, j] = self._dot(w, v)
@@ -289,7 +288,7 @@ class HelmholtzSolver:
         for i in reversed(range(k)):  # back substitution in the triangle
             y[i] = (resid[i] - float(np.sum(hess[i, i + 1:k] * y[i + 1:]))) / hess[i, i]
         dx = np.multiply(preconditioned[0], y[0], out=r)
-        for coef, z in zip(y[1:], preconditioned[1:]):
+        for coef, z in zip(y[1:], preconditioned[1:k]):
             dx += np.multiply(z, coef, out=self._product)
         return dx, k
 

@@ -33,32 +33,28 @@ The time step is the smaller of ``dt_max`` and, for ``theta >= 1``, an
 explicit-production proxy ``cfl_safety / (theta * max(u)^(theta-1))``; for
 ``theta < 1`` that rate grows without bound as the data shrink, while the
 sublinear production drives no growth.  Diffusion and transport are implicit
-and impose no step bound.  A step below ``dt_min`` is treated as suspected
-blow-up, as is ``||u||_inf`` beyond ``blowup_linf_threshold``.
+and impose no step bound.  Every stop of a run raises where it is found, and
+the error's class sets its status: a step below ``dt_min`` and ``||u||_inf``
+beyond ``blowup_linf_threshold`` raise :class:`~fluxks.errors.BlowUpSuspected`.
 """
 
 from __future__ import annotations
 
 import enum
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import functionals
-from .errors import FluxksError, PositivityError, TimeStepCollapse
+from .errors import BlowUpSuspected, FluxksError, PositivityError, TimeStepCollapse
 from .grid import Grid, gradient_faces, integrate
 from .linalg import HelmholtzSolver
 from .model import InitialData, ModelParams, flux_coefficients, mollify_initial_data, production
 from .regimes import s_rule
 
-logger = logging.getLogger(__name__)
-
-# every negative down to -POSITIVITY_HARD_TOL is clamped to 0; one beyond
-# this size is logged at debug level as more than the expected solver roundoff
-POSITIVITY_CLAMP_TOL = 1e-13
-# negatives beyond this signal a solve gone wrong and abort the run
+# negatives down to -POSITIVITY_HARD_TOL are solver roundoff, clamped to 0;
+# beyond it they signal a solve gone wrong and abort the run
 POSITIVITY_HARD_TOL = 1e-10
 # cumulative clamped mass beyond this fraction of the initial mass fails the
 # run: clamping is a roundoff patch, not a scheme feature
@@ -156,8 +152,6 @@ def _clamp_negative(values: np.ndarray, weights: np.ndarray, label: str) -> tupl
         )
     neg = values < 0.0
     clamped = -float(np.sum(values[neg] * weights[neg]))
-    if vmin < -POSITIVITY_CLAMP_TOL:
-        logger.debug("%s clamped beyond expected roundoff: min %.3e", label, vmin)
     out = values.copy()
     out[neg] = 0.0
     return out, clamped
@@ -212,8 +206,9 @@ def simulate(
     eps-scaled initial smoothing, to ``v`` only off the s-rule's max-norm
     branch, whatever ``monitors.s`` says.  ``keep_states`` is ``"sampled"``
     (states at the record cadence), ``"ends"`` (initial and final only), or ``"all"``.
-    A :class:`~fluxks.errors.FluxksError` raised by a step ends the run
-    ``NumericalFailure``; any other exception propagates.
+    Each stop raises a :class:`~fluxks.errors.FluxksError` where it is found,
+    and one ``except`` sets the status from its class (:mod:`fluxks.errors`);
+    any other exception propagates.
 
     Raises:
         ValueError: grid/params dimension mismatch or bad arguments.
@@ -236,47 +231,30 @@ def simulate(
     state = SimState(grid=grid, u=data.u0, v=data.v0, t=0.0, step_index=0)
     solver = HelmholtzSolver(grid)
     initial_mass = integrate(grid, data.u0)
-    records: list[functionals.FunctionalRecord] = []
+    records = [functionals.record(state, monitors)]
     states = [state]
-    status = RunStatus.COMPLETED
-    message = ""
-
-    def keep(st: SimState) -> None:
-        if keep_states == "all":
-            states.append(st)
-        elif keep_states == "sampled" and st.step_index % record_every == 0:
-            states.append(st)
-
-    records.append(functionals.record(state, monitors))
-    while controls.t_end - state.t > _T_END_SLACK * max(1.0, controls.t_end):
-        try:
-            dt = choose_dt(state.u, params, controls)
-        except TimeStepCollapse as exc:
-            status = RunStatus.BLOWUP_SUSPECTED
-            message = str(exc)
-            break
-        dt = min(dt, controls.t_end - state.t)
-        try:
+    status, message = RunStatus.COMPLETED, ""
+    try:
+        while controls.t_end - state.t > _T_END_SLACK * max(1.0, controls.t_end):
+            dt = min(choose_dt(state.u, params, controls), controls.t_end - state.t)
             state = step(state, params, controls, dt, solver=solver)
-        except FluxksError as exc:
-            status = RunStatus.NUMERICAL_FAILURE
-            message = str(exc)
-            break
-        if state.clamped_mass_cumulative > CLAMPED_MASS_MAX_FRACTION * initial_mass:
-            status = RunStatus.NUMERICAL_FAILURE
-            message = (
-                f"cumulative clamped mass {state.clamped_mass_cumulative:.3e} exceeded "
-                f"{CLAMPED_MASS_MAX_FRACTION:.0e} of the initial mass {initial_mass:.3e}"
-            )
-            break
-        keep(state)
-        if state.step_index % record_every == 0:
-            records.append(functionals.record(state, monitors))
-        linf = float(np.max(np.abs(state.u)))
-        if linf > controls.blowup_linf_threshold:
-            status = RunStatus.BLOWUP_SUSPECTED
-            message = f"||u||_inf = {linf:.3e} exceeded threshold"
-            break
+            if state.clamped_mass_cumulative > CLAMPED_MASS_MAX_FRACTION * initial_mass:
+                raise PositivityError(
+                    f"cumulative clamped mass {state.clamped_mass_cumulative:.3e} exceeded "
+                    f"{CLAMPED_MASS_MAX_FRACTION:.0e} of the initial mass {initial_mass:.3e}"
+                )
+            sampled = state.step_index % record_every == 0
+            if keep_states == "all" or (sampled and keep_states == "sampled"):
+                states.append(state)
+            if sampled:
+                records.append(functionals.record(state, monitors))
+            linf = float(state.u.max())  # max |u|: the clamp leaves u >= 0
+            if linf > controls.blowup_linf_threshold:
+                raise BlowUpSuspected(f"||u||_inf = {linf:.3e} exceeded threshold")
+    except FluxksError as exc:
+        blowup = isinstance(exc, BlowUpSuspected)
+        status = RunStatus.BLOWUP_SUSPECTED if blowup else RunStatus.NUMERICAL_FAILURE
+        message = str(exc)
 
     if records[-1].t != state.t:
         records.append(functionals.record(state, monitors))

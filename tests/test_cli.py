@@ -501,6 +501,18 @@ def test_gn_test_needs_entropy_witnesses(capsys):
     assert "entropy witnesses" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--p", "0.9"], "got 0.9"),
+    (["--n", "2", "--theta", "0.4"], "n*theta = 0.8"),
+])
+def test_gn_test_rejected_exponents_are_config_errors(capsys, flags, message):
+    # the regime's own ValueError becomes a config error that names the value
+    assert main(["gn-test", *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def _run_fresh(probe: str) -> list[str]:
     # a fresh interpreter shows what the package's imports really pull in
     src = Path(__file__).resolve().parent.parent / "src"

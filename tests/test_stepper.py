@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import fluxks.stepper as stepper_mod
-from fluxks.errors import PositivityError, TimeStepCollapse
+from fluxks.errors import BlowUpSuspected, PositivityError, SolverError, TimeStepCollapse
 from fluxks.functionals import MonitorSettings, record
 from fluxks.grid import build_grid, divergence_values, gradient_faces, integrate
 from fluxks.linalg import HelmholtzSolver
@@ -27,7 +27,6 @@ from fluxks.model import (
 )
 from fluxks.regimes import relative_p
 from fluxks.stepper import (
-    POSITIVITY_CLAMP_TOL,
     POSITIVITY_HARD_TOL,
     RunStatus,
     SimState,
@@ -171,9 +170,9 @@ def test_step_positivity_hard_error(grid2d):
         assert out.u.min() >= 0.0 and out.v.min() >= 0.0
         assert out.clamped_mass_cumulative == 0.0
         assert abs(integrate(out.grid, out.u) - m0) <= 1e-10 * m0
-    values = np.array([1.0, -0.5 * POSITIVITY_CLAMP_TOL, 2.0])
+    values = np.array([1.0, -5e-14, 2.0])
     clamped, mass = _clamp_negative(values, np.ones(3), "u")
-    assert clamped.min() == 0.0 and mass == 0.5 * POSITIVITY_CLAMP_TOL
+    assert clamped.min() == 0.0 and mass == 5e-14
     with pytest.raises(PositivityError, match="beyond roundoff"):
         _clamp_negative(np.array([1.0, -2.0 * POSITIVITY_HARD_TOL]), np.ones(2), "u")
 
@@ -551,6 +550,26 @@ def test_positivity_failure_within_the_bound_is_not_retried(grid1d, monkeypatch)
     init = build_initial_data(grid1d(16), family="cosine", base=1.0, amplitude=0.5)
     res = simulate(init, REF_PARAMS, StepControls(t_end=1.0))
     assert res.status == RunStatus.NUMERICAL_FAILURE and len(calls) == 1
+
+
+@pytest.mark.parametrize("error, status", [
+    (BlowUpSuspected, RunStatus.BLOWUP_SUSPECTED),
+    (TimeStepCollapse, RunStatus.BLOWUP_SUSPECTED),
+    (SolverError, RunStatus.NUMERICAL_FAILURE),
+    (PositivityError, RunStatus.NUMERICAL_FAILURE),
+])
+def test_the_error_class_raised_in_a_step_sets_the_status(grid1d, monkeypatch, error, status):
+    # each stop raises where it is found, and simulate's one except maps its
+    # class: BlowUpSuspected and its subclass to BlowUpSuspected, the rest of
+    # FluxksError to NumericalFailure
+    def failing(*args, **kwargs):
+        raise error("x")
+
+    monkeypatch.setattr(stepper_mod, "step", failing)
+    init = build_initial_data(grid1d(16), family="cosine", base=1.0, amplitude=0.5)
+    res = simulate(init, REF_PARAMS, StepControls(t_end=1.0))
+    assert (res.status, res.message, res.n_steps) == (status, "x", 0)
+    assert len(res.records) == 1
 
 
 def test_value_error_inside_a_step_reaches_the_caller(grid1d, monkeypatch):
