@@ -214,9 +214,10 @@ class HelmholtzSolver:
         return math.sqrt(self._dot(f, f))
 
     def _inverse(self, dtype=np.float64) -> Callable[[NDArray, NDArray], NDArray]:
-        # the exact inverse of the operator, applied to r in out; in 2d that
-        # of a*I - d*L, transformed in dtype: in float32 it is the GMRES
-        # preconditioner when there is transport (see the module docstring)
+        # the exact inverse of the operator, applied to r, written into out
+        # and returned as out; in 2d that of a*I - d*L, transformed in dtype:
+        # in float32 it is the GMRES preconditioner when there is transport
+        # (see the module docstring)
         if self._symbol is not None:
             denom = np.multiply(self._symbol, self._d_coef, out=self._denom)
             denom += self._a_coef
@@ -233,17 +234,15 @@ class HelmholtzSolver:
                 xh = scipy.fft.dctn(field, type=2, norm="ortho", overwrite_x=True)
                 xh /= denom
                 x = scipy.fft.idctn(xh, type=2, norm="ortho", overwrite_x=True)
-                if field is out:
-                    return x
-                # cast back, and the mean reset (cells share one volume)
-                out[...] = x
+            else:  # the diagonals' overwrite flags off (gtsv's default): they serve every correction
+                *_, x, info = _gtsv(lower, diagonal, upper, out, overwrite_b=True)
+                if info != 0:
+                    raise SolverError(f"gtsv: zero pivot in row {info} of the tridiagonal solve")
+            if not np.may_share_memory(x, out):  # in place, scipy returns out or a view of it
+                out[...] = x  # and the float32 field is cast back
+            if field is not out:  # the float32 mean reset (cells share one volume)
                 out += float(r.sum()) / r.size / self._a_coef - float(out.sum()) / out.size
-                return out
-            # the diagonals' overwrite flags off (gtsv's default): they serve every correction
-            *_, x, info = _gtsv(lower, diagonal, upper, out, overwrite_b=True)
-            if info != 0:
-                raise SolverError(f"gtsv: zero pivot in row {info} of the tridiagonal solve")
-            return x
+            return out
 
         return inverse
 

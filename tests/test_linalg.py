@@ -221,6 +221,23 @@ def test_dct_inverse_commutes_with_reflections_bit_for_bit():
     assert np.array_equal(inverse(r[::-1, ::-1], np.empty(grid.shape)), x[::-1, ::-1])
 
 
+@pytest.mark.parametrize("mode,kwargs,dtype", [
+    (*ONE_AXIS_GRIDS[0], np.float64), (*ONE_AXIS_GRIDS[1], np.float64),
+    ("cartesian-2d", dict(extents=(1.0, 1.0), cells=(16, 12)), np.float64),
+    ("cartesian-2d", dict(extents=(1.0, 1.0), cells=(16, 12)), np.float32),
+])
+def test_every_inverse_writes_into_out_and_returns_it(mode, kwargs, dtype):
+    # GMRES keeps its preconditioned basis in the arrays it hands the inverse
+    grid = build_grid(mode, **kwargs)
+    solver = HelmholtzSolver(grid)
+    solver._set_operator(1.0, 0.3, None)
+    inverse = solver._inverse(dtype)
+    r = np.random.default_rng(13).standard_normal(grid.shape)
+    out = np.full(grid.shape, np.nan)
+    assert inverse(r, out) is out
+    assert np.array_equal(out, inverse(r, np.empty(grid.shape)))
+
+
 def float32_preconditioner(a_coef, cells=(64, 48)):
     # the GMRES preconditioner of a 2d transport solve: the DCT inverse of
     # a*I - d*L in float32, with the mean reset
