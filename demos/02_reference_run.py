@@ -37,7 +37,7 @@ def main() -> None:
         f"status {result.status.value}, {result.n_steps} steps to "
         f"t = {result.records[-1].t:g}, {wall:.2f}s wall"
     )
-    print(f"clamped mass over the whole run: {result.clamped_mass_cumulative:.3e}")
+    print(f"clamped mass over the whole run: {result.final_state.clamped_mass_cumulative:.3e}")
     print()
 
     print("  t        mass            u_linf      int v^2     F1          F2")

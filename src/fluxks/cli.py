@@ -142,7 +142,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "message": result.message,
         "n_steps": result.n_steps,
         "t_final": result.final_state.t,
-        "clamped_mass_cumulative": result.clamped_mass_cumulative,
+        "clamped_mass_cumulative": result.final_state.clamped_mass_cumulative,
         "verdicts": {k: v.to_dict() for k, v in verdicts.items()},
         "skipped_checks": skipped,
         "classification": regime.to_dict(),
@@ -197,7 +197,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 # -- gn-test -----------------------------------------------------------------
 
 
-def _estimate_share(job: tuple) -> ConstantEstimates | None:
+def _estimate_share(job: tuple) -> ConstantEstimates:
     # one pool job, the arguments of gn.estimate_constants
     return estimate_constants(*job)
 

@@ -283,11 +283,6 @@ class ConstantEstimates:
     poincare: float
 
 
-def _sup(best: list[float] | None, ratios: list[float]) -> list[float]:
-    # the running max, with the same comparisons as max() over the members
-    return ratios if best is None else [max(b, r) for b, r in zip(best, ratios)]
-
-
 def estimate_constants(
     grid: Grid,
     gn_sets: tuple[GNExponents, ...] = (),
@@ -295,47 +290,41 @@ def estimate_constants(
     size: int = 200,
     seed: int = 0,
     share: tuple[int, int] = (0, 1),
-) -> ConstantEstimates | None:
+) -> ConstantEstimates:
     """Suprema of every ratio over the seeded ensemble, in one pass.
 
     ``gn`` and ``gn2`` hold the supremum of :func:`gn_ratio` for each of
     ``gn_sets`` and of :func:`gn2_ratio` for each of ``gn2_sets``.
     ``poincare`` is the supremum of :func:`poincare_ratio` over the
-    non-constant members, starting from 0.  Each member is sampled once and
-    dropped after its ratios are folded in.  With ``share=(j, k)`` only the
-    members ``i`` with ``i % k == j`` are taken; ``None`` when there are none
-    (``j >= size``).
+    non-constant members.  Every supremum starts from 0.  Each member is
+    sampled once and dropped after its ratios are folded in.  With
+    ``share=(j, k)`` only the members ``i`` with ``i % k == j`` are taken;
+    when there are none (``j >= size``) every entry is 0.
 
     Raises:
         ValueError: ``size < 1``, or a member with a zero right-hand side.
     """
-    gn = gn2 = None
-    poincare = 0.0
+    gn, gn2, poincare = [0.0] * len(gn_sets), [0.0] * len(gn2_sets), 0.0
     for values in _members(grid, size, seed, share):
         norms = FieldNorms(grid, values)
-        gn = _sup(gn, [gn_ratio(norms, exps) for exps in gn_sets])
-        gn2 = _sup(gn2, [gn2_ratio(norms, exps) for exps in gn2_sets])
+        gn = [max(b, gn_ratio(norms, exps)) for b, exps in zip(gn, gn_sets)]
+        gn2 = [max(b, gn2_ratio(norms, exps)) for b, exps in zip(gn2, gn2_sets)]
         if norms.grad_lp(2.0) != 0.0:
             poincare = max(poincare, poincare_ratio(norms))
-    if gn is None:
-        return None
     return ConstantEstimates(gn=tuple(gn), gn2=tuple(gn2), poincare=poincare)
 
 
-def merge_estimates(parts: list[ConstantEstimates | None]) -> ConstantEstimates:
-    """The whole ensemble's estimates from those of its shares (``None`` skipped).
+def merge_estimates(parts: list[ConstantEstimates]) -> ConstantEstimates:
+    """The whole ensemble's estimates from those of its shares.
 
     Each entry is the max over the shares.  Every ratio is finite, and the max
     of finite floats does not depend on how they are grouped, so the result is
     bit for bit that of the serial pass.
     """
-    found = [p for p in parts if p is not None]
-    if not found:
-        raise ValueError("merge_estimates: every share is empty")
     return ConstantEstimates(
-        gn=tuple(map(max, zip(*(p.gn for p in found)))),
-        gn2=tuple(map(max, zip(*(p.gn2 for p in found)))),
-        poincare=max(p.poincare for p in found),
+        gn=tuple(map(max, zip(*(p.gn for p in parts)))),
+        gn2=tuple(map(max, zip(*(p.gn2 for p in parts)))),
+        poincare=max(p.poincare for p in parts),
     )
 
 

@@ -109,13 +109,12 @@ class SimState:
 
 @dataclass
 class SimResult:
-    """Outcome of :func:`simulate`; ``clamped_mass_cumulative`` is the final state's."""
+    """Outcome of :func:`simulate`."""
 
     status: RunStatus
     states: list[SimState]
     records: list["functionals.FunctionalRecord"]
     final_state: SimState
-    clamped_mass_cumulative: float
     n_steps: int
     message: str = ""
 
@@ -266,7 +265,6 @@ def simulate(
         states=states,
         records=records,
         final_state=state,
-        clamped_mass_cumulative=state.clamped_mass_cumulative,
         n_steps=state.step_index,
         message=message,
     )

@@ -220,7 +220,7 @@ def run_point(point: dict) -> dict:
             "u_linf_max": max(r.u_linf for r in recs),
             "F2_max": max(r.F2 for r in recs),
             "gradv_l2_max": max(r.gradv_l2 for r in recs),
-            "clamped_mass": result.clamped_mass_cumulative,
+            "clamped_mass": result.final_state.clamped_mass_cumulative,
         },
         # the verdict's terminal status is run.status
         **{k: v for k, v in verdict.to_dict().items() if k != "terminal_status"},
@@ -243,17 +243,12 @@ def _run_point_timed(point: dict) -> tuple[dict, float, int]:
 
 @dataclass(frozen=True)
 class SweepResult:
-    out_dir: Path
     results: list[dict]
     n_run: int
     n_skipped: int
     n_mismatch: int
-    manifest_path: Path
     regime_map_path: Path
     timings_path: Path
-    # wall seconds per freshly-run point id; informational only, excluded
-    # from the byte-identical artifact guarantee
-    timings: dict[str, float]
 
 
 def run_sweep(
@@ -285,7 +280,7 @@ def run_sweep(
                 continue
         todo.append(point)
 
-    manifest_path = write_manifest(out, spec.to_dict(), points)
+    write_manifest(out, spec.to_dict(), points)
 
     timings: dict[str, float] = {}
     faults: dict[str, int] = {}
@@ -318,15 +313,12 @@ def run_sweep(
     )
 
     return SweepResult(
-        out_dir=out,
         results=results,
         n_run=len(todo),
         n_skipped=n_skipped,
         n_mismatch=n_mismatch,
-        manifest_path=manifest_path,
         regime_map_path=regime_map_path,
         timings_path=timings_path,
-        timings=timings,
     )
 
 

@@ -38,7 +38,7 @@ REGIME_MAP_COLUMNS = (
 )
 
 
-def write_manifest(out_dir: Path, spec: dict, points: list[dict]) -> Path:
+def write_manifest(out_dir: Path, spec: dict, points: list[dict]) -> None:
     """Write ``sweep.json`` for the sweep ``spec`` over ``points`` (with ids);
     it depends on no result, so ``report`` can read a sweep mid-flight."""
     manifest = {
@@ -50,9 +50,7 @@ def write_manifest(out_dir: Path, spec: dict, points: list[dict]) -> Path:
             {k: pt[k] for k in ("point_id", "n", "theta", "p_fraction", "p")} for pt in points
         ],
     }
-    path = out_dir / "sweep.json"
-    write_atomic(path, canonical_json(manifest) + "\n")
-    return path
+    write_atomic(out_dir / "sweep.json", canonical_json(manifest) + "\n")
 
 
 def write_point(out_dir: Path, result: dict) -> None:

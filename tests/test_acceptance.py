@@ -87,7 +87,7 @@ def test_criterion_01_mass_conservation(timed_reference_run):
 def test_criterion_02_positivity(reference_run):
     verdict = check_positivity(reference_run.states)
     m0 = reference_run.records[0].mass
-    clamped = reference_run.clamped_mass_cumulative
+    clamped = reference_run.final_state.clamped_mass_cumulative
     ok = verdict.passed and clamped <= 1e-10 * m0
     announce(
         2,

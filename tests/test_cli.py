@@ -465,16 +465,18 @@ def test_gn_test_negative_seed_is_config_error(capsys):
 
 @pytest.mark.parametrize("n,cells", [(2, 8), (3, 16)])
 def test_gn_test_output_does_not_depend_on_cpu_count(monkeypatch, capsys, n, cells):
-    # one CPU runs in-process; two run a pool of interleaved ensemble shares
-    argv = ["gn-test", "--n", str(n), "--theta", "1.5", "--p", "1.1",
-            "--cells", str(cells), "--ensemble-size", "9", "--seed", "2"]
-    outputs = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(cli, "available_cpus", lambda: cpus)
-        code = main(argv)
-        outputs.append((code, capsys.readouterr().out))
-    assert outputs[0] == outputs[1]
-    assert json.loads(outputs[0][1])["ensemble"]["size"] == 9
+    # one CPU runs in-process; more run a pool of interleaved ensemble shares,
+    # and with 2 members on 3 CPUs the third share of each grid is empty
+    for size, cpu_counts in ((9, (1, 2)), (2, (1, 3))):
+        argv = ["gn-test", "--n", str(n), "--theta", "1.5", "--p", "1.1",
+                "--cells", str(cells), "--ensemble-size", str(size), "--seed", "2"]
+        outputs = []
+        for cpus in cpu_counts:
+            monkeypatch.setattr(cli, "available_cpus", lambda: cpus)
+            code = main(argv)
+            outputs.append((code, capsys.readouterr().out))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+        assert json.loads(outputs[0][1])["ensemble"]["size"] == size
 
 
 def test_gn_test_share_job_runs_in_a_spawned_process():

@@ -290,7 +290,7 @@ def test_equilibrium_is_exact_fixed_point(grid1d):
     assert res.n_steps == 1000
     assert np.abs(res.final_state.u - 2.0).max() <= 1e-10
     assert np.abs(res.final_state.v - 4.0).max() <= 1e-10
-    assert res.clamped_mass_cumulative == 0.0
+    assert res.final_state.clamped_mass_cumulative == 0.0
     for rec in res.records:
         assert rec.mass == pytest.approx(2.0, rel=1e-12)
 
@@ -416,6 +416,34 @@ def test_radial_run_with_n_1_is_the_1d_run_bit_for_bit(p, theta, chi, cells):
     assert integrate(radial.grid, radial.u) == 2.0 * integrate(flat.grid, flat.u)
 
 
+def test_2d_run_on_corner_radial_data_converges_to_the_radial_run():
+    # data that depend only on the distance r from the corner (0, 0) stay
+    # radial, so the 2d run converges to the radial-n run with n = 2.  The
+    # off-axis flux needs the transverse part of |grad v|^2: without it the
+    # error grows under refinement instead of falling
+    def data(r):
+        u0 = 1.0 + 5.0 * np.exp(-r**2 / (2.0 * 0.1**2))
+        return u0, u0**2
+
+    def final_u(grid, r):
+        params = ModelParams(chi=5.0, p=1.5, theta=1.0, eps=1e-3, n=2)
+        controls = StepControls(t_end=0.05, dt_max=1e-3)
+        res = simulate(InitialData(grid, *data(r)), params, controls, mollify=False)
+        assert res.status == RunStatus.COMPLETED, res.message
+        return res.final_state.u
+
+    ball = build_grid("radial-n", extents=(1.0,), cells=(2048,), n=2)
+    r_ref = ball.axis_centers(0)
+    u_ref = final_u(ball, r_ref)
+    errors = []
+    for cells in (32, 64, 128):
+        square = build_grid("cartesian-2d", extents=(1.0, 1.0), cells=(cells, cells))
+        r = np.hypot(*square.center_mesh())
+        errors.append(np.abs(final_u(square, r) - np.interp(r, r_ref, u_ref))[r < 0.4].max())
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all(orders >= 0.7), (errors, orders)
+
+
 @pytest.mark.parametrize("grid", [
     build_grid("cartesian-1d", extents=(1.0,), cells=(64,)),
     build_grid("radial-n", extents=(1.0,), cells=(64,), n=3),
@@ -476,7 +504,7 @@ def stale_cfl_case(base=1.0, t_end=0.01):
 def assert_positive_and_conserving(res):
     assert res.status == RunStatus.COMPLETED, res.message
     m0 = integrate(res.states[0].grid, res.states[0].u)
-    assert res.clamped_mass_cumulative <= 1e-10 * m0
+    assert res.final_state.clamped_mass_cumulative <= 1e-10 * m0
     for state in res.states:
         assert abs(integrate(state.grid, state.u) - m0) <= 1e-10 * m0
         assert state.u.min() >= 0.0 and state.v.min() >= 0.0
@@ -606,7 +634,7 @@ def test_each_record_computes_the_laplacian_of_v_once(grid2d, monkeypatch):
                               v0_kind="u0_squared")
     params = ModelParams(chi=1.0, p=1.5, theta=2.0, eps=1e-3, n=2)
     res = simulate(init, params, StepControls(t_end=2.0), record_every=2, mollify=False)
-    assert res.status == RunStatus.COMPLETED and res.clamped_mass_cumulative == 0.0
+    assert res.status == RunStatus.COMPLETED and res.final_state.clamped_mass_cumulative == 0.0
     assert len(res.records) > 5 and len(calls) == len(res.records) == len(res.states)
     assert all(values is st.v for values, st in zip(calls, res.states))
     monitors = MonitorSettings().resolve(params)
