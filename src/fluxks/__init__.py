@@ -32,8 +32,8 @@ _EXPORTS = {
                     "condition_2ab", "condition_1d_value", "audit"),
         "stepper": ("RunStatus", "StepControls", "SimState", "SimResult", "choose_dt",
                     "step", "simulate"),
-        "functionals": ("FunctionalRecord", "MonitorSettings", "record", "records_to_csv",
-                        "write_records_csv"),
+        "functionals": ("FunctionalRecord", "MonitorSettings", "Sample", "record", "sample",
+                        "records_to_csv", "write_records_csv"),
         "monitors": ("Verdict", "RegimeVerdict", "check_mass", "check_positivity",
                      "check_dissipation_inequality", "classify", "eps_refinement"),
         "gn": ("GNExponents", "GN2Exponents", "gn_exponent", "gn2_exponent", "gn_ratio",

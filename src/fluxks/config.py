@@ -23,7 +23,7 @@ import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import Callable, get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
 from .functionals import MonitorSettings
@@ -184,12 +184,13 @@ class RunConfig:
         kwargs["v0_kind"] = kwargs.pop("v0")
         return build_initial_data(grid, theta=self.model.theta, **kwargs)
 
-    def run(self, keep_states: str) -> SimResult:
-        """Simulate this config; ``keep_states`` as in :func:`~fluxks.stepper.simulate`."""
+    def run(self, keep_states: str, record: Callable | None = None) -> SimResult:
+        """Simulate this config; ``keep_states`` and ``record`` as in
+        :func:`~fluxks.stepper.simulate`."""
         return simulate(
             self.build_initial(self.build_grid()), self.model, self.controls,
             record_every=self.record_every, monitors=self.monitors,
-            mollify=self.mollify, keep_states=keep_states,
+            mollify=self.mollify, keep_states=keep_states, record=record,
         )
 
     def effective(self) -> dict:

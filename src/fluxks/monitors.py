@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .functionals import FunctionalRecord
+from .functionals import FunctionalRecord, Sample
 from .grid import FieldNorms
 from .model import InitialData, ModelParams
 from .stepper import RunStatus, SimResult, SimState, StepControls, simulate
@@ -192,7 +192,7 @@ def check_dissipation_inequality(
     )
 
 
-def classify(records: Sequence[FunctionalRecord], status: RunStatus) -> RegimeVerdict:
+def classify(records: Sequence[FunctionalRecord | Sample], status: RunStatus) -> RegimeVerdict:
     """Classify a run from its terminal status and the tail of ``||u||_inf``.
 
     The verdict is invariant under downsampling the records by small factors:

@@ -43,6 +43,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -113,7 +114,7 @@ class SimResult:
 
     status: RunStatus
     states: list[SimState]
-    records: list["functionals.FunctionalRecord"]
+    records: list["functionals.FunctionalRecord | functionals.Sample"]
     final_state: SimState
     n_steps: int
     message: str = ""
@@ -198,10 +199,13 @@ def simulate(
     monitors: functionals.MonitorSettings = functionals.MonitorSettings(),
     mollify: bool = DEFAULT_MOLLIFY,
     keep_states: str = "sampled",
+    record: Callable[[SimState, functionals.MonitorSettings], object] | None = None,
 ) -> SimResult:
     """Run to ``t_end`` or a terminal condition.
 
-    Records read ``monitors.resolve(params)``.  ``mollify`` applies the
+    ``record`` measures each recorded state (by default
+    :func:`fluxks.functionals.record`, looked up per call), reading
+    ``monitors.resolve(params)``.  ``mollify`` applies the
     eps-scaled initial smoothing, to ``v`` only off the s-rule's max-norm
     branch, whatever ``monitors.s`` says.  ``keep_states`` is ``"sampled"``
     (states at the record cadence), ``"ends"`` (initial and final only), or ``"all"``.
@@ -219,6 +223,8 @@ def simulate(
         raise ValueError(f"record_every must be >= 1, got {record_every}")
     if keep_states not in ("sampled", "ends", "all"):
         raise ValueError(f"unknown keep_states {keep_states!r}")
+    if record is None:
+        record = functionals.record
 
     monitors = monitors.resolve(params)
     if mollify and params.eps > 0.0:
@@ -230,7 +236,7 @@ def simulate(
     state = SimState(grid=grid, u=data.u0, v=data.v0, t=0.0, step_index=0)
     solver = HelmholtzSolver(grid)
     initial_mass = integrate(grid, data.u0)
-    records = [functionals.record(state, monitors)]
+    records = [record(state, monitors)]
     states = [state]
     status, message = RunStatus.COMPLETED, ""
     try:
@@ -246,7 +252,7 @@ def simulate(
             if keep_states == "all" or (sampled and keep_states == "sampled"):
                 states.append(state)
             if sampled:
-                records.append(functionals.record(state, monitors))
+                records.append(record(state, monitors))
             linf = float(state.u.max())  # max |u|: the clamp leaves u >= 0
             if linf > controls.blowup_linf_threshold:
                 raise BlowUpSuspected(f"||u||_inf = {linf:.3e} exceeded threshold")
@@ -256,7 +262,7 @@ def simulate(
         message = str(exc)
 
     if records[-1].t != state.t:
-        records.append(functionals.record(state, monitors))
+        records.append(record(state, monitors))
     if states[-1] is not state:
         states.append(state)
 

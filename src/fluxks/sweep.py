@@ -31,6 +31,7 @@ except ImportError:  # POSIX only
 
 from .errors import ConfigError
 from .config import RunConfig, parse_config_dict, read_fields
+from .functionals import sample
 from .grid import MIN_CELLS_PER_AXIS, unit_grid_section
 from .model import InitialSettings, ModelParams
 from .monitors import classify
@@ -187,9 +188,10 @@ def point_config(point: dict) -> RunConfig:
 
 
 def run_point(point: dict) -> dict:
-    """Simulate one lattice point and summarize it (no file output here)."""
+    """Simulate one lattice point, recording :func:`~fluxks.functionals.sample`
+    only, and summarize it (no file output here)."""
     regime = audit(RegimeSpec(n=point["n"], theta=point["theta"], p=point["p"]))
-    result = point_config(point).run(keep_states="ends")
+    result = point_config(point).run(keep_states="ends", record=sample)
     verdict = classify(result.records, result.status)
 
     recs = result.records

@@ -14,13 +14,16 @@ from conftest import reference_setup
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
+from fluxks import functionals
 from fluxks.functionals import (
     CSV_SCALAR_COLUMNS,
     FunctionalRecord,
     MonitorSettings,
+    Sample,
     csv_columns,
     record,
     records_to_csv,
+    sample,
     write_records_csv,
 )
 from fluxks.grid import (
@@ -350,6 +353,88 @@ def test_resolve_sets_every_index_keeps_user_fields_and_is_idempotent(n, theta, 
     assert len(res.records) == 2
     for rec in res.records:
         assert tuple(rec.uq) == tuple(rec.dissip_u) == resolved.q_set
+
+
+# ---------------------------------------------------------------- samples
+
+SAMPLE_FIELDS = ("t", "mass", "u_linf", "gradv_l2", "F2")
+
+
+def sample_bits(rec):
+    return [np.float64(getattr(rec, name)).tobytes() for name in SAMPLE_FIELDS]
+
+
+@pytest.mark.parametrize("mode,cells,theta,p", [
+    ("cartesian-1d", (48,), 2.0, 1.5),
+    ("radial-n", (32,), 2.0, 1.1),
+    ("cartesian-2d", (16, 12), 1.5, 1.2),
+])
+def test_sample_equals_record_bit_for_bit_on_run_states(mode, cells, theta, p):
+    # every state of a run, and a run that records samples against one that
+    # records in full: the five fields carry the same bits
+    n = 3 if mode == "radial-n" else len(cells)
+    g = build_grid(mode, extents=(1.0,) * len(cells), cells=cells,
+                   n=n if mode == "radial-n" else None)
+    params = ModelParams(chi=2.0, p=p, theta=theta, eps=1e-3, n=n)
+    init = build_initial_data(g, family="cosine", base=1.0, amplitude=0.5,
+                              v0_kind="u0_pow_theta", theta=theta)
+    controls = StepControls(t_end=0.3, dt_max=0.02)
+    full = simulate(init, params, controls, record_every=3, keep_states="all")
+    monitors = MonitorSettings().resolve(params)
+    assert full.status.value == "Completed" and len(full.states) == 16
+    for state in full.states:
+        smp = sample(state, monitors)
+        assert type(smp) is Sample
+        assert sample_bits(smp) == sample_bits(record(state, monitors))
+    lean = simulate(init, params, controls, record_every=3, record=sample)
+    assert lean.n_steps == full.n_steps and len(lean.records) == len(full.records)
+    for smp, rec in zip(lean.records, full.records):
+        assert type(smp) is Sample
+        assert sample_bits(smp) == sample_bits(rec)
+
+
+def test_simulate_looks_up_its_default_record_per_call(grid1d, monkeypatch):
+    # a wrapper bound to functionals.record after import is what simulate
+    # calls by default; a record argument replaces it
+    calls = []
+    original = functionals.record
+
+    def counted(state, monitors):
+        calls.append(state.t)
+        return original(state, monitors)
+
+    monkeypatch.setattr(functionals, "record", counted)
+    init = build_initial_data(grid1d(16), family="cosine", base=1.0, amplitude=0.5,
+                              v0_kind="u0_pow_theta", theta=2.0)
+    params = ModelParams(chi=1.0, p=1.5, theta=2.0, eps=1e-3, n=1)
+    controls = StepControls(t_end=0.1, dt_max=0.05)
+    res = simulate(init, params, controls, record_every=1)
+    assert calls == [rec.t for rec in res.records] and len(calls) == 3
+    res = simulate(init, params, controls, record_every=1, record=sample)
+    assert len(calls) == 3 and all(type(rec) is Sample for rec in res.records)
+
+
+def test_sample_rejects_what_a_record_rejects():
+    # the same checks and messages as FunctionalRecord's, field by field
+    good = dict(t=0.0, mass=1.0, u_linf=1.0, gradv_l2=0.0, F2=1.0)
+    Sample(**good)
+    Sample(**{**good, "F2": -1.0})  # F2, like F1, may be signed
+    for name, bad in (("F2", math.nan), ("F2", math.inf), ("mass", -math.inf),
+                      ("mass", -1e-3), ("u_linf", -1.0), ("gradv_l2", -1e-300)):
+        with pytest.raises(ValueError) as by_sample:
+            Sample(**{**good, name: bad})
+        with pytest.raises(ValueError) as by_record:
+            FunctionalRecord(**{**good_record_kwargs(), name: bad})
+        assert str(by_sample.value) == str(by_record.value)
+        assert name in str(by_sample.value)
+
+
+def test_sample_requires_a_resolved_q_f2(grid1d):
+    st = const_state(grid1d(8), 1.0, 1.0)
+    with pytest.raises(ValueError, match=r"MonitorSettings\.resolve"):
+        sample(st, MonitorSettings(q_set=(2.0,), s=2.0, q_f1=2.0))
+    # q_f2 alone suffices: a sample reads no other index
+    assert sample(st, MonitorSettings(q_f2=2.0)).F2 == 1.0
 
 
 # ------------------------------------------------------------- validation

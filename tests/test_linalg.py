@@ -206,6 +206,36 @@ def test_tridiagonal_zero_pivot_raises(mode, kwargs):
         inverse(np.ones(grid.shape), np.empty(grid.shape))
 
 
+def test_stacked_tridiagonal_blocks_match_their_separate_solves_bit_for_bit():
+    # independent systems stacked in one gtsv call, with zero couplings
+    # between blocks, give the bits of their separate solves; the diagonal
+    # scales make gtsv pivot inside some blocks
+    rng = np.random.default_rng(9)
+    pivoted = 0
+    for _ in range(200):
+        blocks = []
+        for size in rng.integers(2, 40, size=4):
+            scale = rng.choice([1e-3, 1.0, 10.0])
+            blocks.append((rng.standard_normal(size - 1), scale * rng.standard_normal(size),
+                           rng.standard_normal(size - 1), rng.standard_normal(size)))
+        zero = np.zeros(1)
+        lower = np.concatenate([x for b in blocks for x in (b[0], zero)][:-1])
+        upper = np.concatenate([x for b in blocks for x in (b[2], zero)][:-1])
+        diagonal = np.concatenate([b[1] for b in blocks])
+        rhs = np.concatenate([b[3] for b in blocks])
+        *_, stacked, info = linalg._gtsv(lower, diagonal, upper, rhs)
+        assert info == 0
+        separate = []
+        for dl, d, du, b in blocks:
+            *_, x, info = linalg._gtsv(dl, d, du, b)
+            assert info == 0
+            separate.append(x)
+        assert np.array_equal(stacked, np.concatenate(separate))
+        # a block's first row swaps with its second where |d| < |dl|
+        pivoted += sum(abs(d[0]) < abs(dl[0]) for dl, d, _, _ in blocks)
+    assert pivoted > 100
+
+
 def test_dct_inverse_commutes_with_reflections_bit_for_bit():
     # on even cell counts the DCT round trip commutes with reflecting the data
     # along either axis, bit for bit, so its roundoff cannot break a symmetry

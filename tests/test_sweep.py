@@ -220,6 +220,29 @@ def test_run_point_supercritical_is_exploratory():
     assert res["mismatch"] is False  # exploratory points are never flagged
 
 
+def test_run_point_near_p_one_completes():
+    # at p = 1.0001 the F1 index is in the thousands and int u^q_f1 overflows;
+    # a point records no F1, so it completes where a full record would raise
+    spec = SweepSpec(n_values=(1,), theta_values=(2.0,), p_values=(1.0001,),
+                     p_mode="absolute", cells_1d=64, t_end=0.5, amplitude=0.5)
+    (pt,) = sweep_points(spec)
+    res = run_point(pt)
+    assert res["run"]["status"] == "Completed"
+    assert res["run"]["F2_max"] == pytest.approx(6.617, abs=1e-3)
+    canonical_json(res)
+
+
+def test_run_point_builds_no_full_record(monkeypatch):
+    from fluxks import functionals
+
+    def refuse(state, monitors):
+        raise AssertionError("run_point built a full record")
+
+    monkeypatch.setattr(functionals, "record", refuse)
+    (pt,) = sweep_points(tiny_spec(p_values=(0.5,)))
+    assert run_point(pt)["run"]["status"] == "Completed"
+
+
 # ---------------------------------------------------------------- run_sweep
 
 
