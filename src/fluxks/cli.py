@@ -114,23 +114,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     meta = f"fluxks {__version__}\nconfig {canonical_json(effective)}"
     write_records_csv(result.records, out / "functionals.csv", meta_comment=meta)
 
-    verdicts = {
-        "mass-conservation": check_mass(result.records),
-        "positivity": check_positivity(result.states),
-    }
+    verdicts = [check_mass(result.records), check_positivity(result.states)]
     skipped = []
     if result.status == RunStatus.COMPLETED and len(result.records) >= MIN_DISSIPATION_RECORDS:
         for name in ("F1", "F2"):
-            verdicts[f"dissipation-{name}"] = check_dissipation_inequality(
-                result.records, which=name
-            )
+            verdicts.append(check_dissipation_inequality(result.records, which=name))
     else:
         skipped.append("dissipation (run not Completed or too few records)")
     regime = classify(result.records, result.status)
 
     if result.status != RunStatus.COMPLETED:
         code = 2
-    elif any(not v.passed for v in verdicts.values()) or regime.classification == "Growing":
+    elif any(not v.passed for v in verdicts) or regime.classification == "Growing":
         code = 1
     else:
         code = 0
@@ -143,7 +138,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "n_steps": result.n_steps,
         "t_final": result.final_state.t,
         "clamped_mass_cumulative": result.final_state.clamped_mass_cumulative,
-        "verdicts": {k: v.to_dict() for k, v in verdicts.items()},
+        "verdicts": {v.name: v.to_dict() for v in verdicts},
         "skipped_checks": skipped,
         "classification": regime.to_dict(),
         "exit_code": code,
@@ -152,7 +147,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.snapshots:
         _write_snapshots(out, result, cfg)
 
-    for name, v in verdicts.items():
+    for v in verdicts:
         print(v.summary())
     print(f"classification: {regime.classification} ({regime.reason})")
     print(f"status: {result.status.value}; artifacts in {out}")

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .functionals import FunctionalRecord, Sample
+from .functionals import FunctionalRecord, Sample, sample
 from .grid import FieldNorms
 from .model import InitialData, ModelParams
 from .stepper import RunStatus, SimResult, SimState, StepControls, simulate
@@ -77,19 +77,12 @@ class RegimeVerdict:
     classification: str
     sup_u_linf: float
     growth_rate_estimate: float
-    terminal_status: str
     reason: str
     stats: dict
 
     def __post_init__(self) -> None:
         if self.classification not in CLASSIFICATIONS:
             raise ValueError(f"unknown classification {self.classification!r}")
-        if self.classification == "BlowUpSuspected" and self.terminal_status != (
-            RunStatus.BLOWUP_SUSPECTED.value
-        ):
-            raise ValueError(
-                "BlowUpSuspected classification requires a BlowUpSuspected status"
-            )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -199,12 +192,11 @@ def classify(records: Sequence[FunctionalRecord | Sample], status: RunStatus) ->
     all statistics are scale-free trend measures, not step counts.
     """
     sup_all = float(max(r.u_linf for r in records)) if records else 0.0
-    status_name = status.value
     if status == RunStatus.BLOWUP_SUSPECTED:
-        return RegimeVerdict("BlowUpSuspected", sup_all, 0.0, status_name, "terminal status", {})
+        return RegimeVerdict("BlowUpSuspected", sup_all, 0.0, "terminal status", {})
     if status == RunStatus.NUMERICAL_FAILURE:
         return RegimeVerdict(
-            "Inconclusive", sup_all, 0.0, status_name, "numerical failure before t_end", {}
+            "Inconclusive", sup_all, 0.0, "numerical failure before t_end", {}
         )
     series = np.array([r.u_linf for r in records])
     times = np.array([r.t for r in records])
@@ -213,7 +205,6 @@ def classify(records: Sequence[FunctionalRecord | Sample], status: RunStatus) ->
             "Inconclusive",
             sup_all,
             0.0,
-            status_name,
             "too few records",
             {"n_records": len(series)},
         )
@@ -228,7 +219,6 @@ def classify(records: Sequence[FunctionalRecord | Sample], status: RunStatus) ->
     stats = {
         "tail_median": median,
         "tail_sup": sup,
-        "tail_slope": slope,
         "tail_trend_change": trend_change,
         "start_mean": head,
         "end_mean": tail,
@@ -239,7 +229,6 @@ def classify(records: Sequence[FunctionalRecord | Sample], status: RunStatus) ->
             "Bounded",
             sup_all,
             slope,
-            status_name,
             "flat-or-decreasing tail with controlled sup",
             stats,
         )
@@ -248,11 +237,10 @@ def classify(records: Sequence[FunctionalRecord | Sample], status: RunStatus) ->
             "Growing",
             sup_all,
             slope,
-            status_name,
             "positive trend with at least doubling",
             stats,
         )
-    return RegimeVerdict("Inconclusive", sup_all, slope, status_name, "no clear trend", stats)
+    return RegimeVerdict("Inconclusive", sup_all, slope, "no clear trend", stats)
 
 
 def eps_refinement(
@@ -260,7 +248,6 @@ def eps_refinement(
     params: ModelParams,
     controls: StepControls,
     eps_list: Sequence[float],
-    record_every: int = 200,
 ) -> Verdict:
     """Replay one configuration over a strictly decreasing regularization ladder.
 
@@ -268,7 +255,8 @@ def eps_refinement(
     so the comparison isolates the flux-regularization limit.  Successive
     ``L^2`` distances at the fixed comparison time
     ``min(t_end, EPS_COMPARISON_HORIZON)`` must be nonincreasing within a 10%
-    slack.
+    slack.  Each run records :func:`~fluxks.functionals.sample`, which forms
+    no F1: the comparison reads only its status and final ``u``.
 
     Raises:
         ValueError: fewer than 3 entries or not strictly decreasing.
@@ -290,7 +278,7 @@ def eps_refinement(
             initial,
             replace(params, eps=e),
             cmp_controls,
-            record_every=record_every,
+            record=sample,
             mollify=False,
             keep_states="ends",
         )

@@ -130,7 +130,10 @@ def choose_dt(u: np.ndarray, params: ModelParams, controls: StepControls) -> flo
     u_max = float(u.max())
     prod_rate = 0.0
     if params.theta >= 1.0 and u_max > 0.0:
-        prod_rate = params.theta * u_max ** (params.theta - 1.0)
+        try:
+            prod_rate = params.theta * u_max ** (params.theta - 1.0)
+        except OverflowError:  # float ** raises where numpy would give inf
+            prod_rate = math.inf
     dt_prod = controls.cfl_safety / prod_rate if prod_rate > 0.0 else math.inf
 
     dt = min(controls.dt_max, dt_prod)

@@ -219,13 +219,11 @@ def run_point(point: dict) -> dict:
             "mass_final": mass_end,
             "mass_drift_rel": abs(mass_end - mass0) / abs(mass0),
             "u_linf_final": recs[-1].u_linf,
-            "u_linf_max": max(r.u_linf for r in recs),
             "F2_max": max(r.F2 for r in recs),
             "gradv_l2_max": max(r.gradv_l2 for r in recs),
             "clamped_mass": result.final_state.clamped_mass_cumulative,
         },
-        # the verdict's terminal status is run.status
-        **{k: v for k, v in verdict.to_dict().items() if k != "terminal_status"},
+        **verdict.to_dict(),
         "expected": expected,
         "mismatch": mismatch,
         "version": SWEEP_VERSION,

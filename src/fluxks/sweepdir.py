@@ -30,7 +30,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .runtime import canonical_json, load_json, tool_stamp, write_atomic
 
-SWEEP_VERSION = 8
+SWEEP_VERSION = 9
 
 REGIME_MAP_COLUMNS = (
     "n", "theta", "p_fraction", "p", "p_critical", "subcritical", "status",
@@ -44,7 +44,6 @@ def write_manifest(out_dir: Path, spec: dict, points: list[dict]) -> None:
     manifest = {
         "version": SWEEP_VERSION,
         "tool": tool_stamp(),
-        "seed": spec["seed"],
         "spec": spec,
         "points": [
             {k: pt[k] for k in ("point_id", "n", "theta", "p_fraction", "p")} for pt in points

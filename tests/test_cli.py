@@ -187,6 +187,10 @@ def test_simulate_out_dir_resolution(tmp_path, monkeypatch):
     flag_dir = tmp_path / "from-flag"
     assert main(["simulate", "--config", cfg_path, "--out", str(flag_dir)]) == 0
     assert (flag_dir / "run.json").is_file()
+    monkeypatch.delenv("FLUXKS_OUT")
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--config", cfg_path]) == 0
+    assert (tmp_path / cli.DEFAULT_OUT / "run.json").is_file()
 
 
 def test_simulate_threshold_trip_exits_2(tmp_path):
@@ -203,10 +207,29 @@ def test_simulate_threshold_trip_exits_2(tmp_path):
     assert report["classification"]["classification"] == "BlowUpSuspected"
 
 
+def test_simulate_overflowing_production_exits_2(tmp_path):
+    # theta * u^(theta-1) at u = 1e200 and theta = 3 is beyond the float
+    # range: the step collapses below dt_min instead of raising OverflowError.
+    # The monitors are pinned so that the record at t = 0 stays finite
+    cfg_path = write_json(tmp_path / "cfg.json", run_cfg(
+        grid={"mode": "cartesian-1d", "extents": [1.0], "cells": [16]},
+        model={"theta": 3.0},
+        initial={"family": "constant", "base": 1e200, "v0": "zero"},
+        mollify=False,
+        monitors={"q_set": [1.5], "q_f1": 1.5, "q_f2": 1.5},
+        controls={"dt_min": 1e-300},
+    ))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    report = json.loads((out / "run.json").read_text(encoding="utf-8"))
+    assert report["status"] == "BlowUpSuspected"
+    assert "dt_min" in report["message"]
+
+
 def test_simulate_growing_classification_exits_1(tmp_path, monkeypatch):
     # the exit-code mapping for Growing is unit-tested by substituting the
     # classifier; driving a real run into sustained growth is a sweep concern
-    fake = RegimeVerdict("Growing", 5.0, 0.2, "Completed", "synthetic", {})
+    fake = RegimeVerdict("Growing", 5.0, 0.2, "synthetic", {})
     monkeypatch.setattr("fluxks.monitors.classify", lambda records, status: fake)
     cfg_path = write_json(tmp_path / "cfg.json", run_cfg())
     out = tmp_path / "out"

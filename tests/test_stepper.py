@@ -145,6 +145,15 @@ def test_choose_dt_collapse_raises(grid1d):
         choose_dt(st.u, params, controls)
 
 
+def test_choose_dt_overflowing_production_collapses():
+    # 3 * (1e200)^2 is beyond the float range: the rate is inf and dt is 0,
+    # a collapse stop, where float ** raises OverflowError
+    params = ModelParams(chi=1.0, p=1.5, theta=3.0, eps=1e-3, n=1)
+    controls = StepControls(t_end=1.0, dt_min=1e-300)
+    with pytest.raises(TimeStepCollapse, match="dt_min"):
+        choose_dt(np.full(16, 1e200), params, controls)
+
+
 # -------------------------------------------------------------------- step
 
 
