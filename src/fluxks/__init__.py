@@ -23,7 +23,7 @@ _EXPORTS = {
     name: module
     for module, names in {
         "errors": ("BlowUpSuspected", "ConfigError", "FluxksError", "PositivityError",
-                   "SolverError", "TimeStepCollapse"),
+                   "SolverError"),
         "grid": ("Grid", "FieldNorms", "build_grid", "integrate"),
         "model": ("ModelParams", "InitialData", "build_initial_data",
                   "mollify_initial_data", "production"),

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -243,9 +242,10 @@ def _cmd_gn_test(args: argparse.Namespace) -> int:
     est_refined, est = merge_estimates(parts[:k]), merge_estimates(parts[k:])
 
     def refinement(c1: float, c2: float) -> dict:
-        # stable when the two grids agree to GN_STABILITY_RTOL
-        stability = abs(c2 - c1) / c1
-        stable = bool(math.isfinite(c1) and math.isfinite(c2) and stability <= GN_STABILITY_RTOL)
+        # stable when the two grids agree to GN_STABILITY_RTOL; an estimate of
+        # 0, where no member measured a positive ratio, is not
+        stability = abs(c2 - c1) / c1 if c1 > 0.0 else None
+        stable = stability is not None and stability <= GN_STABILITY_RTOL
         return {"C_est": c1, "C_est_refined": c2, "stability": stability, "stable": stable}
 
     set_reports = {

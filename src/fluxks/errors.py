@@ -19,9 +19,5 @@ class BlowUpSuspected(FluxksError, RuntimeError):
     """The solution grew past what the run resolves: a physical stop."""
 
 
-class TimeStepCollapse(BlowUpSuspected):
-    """Selected time step fell below dt_min."""
-
-
 class PositivityError(FluxksError, RuntimeError):
     """Negative cell values beyond roundoff, which inverse-positive solves rule out."""

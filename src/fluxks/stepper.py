@@ -30,8 +30,8 @@ cell, so the flows telescope and every residual, and the correction made from
 it, keeps the mass to roundoff.
 
 The time step is the smaller of ``dt_max`` and, for ``theta >= 1``, an
-explicit-production proxy ``cfl_safety / (theta * max(u)^(theta-1))``; for
-``theta < 1`` that rate grows without bound as the data shrink, while the
+explicit-production proxy ``PRODUCTION_SAFETY / (theta * max(u)^(theta-1))``;
+for ``theta < 1`` that rate grows without bound as the data shrink, while the
 sublinear production drives no growth.  Diffusion and transport are implicit
 and impose no step bound.  Every stop of a run raises where it is found, and
 the error's class sets its status: a step below ``dt_min`` and ``||u||_inf``
@@ -48,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from . import functionals
-from .errors import BlowUpSuspected, FluxksError, PositivityError, TimeStepCollapse
+from .errors import BlowUpSuspected, FluxksError, PositivityError
 from .grid import Grid, gradient_faces, integrate
 from .linalg import HelmholtzSolver
 from .model import InitialData, ModelParams, flux_coefficients, mollify_initial_data, production
@@ -60,6 +60,8 @@ POSITIVITY_HARD_TOL = 1e-10
 # cumulative clamped mass beyond this fraction of the initial mass fails the
 # run: clamping is a roundoff patch, not a scheme feature
 CLAMPED_MASS_MAX_FRACTION = 1e-10
+# the factor of choose_dt's production bound (see the module docstring)
+PRODUCTION_SAFETY = 0.4
 _T_END_SLACK = 1e-12
 # simulate's default record cadence and initial smoothing: the defaults of the
 # run config's top-level keys record_every and mollify
@@ -80,7 +82,6 @@ class StepControls:
     t_end: float
     dt_max: float = 0.1
     dt_min: float = 1e-10
-    cfl_safety: float = 0.4
     blowup_linf_threshold: float = 1e6
 
     def __post_init__(self) -> None:
@@ -88,8 +89,6 @@ class StepControls:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if not (0.0 < self.dt_min <= self.dt_max):
             raise ValueError(f"need 0 < dt_min <= dt_max, got {self.dt_min}, {self.dt_max}")
-        if not (0.0 < self.cfl_safety <= 1.0):
-            raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
         if not (self.blowup_linf_threshold > 0.0):
             raise ValueError("blowup_linf_threshold must be positive")
 
@@ -125,7 +124,7 @@ def choose_dt(u: np.ndarray, params: ModelParams, controls: StepControls) -> flo
     the production proxy.
 
     Raises:
-        TimeStepCollapse: the bound fell below ``dt_min``.
+        BlowUpSuspected: the bound fell below ``dt_min``.
     """
     u_max = float(u.max())
     prod_rate = 0.0
@@ -134,11 +133,11 @@ def choose_dt(u: np.ndarray, params: ModelParams, controls: StepControls) -> flo
             prod_rate = params.theta * u_max ** (params.theta - 1.0)
         except OverflowError:  # float ** raises where numpy would give inf
             prod_rate = math.inf
-    dt_prod = controls.cfl_safety / prod_rate if prod_rate > 0.0 else math.inf
+    dt_prod = PRODUCTION_SAFETY / prod_rate if prod_rate > 0.0 else math.inf
 
     dt = min(controls.dt_max, dt_prod)
     if dt < controls.dt_min:
-        raise TimeStepCollapse(
+        raise BlowUpSuspected(
             f"time step {dt:.3e} fell below dt_min {controls.dt_min:.3e} "
             f"(production {dt_prod:.3e})"
         )

@@ -64,13 +64,11 @@ class SweepSpec:
     t_end: float = 5.0
     dt_max: float = StepControls.dt_max
     dt_min: float = StepControls.dt_min
-    cfl_safety: float = StepControls.cfl_safety
     blowup_linf_threshold: float = StepControls.blowup_linf_threshold
     cells_1d: int = 256
     cells_2d: int = 128
     cells_radial: int = 256
     record_every: int = DEFAULT_RECORD_EVERY
-    seed: int = 0
 
     def __post_init__(self) -> None:
         for name in ("n_values", "theta_values", "p_values"):

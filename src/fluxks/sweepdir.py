@@ -30,7 +30,12 @@ from pathlib import Path
 from .errors import ConfigError
 from .runtime import canonical_json, load_json, tool_stamp, write_atomic
 
-SWEEP_VERSION = 9
+SWEEP_VERSION = 10
+# the keys of a point file, as sweep.run_point writes them
+POINT_KEYS = frozenset({
+    "point", "point_id", "audit", "run", "classification", "sup_u_linf",
+    "growth_rate_estimate", "reason", "stats", "expected", "mismatch", "version",
+})
 
 REGIME_MAP_COLUMNS = (
     "n", "theta", "p_fraction", "p", "p_critical", "subcritical", "status",
@@ -59,16 +64,23 @@ def write_point(out_dir: Path, result: dict) -> None:
 def load_point(out_dir: Path, pid: str) -> dict | None:
     """The completed result of point ``pid`` in ``out_dir``, else ``None``.
 
-    A completed point file parses, names ``pid`` and carries this
-    ``SWEEP_VERSION``; a missing, truncated or stale file does not count.
+    A completed point file parses, names ``pid``, carries this
+    ``SWEEP_VERSION`` and holds every key of ``POINT_KEYS``, with ``point``,
+    ``audit`` and ``run`` objects; a missing, truncated, stale or partial file
+    does not count.
     """
     try:
         data = json.loads((out_dir / f"{pid}.json").read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError):
         return None
-    if not isinstance(data, dict):
-        return None
-    return data if data.get("point_id") == pid and data.get("version") == SWEEP_VERSION else None
+    completed = (
+        isinstance(data, dict)
+        and data.get("point_id") == pid
+        and data.get("version") == SWEEP_VERSION
+        and POINT_KEYS <= data.keys()
+        and all(isinstance(data[k], dict) for k in ("point", "audit", "run"))
+    )
+    return data if completed else None
 
 
 def read_sweep(sweep_dir: str | Path) -> tuple[list[dict], int]:

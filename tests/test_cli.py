@@ -254,6 +254,8 @@ def test_simulate_growing_classification_exits_1(tmp_path, monkeypatch):
         lambda tmp: write_overflowing(tmp, monitors={"c_f1": "BIG"}),
         lambda tmp: write_overflowing(tmp, monitors={"q_f2": "BIG"}),
         lambda tmp: write_overflowing(tmp, monitors={"s": "BIG"}),
+        # the production bound's factor is a stepper constant, not a key
+        lambda tmp: write_json(tmp / "cfl.json", run_cfg(controls={"cfl_safety": 0.4})),
     ],
 )
 def test_simulate_config_errors_exit_3(tmp_path, breakage, capsys):
@@ -312,6 +314,28 @@ def test_report_with_missing_points(tmp_path, capsys):
     assert "no completed points" in capsys.readouterr().err
 
 
+def test_point_file_without_its_result_keys_is_not_completed(tmp_path, capsys):
+    # a file naming its point and version, but without the keys run_point
+    # writes, ended report in KeyError: 'point' and a resumed sweep in
+    # KeyError: 'mismatch'; now it is pending, and the sweep reruns it
+    cfg_path = write_json(tmp_path / "sweep.json", SWEEP_CFG)
+    out = tmp_path / "map"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    pid = json.loads((out / "sweep.json").read_text(encoding="utf-8"))["points"][0]["point_id"]
+    target = out / f"{pid}.json"
+    good = target.read_bytes()
+    full = json.loads(good)
+    for partial in ({"point_id": pid, "version": SWEEP_VERSION}, {**full, "run": None},
+                    {**full, "point": [1]}):
+        write_json(target, partial)
+        assert main(["report", "--sweep-dir", str(out)]) == 0
+        assert "NOTE: 1 point(s) not yet completed" in capsys.readouterr().out
+        assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 0
+        assert "ran 1, resumed 1" in capsys.readouterr().out
+        assert target.read_bytes() == good
+
+
 def test_report_that_cannot_write_its_map_exits_3(tmp_path, capsys):
     # regime_map.csv is a directory: the write fails cleanly and leaves no
     # temp file behind
@@ -358,6 +382,8 @@ def test_report_rejects_malformed_manifest(tmp_path, manifest, capsys):
         ({**SWEEP_CFG, "cells_1d": 8.5}, "cells_1d"),
         ({**SWEEP_CFG, "record_every": True}, "record_every"),
         ({**SWEEP_CFG, "chi": float("nan")}, "NaN is not a JSON number"),
+        ({**SWEEP_CFG, "cfl_safety": 0.4}, "unknown key(s) ['cfl_safety']"),
+        ({**SWEEP_CFG, "seed": 0}, "unknown key(s) ['seed']"),
     ],
 )
 def test_sweep_config_errors_exit_3(tmp_path, cfg, match, capsys):
@@ -445,6 +471,23 @@ def test_gn_test_small_ensemble(capsys):
     assert payload["grid"]["refined"] == [128]
     assert payload["ensemble"] == {"size": 12, "seed": 1, "version": 1}
     assert payload["poincare"]["stability"] <= payload["stability_rtol"]
+
+
+def test_gn_test_constant_only_ensemble_is_not_stable(capsys):
+    # the one member is constant: the Poincare supremum and the second form's
+    # stay 0, and dividing by that estimate ended in a ZeroDivisionError
+    argv = ["gn-test", "--n", "1", "--theta", "2", "--p", "1.5",
+            "--ensemble-size", "1", "--seed", "142"]
+    assert main(argv) == 1
+
+    def refuse(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert payload["pass"] is False
+    assert payload["poincare"] == {"C_est": 0.0, "C_est_refined": 0.0, "stability": None}
+    reference = payload["sets"]["second-form-reference"]
+    assert reference["stability"] is None and reference["stable"] is False
 
 
 @pytest.mark.parametrize(

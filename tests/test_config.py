@@ -41,7 +41,6 @@ def test_minimal_config_defaults():
     assert cfg.initial.v0 == "u0_squared" and cfg.initial.v0_value == 0.0
     assert cfg.controls.dt_max == 0.1
     assert cfg.controls.dt_min == 1e-10
-    assert cfg.controls.cfl_safety == 0.4
     assert cfg.controls.blowup_linf_threshold == 1e6
     assert cfg.monitors.q_set is None and cfg.monitors.s is None
     assert cfg.monitors.q_f1 is None and cfg.monitors.q_f2 is None
@@ -61,8 +60,7 @@ FULL = base_cfg(
     model={"n": 3},
     initial={"family": "gaussian", "base": 0.5, "amplitude": 2.0, "width": 0.2,
              "v0": "zero", "v0_value": 0.0},
-    controls={"t_end": 0.5, "dt_max": 0.05, "dt_min": 1e-9, "cfl_safety": 0.3,
-              "blowup_linf_threshold": 1e5},
+    controls={"t_end": 0.5, "dt_max": 0.05, "dt_min": 1e-9, "blowup_linf_threshold": 1e5},
     monitors={"q_set": [3, 1.5, 3, 2], "s": "inf", "q_f1": 1.5, "q_f2": 3,
               "c_f1": 2.0},
     record_every=10,
@@ -128,7 +126,6 @@ def valid_run_configs(draw):
         **draw(some_of(
             dt_max=number(0.01, 1.0),
             dt_min=hs.floats(1e-10, 1e-3),
-            cfl_safety=number(0.1, 1.0),
             blowup_linf_threshold=number(10.0, 1e8),
         )),
     }
@@ -196,6 +193,7 @@ def test_root_and_section_shape_errors():
         (lambda c: c.update(initial={"blob": 1}), "in initial"),
         (lambda c: c["controls"].update(t_start=0), "in controls"),
         (lambda c: c.update(monitors={"qset": [2]}), "in monitors"),
+        (lambda c: c["controls"].update(cfl_safety=0.4), r"\['cfl_safety'\] in controls"),
     ],
 )
 def test_unknown_keys_point_at_section(mutate, match):
@@ -438,7 +436,7 @@ def test_sweep_config_keeps_json_numbers_as_given():
         ({"theta_values": ["x"]}, r"sweep\.theta_values\[0\] must be a number"),
         ({"n_values": [1.0]}, r"sweep\.n_values\[0\] must be an integer"),
         ({"p_values": 0.5}, r"sweep\.p_values must be an array"),
-        ({"seed": 1.5}, r"sweep\.seed must be an integer"),
+        ({"cells_1d": 1.5}, r"sweep\.cells_1d must be an integer"),
         ({"p_mode": 3}, r"sweep\.p_mode must be a string"),
         ({"dt_max": "0.1"}, r"sweep\.dt_max must be a number"),
         ({"amplitude": True}, r"sweep\.amplitude must be a number"),
@@ -446,6 +444,10 @@ def test_sweep_config_keeps_json_numbers_as_given():
         ({"extra": 1}, r"unknown key\(s\) \['extra'\] in sweep"),
         ({"t_end": 10**400}, r"sweep\.t_end must be a finite number"),
         ({"theta_values": [2.0, math.inf]}, r"sweep\.theta_values\[1\] must be a finite number"),
+        # the production bound's factor is a stepper constant, and a seed
+        # reached no run: neither is a setting
+        ({"cfl_safety": 0.4}, r"unknown key\(s\) \['cfl_safety'\] in sweep"),
+        ({"seed": 0}, r"unknown key\(s\) \['seed'\] in sweep"),
     ],
 )
 def test_sweep_config_errors(over, match):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import fluxks.stepper as stepper_mod
-from fluxks.errors import BlowUpSuspected, PositivityError, SolverError, TimeStepCollapse
+from fluxks.errors import BlowUpSuspected, PositivityError, SolverError
 from fluxks.functionals import MonitorSettings, record
 from fluxks.grid import build_grid, divergence_values, gradient_faces, integrate
 from fluxks.linalg import HelmholtzSolver
@@ -28,6 +28,7 @@ from fluxks.model import (
 from fluxks.regimes import relative_p
 from fluxks.stepper import (
     POSITIVITY_HARD_TOL,
+    PRODUCTION_SAFETY,
     RunStatus,
     SimState,
     StepControls,
@@ -76,8 +77,6 @@ REF_PARAMS = ModelParams(chi=1.0, p=1.5, theta=2.0, eps=1e-3, n=1)
         dict(t_end=0.0),
         dict(t_end=1.0, dt_min=0.2, dt_max=0.1),
         dict(t_end=1.0, dt_min=0.0),
-        dict(t_end=1.0, cfl_safety=0.0),
-        dict(t_end=1.0, cfl_safety=1.5),
         dict(t_end=1.0, blowup_linf_threshold=0.0),
     ],
 )
@@ -93,7 +92,7 @@ def test_choose_dt_production_bound(grid1d):
     # zero signal gradient: only the production rate theta * u^(theta-1) binds
     g = grid1d(32)
     st = make_state(g, 2.0, 4.0)
-    controls = StepControls(t_end=1.0, dt_max=1.0, cfl_safety=0.4)
+    controls = StepControls(t_end=1.0, dt_max=1.0)
     assert choose_dt(st.u, REF_PARAMS, controls) == pytest.approx(0.1, abs=1e-15)
     tight = StepControls(t_end=1.0, dt_max=0.05)
     assert choose_dt(st.u, REF_PARAMS, tight) == 0.05
@@ -112,7 +111,7 @@ def test_choose_dt_has_no_advective_bound(mode):
         t=0.0,
         step_index=0,
     )
-    controls = StepControls(t_end=1.0, dt_max=1e3, dt_min=1e-12, cfl_safety=0.4)
+    controls = StepControls(t_end=1.0, dt_max=1e3, dt_min=1e-12)
     for chi in (1.0, 2.0):
         params = ModelParams(chi=chi, p=2.0, theta=2.0, eps=0.0, n=axes)
         assert signal_rate(st, params) * 20.0 > 100.0  # far beyond the explicit bound
@@ -141,7 +140,7 @@ def test_choose_dt_collapse_raises(grid1d):
     params = ModelParams(chi=1.0, p=1.5, theta=3.0, eps=1e-3, n=1)
     # production rate 3 * 100^2 = 3e4 forces dt ~ 1.3e-5 < dt_min
     controls = StepControls(t_end=1.0, dt_min=1e-4)
-    with pytest.raises(TimeStepCollapse, match="dt_min"):
+    with pytest.raises(BlowUpSuspected, match="dt_min"):
         choose_dt(st.u, params, controls)
 
 
@@ -150,7 +149,7 @@ def test_choose_dt_overflowing_production_collapses():
     # a collapse stop, where float ** raises OverflowError
     params = ModelParams(chi=1.0, p=1.5, theta=3.0, eps=1e-3, n=1)
     controls = StepControls(t_end=1.0, dt_min=1e-300)
-    with pytest.raises(TimeStepCollapse, match="dt_min"):
+    with pytest.raises(BlowUpSuspected, match="dt_min"):
         choose_dt(np.full(16, 1e200), params, controls)
 
 
@@ -196,7 +195,7 @@ def test_implicit_transport_step_beyond_the_advective_bound(mode, factor):
     st = SimState(g, u=init.u0, v=10.0 * g.axis_centers(0), t=0.0, step_index=0)
     params = ModelParams(chi=1.0, p=2.0, theta=2.0, eps=0.0, n=g.n)
     controls = StepControls(t_end=1.0)
-    dt = factor * controls.cfl_safety / signal_rate(st, params)
+    dt = factor * PRODUCTION_SAFETY / signal_rate(st, params)
     out = step(st, params, controls, dt, HelmholtzSolver(g))
     assert out.u.min() >= 0.0 and out.v.min() >= 0.0
     assert out.clamped_mass_cumulative == 0.0
@@ -591,14 +590,13 @@ def test_positivity_failure_within_the_bound_is_not_retried(grid1d, monkeypatch)
 
 @pytest.mark.parametrize("error, status", [
     (BlowUpSuspected, RunStatus.BLOWUP_SUSPECTED),
-    (TimeStepCollapse, RunStatus.BLOWUP_SUSPECTED),
     (SolverError, RunStatus.NUMERICAL_FAILURE),
     (PositivityError, RunStatus.NUMERICAL_FAILURE),
 ])
 def test_the_error_class_raised_in_a_step_sets_the_status(grid1d, monkeypatch, error, status):
     # each stop raises where it is found, and simulate's one except maps its
-    # class: BlowUpSuspected and its subclass to BlowUpSuspected, the rest of
-    # FluxksError to NumericalFailure
+    # class: BlowUpSuspected to BlowUpSuspected, the rest of FluxksError to
+    # NumericalFailure
     def failing(*args, **kwargs):
         raise error("x")
 

@@ -25,7 +25,13 @@ from fluxks.sweep import (
     sweep_points,
     write_atomic,
 )
-from fluxks.sweepdir import REGIME_MAP_COLUMNS, SWEEP_VERSION, regime_map_csv, regime_map_summary
+from fluxks.sweepdir import (
+    POINT_KEYS,
+    REGIME_MAP_COLUMNS,
+    SWEEP_VERSION,
+    regime_map_csv,
+    regime_map_summary,
+)
 
 
 def tiny_spec(**over):
@@ -108,7 +114,6 @@ CHANGED_RUN_SETTINGS = {
     "t_end": 0.5,
     "dt_max": 0.01,
     "dt_min": 1e-9,
-    "cfl_safety": 0.2,
     "blowup_linf_threshold": 1e5,
     "record_every": 2,
 }
@@ -116,9 +121,8 @@ CHANGED_RUN_SETTINGS = {
 
 def test_every_point_setting_reaches_the_point_run_config():
     # a field that enters the point id but not the run would name runs that
-    # do not differ; the seed is the one field that only labels the sweep
-    lattice = sweep._LATTICE_FIELDS | {"seed"}
-    assert set(CHANGED_RUN_SETTINGS) == {f.name for f in fields(SweepSpec)} - lattice
+    # do not differ
+    assert set(CHANGED_RUN_SETTINGS) == {f.name for f in fields(SweepSpec)} - sweep._LATTICE_FIELDS
     base = point_config(sweep_points(tiny_spec(p_values=(0.5,)))[0])
     for name, val in CHANGED_RUN_SETTINGS.items():
         (pt,) = sweep_points(tiny_spec(p_values=(0.5,), **{name: val}))
@@ -209,6 +213,14 @@ def test_run_point_subcritical_summary():
     assert res["point_id"] == pt["point_id"]
     assert "point_id" not in res["point"]
     canonical_json(res)  # summaries must stay JSON-canonicalizable
+
+
+def test_point_keys_are_the_keys_run_point_writes():
+    # load_point counts a file as completed only when it holds POINT_KEYS
+    (pt,) = sweep_points(tiny_spec(p_values=(0.5,)))
+    res = run_point(pt)
+    assert set(res) == POINT_KEYS
+    assert all(isinstance(res[k], dict) for k in ("point", "audit", "run"))
 
 
 def test_run_point_supercritical_is_exploratory():
