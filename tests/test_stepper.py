@@ -79,6 +79,8 @@ REF_PARAMS = ModelParams(chi=1.0, p=1.5, theta=2.0, eps=1e-3, n=1)
         dict(t_end=1.0, dt_min=0.0),
         dict(t_end=1.0, blowup_linf_threshold=0.0),
     ],
+    # fixed ids: each case keeps its name when a case before it is dropped
+    ids=["kw0", "kw1", "kw2", "kw5"],
 )
 def test_step_controls_validation(kw):
     with pytest.raises(ValueError):
