@@ -104,6 +104,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         classify,
     )
     from .stepper import RunStatus
+    from .sweepdir import run_summary
 
     cfg = parse_config(args.config)
     out = make_out_dir(_resolve_out(args.out))
@@ -132,14 +133,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     report = {
         "tool": tool_stamp(),
         "config": effective,
-        "status": result.status.value,
-        "message": result.message,
-        "n_steps": result.n_steps,
-        "t_final": result.final_state.t,
-        "clamped_mass_cumulative": result.final_state.clamped_mass_cumulative,
+        "run": run_summary(result),
+        **regime.to_dict(),
         "verdicts": {v.name: v.to_dict() for v in verdicts},
         "skipped_checks": skipped,
-        "classification": regime.to_dict(),
         "exit_code": code,
     }
     write_atomic(out / "run.json", json.dumps(report, indent=2, sort_keys=True) + "\n")

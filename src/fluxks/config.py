@@ -29,7 +29,7 @@ from .errors import ConfigError
 from .functionals import MonitorSettings
 from .grid import Grid, build_grid
 from .model import InitialData, InitialSettings, ModelParams, build_initial_data
-from .runtime import load_json
+from .runtime import is_kind, load_json
 from .stepper import DEFAULT_MOLLIFY, DEFAULT_RECORD_EVERY, SimResult, StepControls, simulate
 
 _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
@@ -55,15 +55,8 @@ def _get_section(data: dict, key: str, required: bool) -> dict:
     return sec
 
 
-def _is_kind(val, kind: type) -> bool:
-    # a JSON boolean is no number, and a number field accepts a JSON integer
-    if isinstance(val, bool):
-        return kind is bool
-    return isinstance(val, (int, float) if kind is float else kind)
-
-
 def _check(val, kind: type, path: str) -> None:
-    if not _is_kind(val, kind):
+    if not is_kind(val, kind):
         raise ConfigError(f"{path} must be {_KIND_NAMES[kind]}, got {val!r}")
     # a JSON number too large for a float reads as inf (1e400), or as an int
     # that no float holds (1 and 400 zeros); NaN fails the comparison too
@@ -206,7 +199,7 @@ def _read_monitors(sec: dict) -> MonitorSettings:
     s = sec.get("s")
     if isinstance(s, str) and s != "inf":
         raise ConfigError(f'monitors.s accepts the string "inf" only, got {s!r}')
-    if not (s is None or isinstance(s, str) or _is_kind(s, float)):
+    if not (s is None or isinstance(s, str) or is_kind(s, float)):
         raise ConfigError(f'monitors.s must be a number, "inf", or null, got {s!r}')
     if s != "inf":
         return _build_section(MonitorSettings, sec, "monitors")

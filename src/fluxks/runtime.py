@@ -1,4 +1,4 @@
-"""File, artifact and process-pool helpers that every command shares.
+"""File, JSON, artifact and process-pool helpers that every command shares.
 
 A leaf module: it imports only the standard library, ``_version`` and
 ``errors``, so the commands that never step (``audit``, ``gn-test``,
@@ -22,7 +22,7 @@ def load_json(path: str | Path, what: str):
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} {p}: {exc}") from exc
     try:
         return json.loads(text, parse_constant=_reject_constant)
@@ -33,6 +33,13 @@ def load_json(path: str | Path, what: str):
 def _reject_constant(name: str):
     # Python's json reads NaN and Infinity, which JSON does not define
     raise ValueError(f"{name} is not a JSON number")
+
+
+def is_kind(val, kind: type) -> bool:
+    # a JSON boolean is no number, and a number kind admits a JSON integer
+    if isinstance(val, bool):
+        return kind is bool
+    return isinstance(val, (int, float) if kind is float else kind)
 
 
 def make_out_dir(path: Path) -> Path:

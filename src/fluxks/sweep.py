@@ -38,7 +38,7 @@ from .monitors import classify
 from .regimes import RegimeSpec, audit, critical_exponent, relative_p
 from .runtime import canonical_json, imap_in_pool, load_json, make_out_dir, write_atomic
 from .stepper import DEFAULT_RECORD_EVERY, StepControls
-from .sweepdir import SWEEP_VERSION, load_point, write_manifest, write_point, write_regime_map
+from .sweepdir import SWEEP_VERSION, load_point, run_summary, write_manifest, write_point, write_regime_map
 
 
 @dataclass(frozen=True)
@@ -192,9 +192,6 @@ def run_point(point: dict) -> dict:
     result = point_config(point).run(keep_states="ends", record=sample)
     verdict = classify(result.records, result.status)
 
-    recs = result.records
-    mass0 = recs[0].mass
-    mass_end = recs[-1].mass
     expected = "Bounded" if regime.subcritical else "exploratory"
     mismatch = bool(regime.subcritical and verdict.classification != "Bounded")
     return {
@@ -207,20 +204,7 @@ def run_point(point: dict) -> dict:
             "route": regime.route,
             "feasible": regime.feasible,
         },
-        "run": {
-            "status": result.status.value,
-            "message": result.message,
-            "n_steps": result.n_steps,
-            "t_final": recs[-1].t,
-            "n_records": len(recs),
-            "mass_initial": mass0,
-            "mass_final": mass_end,
-            "mass_drift_rel": abs(mass_end - mass0) / abs(mass0),
-            "u_linf_final": recs[-1].u_linf,
-            "F2_max": max(r.F2 for r in recs),
-            "gradv_l2_max": max(r.gradv_l2 for r in recs),
-            "clamped_mass": result.final_state.clamped_mass_cumulative,
-        },
+        "run": run_summary(result),
         **verdict.to_dict(),
         "expected": expected,
         "mismatch": mismatch,

@@ -1,11 +1,12 @@
 """The sweep directory: its files, the completed-point rule and the regime map.
 
 ``fluxks sweep`` writes a sweep directory and ``fluxks report`` reads one;
-this module is the one place that knows their format.  A leaf module: it
-imports only the standard library, ``errors`` and ``runtime``, so ``report``
-loads no solver.  A sweep directory holds the manifest ``sweep.json`` (the
-spec and one ``{point_id, n, theta, p_fraction, p}`` entry per lattice
-point), one ``<point_id>.json`` result per completed point, the regime map
+this module is the one place that knows their format and the run block
+that ``run.json`` shares with a point file.  A leaf module: it imports only
+the standard library, ``errors`` and ``runtime``, so ``report`` loads no
+solver.  A sweep directory holds the manifest ``sweep.json`` (the spec and
+one ``{point_id, n, theta, p_fraction, p}`` entry per lattice point), one
+``<point_id>.json`` result per completed point, the regime map
 ``regime_map.csv`` and a ``timings.json`` sidecar.  Artifact rules:
 
 * ``sweep.json`` is written before any point runs, and each point file as
@@ -24,18 +25,26 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from pathlib import Path
 
 from .errors import ConfigError
-from .runtime import canonical_json, load_json, tool_stamp, write_atomic
+from .runtime import canonical_json, is_kind, load_json, tool_stamp, write_atomic
 
 SWEEP_VERSION = 10
-# the keys of a point file, as sweep.run_point writes them
-POINT_KEYS = frozenset({
-    "point", "point_id", "audit", "run", "classification", "sup_u_linf",
-    "growth_rate_estimate", "reason", "stats", "expected", "mismatch", "version",
-})
+# a point file as sweep.run_point writes it, each leaf with its JSON kind: every
+# top-level key, the run block of run_summary, and what a reader takes of the rest
+POINT_TREE = {
+    "point": {"n": int, "theta": float, "p_fraction": float, "p": float},
+    "point_id": str,
+    "audit": {"p_critical": float, "subcritical": bool},
+    "run": {
+        "status": str, "message": str, "n_steps": int, "t_final": float, "n_records": int,
+        "mass_initial": float, "mass_final": float, "mass_drift_rel": float,
+        "u_linf_final": float, "F2_max": float, "gradv_l2_max": float, "clamped_mass": float,
+    },
+    "classification": str, "sup_u_linf": float, "growth_rate_estimate": float,
+    "reason": str, "stats": dict, "expected": str, "mismatch": bool, "version": int,
+}
 
 REGIME_MAP_COLUMNS = (
     "n", "theta", "p_fraction", "p", "p_critical", "subcritical", "status",
@@ -57,30 +66,53 @@ def write_manifest(out_dir: Path, spec: dict, points: list[dict]) -> None:
     write_atomic(out_dir / "sweep.json", canonical_json(manifest) + "\n")
 
 
+def run_summary(result) -> dict:
+    """The run block of a :class:`~fluxks.stepper.SimResult`; it reads only
+    the record fields that a :class:`~fluxks.functionals.Sample` holds too."""
+    recs = result.records
+    mass0, mass_end = recs[0].mass, recs[-1].mass
+    return {
+        "status": result.status.value,
+        "message": result.message,
+        "n_steps": result.n_steps,
+        "t_final": recs[-1].t,
+        "n_records": len(recs),
+        "mass_initial": mass0,
+        "mass_final": mass_end,
+        "mass_drift_rel": abs(mass_end - mass0) / abs(mass0),
+        "u_linf_final": recs[-1].u_linf,
+        "F2_max": max(r.F2 for r in recs),
+        "gradv_l2_max": max(r.gradv_l2 for r in recs),
+        "clamped_mass": result.final_state.clamped_mass_cumulative,
+    }
+
+
 def write_point(out_dir: Path, result: dict) -> None:
     write_atomic(out_dir / f"{result['point_id']}.json", canonical_json(result) + "\n")
+
+
+def _fits(val, tree) -> bool:
+    # val holds every key of tree, each of the kind that tree names
+    if isinstance(tree, dict):
+        return isinstance(val, dict) and all(k in val and _fits(val[k], tree[k]) for k in tree)
+    return is_kind(val, tree)
 
 
 def load_point(out_dir: Path, pid: str) -> dict | None:
     """The completed result of point ``pid`` in ``out_dir``, else ``None``.
 
     A completed point file parses, names ``pid``, carries this
-    ``SWEEP_VERSION`` and holds every key of ``POINT_KEYS``, with ``point``,
-    ``audit`` and ``run`` objects; a missing, truncated, stale or partial file
-    does not count.
+    ``SWEEP_VERSION`` and holds the whole ``POINT_TREE``, each leaf of its
+    JSON kind; a missing, truncated, stale, partial or mistyped file does not
+    count.
     """
     try:
-        data = json.loads((out_dir / f"{pid}.json").read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
+        data = load_json(out_dir / f"{pid}.json", "point file")
+    except ConfigError:  # missing, unreadable, or not JSON (NaN included)
         return None
-    completed = (
-        isinstance(data, dict)
-        and data.get("point_id") == pid
-        and data.get("version") == SWEEP_VERSION
-        and POINT_KEYS <= data.keys()
-        and all(isinstance(data[k], dict) for k in ("point", "audit", "run"))
-    )
-    return data if completed else None
+    if _fits(data, POINT_TREE) and data["point_id"] == pid and data["version"] == SWEEP_VERSION:
+        return data
+    return None
 
 
 def read_sweep(sweep_dir: str | Path) -> tuple[list[dict], int]:

@@ -1,6 +1,6 @@
 """Shared fixtures: the reference 1d run reused across monitor and
-acceptance tests, small grid helpers, and the discrete linear theory of the
-constant state."""
+acceptance tests, small grid helpers, the discrete linear theory of the
+constant state, and the leaves of an artifact's key tree."""
 
 import math
 import sys
@@ -108,3 +108,13 @@ def mode_dispersion(grid, params, size, steps=100, dt=0.01):
     w = grid.cell_weights
     measured = float(np.sum((state.u - 1.0) * e * w) / np.sum(e * e * w))
     return abs(measured - a_hat) / abs(a_hat), a_hat / size
+
+
+def tree_leaves(tree, path=()):
+    """``(path, kind)`` for each leaf of a key tree such as
+    ``sweepdir.POINT_TREE``, ``path`` the tuple of keys from the root."""
+    for key, sub in tree.items():
+        if isinstance(sub, dict):
+            yield from tree_leaves(sub, path + (key,))
+        else:
+            yield path + (key,), sub

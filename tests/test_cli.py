@@ -4,7 +4,9 @@ Exit codes under test: 0 clean, 1 failed verdict / flagged map / unstable
 constants, 2 abnormal run termination, 3 configuration errors.
 """
 
+import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +18,10 @@ import pytest
 import fluxks.cli as cli
 from fluxks.cli import main
 from fluxks.monitors import RegimeVerdict
-from fluxks.sweepdir import REGIME_MAP_COLUMNS, SWEEP_VERSION
+from fluxks.sweep import parse_sweep_config_dict, point_config, run_point, sweep_points
+from fluxks.sweepdir import POINT_TREE, REGIME_MAP_COLUMNS, SWEEP_VERSION
+
+from conftest import tree_leaves
 
 
 def write_json(path, obj):
@@ -124,16 +129,16 @@ def test_simulate_happy_path(tmp_path, capsys):
 
     report = json.loads((out / "run.json").read_text(encoding="utf-8"))
     assert set(report) == {
-        "tool", "config", "status", "message", "n_steps", "t_final",
-        "clamped_mass_cumulative", "verdicts", "skipped_checks",
-        "classification", "exit_code",
+        "tool", "config", "run", "classification", "sup_u_linf", "growth_rate_estimate",
+        "reason", "stats", "verdicts", "skipped_checks", "exit_code",
     }
-    assert report["status"] == "Completed" and report["exit_code"] == 0
+    assert set(report["run"]) == set(POINT_TREE["run"])
+    assert report["run"]["status"] == "Completed" and report["exit_code"] == 0
     assert set(report["verdicts"]) == {
         "mass-conservation", "positivity", "dissipation-F1", "dissipation-F2",
     }
     assert all(v["passed"] for v in report["verdicts"].values())
-    assert report["classification"]["classification"] == "Bounded"
+    assert report["classification"] == "Bounded"
 
     lines = (out / "functionals.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("# fluxks ")
@@ -201,10 +206,10 @@ def test_simulate_threshold_trip_exits_2(tmp_path):
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
     report = json.loads((out / "run.json").read_text(encoding="utf-8"))
-    assert report["status"] == "BlowUpSuspected"
+    assert report["run"]["status"] == "BlowUpSuspected"
     assert report["exit_code"] == 2
     assert report["skipped_checks"]  # dissipation not evaluated
-    assert report["classification"]["classification"] == "BlowUpSuspected"
+    assert report["classification"] == "BlowUpSuspected"
 
 
 def test_simulate_overflowing_production_exits_2(tmp_path):
@@ -222,8 +227,23 @@ def test_simulate_overflowing_production_exits_2(tmp_path):
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
     report = json.loads((out / "run.json").read_text(encoding="utf-8"))
-    assert report["status"] == "BlowUpSuspected"
-    assert "dt_min" in report["message"]
+    assert report["run"]["status"] == "BlowUpSuspected"
+    assert "dt_min" in report["run"]["message"]
+
+
+def test_simulate_writes_the_run_block_and_verdict_of_a_sweep_point(tmp_path):
+    # run.json and a point file share one run block and spread the same
+    # verdict: simulate on a point's effective config records in full, and a
+    # point records samples, of the same bits
+    verdict_keys = set(RegimeVerdict.__dataclass_fields__)
+    for i, point in enumerate(sweep_points(parse_sweep_config_dict(SWEEP_CFG))):
+        cfg_path = write_json(tmp_path / f"cfg{i}.json", point_config(point).effective())
+        out = tmp_path / f"out{i}"
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) in (0, 1)
+        report = json.loads((out / "run.json").read_text(encoding="utf-8"))
+        res = run_point(point)
+        assert report["run"] == res["run"]
+        assert {k: report[k] for k in verdict_keys} == {k: res[k] for k in verdict_keys}
 
 
 def test_simulate_growing_classification_exits_1(tmp_path, monkeypatch):
@@ -256,6 +276,8 @@ def test_simulate_growing_classification_exits_1(tmp_path, monkeypatch):
         lambda tmp: write_overflowing(tmp, monitors={"s": "BIG"}),
         # the production bound's factor is a stepper constant, not a key
         lambda tmp: write_json(tmp / "cfl.json", run_cfg(controls={"cfl_safety": 0.4})),
+        # bytes that are not UTF-8 ended in a UnicodeDecodeError traceback
+        lambda tmp: (lambda p: (p.write_bytes(b"\xff{"), str(p))[1])(tmp / "latin.json"),
     ],
 )
 def test_simulate_config_errors_exit_3(tmp_path, breakage, capsys):
@@ -314,10 +336,17 @@ def test_report_with_missing_points(tmp_path, capsys):
     assert "no completed points" in capsys.readouterr().err
 
 
+# a value of another JSON kind for a leaf of each kind
+OTHER_KIND = {int: "1", float: "2", str: 1, bool: 1, dict: [1]}
+
+
 def test_point_file_without_its_result_keys_is_not_completed(tmp_path, capsys):
     # a file naming its point and version, but without the keys run_point
     # writes, ended report in KeyError: 'point' and a resumed sweep in
-    # KeyError: 'mismatch'; now it is pending, and the sweep reruns it
+    # KeyError: 'mismatch'; one whose run was {} ended both in KeyError:
+    # 'status', and a string theta ended report in a ValueError.  Now a file
+    # that lacks a leaf of POINT_TREE, or holds one of another kind, is
+    # pending, and the sweep reruns it
     cfg_path = write_json(tmp_path / "sweep.json", SWEEP_CFG)
     out = tmp_path / "map"
     assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 0
@@ -326,9 +355,25 @@ def test_point_file_without_its_result_keys_is_not_completed(tmp_path, capsys):
     target = out / f"{pid}.json"
     good = target.read_bytes()
     full = json.loads(good)
-    for partial in ({"point_id": pid, "version": SWEEP_VERSION}, {**full, "run": None},
-                    {**full, "point": [1]}):
-        write_json(target, partial)
+    # NaN is no JSON number: json.dumps writes it, and a point file holds none;
+    # bytes that are not UTF-8 ended report in a UnicodeDecodeError traceback
+    partials = [{"point_id": pid, "version": SWEEP_VERSION}, {**full, "run": None},
+                {**full, "point": [1]}, {**full, "run": {}}, {**full, "sup_u_linf": math.nan},
+                b"\xff" + good]
+    for path, kind in tree_leaves(POINT_TREE):
+        for mistyped in (False, True):
+            partial = json.loads(good)
+            parent = functools.reduce(dict.__getitem__, path[:-1], partial)
+            if mistyped:
+                parent[path[-1]] = OTHER_KIND[kind]
+            else:
+                del parent[path[-1]]
+            partials.append(partial)
+    for partial in partials:
+        if isinstance(partial, bytes):
+            target.write_bytes(partial)
+        else:
+            write_json(target, partial)
         assert main(["report", "--sweep-dir", str(out)]) == 0
         assert "NOTE: 1 point(s) not yet completed" in capsys.readouterr().out
         assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 0

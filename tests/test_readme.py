@@ -8,6 +8,9 @@ from typing import get_type_hints
 
 from fluxks.config import RunConfig, parse_config_dict
 from fluxks.sweep import SweepSpec, parse_sweep_config_dict
+from fluxks.sweepdir import POINT_TREE
+
+from conftest import tree_leaves
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -33,7 +36,8 @@ def test_readme_config_examples_parse():
 
 
 def test_readme_sweep_key_table_matches_spec():
-    rows = re.findall(r"^\| `(\w+)` \| ([a-z ]+) \| (.+?) \|", README, re.M)
+    # four columns: the point-file table's rows have three
+    rows = re.findall(r"^\| `(\w+)` \| ([a-z ]+) \| ([^|]+?) \| [^|]+ \|$", README, re.M)
     table = {key: (kind, default) for key, kind, default in rows}
     hints = get_type_hints(SweepSpec)
     assert list(table) == [f.name for f in fields(SweepSpec)]
@@ -79,3 +83,15 @@ def test_readme_run_config_key_table_matches_config():
             assert default == "required", (sec, f.name)
         else:
             assert json.loads(default.strip("`")) == f.default, (sec, f.name)
+
+
+POINT_TYPE_NAMES = {**RUN_TYPE_NAMES, "object": dict}
+
+
+def test_readme_point_file_table_is_the_point_tree():
+    # the point-file table lists each leaf of POINT_TREE, run block included,
+    # by its dotted path, with its JSON type
+    rows = re.findall(r"^\| `([\w.]+)` \| ([a-z]+) \| [^|]+ \|$", README, re.M)
+    assert [(key, POINT_TYPE_NAMES[kind]) for key, kind in rows] == [
+        (".".join(path), kind) for path, kind in tree_leaves(POINT_TREE)
+    ]

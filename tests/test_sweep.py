@@ -5,6 +5,7 @@ produce byte-identical point files, manifest, and regime map across repeats,
 resume, and parallel execution (timings.json is explicitly exempt).
 """
 
+import functools
 import json
 from dataclasses import fields
 
@@ -26,12 +27,14 @@ from fluxks.sweep import (
     write_atomic,
 )
 from fluxks.sweepdir import (
-    POINT_KEYS,
+    POINT_TREE,
     REGIME_MAP_COLUMNS,
     SWEEP_VERSION,
     regime_map_csv,
     regime_map_summary,
 )
+
+from conftest import tree_leaves
 
 
 def tiny_spec(**over):
@@ -216,11 +219,14 @@ def test_run_point_subcritical_summary():
 
 
 def test_point_keys_are_the_keys_run_point_writes():
-    # load_point counts a file as completed only when it holds POINT_KEYS
-    (pt,) = sweep_points(tiny_spec(p_values=(0.5,)))
-    res = run_point(pt)
-    assert set(res) == POINT_KEYS
-    assert all(isinstance(res[k], dict) for k in ("point", "audit", "run"))
+    # load_point counts a file as completed only when it holds POINT_TREE:
+    # every top-level key and run key that run_point writes, each leaf of the
+    # kind the tree names
+    for pt in sweep_points(tiny_spec()):
+        res = json.loads(canonical_json(run_point(pt)))
+        assert set(res) == set(POINT_TREE) and set(res["run"]) == set(POINT_TREE["run"])
+        for path, kind in tree_leaves(POINT_TREE):
+            assert runtime.is_kind(functools.reduce(dict.__getitem__, path, res), kind), path
 
 
 def test_run_point_supercritical_is_exploratory():
