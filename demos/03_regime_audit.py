@@ -4,8 +4,9 @@ For each (n, theta) the flux exponent p sits below, at, or above the
 critical value n*theta/(n*theta - 1).  Subcritical points get a feasibility
 certificate: either the two-functional entropy route (witnesses q for the
 gradient functional, q for the density functional, plus the starred
-interpolation exponents), or the 1d semigroup route when entropy search
-comes up empty.
+interpolation exponents), or, in 1d where the entropy route's p window is
+closed, the semigroup route.  Each route is decided from the closed-form
+infimum of its constraints, and its witnesses sit at stated points.
 
 Run:  python3 demos/03_regime_audit.py
 """

@@ -11,11 +11,23 @@ the subcritical regime boundedness is certified through one of two routes:
 * the one-dimensional semigroup route (only ``n = 1``), quantified by
   ``(theta - 1/r) * (p - 1) + (1 - 1/q) < 1``.
 
-:func:`audit` runs a deterministic witness search over these constraint
-systems and reports which route certifies the regime, with the witnesses it
-found.  The formula helpers (:func:`a_star`, :func:`b_star`,
-:func:`condition_2ab`, :func:`condition_1d_value`) are exposed separately so
-hand arithmetic can be checked at any point, admissible or not.
+Both constraint systems have closed-form infima, so :func:`audit` decides
+each route by a predicate and places its witnesses at stated points.  For
+``theta > 1`` a route exists exactly below ``p_c``, and the binding
+constraint at ``p_c`` is:
+
+* semigroup: the value's infimum ``(theta - 1)*(p - 1)`` (as q, r -> 1+)
+  reaches 1 at ``p = theta/(theta - 1)``, which is ``p_c`` for ``n = 1``;
+* entropy, ``n >= 2``: the density window's top ``2(2 - p)/(n(p - 1))``
+  meets the signal-``L^2`` floor ``2*theta - 4/n`` at ``p_c``.  The closure
+  ``condition_2ab`` rises in the gradient witness's ``q`` and is monotone
+  in its ``r``.  Where it falls in ``r`` (``p - 1 >= 2/(n + 2)``), its
+  infimum at the floor of ``q`` reaches 2 at ``p_c`` as well; where it
+  rises, the gradient system alone stays satisfiable above ``p_c``.
+
+The formula helpers (:func:`a_star`, :func:`b_star`, :func:`condition_2ab`,
+:func:`condition_1d_value`) check the witnesses, and hand arithmetic at any
+point, admissible or not.
 """
 
 from __future__ import annotations
@@ -23,16 +35,11 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, fields
 
-import numpy as np
-
 CRITICAL_BOUNDARY_RTOL = 1e-12
 
-# deterministic witness-search ladders
+# the gradient witness's q: the largest margin above its floor that keeps the
+# closure's infimum below 2, else half the slack
 _Q_MARGINS = (1.0, 0.5, 0.25, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001, 1e-4, 1e-5, 1e-6)
-_R_SWEEP_POINTS = 33
-_SEMIGROUP_R_LADDER = tuple(
-    [2.0, 1.5, 1.25, 1.1, 1.05, 1.02, 1.01] + [1.0 + 2.0**-k for k in range(7, 31)]
-)
 
 
 @dataclass(frozen=True)
@@ -169,10 +176,11 @@ def a_star(n: int, p: float, q: float, r: float) -> float:
 
 
 def b_star(n: int, r: float) -> float:
-    """Interpolation power ``(1/2 + 1/n - 1/r) / (2/n)``."""
+    """Interpolation power ``(1/2 + 1/n - 1/r) / (2/n) = ((n+2)*r - 2n) / (4r)``
+    (the second form, exactly 1/2 at ``r = 2``)."""
     if r <= 0.0:
         raise ValueError(f"b_star requires r > 0, got {r}")
-    return (0.5 + 1.0 / n - 1.0 / r) / (2.0 / n)
+    return ((n + 2.0) * r - 2.0 * n) / (4.0 * r)
 
 
 def condition_2ab(n: int, p: float, q: float, r: float) -> float:
@@ -193,7 +201,8 @@ class ExponentAudit:
 
     ``route`` is ``"entropy"``, ``"semigroup-1d"``, or ``None``; the starred
     quantities are populated only by the entropy route, ``condition_1d`` only
-    by the semigroup search.  ``chosen_q`` / ``chosen_r`` are the gradient
+    by the semigroup route (at ``n = 1``; a supercritical point reports the
+    value's infimum).  ``chosen_q`` / ``chosen_r`` are the gradient
     functional witnesses, ``chosen_q_f1`` the density-functional witness.
     """
 
@@ -240,61 +249,42 @@ def _density_witness(ranges: QRanges) -> float | None:
 
 
 def _gradient_witness(n: int, p: float, ranges: QRanges) -> tuple[float, float] | None:
-    # joint (q, r) witness for the gradient functional: q strictly above the
-    # floor, r in its admissibility window, closure condition < 2.
+    # joint (q, r) witness for the gradient functional, below p_c with
+    # theta > 1.  The r window is 2 <= r (b_star >= 1/2), r > max(2, n)(p - 1)
+    # (below p_c that is under 2) and r < 2n/(n - 2) for n >= 3 (b_star < 1);
+    # a_star > 1 there for every q > 1.  The closure condition_2ab is
+    # g(q)*f(r), g = (n*q + 2 - n)(p - 1)/4 rising in q and
+    # f = (n + 2) + k/(r - n(p - 1)), monotone in r by the sign of k.
+    pm = p - 1.0
     q_min = max(1.0, ranges.signal_grad_min)
-    r_lo = max(2.0, max(2.0, float(n)) * (p - 1.0))
-    r_hi = 2.0 * n / (n - 2.0) if n >= 3 else max(64.0, r_lo + 64.0)
-    if r_hi <= r_lo:
+    c = n * pm
+    k = (n + 2.0) * c - 2.0 * n
+    r_hi = 2.0 * n / (n - 2.0) if n >= 3 else math.inf
+    # f rises (k <= 0): r = 2 attains the infimum; f falls: the infimum is
+    # the limit at the open end r_hi (n + 2 for r_hi = inf), never attained
+    f_inf = 4.0 / (2.0 - c) if k <= 0.0 else n + 2.0 + k / (r_hi - c)
+    q_star = (8.0 / (pm * f_inf) + n - 2.0) / n  # g(q_star) * f_inf = 2
+    if q_star <= q_min:
         return None
-    # coarse lattice over r, finest near both ends
-    ts = np.linspace(0.0, 1.0, _R_SWEEP_POINTS)[1:-1]
-    r_candidates = [r_lo + t * (r_hi - r_lo) for t in ts]
-    if r_lo == 2.0 and 2.0 < r_hi:
-        r_candidates.insert(0, 2.0)
-    # near-critical points push the closure infimum to an endpoint of the r
-    # window: a_star*b_star = K*(alpha*r - 1)/(r - n*(p-1)) is monotone in r,
-    # so append geometric ladders toward both admissible ends (after the
-    # coarse lattice: witnesses found there keep priority).
-    r_candidates += [r_lo * (1.0 + 2.0**-k) for k in range(1, 45)]
-    if n >= 3:
-        r_candidates += [r_hi - (r_hi - r_lo) * 2.0**-k for k in range(1, 45)]
-    else:
-        r_candidates += [float(2**k) for k in range(7, 41)]
-    for dq in _Q_MARGINS:
-        q = q_min + dq
-        for r in r_candidates:
-            try:
-                if b_star(n, r) < 0.5 or b_star(n, r) >= 1.0:
-                    continue
-                if a_star(n, p, q, r) <= 1.0:
-                    continue
-                if condition_2ab(n, p, q, r) < 2.0:
-                    return (q, r)
-            except ValueError:
-                continue
-    return None
+    dq = next((m for m in _Q_MARGINS if q_min + m < q_star), 0.5 * (q_star - q_min))
+    q = q_min + dq
+    if k <= 0.0:
+        return (q, 2.0)
+    # the r where the closure sits halfway between its infimum and 2
+    g = (n * q + 2.0 - n) * pm / 4.0
+    f_mid = 0.5 * (f_inf + 2.0 / g)
+    return (q, max(2.0, c + k / (f_mid - n - 2.0)))
 
 
-def _semigroup_witness(theta: float, p: float) -> tuple[float, float, float]:
-    # (q, r, value) of the first ladder r with room for a q above 1, feasible
-    # (value < 1) by construction.  The budget shrinks as r decreases, so walk
-    # the r ladder and spend half the slack on q; a lead within an ulp of 1
-    # leaves a slack that rounds q to 1, and that r is skipped.
-    for margin in (0.01, 0.0):
-        for r in _SEMIGROUP_R_LADDER:
-            lead = (theta - 1.0 / r) * (p - 1.0)
-            budget = 1.0 - lead
-            if budget <= margin:
-                continue
-            q_max = 1.0 / (1.0 - budget) if budget < 1.0 else 4.0
-            q = 0.5 * (1.0 + q_max)
-            if q > 1.0:
-                return (q, r, condition_1d_value(theta, p, q, r))
-    # even the smallest r exceeds the unit budget: report the ladder floor
-    r = _SEMIGROUP_R_LADDER[-1]
-    q = 1.0 + 2.0**-20
-    return (q, r, condition_1d_value(theta, p, q, r))
+def _semigroup_witness(theta: float, p: float) -> tuple[float, float] | None:
+    # (q, r) below p_c: a quarter of the slack 1 - (theta - 1)(p - 1) goes to
+    # r's term (1 - 1/r)(p - 1) and a quarter to q's term 1 - 1/q, so the
+    # value sits at 1 - slack/2.  On this route p - 1 exceeds a quarter of the
+    # slack, so r is finite; None where r's share rounds r to 1 (a slack under
+    # about 4e-16 * (p - 1), only for theta within 1e-4 of 1).
+    quarter = 0.25 * (1.0 - (theta - 1.0) * (p - 1.0))
+    r = 1.0 / (1.0 - quarter / (p - 1.0))
+    return (1.0 / (1.0 - quarter), r) if r > 1.0 else None
 
 
 def audit(spec: RegimeSpec) -> ExponentAudit:
@@ -319,9 +309,8 @@ def audit(spec: RegimeSpec) -> ExponentAudit:
 
     route: str | None = None
     q1 = None
-    grad_witness = None
-    cond1d = None
-    cond1d_witness: tuple[float, float] | None = None
+    q = r = cond1d = None
+    stars = {}
 
     if theta <= 1.0:
         notes.append("theta <= 1: outside the superlinear production regime, no route attempted")
@@ -333,28 +322,26 @@ def audit(spec: RegimeSpec) -> ExponentAudit:
             grad_witness = _gradient_witness(n, p, ranges)
             if q1 is not None and grad_witness is not None:
                 route = "entropy"
+                q, r = grad_witness
+                # the starred quantities belong to the entropy route alone
+                stars = {
+                    "a_star": a_star(n, p, q, r),
+                    "b_star": b_star(n, r),
+                    "condition_2ab": condition_2ab(n, p, q, r),
+                }
         if route is None and n == 1:
-            # the semigroup value: the route of a subcritical point, a
-            # diagnostic for near-critical p of a supercritical one
-            q_1d, r_1d, cond1d = _semigroup_witness(theta, p)
-            cond1d_witness = (q_1d, r_1d)
-            if subcritical and cond1d < 1.0:
+            # the semigroup value at the witnesses of a subcritical point; a
+            # supercritical one reports its infimum (theta - 1)(p - 1)
+            witness = _semigroup_witness(theta, p) if subcritical else None
+            if witness is not None:
                 route = "semigroup-1d"
+                q, r = witness
+                cond1d = condition_1d_value(theta, p, q, r)
             elif subcritical:
-                notes.append("semigroup search found no witness below 1")
+                notes.append("semigroup slack below double precision: no float r above 1")
+            else:
+                cond1d = (theta - 1.0) * (p - 1.0)
 
-    # the starred quantities belong to the entropy route alone
-    stars = {}
-    q = r = None
-    if route == "entropy":
-        q, r = grad_witness
-        stars = {
-            "a_star": a_star(n, p, q, r),
-            "b_star": b_star(n, r),
-            "condition_2ab": condition_2ab(n, p, q, r),
-        }
-    elif route == "semigroup-1d":
-        q, r = cond1d_witness
     return ExponentAudit(
         spec=spec,
         p_critical=pc,

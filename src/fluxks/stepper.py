@@ -48,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from . import functionals
-from .errors import BlowUpSuspected, FluxksError, PositivityError
+from .errors import BlowUpSuspected, FluxksError, PositivityError, SolverError
 from .grid import Grid, gradient_faces, integrate
 from .linalg import HelmholtzSolver
 from .model import InitialData, ModelParams, flux_coefficients, mollify_initial_data, production
@@ -175,7 +175,13 @@ def step(
     grid = state.grid
     weights = grid.cell_weights
 
-    rhs_v = state.v + dt * production(state.u, params)
+    try:
+        with np.errstate(over="raise"):
+            rhs_v = state.v + dt * production(state.u, params)
+    except FloatingPointError:
+        raise SolverError(
+            f"v + dt*u^theta at max u {float(state.u.max()):.3e} is not finite (overflow)"
+        ) from None
     v_new, _, _ = solver.solve(1.0 + dt, dt, rhs_v, x0=state.v)
     v_new, _ = _clamp_negative(v_new, weights, "v")
 

@@ -231,6 +231,25 @@ def test_simulate_overflowing_production_exits_2(tmp_path):
     assert "dt_min" in report["run"]["message"]
 
 
+def test_simulate_overflowing_u_pow_theta_stops_without_a_warning(tmp_path):
+    # CI's production.json: at theta = 2, dt stays finite but u^theta at
+    # u = 1e200 overflows in the first step.  The step stops the run "not
+    # finite" itself, with no numpy RuntimeWarning (an error in this suite)
+    cfg_path = write_json(tmp_path / "production.json", {
+        "grid": {"mode": "cartesian-1d", "extents": [1.0], "cells": [16]},
+        "model": {"chi": 1.0, "p": 1.5, "theta": 2.0, "eps": 1e-3},
+        "initial": {"family": "constant", "base": 1e200, "v0": "zero"},
+        "mollify": False,
+        "monitors": {"q_set": [1.5], "q_f1": 1.5, "q_f2": 1.5},
+        "controls": {"t_end": 1.0, "dt_min": 1e-300},
+    })
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    report = json.loads((out / "run.json").read_text(encoding="utf-8"))
+    assert report["run"]["status"] == "NumericalFailure"
+    assert "not finite" in report["run"]["message"]
+
+
 def test_simulate_writes_the_run_block_and_verdict_of_a_sweep_point(tmp_path):
     # run.json and a point file share one run block and spread the same
     # verdict: simulate on a point's effective config records in full, and a

@@ -332,7 +332,7 @@ _USER_MONITORS = hs.fixed_dictionaries({}, optional={
 @example(n=2, theta=0.3, p=2.0, user={})
 @example(n=6, theta=0.05, p=1.0001, user={"q_f2": 3.0})
 @example(n=2, theta=1.2, p=relative_p(2, 1.2, 0.8), user={})  # q_f1 in (0, 1)
-@example(n=1, theta=1.5, p=2.984555984555984, user={})  # a semigroup rung with q = 1
+@example(n=1, theta=1.5, p=2.984555984555984, user={})  # the semigroup route near p_c = 3
 def test_resolve_sets_every_index_keeps_user_fields_and_is_idempotent(n, theta, p, user):
     params = ModelParams(chi=1.0, p=p, theta=theta, eps=1e-3, n=n)
     given_settings = MonitorSettings(**user)

@@ -6,10 +6,16 @@ closure value 2 * 2.5 * 0.5 * 0.2 = 0.5 < 2.
 """
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as hs
 
 from fluxks.regimes import (
+    _Q_MARGINS,
+    CRITICAL_BOUNDARY_RTOL,
     ExponentAudit,
     RegimeSpec,
     a_star,
@@ -69,6 +75,13 @@ def test_a_star_rejects_degenerate_denominator():
         a_star(2, 2.0, 2.0, 2.0)
     with pytest.raises(ValueError):
         b_star(2, 0.0)
+
+
+def test_b_star_is_exactly_half_at_r_two():
+    # r = 2 is the gradient witness's closed end: b_star >= 1/2 must hold there
+    # to the bit, which (1/2 + 1/n - 1/r) / (2/n) misses for n in {3, 5, 6, 7}
+    for n in range(1, 9):
+        assert b_star(n, 2.0) == 0.5
 
 
 def test_condition_1d_hand_value():
@@ -189,18 +202,6 @@ def test_audit_semigroup_route_1d():
     assert rep.a_star is None and rep.condition_2ab is None
 
 
-def test_audit_semigroup_route_skips_a_rung_whose_q_rounds_to_one():
-    # at theta=1.5, p=2.984555984555984 (p_c = 3) the rung r = 1 + 2^-8 puts
-    # the lead (theta - 1/r)(p - 1) within an ulp of 1, where half the slack
-    # rounds q to 1 (condition_1d_value rejects it): that rung is skipped
-    theta, p = 1.5, 2.984555984555984
-    rep = audit(RegimeSpec(n=1, theta=theta, p=p))
-    assert rep.route == "semigroup-1d"
-    assert rep.chosen_q > 1.0 and rep.chosen_r == 1.0 + 2.0**-9
-    assert rep.condition_1d < 1.0
-    assert rep.condition_1d == condition_1d_value(theta, p, rep.chosen_q, rep.chosen_r)
-
-
 def test_audit_1d_entropy_route_small_p():
     rep = audit(RegimeSpec(n=1, theta=2.0, p=1.3))
     assert rep.feasible
@@ -213,8 +214,8 @@ def test_audit_supercritical_reported_not_thrown():
     assert not rep.feasible
     assert rep.route is None
     assert any("supercritical" in note for note in rep.notes)
-    # 1d keeps the best semigroup value as a diagnostic
-    assert rep.condition_1d is not None
+    # 1d reports the semigroup value's infimum (theta - 1)(p - 1) as a diagnostic
+    assert rep.condition_1d == 1.5
 
 
 def test_audit_critical_boundary_flag():
@@ -261,6 +262,169 @@ def test_audit_near_critical_regression():
     rep = audit(spec)
     assert rep.feasible, rep.notes
     assert rep.condition_2ab < 2.0
+
+
+def _witnesses_pass(rep: ExponentAudit) -> bool:
+    # every constraint of the reported route, through the helper formulas
+    n, theta, p = rep.spec.n, rep.spec.theta, rep.spec.p
+    q, r = rep.chosen_q, rep.chosen_r
+    if rep.route == "semigroup-1d":
+        value = condition_1d_value(theta, p, q, r)
+        return q > 1.0 and r > 1.0 and value < 1.0 and rep.condition_1d == value
+    ranges = rep.q_ranges
+    lo, hi = ranges.density_window
+    q1 = rep.chosen_q_f1
+    return (
+        max(lo, ranges.signal_l2_min) < q1 < hi and q1 != 1.0
+        and q > max(1.0, ranges.signal_grad_min)
+        and r > max(2.0, n) * (p - 1.0)
+        and rep.a_star == a_star(n, p, q, r) > 1.0
+        and 0.5 <= rep.b_star == b_star(n, r) < 1.0
+        and rep.condition_2ab == condition_2ab(n, p, q, r) < 2.0
+    )
+
+
+@pytest.mark.parametrize(
+    "n, theta, p, route",
+    [
+        # 3.3e-8 below p_c = 1.5, where the q slack is under the smallest margin
+        (2, 1.5, 1.49999995, "entropy"),
+        # 1e-10 below p_c = 2, closer than any r on a ladder toward 1
+        (1, 2.0, 1.9999999999, "semigroup-1d"),
+        # p_c = 3, where a ladder rung r = 1 + 2^-8 once left q rounded to 1
+        (1, 1.5, 2.984555984555984, "semigroup-1d"),
+    ],
+)
+def test_audit_certifies_points_a_hair_below_p_c(n, theta, p, route):
+    rep = audit(RegimeSpec(n=n, theta=theta, p=p))
+    assert rep.subcritical and rep.feasible
+    assert rep.route == route
+    assert rep.notes == ()
+    assert _witnesses_pass(rep)
+
+
+def test_audit_names_a_semigroup_slack_below_double_precision():
+    # theta = 1 + 1e-6 puts p_c near 1e6, and 1e-11 below it the slack
+    # 1 - (theta - 1)(p - 1) is about 1e-11.  Every float r > 1 makes r's
+    # term (1 - 1/r)(p - 1) at least about 2.2e-16 * 1e6, beyond the slack
+    theta = 1.0 + 1e-6
+    rep = audit(RegimeSpec(n=1, theta=theta, p=relative_p(1, theta, 1.0 - 1e-11)))
+    assert rep.subcritical and not rep.feasible
+    assert rep.notes == ("semigroup slack below double precision: no float r above 1",)
+
+
+_P_DRAW = hs.one_of(
+    hs.tuples(hs.just("fraction"), hs.floats(0.01, 1.5)),
+    hs.tuples(hs.just("fraction"), hs.integers(1, 11).map(lambda k: 1.0 - 10.0**-k)),
+    # p_c * (1 + t * CRITICAL_BOUNDARY_RTOL): on the boundary for |t| <= 1
+    hs.tuples(hs.just("rtol"), hs.floats(-3.0, 3.0)),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(n=hs.integers(1, 7), theta=hs.floats(0.3, 30.0), where=_P_DRAW)
+@example(n=2, theta=1.0, where=("fraction", 0.5))  # theta = 1 exactly
+@example(n=2, theta=1.25, where=("rtol", -1.0))
+def test_audit_feasible_exactly_below_p_c_with_theta_above_one(n, theta, where):
+    assume(n * theta > 1.0)
+    pc = critical_exponent(n, theta)
+    kind, value = where
+    p = relative_p(n, theta, value) if kind == "fraction" else pc * (1.0 + value * CRITICAL_BOUNDARY_RTOL)
+    boundary = abs(p - pc) <= CRITICAL_BOUNDARY_RTOL * pc
+    rep = audit(RegimeSpec(n=n, theta=theta, p=p))
+    assert rep.critical_boundary == boundary
+    assert rep.feasible == (theta > 1.0 and p < pc and not boundary), rep
+    if rep.feasible:
+        assert _witnesses_pass(rep), rep
+
+
+# -- the lattice search that the closed forms replaced, kept as an oracle
+
+_R_SWEEP_POINTS = 33
+_SEMIGROUP_R_LADDER = tuple(
+    [2.0, 1.5, 1.25, 1.1, 1.05, 1.02, 1.01] + [1.0 + 2.0**-k for k in range(7, 31)]
+)
+
+
+def _exact_closure(n, p, q, r):
+    # condition_2ab in exact rational arithmetic on the float inputs
+    p, q, r = Fraction(p), Fraction(q), Fraction(r)
+    return (n * q + 2 - n) * (p - 1) * ((n + 2) * r - 2 * n) / (4 * (r - n * (p - 1)))
+
+
+def _search_gradient_witness(n, p, q_min):
+    # (q, r): q = q_min plus the largest margin for which some r on a lattice
+    # over the r window, or on geometric ladders toward its ends, closes.  The
+    # closure is confirmed in exact arithmetic: in floats, r = 36 at n = 2,
+    # theta = 1.05, fraction 0.9, and every r at n = 2, theta = 1.25, p = 1.5
+    # (where p - 1 = 2/(n + 2) makes f(r) constant), sit on a closure of
+    # exactly 2 that rounds below it
+    r_lo = max(2.0, max(2.0, float(n)) * (p - 1.0))
+    r_hi = 2.0 * n / (n - 2.0) if n >= 3 else max(64.0, r_lo + 64.0)
+    if r_hi <= r_lo:
+        return None
+    ts = np.linspace(0.0, 1.0, _R_SWEEP_POINTS)[1:-1]
+    r_candidates = [r_lo + t * (r_hi - r_lo) for t in ts]
+    if r_lo == 2.0 and 2.0 < r_hi:
+        r_candidates.insert(0, 2.0)
+    r_candidates += [r_lo * (1.0 + 2.0**-k) for k in range(1, 45)]
+    if n >= 3:
+        r_candidates += [r_hi - (r_hi - r_lo) * 2.0**-k for k in range(1, 45)]
+    else:
+        r_candidates += [float(2**k) for k in range(7, 41)]
+    for dq in _Q_MARGINS:
+        q = q_min + dq
+        for r in r_candidates:
+            try:
+                if b_star(n, r) < 0.5 or b_star(n, r) >= 1.0:
+                    continue
+                if a_star(n, p, q, r) <= 1.0:
+                    continue
+                if condition_2ab(n, p, q, r) < 2.0 and _exact_closure(n, p, q, r) < 2:
+                    return (q, r)
+            except ValueError:
+                continue
+    return None
+
+
+def _search_semigroup_witness(theta, p):
+    # (q, r) on the first r rung with room for a q above 1, or None
+    for margin in (0.01, 0.0):
+        for r in _SEMIGROUP_R_LADDER:
+            budget = 1.0 - (theta - 1.0 / r) * (p - 1.0)
+            if budget <= margin:
+                continue
+            q = 0.5 * (1.0 + (1.0 / (1.0 - budget) if budget < 1.0 else 4.0))
+            if q > 1.0:
+                return (q, r)
+    return None
+
+
+def test_audit_agrees_with_the_lattice_search_wherever_it_finds_a_witness():
+    points = [
+        (n, theta, relative_p(n, theta, f))
+        for n in (1, 2, 3, 4, 5)
+        for theta in (1.05, 1.1, 7.0 / 6.0, 1.25, 1.5, 2.0, 3.0, 4.0, 7.0)
+        for f in (0.1, 0.3, 0.5, 0.6, 0.8, 0.9, 0.95, 0.99, 0.999, 1.0 - 1e-4, 1.0 - 1e-6)
+    ]
+    points.append((2, 1.25, 1.5))
+    found = 0
+    for n, theta, p in points:
+        rep = audit(RegimeSpec(n=n, theta=theta, p=p))
+        route = None
+        if rep.chosen_q_f1 is not None:
+            q_min = max(1.0, rep.q_ranges.signal_grad_min)
+            witness = _search_gradient_witness(n, p, q_min)
+            if witness is not None:
+                route = "entropy"
+                assert rep.chosen_q == witness[0], (n, theta, p)
+        if route is None and n == 1 and _search_semigroup_witness(theta, p) is not None:
+            route = "semigroup-1d"
+        if route is not None:
+            found += 1
+            assert rep.route == route, (n, theta, p)
+            assert _witnesses_pass(rep), (n, theta, p)
+    assert found == len(points)
 
 
 def test_audit_deterministic():
